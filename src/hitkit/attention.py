@@ -85,15 +85,14 @@ class FameLayer:
         return float(a[0]), float(a[1])
 
 
-def _key_mask(mask, n: int) -> np.ndarray:
-    m = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    if m.shape != (n,):
-        raise ShapeError(f"mask length {m.shape} does not match {n} positions")
-    return m
-
-
-def _allowed(key_mask: np.ndarray, attn_allowed, n_q: int) -> np.ndarray:
-    base = np.repeat(key_mask[None, :], n_q, axis=0)
+def _allowed(mask, attn_allowed, n_q: int, n_kv: int, caller: str) -> np.ndarray:
+    """The (n_q, n_kv) matrix of allowed query/key pairs: a key mask and an optional extra mask."""
+    km = np.ones(n_kv, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if km.shape != (n_kv,):
+        raise ShapeError(f"mask length {km.shape} does not match {n_kv} positions")
+    if not km.any():
+        raise ValueError(f"{caller}: every position is masked")
+    base = np.repeat(km[None, :], n_q, axis=0)
     if attn_allowed is None:
         return base
     a = np.asarray(attn_allowed, dtype=bool)
@@ -129,36 +128,34 @@ def multi_head_attention(wq: Parameter, wk: Parameter, wv: Parameter, wo: Parame
     return out
 
 
-def msa_forward(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None) -> Tensor:
-    n = x.shape[0]
-    km = _key_mask(mask, n)
-    if not km.any():
-        raise ValueError("msa_forward: every position is masked")
+def msa_forward(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None,
+                x_kv: Tensor | None = None) -> Tensor:
+    """Queries from `x`, keys/values from `x_kv` (default `x`); `mask` marks usable key rows."""
+    x_kv = x if x_kv is None else x_kv
+    allowed = _allowed(mask, attn_allowed, x.shape[0], x_kv.shape[0], "msa_forward")
     return multi_head_attention(layer.wq_self, layer.wk_self, layer.wv_self, layer.wo_self,
-                                layer.config.n_heads, x, x, _allowed(km, attn_allowed, n))
+                                layer.config.n_heads, x, x_kv, allowed)
 
 
 def msa_weights(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None) -> np.ndarray:
     """Per-head attention matrices, shape (n_heads, n, n); for inspection and tests."""
     n = x.shape[0]
-    km = _key_mask(mask, n)
-    if not km.any():
-        raise ValueError("msa_forward: every position is masked")
     _, w = multi_head_attention(layer.wq_self, layer.wk_self, layer.wv_self, layer.wo_self,
-                                layer.config.n_heads, x, x, _allowed(km, attn_allowed, n),
+                                layer.config.n_heads, x, x,
+                                _allowed(mask, attn_allowed, n, n, "msa_forward"),
                                 return_weights=True)
     return w
 
 
-def opa_forward(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None) -> Tensor:
+def opa_forward(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None,
+                x_kv: Tensor | None = None) -> Tensor:
+    """Outer branch: q from `x`, k and v from `x_kv` (default `x`); masks as in msa_forward."""
+    x_kv = x if x_kv is None else x_kv
     n, d = x.shape
-    km = _key_mask(mask, n)
-    if not km.any():
-        raise ValueError("opa_forward: every position is masked")
-    allowed = _allowed(km, attn_allowed, n)
+    allowed = _allowed(mask, attn_allowed, n, x_kv.shape[0], "opa_forward")
     q = matmul(x, layer.wq_outer.tensor)
-    k = matmul(x, layer.wk_outer.tensor)
-    v = matmul(x, layer.wv_outer.tensor)
+    k = matmul(x_kv, layer.wk_outer.tensor)
+    v = matmul(x_kv, layer.wv_outer.tensor)
     pair = scale(pairwise_hadamard(q, k), 1.0 / np.sqrt(d))
     s = tanh(pair) if layer.config.opa_score == "tanh" else softmax(pair, axis=-1)
     if layer.config.opa_combine == "true_outer_projected":
@@ -178,7 +175,9 @@ def fame_fuse(layer: FameLayer, z_self: Tensor, z_outer: Tensor) -> Tensor:
     return add(scalar_mul(a1, z_self), scalar_mul(a2, z_outer))
 
 
-def fame_forward(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None) -> Tensor:
+def fame_forward(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None,
+                 x_kv: Tensor | None = None) -> Tensor:
+    """Both branches over the same queries `x` and key/value rows `x_kv` (default `x`), fused."""
     return fame_fuse(layer,
-                     msa_forward(layer, x, mask, attn_allowed),
-                     opa_forward(layer, x, mask, attn_allowed))
+                     msa_forward(layer, x, mask, attn_allowed, x_kv),
+                     opa_forward(layer, x, mask, attn_allowed, x_kv))

@@ -85,7 +85,20 @@ def _write_predictions(path: Path, rows) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _encode_classification(records, vocab, labels, cfg, tfidf=None):
+def _index_of(index: dict, name: str, kind: str, source: str, record: int) -> int:
+    if name not in index:
+        raise D.DataError(f"{source}: record {record + 1}: {kind} {name!r} "
+                          "was not seen in training")
+    return index[name]
+
+
+def _wrap(body, max_len: int) -> list[str]:
+    """[CLS] body [EOS], with the body cut so that the whole fits in max_len tokens."""
+    return ["[CLS]"] + list(body)[:max(max_len - 2, 0)] + ["[EOS]"]
+
+
+def _encode_classification(records, vocab, labels, cfg, source, tfidf=None):
+    """`source` names where the records came from, for the unseen-label error."""
     label_index = {name: i for i, name in enumerate(labels)}
     examples, skipped = [], 0
     for i, rec in enumerate(records):
@@ -93,7 +106,8 @@ def _encode_classification(records, vocab, labels, cfg, tfidf=None):
         if not tokens:
             skipped += 1
             continue
-        ex = D.encode_example(tokens, vocab, target=label_index[str(rec["label"])],
+        target = _index_of(label_index, str(rec["label"]), "label", source, i)
+        ex = D.encode_example(tokens, vocab, target=target,
                               max_len=cfg.max_len, max_word_len=cfg.max_word_len, guid=i)
         if tfidf is not None:
             ex.features = F.tfidf_transform(tfidf, tokens[:cfg.max_len])
@@ -103,14 +117,14 @@ def _encode_classification(records, vocab, labels, cfg, tfidf=None):
     return examples, skipped
 
 
-def _encode_labeling(records, vocab, tags, cfg):
+def _encode_labeling(records, vocab, tags, cfg, source):
     tag_index = {name: i for i, name in enumerate(tags)}
     examples = []
     for i, rec in enumerate(records):
         tokens = [t.lower() if cfg.lowercase else t for t in rec["tokens"]][:cfg.max_len]
         if not tokens:
             continue
-        target = [tag_index[t] for t in rec["tags"][:len(tokens)]]
+        target = [_index_of(tag_index, t, "tag", source, i) for t in rec["tags"][:len(tokens)]]
         examples.append(D.encode_example(tokens, vocab, target=target, max_len=cfg.max_len,
                                          max_word_len=cfg.max_word_len, guid=i))
     return examples
@@ -121,7 +135,7 @@ def _encode_generation(pairs, vocab, cfg):
     for i, (src_tokens, tgt_tokens) in enumerate(pairs):
         ex = D.encode_example(src_tokens, vocab, max_len=cfg.max_len,
                               max_word_len=cfg.max_word_len, guid=i)
-        ex.target = [vocab.word_id(t) for t in tgt_tokens[:cfg.max_len]]
+        ex.target = [vocab.word_id(t) for t in _wrap(tgt_tokens[1:-1], cfg.max_len)]
         examples.append(ex)
     return examples
 
@@ -133,9 +147,8 @@ def _generation_pairs(records, cfg, dialog: bool):
             pairs.extend(D.dialog_to_generation(rec, cfg.max_len, cfg.lowercase))
     else:
         for rec in records:
-            src = ["[CLS]"] + D.preprocess_text(rec["source"], cfg.lowercase) + ["[EOS]"]
-            tgt = ["[CLS]"] + D.preprocess_text(rec["target"], cfg.lowercase) + ["[EOS]"]
-            pairs.append((src[:cfg.max_len], tgt[:cfg.max_len]))
+            pairs.append((_wrap(D.preprocess_text(rec["source"], cfg.lowercase), cfg.max_len),
+                          _wrap(D.preprocess_text(rec["target"], cfg.lowercase), cfg.max_len)))
     # empty-history sources ([CLS] [EOS]) are legitimate; empty targets are not
     return [(s, t) for s, t in pairs if len(t) > 2]
 
@@ -194,6 +207,7 @@ def _prepare_task(args, cfg):
         records = [D.dialog_to_labeling(r) for r in records]
         val_records = [D.dialog_to_labeling(r) for r in val_records]
     rng = seed_streams(cfg.seed)["init"]
+    val_source = args.val_file or f"{args.train_file} (validation split)"
 
     if args.task == "classification":
         token_lists = [D.preprocess_text(r["text"], cfg.lowercase) for r in records]
@@ -205,8 +219,9 @@ def _prepare_task(args, cfg):
                            "bounds; the corpus is too small or too uniform")
         model = build_classifier(cfg, vocab.word_size, vocab.char_size, len(labels), rng,
                                  tfidf_dim=tfidf.dim if tfidf else 0)
-        train_items, _ = _encode_classification(records, vocab, labels, cfg, tfidf)
-        val_items, _ = _encode_classification(val_records, vocab, labels, cfg, tfidf)
+        train_items, _ = _encode_classification(records, vocab, labels, cfg, args.train_file,
+                                                tfidf)
+        val_items, _ = _encode_classification(val_records, vocab, labels, cfg, val_source, tfidf)
         extras = _checkpoint_extras(vocab, labels, tfidf)
         return model, vocab, labels, tfidf, train_items, val_items, extras
     if args.task == "labeling":
@@ -214,8 +229,8 @@ def _prepare_task(args, cfg):
         vocab = D.build_vocab([t for t in token_lists if t], cfg.min_freq)
         tags = sorted({t for r in records for t in r["tags"]})
         model = build_tagger(cfg, vocab.word_size, vocab.char_size, len(tags), rng)
-        train_items = _encode_labeling(records, vocab, tags, cfg)
-        val_items = _encode_labeling(val_records, vocab, tags, cfg)
+        train_items = _encode_labeling(records, vocab, tags, cfg, args.train_file)
+        val_items = _encode_labeling(val_records, vocab, tags, cfg, val_source)
         extras = _checkpoint_extras(vocab, tags)
         return model, vocab, tags, None, train_items, val_items, extras
     if args.task == "generation":
@@ -263,12 +278,12 @@ def cmd_evaluate(args) -> int:
     if task == "classification":
         if args.dialog:
             records = [D.dialog_to_classification(r) for r in records]
-        items, _ = _encode_classification(records, vocab, labels, cfg, tfidf)
+        items, _ = _encode_classification(records, vocab, labels, cfg, args.test_file, tfidf)
         metrics, rows = evaluate_classification(model, items, labels)
     elif task == "labeling":
         if args.dialog:
             records = [D.dialog_to_labeling(r) for r in records]
-        items = _encode_labeling(records, vocab, labels, cfg)
+        items = _encode_labeling(records, vocab, labels, cfg, args.test_file)
         metrics, rows = evaluate_labeling(model, items, labels)
     elif task == "generation":
         pairs = _generation_pairs(records, cfg, args.dialog)
@@ -407,8 +422,8 @@ def cmd_generate(args) -> int:
     out_path = out / "generated.txt"
     with open(out_path, "w", encoding="utf-8") as fh:
         for line in lines:
-            tokens = ["[CLS]"] + D.preprocess_text(line, cfg.lowercase) + ["[EOS]"]
-            ex = D.encode_example(tokens[:cfg.max_len], vocab, max_len=cfg.max_len,
+            tokens = _wrap(D.preprocess_text(line, cfg.lowercase), cfg.max_len)
+            ex = D.encode_example(tokens, vocab, max_len=cfg.max_len,
                                   max_word_len=cfg.max_word_len)
             fh.write(" ".join(vocab.decode(model.greedy_decode(ex))) + "\n")
     print(f"wrote {len(lines)} generations to {out_path}")

@@ -205,8 +205,9 @@ class DecoderLayer:
         self.eps = eps
 
     def forward(self, x: Tensor, causal_allowed, memory: Tensor, mem_allowed,
-                training=False, rng=None) -> Tensor:
-        h = dropout(fame_forward(self.fame, x, attn_allowed=causal_allowed),
+                training=False, rng=None, history: Tensor | None = None) -> Tensor:
+        """Rows `x` attend over `history` (default `x`), the inputs this layer has received."""
+        h = dropout(fame_forward(self.fame, x, attn_allowed=causal_allowed, x_kv=history),
                     self.dropout_rate, training, rng)
         y = layer_norm(add(x, h), self.norms[0][0].tensor, self.norms[0][1].tensor, self.eps)
         c = dropout(self.cross.forward(y, memory, mem_allowed), self.dropout_rate, training, rng)
@@ -267,18 +268,38 @@ class Seq2SeqModel(_TaskModel):
             targets.extend(tgt[1:])
         return cross_entropy(concat_rows(blocks), targets)
 
+    def decode_step(self, token: int, inputs: list[list[np.ndarray]], memory: Tensor,
+                    mem_allowed: np.ndarray) -> Tensor:
+        """Logits (1, vocab) for one new position holding `token`, without a causal mask.
+
+        `inputs[i]` holds the rows decoder layer i received at the earlier
+        positions; this step appends its own row, and the new position attends
+        over all of them. `mem_allowed` has shape (1, n_memory).
+        """
+        t = len(inputs[0])
+        x = add(embedding_lookup(self.tgt_emb.tensor, [token]), Tensor(self.pos[t:t + 1]))
+        for layer, rows in zip(self.layers, inputs):
+            rows.append(x.data[0])
+            x = layer.forward(x, None, memory, mem_allowed, history=Tensor(np.stack(rows)))
+        return add_bias(matmul(x, self.out_w.tensor), self.out_b.tensor)
+
     def greedy_decode(self, ex: EncodedExample, max_out: int | None = None,
                       return_probs: bool = False):
-        """Argmax continuation from [CLS]; returns the ids between [CLS] and [EOS]."""
+        """Argmax continuation from [CLS]; returns the ids between [CLS] and [EOS].
+
+        Incremental: each step runs the decoder on the newest position only,
+        so a step costs time linear in the prefix length.
+        """
         limit = self.max_out if max_out is None else max_out
         with no_grad():
             memory = self.encoder.word_level_forward(ex.word_ids, ex.char_ids, mask=ex.mask)
-            seq = [CLS_ID]
+            mem_allowed = np.asarray(ex.mask, dtype=bool)[None, :]
+            inputs: list[list[np.ndarray]] = [[] for _ in self.layers]
+            token = CLS_ID
             out: list[int] = []
             probs: list[float] = []
             while len(out) < limit:
-                logits = self.decode_logits(seq, memory, ex.mask)
-                row = logits.data[-1]
+                row = self.decode_step(token, inputs, memory, mem_allowed).data[0]
                 nxt = int(np.argmax(row))
                 shifted = np.exp(row - row.max())
                 prob = float(shifted[nxt] / shifted.sum())
@@ -286,8 +307,8 @@ class Seq2SeqModel(_TaskModel):
                     break
                 out.append(nxt)
                 probs.append(prob)
-                seq.append(nxt)
-                if len(seq) >= self.encoder.config.max_len:
+                token = nxt
+                if len(out) + 1 >= self.encoder.config.max_len:
                     break
         if return_probs:
             return out, probs

@@ -1,8 +1,16 @@
-"""Scalar brute-force oracles, written independently of the tensor/tape path."""
+"""Reference implementations for the tests.
+
+The attention oracles are scalar brute-force loops, written independently of
+the tensor/tape path. `recompute_greedy_decode` is greedy decoding that reruns
+the teacher-forced decoder over the whole prefix for every new token.
+"""
 
 import math
 
 import numpy as np
+
+from hitkit.data import CLS_ID, EOS_ID
+from hitkit.tensor import no_grad
 
 
 def msa_oracle(x, wq, wk, wv, wo, n_heads, key_mask=None):
@@ -80,3 +88,24 @@ def layer_arrays(layer):
         "wv_outer": layer.wv_outer.data, "wo_outer": layer.wo_outer.data,
         "fusion_logits": layer.fusion_logits.data,
     }
+
+
+def recompute_greedy_decode(model, ex, max_out):
+    """Greedy ids and their probabilities, from `decode_logits` on each full prefix."""
+    with no_grad():
+        memory = model.encoder.word_level_forward(ex.word_ids, ex.char_ids, mask=ex.mask)
+        seq = [CLS_ID]
+        out, probs = [], []
+        while len(out) < max_out:
+            row = model.decode_logits(seq, memory, ex.mask).data[-1]
+            nxt = int(np.argmax(row))
+            shifted = np.exp(row - row.max())
+            prob = float(shifted[nxt] / shifted.sum())
+            if nxt == EOS_ID:
+                break
+            out.append(nxt)
+            probs.append(prob)
+            seq.append(nxt)
+            if len(seq) >= model.encoder.config.max_len:
+                break
+    return out, probs

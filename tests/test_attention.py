@@ -252,3 +252,28 @@ class TestFameForward:
             return T.sum_all(T.mul(fame_forward(layer, x), w))
 
         check_gradients(loss, leaves)
+
+    @pytest.mark.parametrize("score", ["tanh", "softmax"])
+    @pytest.mark.parametrize("combine", ["true_outer_projected", "hadamard"])
+    def test_separate_key_rows_match_oracle_rows(self, score, combine):
+        # queries x[1:] over all rows of x equal the oracle's rows 1.. on x itself
+        layer = make_layer(d=4, heads=2, score=score, combine=combine, seed=42)
+        layer.fusion_logits.assign(rand((2,), 43))
+        x = rand((4, 4), 44)
+        out = fame_forward(layer, T.Tensor(x[1:]), x_kv=T.Tensor(x))
+        expected = fame_oracle(x, layer_arrays(layer), 2, score, combine)[1:]
+        assert np.max(np.abs(out.data - expected)) < 1e-10
+
+    @pytest.mark.parametrize("score", ["tanh", "softmax"])
+    @pytest.mark.parametrize("combine", ["true_outer_projected", "hadamard"])
+    def test_key_value_input_gradients_match_finite_differences(self, score, combine):
+        layer = make_layer(d=4, heads=2, score=score, combine=combine, seed=45)
+        x = T.Tensor(rand((2, 4), 46), requires_grad=True)
+        kv = T.Tensor(rand((3, 4), 47), requires_grad=True)
+        w = T.Tensor(rand((2, 4), 48))
+        leaves = [x, kv] + [p.tensor for p in layer.parameters()]
+
+        def loss():
+            return T.sum_all(T.mul(fame_forward(layer, x, x_kv=kv), w))
+
+        check_gradients(loss, leaves)

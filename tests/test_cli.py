@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from hitkit.cli import main
+from hitkit import data as D
+from hitkit.cli import _encode_generation, _generation_pairs, main
+from hitkit.model import Seq2SeqModel
 from hitkit.train import TrainConfig
 
 from hitkit import synth as toydata
@@ -126,6 +128,48 @@ class TestTrain:
         assert all(len(p["tags"]) == len(p["probs"]) for p in preds)
 
 
+class TestUnseenLabels:
+    @staticmethod
+    def assert_one_line_error(capsys, *needles):
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+        for needle in needles:
+            assert needle in err
+
+    def test_unseen_class_in_val_file(self, tmp_path, capsys):
+        data = write_classification(tmp_path)
+        val = tmp_path / "val.jsonl"
+        val.write_text(json.dumps({"text": "a b", "label": "0"}) + "\n"
+                       + json.dumps({"text": "c d", "label": "never-seen"}) + "\n")
+        code = main(["train", "--task", "classification", "--train-file", data,
+                     "--val-file", str(val), "--config", write_cfg(tmp_path),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code != 0
+        self.assert_one_line_error(capsys, str(val), "record 2", "never-seen")
+
+    def test_unseen_class_in_evaluate_file(self, tmp_path, trained_dir, capsys):
+        test = tmp_path / "test.jsonl"
+        test.write_text(json.dumps({"text": "a b", "label": "never-seen"}) + "\n")
+        code = main(["evaluate", "--checkpoint", str(trained_dir / "checkpoint"),
+                     "--test-file", str(test), "--out-dir", str(tmp_path / "e")])
+        assert code != 0
+        self.assert_one_line_error(capsys, str(test), "record 1", "never-seen")
+
+    def test_unseen_tag_in_val_file(self, tmp_path, capsys):
+        rows = [{"tokens": t, "tags": [toydata.TAG_NAMES[i] for i in g]}
+                for t, g in toydata.labeling_records(12, seed=4)]
+        data = tmp_path / "tags.jsonl"
+        data.write_text("\n".join(json.dumps(r) for r in rows))
+        val = tmp_path / "val.jsonl"
+        val.write_text(json.dumps({"tokens": ["a", "b"], "tags": ["O", "B-NEVER"]}) + "\n")
+        code = main(["train", "--task", "labeling", "--train-file", str(data),
+                     "--val-file", str(val), "--config", write_cfg(tmp_path),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code != 0
+        self.assert_one_line_error(capsys, str(val), "record 1", "B-NEVER")
+
+
 class TestBadInvocations:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) != 0
@@ -176,7 +220,7 @@ class TestEmbed:
 
 
 class TestGenerationPipeline:
-    def test_train_generate_evaluate(self, tmp_path):
+    def test_train_generate_evaluate(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, epochs=2)
         data = write_generation(tmp_path)
         out = tmp_path / "gen_run"
@@ -185,11 +229,32 @@ class TestGenerationPipeline:
         metrics = json.loads((out / "metrics.json").read_text())
         assert {"bleu", "rouge_l", "meteor_lite"} <= set(metrics)
         src = tmp_path / "sources.txt"
-        src.write_text("t0 t1\nt2\n")
+        src.write_text("t0 t1\nt2\n" + " ".join(f"t{i % 8}" for i in range(60)) + "\n")
+        sources = []
+        decode = Seq2SeqModel.greedy_decode
+        monkeypatch.setattr(Seq2SeqModel, "greedy_decode",
+                            lambda model, ex, **kw: sources.append(ex) or decode(model, ex, **kw))
         gen_out = tmp_path / "gen_out"
         assert main(["generate", "--checkpoint", str(out / "checkpoint"),
                      "--input", str(src), "--out-dir", str(gen_out)]) == 0
-        assert len((gen_out / "generated.txt").read_text().splitlines()) == 2
+        assert len((gen_out / "generated.txt").read_text().splitlines()) == 3
+        # the 60-word line is cut to max_len=12 and still ends in [EOS]
+        assert len(sources[2].word_ids) == 12
+        assert sources[2].word_ids[-1] == D.EOS_ID
+
+    def test_long_target_keeps_eos_last(self):
+        cfg = TrainConfig(max_len=12)
+        words = " ".join(f"w{i}" for i in range(60))
+        (src, tgt), = _generation_pairs([{"source": words, "target": words}], cfg, dialog=False)
+        assert len(src) == len(tgt) == 12
+        assert src[-1] == tgt[-1] == "[EOS]"
+        dialog = {"turns": [{"speaker": "user", "text": "hi"},
+                            {"speaker": "bot", "text": words}]}
+        (dsrc, dtgt), = _generation_pairs([dialog], cfg, dialog=True)
+        vocab = D.build_vocab([src, tgt, dsrc, dtgt])
+        for ex in _encode_generation([(src, tgt), (dsrc, dtgt)], vocab, cfg):
+            assert len(ex.target) == 12
+            assert ex.target[0] == D.CLS_ID and ex.target[-1] == D.EOS_ID
 
     def test_generate_rejects_wrong_task(self, tmp_path, trained_dir, capsys):
         src = tmp_path / "s.txt"

@@ -13,6 +13,8 @@ from hitkit.train import (
     seed_streams,
 )
 
+from oracles import recompute_greedy_decode
+
 CORPUS = [["red", "cat"], ["blue", "dog"], ["red", "dog"], ["green", "bird"]]
 
 
@@ -179,6 +181,48 @@ class TestSeq2Seq:
         bias[6] = 1000.0  # never emits [EOS]
         model.out_b.assign(bias)
         assert model.greedy_decode(self.source(vocab), max_out=4) == [6, 6, 6, 6]
+
+    @pytest.mark.parametrize("score", ["tanh", "softmax"])
+    @pytest.mark.parametrize("combine", ["true_outer_projected", "hadamard"])
+    @pytest.mark.parametrize("seed", [20, 21, 22])
+    def test_incremental_decode_matches_recompute_oracle(self, vocab, score, combine, seed):
+        cfg = tiny_cfg(l_dec=2, opa_score=score, opa_combine=combine)
+        model = build_seq2seq(cfg, vocab.word_size, vocab.char_size, seed_streams(seed)["init"])
+        for tokens in (["[CLS]", "red", "cat", "[EOS]"], ["[CLS]", "blue", "[EOS]"]):
+            src = encode(tokens, vocab)
+            ids, probs = model.greedy_decode(src, return_probs=True)
+            want_ids, want_probs = recompute_greedy_decode(model, src, model.max_out)
+            assert ids == want_ids
+            assert np.max(np.abs(np.subtract(probs, want_probs)), initial=0.0) < 1e-9
+
+    def test_incremental_decode_runs_to_length_cap_like_oracle(self, vocab):
+        cfg = tiny_cfg(l_dec=2)
+        model = build_seq2seq(cfg, vocab.word_size, vocab.char_size, seed_streams(23)["init"])
+        bias = np.zeros(vocab.word_size)
+        bias[D.EOS_ID] = -1e4
+        model.out_b.assign(bias)
+        src = self.source(vocab)
+        ids, probs = model.greedy_decode(src, max_out=50, return_probs=True)
+        want_ids, want_probs = recompute_greedy_decode(model, src, 50)
+        assert len(ids) == cfg.max_len - 1
+        assert ids == want_ids
+        assert np.max(np.abs(np.subtract(probs, want_probs))) < 1e-9
+
+    @pytest.mark.parametrize("combine", ["true_outer_projected", "hadamard"])
+    def test_step_logits_match_decode_logits_at_every_prefix(self, vocab, combine):
+        cfg = tiny_cfg(l_dec=2, opa_combine=combine)
+        model = build_seq2seq(cfg, vocab.word_size, vocab.char_size, seed_streams(24)["init"])
+        src = self.source(vocab)
+        seq = [D.CLS_ID] + [int(t) for t in np.random.default_rng(25).integers(
+            0, vocab.word_size, cfg.max_len - 1)]
+        with T.no_grad():
+            memory = model.encoder.word_level_forward(src.word_ids, src.char_ids, mask=src.mask)
+            mem_allowed = np.asarray(src.mask, dtype=bool)[None, :]
+            inputs = [[] for _ in model.layers]
+            for t, token in enumerate(seq):
+                step = model.decode_step(token, inputs, memory, mem_allowed).data[0]
+                full = model.decode_logits(seq[:t + 1], memory, src.mask).data[t]
+                assert np.max(np.abs(step - full)) < 1e-12
 
     def test_teacher_forcing_loss_runs_and_is_finite(self, vocab):
         model = self.make(vocab, seed=12)
