@@ -19,7 +19,7 @@ from .tensor import (
     ShapeError,
     Tensor,
     add,
-    concat_cols,
+    concat_rows,
     get_element,
     matmul,
     opa_sum_hadamard,
@@ -28,10 +28,10 @@ from .tensor import (
     reshape,
     scalar_mul,
     scale,
-    slice_cols,
+    slice_rows,
     softmax,
     tanh,
-    transpose2d,
+    transpose,
 )
 
 OPA_SCORES = ("tanh", "softmax")
@@ -85,26 +85,70 @@ class FameLayer:
         return float(a[0]), float(a[1])
 
 
-def _allowed(mask, attn_allowed, n_q: int, n_kv: int, caller: str) -> np.ndarray:
-    """The (n_q, n_kv) matrix of allowed query/key pairs: a key mask and an optional extra mask."""
+def group_blocks(x, layout) -> list:
+    """The (count, length, ...) block of each group of packed rows `x` (a Tensor or an array).
+
+    `layout` lists (count, length) per group: the first count * length rows of `x`
+    hold `count` sequences of `length` rows each, the next rows the next group.
+    """
+    is_tensor = isinstance(x, Tensor)
+    blocks, start = [], 0
+    for count, length in layout:
+        stop = start + count * length
+        part = x
+        if (start, stop) != (0, x.shape[0]):
+            part = slice_rows(x, start, stop) if is_tensor else x[start:stop]
+        shape = (count, length) + tuple(x.shape[1:])
+        blocks.append(reshape(part, shape) if is_tensor else part.reshape(shape))
+        start = stop
+    if start != x.shape[0]:
+        raise ShapeError(f"layout {layout} covers {start} rows, not {x.shape[0]}")
+    return blocks
+
+
+def _allowed(mask, attn_allowed, n_q: int, n_kv: int, caller: str, layout=None) -> list:
+    """Allowed query/key pairs: one (count, L_q, L_kv) bool block per group.
+
+    Without `layout` the n_q query rows and n_kv key rows form one group of one
+    sequence. With it, queries and keys are the same packed rows, grouped as
+    `layout` says. `mask` marks usable key rows; `attn_allowed` is an extra
+    (n_q, n_kv) mask for a single sequence.
+    """
     km = np.ones(n_kv, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if km.shape != (n_kv,):
         raise ShapeError(f"mask length {km.shape} does not match {n_kv} positions")
-    if not km.any():
-        raise ValueError(f"{caller}: every position is masked")
-    base = np.repeat(km[None, :], n_q, axis=0)
-    if attn_allowed is None:
-        return base
-    a = np.asarray(attn_allowed, dtype=bool)
-    if a.shape != base.shape:
-        raise ShapeError(f"attention mask shape {a.shape} does not match {base.shape}")
-    return a & base
+    if layout is None:
+        layout, q_lengths = [(1, n_kv)], [n_q]
+    else:
+        q_lengths = [n for _, n in layout]
+    blocks = []
+    for lq, keys in zip(q_lengths, group_blocks(km, layout)):
+        if not keys.any(axis=1).all():
+            raise ValueError(f"{caller}: every position is masked")
+        blocks.append(np.repeat(keys[:, None, :], lq, axis=1))
+    if attn_allowed is not None:
+        a = np.asarray(attn_allowed, dtype=bool)
+        if len(blocks) != 1 or a.shape != blocks[0].shape[1:]:
+            raise ShapeError(f"attention mask shape {a.shape} does not match {(n_q, n_kv)}")
+        blocks[0] = blocks[0] & a
+    return blocks
+
+
+def _group_rows(x: Tensor, blocks, axis: int) -> list[Tensor]:
+    """Per allowed block, its (count, length, d) rows of x; `axis` 1 for queries, 2 for keys."""
+    return group_blocks(x, [(b.shape[0], b.shape[axis]) for b in blocks])
 
 
 def multi_head_attention(wq: Parameter, wk: Parameter, wv: Parameter, wo: Parameter,
-                         n_heads: int, x_q: Tensor, x_kv: Tensor, allowed: np.ndarray,
+                         n_heads: int, x_q: Tensor, x_kv: Tensor, allowed,
                          return_weights: bool = False):
-    """Scaled dot-product attention over heads; `allowed` is a (n_q, n_kv) bool matrix."""
+    """Scaled dot-product attention over heads.
+
+    `allowed` is an (n_q, n_kv) bool matrix for one sequence, or a list of
+    (count, L_q, L_kv) blocks, one per group of packed rows (see `_allowed`).
+    Each group's heads run as one (count, heads, L_q, L_kv) block.
+    """
+    blocks = [allowed[None]] if isinstance(allowed, np.ndarray) else allowed
     d = wq.data.shape[0]
     dh = d // n_heads
     q = matmul(x_q, wq.tensor)
@@ -112,27 +156,32 @@ def multi_head_attention(wq: Parameter, wk: Parameter, wv: Parameter, wo: Parame
     v = matmul(x_kv, wv.tensor)
     outs = []
     weights = []
-    for h in range(n_heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qh = slice_cols(q, lo, hi)
-        kh = slice_cols(k, lo, hi)
-        vh = slice_cols(v, lo, hi)
-        scores = scale(matmul(qh, transpose2d(kh)), 1.0 / np.sqrt(dh))
-        attn = softmax(scores, axis=-1, mask=allowed)
+    for a, qg, kg, vg in zip(blocks, _group_rows(q, blocks, 1), _group_rows(k, blocks, 2),
+                             _group_rows(v, blocks, 2)):
+        count, lq, lkv = a.shape
+        heads = lambda t, n, axes: transpose(reshape(t, (count, n, n_heads, dh)), axes)
+        scores = scale(matmul(heads(qg, lq, (0, 2, 1, 3)), heads(kg, lkv, (0, 2, 3, 1))),
+                       1.0 / np.sqrt(dh))
+        attn = softmax(scores, axis=-1,
+                       mask=np.broadcast_to(a[:, None], (count, n_heads, lq, lkv)))
         if return_weights:
             weights.append(attn.data.copy())
-        outs.append(matmul(attn, vh))
-    out = matmul(concat_cols(outs), wo.tensor)
+        z = matmul(attn, heads(vg, lkv, (0, 2, 1, 3)))
+        outs.append(reshape(transpose(z, (0, 2, 1, 3)), (count * lq, d)))
+    out = matmul(outs[0] if len(outs) == 1 else concat_rows(outs), wo.tensor)
     if return_weights:
-        return out, np.stack(weights)
+        return out, weights
     return out
 
 
 def msa_forward(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None,
-                x_kv: Tensor | None = None) -> Tensor:
-    """Queries from `x`, keys/values from `x_kv` (default `x`); `mask` marks usable key rows."""
+                x_kv: Tensor | None = None, layout=None) -> Tensor:
+    """Queries from `x`, keys/values from `x_kv` (default `x`); `mask` marks usable key rows.
+
+    With `layout`, `x` holds packed sequences grouped as `_allowed` describes.
+    """
     x_kv = x if x_kv is None else x_kv
-    allowed = _allowed(mask, attn_allowed, x.shape[0], x_kv.shape[0], "msa_forward")
+    allowed = _allowed(mask, attn_allowed, x.shape[0], x_kv.shape[0], "msa_forward", layout)
     return multi_head_attention(layer.wq_self, layer.wk_self, layer.wv_self, layer.wo_self,
                                 layer.config.n_heads, x, x_kv, allowed)
 
@@ -144,26 +193,35 @@ def msa_weights(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None) -> np
                                 layer.config.n_heads, x, x,
                                 _allowed(mask, attn_allowed, n, n, "msa_forward"),
                                 return_weights=True)
-    return w
+    return w[0][0]
 
 
 def opa_forward(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None,
-                x_kv: Tensor | None = None) -> Tensor:
-    """Outer branch: q from `x`, k and v from `x_kv` (default `x`); masks as in msa_forward."""
+                x_kv: Tensor | None = None, layout=None) -> Tensor:
+    """Outer branch: q from `x`, k and v from `x_kv` (default `x`); masks as in msa_forward.
+
+    Each group runs as one (count, L_q, L_kv, d) block, and the output
+    projection runs once per group, on a reshape of its aggregate.
+    """
     x_kv = x if x_kv is None else x_kv
-    n, d = x.shape
-    allowed = _allowed(mask, attn_allowed, n, x_kv.shape[0], "opa_forward")
+    d = x.shape[1]
+    blocks = _allowed(mask, attn_allowed, x.shape[0], x_kv.shape[0], "opa_forward", layout)
     q = matmul(x, layer.wq_outer.tensor)
     k = matmul(x_kv, layer.wk_outer.tensor)
     v = matmul(x_kv, layer.wv_outer.tensor)
-    pair = scale(pairwise_hadamard(q, k), 1.0 / np.sqrt(d))
-    s = tanh(pair) if layer.config.opa_score == "tanh" else softmax(pair, axis=-1)
-    if layer.config.opa_combine == "true_outer_projected":
-        agg = opa_sum_outer(s, v, allowed)
-        flat = reshape(agg, (n, d * d))
-        return matmul(flat, layer.wo_outer.tensor)
-    agg = opa_sum_hadamard(s, v, allowed)
-    return matmul(agg, layer.wo_outer.tensor)
+    outer = layer.config.opa_combine == "true_outer_projected"
+    outs = []
+    for a, qg, kg, vg in zip(blocks, _group_rows(q, blocks, 1), _group_rows(k, blocks, 2),
+                             _group_rows(v, blocks, 2)):
+        rows = a.shape[0] * a.shape[1]
+        pair = scale(pairwise_hadamard(qg, kg), 1.0 / np.sqrt(d))
+        s = tanh(pair) if layer.config.opa_score == "tanh" else softmax(pair, axis=-1)
+        if outer:
+            flat = reshape(opa_sum_outer(s, vg, a), (rows, d * d))
+        else:
+            flat = reshape(opa_sum_hadamard(s, vg, a), (rows, d))
+        outs.append(matmul(flat, layer.wo_outer.tensor))
+    return outs[0] if len(outs) == 1 else concat_rows(outs)
 
 
 def fame_fuse(layer: FameLayer, z_self: Tensor, z_outer: Tensor) -> Tensor:
@@ -176,8 +234,14 @@ def fame_fuse(layer: FameLayer, z_self: Tensor, z_outer: Tensor) -> Tensor:
 
 
 def fame_forward(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None,
-                 x_kv: Tensor | None = None) -> Tensor:
-    """Both branches over the same queries `x` and key/value rows `x_kv` (default `x`), fused."""
+                 x_kv: Tensor | None = None, layout=None) -> Tensor:
+    """Both branches over the same queries `x` and key/value rows `x_kv` (default `x`), fused.
+
+    The one attention entry point. The encoders pass packed rows of many
+    sequences with their `layout`, a list of (count, length) groups of
+    equal-length sequences; the decoder passes one sequence, with `x_kv` and
+    `attn_allowed` when it needs them.
+    """
     return fame_fuse(layer,
-                     msa_forward(layer, x, mask, attn_allowed, x_kv),
-                     opa_forward(layer, x, mask, attn_allowed, x_kv))
+                     msa_forward(layer, x, mask, attn_allowed, x_kv, layout),
+                     opa_forward(layer, x, mask, attn_allowed, x_kv, layout))

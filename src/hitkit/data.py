@@ -149,9 +149,8 @@ def flatten_dialog(turns, j: int, max_len: int = 40, lowercase: bool = True):
     history: list[str] = []
     for spk, text in norm[:cut]:
         history.extend(preprocess_text(text, lowercase))
-    budget = max_len - 2
-    if len(history) > budget:
-        history = history[-budget:]
+    budget = max(max_len - 2, 0)
+    history = history[len(history) - budget:] if len(history) > budget else history
     source = ["[CLS]"] + history + ["[EOS]"]
     target = ["[CLS]"] + preprocess_text(norm[cut][1], lowercase) + ["[EOS]"]
     return source, target
@@ -202,9 +201,6 @@ class EncodedExample:
     @property
     def n_words(self) -> int:
         return len(self.word_ids)
-
-    def char_tuples(self) -> list[tuple[int, ...]]:
-        return [tuple(row) for row in self.char_ids]
 
 
 def encode_example(tokens, vocab: Vocab, target=None, max_len: int = 40,

@@ -8,25 +8,28 @@ uses a learned-context attention (the hierarchical attention operator).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .attention import FameConfig, FameLayer, fame_forward
+from .attention import FameConfig, FameLayer, fame_forward, group_blocks
+from .data import EncodedExample
 from .optim import Parameter, normal_init, xavier_uniform
 from .tensor import (
     ShapeError,
     Tensor,
     add,
     add_bias,
+    concat_rows,
     concat_vec,
-    dropout,
     embedding_lookup,
     layer_norm,
     matmul,
     mean_rows,
+    mul,
     relu,
     reshape,
     softmax,
-    stack_rows,
     tanh,
 )
 
@@ -63,6 +66,73 @@ class FeedForward:
         return [self.w1, self.b1, self.w2, self.b2]
 
 
+class Packing:
+    """Ragged sequences as one block of rows, grouped by length.
+
+    Sequences are sorted by length (stably, so equal lengths keep their
+    order), which makes each group of equal-length sequences a contiguous run
+    of rows: `layout` lists (count, length) per group, and a group's rows
+    reshape to a (count, length, d) block without a copy or any padding.
+    """
+
+    def __init__(self, lengths):
+        self.lengths = [int(n) for n in lengths]
+        self.order = sorted(range(len(self.lengths)), key=self.lengths.__getitem__)
+        self.layout = [(len(list(run)), n) for n, run
+                       in itertools.groupby(self.lengths[i] for i in self.order)]
+        bounds = np.cumsum([0] + [self.lengths[i] for i in self.order])
+        self.starts = np.empty(len(self.lengths), dtype=np.int64)
+        self.starts[self.order] = bounds[:-1]
+        self.n_rows = int(bounds[-1])
+        self.positions = np.concatenate([np.arange(self.lengths[i]) for i in self.order])
+        self.in_order = self.order == sorted(self.order)
+
+    def rows(self, per_sequence) -> list:
+        """The items of every sequence's list (lists given in original order), in packed order."""
+        return [item for i in self.order for item in per_sequence[i]]
+
+    def unpack_rows(self, x: Tensor) -> Tensor:
+        """Packed rows x, stacked back in the original order of their sequences."""
+        if self.in_order:
+            return x
+        return embedding_lookup(x, np.concatenate(
+            [np.arange(s, s + n) for s, n in zip(self.starts, self.lengths)]))
+
+    def unpack_sequences(self, x: Tensor) -> Tensor:
+        """One row per sequence, from packed order back to the original order."""
+        if self.in_order:
+            return x
+        return embedding_lookup(x, np.argsort(self.order))
+
+
+def dropout_multipliers(rng, p: float, packing: Packing, n_layers: int, d: int) -> list:
+    """Inverted-dropout multipliers for every layer of a stack, in packed row order.
+
+    Returns one (attention, FFN) pair of (rows, d) arrays per layer, or None per
+    layer when p is 0. The draws follow running the sequences one at a time:
+    per sequence in original order, then per layer, the attention mask before
+    the FFN mask. The values equal those `tensor.dropout` draws in that order.
+    """
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {p}")
+    if p == 0.0:
+        return [None] * n_layers
+    if rng is None:
+        raise ValueError("dropout in training mode needs an rng")
+    keep = (rng.random(packing.n_rows * n_layers * 2 * d) >= p) / (1.0 - p)
+    out = np.empty((n_layers, 2, packing.n_rows, d))
+    drawn = 0
+    for start, n in zip(packing.starts, packing.lengths):
+        size = n_layers * 2 * n * d
+        out[:, :, start:start + n] = keep[drawn:drawn + size].reshape(n_layers, 2, n, d)
+        drawn += size
+    return [(out[i, 0], out[i, 1]) for i in range(n_layers)]
+
+
+def _apply_dropout(x: Tensor, multiplier) -> Tensor:
+    return x if multiplier is None else mul(x, Tensor(multiplier))
+
+
 class EncoderLayer:
     """FAME block and feed-forward, each under dropout, residual, and layer norm."""
 
@@ -78,17 +148,36 @@ class EncoderLayer:
         self.dropout_rate = dropout_rate
         self.eps = eps
 
-    def forward(self, x: Tensor, mask=None, attn_allowed=None,
-                training: bool = False, rng=None) -> Tensor:
-        h = fame_forward(self.fame, x, mask, attn_allowed)
-        h = dropout(h, self.dropout_rate, training, rng)
+    def forward(self, x: Tensor, mask=None, training: bool = False, rng=None,
+                layout=None, drop=None) -> Tensor:
+        """Rows x of one sequence, or packed sequences grouped as `layout` says.
+
+        `drop` is this layer's (attention, FFN) pair from `dropout_multipliers`;
+        in training mode without it, the pair is drawn from `rng` for x as one
+        sequence.
+        """
+        if drop is None and training:
+            drop = dropout_multipliers(rng, self.dropout_rate, Packing([x.shape[0]]), 1,
+                                       x.shape[1])[0]
+        drop_attn, drop_ffn = (None, None) if drop is None else drop
+        h = _apply_dropout(fame_forward(self.fame, x, mask, layout=layout), drop_attn)
         y1 = layer_norm(add(x, h), self.norm1_g.tensor, self.norm1_b.tensor, self.eps)
-        f = dropout(self.ffn.forward(y1), self.dropout_rate, training, rng)
+        f = _apply_dropout(self.ffn.forward(y1), drop_ffn)
         return layer_norm(add(y1, f), self.norm2_g.tensor, self.norm2_b.tensor, self.eps)
 
     def parameters(self):
         return (self.fame.parameters() + self.ffn.parameters()
                 + [self.norm1_g, self.norm1_b, self.norm2_g, self.norm2_b])
+
+
+def run_layers(layers, x: Tensor, packing: Packing, mask, training: bool, rng) -> Tensor:
+    """A stack of encoder layers over packed rows; dropout is drawn for all layers first."""
+    drops = [None] * len(layers)
+    if training and layers:
+        drops = dropout_multipliers(rng, layers[0].dropout_rate, packing, len(layers), x.shape[1])
+    for layer, drop in zip(layers, drops):
+        x = layer.forward(x, mask, layout=packing.layout, drop=drop)
+    return x
 
 
 class HierPool:
@@ -99,18 +188,32 @@ class HierPool:
         self.proj_b = Parameter(f"{name}.proj_b", np.zeros(d_model))
         self.context = Parameter(f"{name}.context", xavier_uniform(rng, (d_model, 1)).reshape(d_model))
 
-    def forward(self, h: Tensor, mask=None, return_weights: bool = False):
+    def forward(self, h: Tensor, mask=None, return_weights: bool = False, layout=None):
+        """Pool one (n, d) sequence to a (d,) vector, or packed sequences to (sequences, d).
+
+        With `layout` (see `Packing`) the pooled rows come in packed order.
+        """
         n, d = h.shape
         m = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-        if not m.any():
-            raise ValueError("hier_pool: every position is masked")
+        groups = [(1, n)] if layout is None else layout
         u = tanh(add_bias(matmul(h, self.proj_w.tensor), self.proj_b.tensor))
         scores = reshape(matmul(u, reshape(self.context.tensor, (d, 1))), (n,))
-        a = softmax(scores, axis=0, mask=m)
-        pooled = reshape(matmul(reshape(a, (1, n)), h), (d,))
+        pooled, weights = [], []
+        for s, hg, mg in zip(group_blocks(scores, groups), group_blocks(h, groups),
+                             group_blocks(m, groups)):
+            if not mg.any(axis=1).all():
+                raise ValueError("hier_pool: every position is masked")
+            count, length = mg.shape
+            a = softmax(s, axis=-1, mask=mg)
+            weights.append(a.data)
+            pooled.append(reshape(matmul(reshape(a, (count, 1, length)), hg), (count, d)))
+        out = pooled[0] if len(pooled) == 1 else concat_rows(pooled)
+        if layout is not None:
+            return out
+        out = reshape(out, (d,))
         if return_weights:
-            return pooled, a.data.copy()
-        return pooled
+            return out, weights[0][0].copy()
+        return out
 
     def parameters(self):
         return [self.proj_w, self.proj_b, self.context]
@@ -130,16 +233,26 @@ class CharHit:
         self.pos = positional_table(max_word_len, d)
         self.max_word_len = max_word_len
 
+    def forward(self, words, training: bool = False, rng=None) -> Tensor:
+        """Pooled vectors of the character sequences `words`, (len(words), d), in that order.
+
+        All words run as one packed block; in training mode dropout is drawn
+        per word in the order given.
+        """
+        for ids in words:
+            if not ids:
+                raise ValueError("char_encode_word: empty character sequence")
+            if len(ids) > self.max_word_len:
+                raise ShapeError(f"word of {len(ids)} characters exceeds cap {self.max_word_len}")
+        pack = Packing([len(ids) for ids in words])
+        x = add(embedding_lookup(self.emb.tensor, pack.rows(words)),
+                Tensor(self.pos[pack.positions]))
+        x = run_layers(self.layers, x, pack, None, training, rng)
+        return pack.unpack_sequences(self.pool.forward(x, layout=pack.layout))
+
     def encode_word(self, char_ids, training: bool = False, rng=None) -> Tensor:
-        ids = list(char_ids)
-        if not ids:
-            raise ValueError("char_encode_word: empty character sequence")
-        if len(ids) > self.max_word_len:
-            raise ShapeError(f"word of {len(ids)} characters exceeds cap {self.max_word_len}")
-        x = add(embedding_lookup(self.emb.tensor, ids), Tensor(self.pos[:len(ids)]))
-        for layer in self.layers:
-            x = layer.forward(x, training=training, rng=rng)
-        return self.pool.forward(x)
+        """One word's pooled vector, (d,): a batch of one."""
+        return reshape(self.forward([list(char_ids)], training, rng), (self.pos.shape[1],))
 
     def parameters(self):
         out = [self.emb]
@@ -170,7 +283,13 @@ class WordHit:
 
 
 class HitEncoder:
-    """Shared character encoder under the word-level stack, plus pooled sentence output."""
+    """Shared character encoder under the word-level stack, plus pooled sentence output.
+
+    A batch runs as two packed blocks: every distinct word of the batch through
+    the character encoder, then every sentence through the word encoder. In
+    training mode dropout is drawn per distinct word in first-seen order, then
+    per sentence in batch order (each per layer, attention before FFN).
+    """
 
     def __init__(self, word_vocab_size: int, char_vocab_size: int, config: FameConfig,
                  l_c: int, l_w: int, d_ff: int, dropout_rate: float, max_word_len: int,
@@ -180,42 +299,61 @@ class HitEncoder:
                                 max_word_len, rng, eps)
         self.word_hit = WordHit(word_vocab_size, config, l_w, d_ff, dropout_rate, rng, eps)
 
-    def char_cache(self, char_seqs, training: bool = False, rng=None):
-        """Encode each distinct character sequence once; returns (matrix, seq -> row index)."""
+    def _forward(self, examples, training: bool, rng):
+        """Packed word states of `examples`, their Packing, and the packed key mask."""
+        cap = self.word_hit.max_len
         index: dict[tuple, int] = {}
-        rows = []
-        for seq in char_seqs:
-            key = tuple(seq)
-            if key not in index:
-                index[key] = len(rows)
-                rows.append(self.char_hit.encode_word(key, training=training, rng=rng))
-        return stack_rows(rows), index
+        for ex in examples:
+            n = len(ex.word_ids)
+            if n == 0:
+                raise ValueError("word_level_forward: empty word sequence")
+            if n > cap:
+                raise ShapeError(f"sequence of {n} words exceeds cap {cap}")
+            if len(ex.char_ids) != n or len(ex.mask) != n:
+                raise ShapeError(f"{len(ex.char_ids)} character rows and mask length "
+                                 f"{len(ex.mask)} do not match {n} positions")
+            for seq in ex.char_ids:
+                index.setdefault(tuple(seq), len(index))
+        char_vecs = self.char_hit.forward(list(index), training, rng)
+        pack = Packing([len(ex.word_ids) for ex in examples])
+        char_rows = [[index[tuple(seq)] for seq in ex.char_ids] for ex in examples]
+        h_char = embedding_lookup(char_vecs, pack.rows(char_rows))
+        h_word = embedding_lookup(self.word_hit.emb.tensor, pack.rows([ex.word_ids for ex in examples]))
+        x = add(add(h_char, h_word), Tensor(self.word_hit.pos[pack.positions]))
+        mask = np.asarray(pack.rows([ex.mask for ex in examples]), dtype=bool)
+        return run_layers(self.word_hit.layers, x, pack, mask, training, rng), pack, mask
+
+    def word_states(self, examples, training: bool = False, rng=None) -> Tensor:
+        """Word-level states of every example, stacked in example order: (total words, d)."""
+        x, pack, _ = self._forward(examples, training, rng)
+        return pack.unpack_rows(x)
+
+    def sentence_vectors(self, examples, training: bool = False, rng=None) -> Tensor:
+        """Each example's mean word state over its unmasked positions: (examples, d)."""
+        x, pack, mask = self._forward(examples, training, rng)
+        means = [mean_rows(h, m) for h, m in zip(group_blocks(x, pack.layout),
+                                                  group_blocks(mask, pack.layout))]
+        return pack.unpack_sequences(means[0] if len(means) == 1 else concat_rows(means))
 
     def word_level_forward(self, word_ids, char_rows, mask=None,
-                           training: bool = False, rng=None, char_cache=None) -> Tensor:
-        n = len(word_ids)
-        if n == 0:
-            raise ValueError("word_level_forward: empty word sequence")
-        if n > self.word_hit.max_len:
-            raise ShapeError(f"sequence of {n} words exceeds cap {self.word_hit.max_len}")
-        if char_cache is None:
-            char_cache = self.char_cache(char_rows, training=training, rng=rng)
-        matrix, index = char_cache
-        h_char = embedding_lookup(matrix, [index[tuple(seq)] for seq in char_rows])
-        h_word = embedding_lookup(self.word_hit.emb.tensor, list(word_ids))
-        x = add(add(h_char, h_word), Tensor(self.word_hit.pos[:n]))
-        for layer in self.word_hit.layers:
-            x = layer.forward(x, mask=mask, training=training, rng=rng)
-        return x
+                           training: bool = False, rng=None) -> Tensor:
+        """Word states of one sentence, (n, d): a batch of one."""
+        return self.word_states([_sentence(word_ids, char_rows, mask)], training, rng)
 
     def sentence_embed(self, word_ids, char_rows, mask=None, features=None,
-                       training: bool = False, rng=None, char_cache=None) -> Tensor:
-        h = self.word_level_forward(word_ids, char_rows, mask=mask,
-                                    training=training, rng=rng, char_cache=char_cache)
-        pooled = mean_rows(h, mask)
+                       training: bool = False, rng=None) -> Tensor:
+        """One sentence's mean word state, (d,), with `features` appended if given."""
+        pooled = reshape(self.sentence_vectors([_sentence(word_ids, char_rows, mask)],
+                                               training, rng), (self.config.d_model,))
         if features is None:
             return pooled
         return concat_vec([pooled, Tensor(np.asarray(features, dtype=np.float64))])
 
     def parameters(self):
         return self.char_hit.parameters() + self.word_hit.parameters()
+
+
+def _sentence(word_ids, char_rows, mask) -> EncodedExample:
+    word_ids = list(word_ids)
+    mask = [True] * len(word_ids) if mask is None else list(mask)
+    return EncodedExample(word_ids, [list(row) for row in char_rows], mask)

@@ -19,6 +19,7 @@ from .tensor import (
     Tensor,
     add,
     add_bias,
+    concat_cols,
     concat_rows,
     cosine_similarity,
     cross_entropy,
@@ -31,17 +32,10 @@ from .tensor import (
     reshape,
     scale,
     sigmoid,
+    slice_rows,
     softmax,
-    stack_rows,
     sub,
 )
-
-
-def _batch_char_cache(encoder: HitEncoder, examples, training, rng):
-    seqs = []
-    for ex in examples:
-        seqs.extend(ex.char_tuples())
-    return encoder.char_cache(seqs, training=training, rng=rng)
 
 
 class _TaskModel:
@@ -84,24 +78,20 @@ class ClassificationModel(_TaskModel):
     def head_parameters(self):
         return [self.head_w, self.head_b]
 
-    def logits_row(self, ex: EncodedExample, training=False, rng=None, char_cache=None) -> Tensor:
-        feats = ex.features if self.use_tfidf else None
-        s = self.encoder.sentence_embed(ex.word_ids, ex.char_ids, mask=ex.mask,
-                                        features=feats, training=training, rng=rng,
-                                        char_cache=char_cache)
-        return add_bias(matmul(reshape(s, (1, self.in_dim)), self.head_w.tensor),
-                        self.head_b.tensor)
+    def logits(self, examples, training=False, rng=None) -> Tensor:
+        """(examples, n_classes) logits; the encoder runs once over the whole batch."""
+        s = self.encoder.sentence_vectors(examples, training, rng)
+        if self.use_tfidf:
+            feats = np.stack([np.asarray(ex.features, dtype=np.float64) for ex in examples])
+            s = concat_cols([s, Tensor(feats)])
+        return add_bias(matmul(s, self.head_w.tensor), self.head_b.tensor)
 
     def predict_probs(self, ex: EncodedExample) -> np.ndarray:
         with no_grad():
-            row = self.logits_row(ex)
-            return softmax(row, axis=-1).data[0].copy()
+            return softmax(self.logits([ex]), axis=-1).data[0].copy()
 
     def loss_batch(self, examples, training=False, rng=None) -> Tensor:
-        cache = _batch_char_cache(self.encoder, examples, training, rng)
-        rows = [reshape(self.logits_row(ex, training, rng, cache), (self.n_classes,))
-                for ex in examples]
-        return cross_entropy(stack_rows(rows), [ex.target for ex in examples])
+        return cross_entropy(self.logits(examples, training, rng), [ex.target for ex in examples])
 
 
 class TaggingModel(_TaskModel):
@@ -115,15 +105,15 @@ class TaggingModel(_TaskModel):
     def head_parameters(self):
         return [self.head_w, self.head_b]
 
-    def token_logits(self, ex: EncodedExample, training=False, rng=None, char_cache=None) -> Tensor:
-        h = self.encoder.word_level_forward(ex.word_ids, ex.char_ids, mask=ex.mask,
-                                            training=training, rng=rng, char_cache=char_cache)
+    def token_logits(self, examples, training=False, rng=None) -> Tensor:
+        """Tag logits of every example's positions, stacked in example order."""
+        h = self.encoder.word_states(examples, training, rng)
         return add_bias(matmul(h, self.head_w.tensor), self.head_b.tensor)
 
     def predict_probs(self, ex: EncodedExample) -> np.ndarray:
         """Per-token tag distributions for the unpadded positions."""
         with no_grad():
-            probs = softmax(self.token_logits(ex), axis=-1).data
+            probs = softmax(self.token_logits([ex]), axis=-1).data
         keep = np.asarray(ex.mask, dtype=bool)
         return probs[keep].copy()
 
@@ -131,17 +121,15 @@ class TaggingModel(_TaskModel):
         return [int(i) for i in self.predict_probs(ex).argmax(axis=1)]
 
     def loss_batch(self, examples, training=False, rng=None) -> Tensor:
-        cache = _batch_char_cache(self.encoder, examples, training, rng)
-        blocks, targets = [], []
+        targets = []
         for ex in examples:
             tags = list(ex.target)
             n_real = int(np.sum(ex.mask))
             if len(tags) != n_real:
                 raise ValueError(f"tag/target length mismatch: {len(tags)} tags "
                                  f"for {n_real} tokens")
-            blocks.append(self.token_logits(ex, training, rng, cache))
             targets.extend(tags + [-1] * (ex.n_words - n_real))
-        return cross_entropy(concat_rows(blocks), targets, ignore_index=-1)
+        return cross_entropy(self.token_logits(examples, training, rng), targets, ignore_index=-1)
 
 
 class MlmModel(_TaskModel):
@@ -155,22 +143,18 @@ class MlmModel(_TaskModel):
     def head_parameters(self):
         return [self.head_w, self.head_b]
 
-    def token_logits(self, ex: EncodedExample, training=False, rng=None, char_cache=None) -> Tensor:
-        h = self.encoder.word_level_forward(ex.word_ids, ex.char_ids, mask=ex.mask,
-                                            training=training, rng=rng, char_cache=char_cache)
+    def token_logits(self, examples, training=False, rng=None) -> Tensor:
+        """Vocabulary logits of every example's positions, stacked in example order."""
+        h = self.encoder.word_states(examples, training, rng)
         return add_bias(matmul(h, self.head_w.tensor), self.head_b.tensor)
 
     def predict_probs(self, ex: EncodedExample) -> np.ndarray:
         with no_grad():
-            return softmax(self.token_logits(ex), axis=-1).data.copy()
+            return softmax(self.token_logits([ex]), axis=-1).data.copy()
 
     def loss_batch(self, examples, training=False, rng=None) -> Tensor:
-        cache = _batch_char_cache(self.encoder, examples, training, rng)
-        blocks, targets = [], []
-        for ex in examples:
-            blocks.append(self.token_logits(ex, training, rng, cache))
-            targets.extend(ex.target)
-        return cross_entropy(concat_rows(blocks), targets, ignore_index=-1)
+        targets = [t for ex in examples for t in ex.target]
+        return cross_entropy(self.token_logits(examples, training, rng), targets, ignore_index=-1)
 
 
 class CrossAttention:
@@ -258,11 +242,11 @@ class Seq2SeqModel(_TaskModel):
 
     def loss_batch(self, examples, training=False, rng=None) -> Tensor:
         """Teacher forcing: each example's target is the full [CLS] .. [EOS] id list."""
-        cache = _batch_char_cache(self.encoder, examples, training, rng)
-        blocks, targets = [], []
+        states = self.encoder.word_states(examples, training, rng)
+        blocks, targets, start = [], [], 0
         for ex in examples:
-            memory = self.encoder.word_level_forward(ex.word_ids, ex.char_ids, mask=ex.mask,
-                                                     training=training, rng=rng, char_cache=cache)
+            memory = slice_rows(states, start, start + ex.n_words)
+            start += ex.n_words
             tgt = list(ex.target)
             blocks.append(self.decode_logits(tgt[:-1], memory, ex.mask, training, rng))
             targets.extend(tgt[1:])
@@ -322,23 +306,27 @@ class ZslModel(_TaskModel):
         self.encoder = encoder
         self.temperature = temperature
 
-    def embed(self, ex: EncodedExample, training=False, rng=None, char_cache=None) -> Tensor:
+    def embed(self, ex: EncodedExample, training=False, rng=None) -> Tensor:
         return self.encoder.sentence_embed(ex.word_ids, ex.char_ids, mask=ex.mask,
-                                           training=training, rng=rng, char_cache=char_cache)
+                                           training=training, rng=rng)
 
     def score(self, ex_a: EncodedExample, ex_b: EncodedExample) -> float:
         with no_grad():
             return cosine_similarity(self.embed(ex_a), self.embed(ex_b)).item()
 
     def pair_loss(self, pairs, training=False, rng=None) -> Tensor:
-        """Binary cross-entropy on sigmoid(cosine / temperature) against polarity."""
-        examples = [p[0] for p in pairs] + [p[1] for p in pairs]
-        cache = _batch_char_cache(self.encoder, examples, training, rng)
+        """Binary cross-entropy on sigmoid(cosine / temperature) against polarity.
+
+        The encoder runs once over the batch: text, label, text, label, ...
+        """
+        vectors = self.encoder.sentence_vectors([ex for p in pairs for ex in p[:2]],
+                                                training, rng)
+        d = vectors.shape[1]
+        row = lambda i: reshape(slice_rows(vectors, i, i + 1), (d,))
         one = Tensor(1.0)
         total = None
-        for text_ex, label_ex, entail in pairs:
-            s = cosine_similarity(self.embed(text_ex, training, rng, cache),
-                                  self.embed(label_ex, training, rng, cache))
+        for i, (_, _, entail) in enumerate(pairs):
+            s = cosine_similarity(row(2 * i), row(2 * i + 1))
             p = sigmoid(scale(s, 1.0 / self.temperature))
             term = log(p) if entail else log(sub(one, p))
             total = term if total is None else add(total, term)

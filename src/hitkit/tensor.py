@@ -197,16 +197,23 @@ def scalar_mul(s: Tensor, x: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Matrix product over the last two axes; any leading (batch) axes must match exactly."""
+    if (a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[-2]):
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
-    return _emit(ad @ bd, (a, b), lambda dout: (dout @ bd.T, ad.T @ dout))
+    return _emit(ad @ bd, (a, b),
+                 lambda dout: (dout @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ dout))
 
 
-def transpose2d(x: Tensor) -> Tensor:
-    if x.ndim != 2:
-        raise ShapeError(f"transpose2d needs a matrix, got shape {x.shape}")
-    return _emit(np.ascontiguousarray(x.data.T), (x,), lambda dout: (dout.T,))
+def transpose(x: Tensor, axes) -> Tensor:
+    """Permute the axes of x (numpy's transpose); the result is contiguous."""
+    axes = tuple(int(a) for a in axes)
+    if sorted(axes) != list(range(x.ndim)):
+        raise ShapeError(f"transpose axes {axes} invalid for shape {x.shape}")
+    inverse = tuple(np.argsort(axes))
+    return _emit(np.ascontiguousarray(x.data.transpose(axes)), (x,),
+                 lambda dout: (dout.transpose(inverse),))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -399,23 +406,39 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def mean_rows(x: Tensor, mask=None) -> Tensor:
-    """Mean over (unmasked) rows of a matrix."""
-    if x.ndim != 2:
+    """Mean over the (unmasked) rows of a matrix, or of each matrix in a (..., n, d) stack.
+
+    `mask` has shape (..., n); masked rows are left out of the sum, whatever they hold.
+    """
+    if x.ndim < 2:
         raise ShapeError(f"mean_rows needs a matrix, got shape {x.shape}")
-    n, d = x.shape
-    m = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    if m.shape != (n,):
-        raise ShapeError(f"mean_rows mask length {m.shape} does not match {n} rows")
-    count = int(m.sum())
-    if count == 0:
+    rows = x.shape[:-1]
+    m = np.ones(rows, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if m.shape != rows:
+        raise ShapeError(f"mean_rows mask length {m.shape} does not match {rows[-1]} rows")
+    count = m.sum(axis=-1, keepdims=True)
+    if not count.all():
         raise ValueError("mean_rows: every row is masked")
+    keep = m[..., None]
 
     def bwd(dout):
-        g = np.zeros((n, d), dtype=np.float64)
-        g[m] = dout / count
+        return (np.where(keep, (dout / count)[..., None, :], 0.0),)
+
+    return _emit(np.where(keep, x.data, 0.0).sum(axis=-2) / count, (x,), bwd)
+
+
+def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
+    """Rows start:stop along the first axis (a view of x's data)."""
+    if x.ndim < 1 or not (0 <= start < stop <= x.shape[0]):
+        raise ShapeError(f"slice_rows [{start}:{stop}] invalid for shape {x.shape}")
+    shape = x.shape
+
+    def bwd(dout):
+        g = np.zeros(shape, dtype=np.float64)
+        g[start:stop] = dout
         return (g,)
 
-    return _emit(x.data[m].sum(axis=0) / count, (x,), bwd)
+    return _emit(x.data[start:stop], (x,), bwd)
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
@@ -499,45 +522,62 @@ def get_element(x: Tensor, index: int) -> Tensor:
 
 
 def pairwise_hadamard(q: Tensor, k: Tensor) -> Tensor:
-    """out[i, j, :] = q[i] * k[j] for all query/key row pairs."""
-    if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
+    """out[..., i, j, :] = q[..., i, :] * k[..., j, :] for all query/key row pairs.
+
+    q is (..., n, d) and k is (..., m, d) with identical leading (batch) axes.
+    """
+    if (q.ndim < 2 or q.ndim != k.ndim or q.shape[:-2] != k.shape[:-2]
+            or q.shape[-1] != k.shape[-1]):
         raise ShapeError(f"pairwise_hadamard shape mismatch: {q.shape} vs {k.shape}")
     qd, kd = q.data, k.data
 
     def bwd(dout):
-        return (np.einsum("ijd,jd->id", dout, kd), np.einsum("ijd,id->jd", dout, qd))
+        return (np.einsum("...ijd,...jd->...id", dout, kd),
+                np.einsum("...ijd,...id->...jd", dout, qd))
 
-    return _emit(qd[:, None, :] * kd[None, :, :], (q, k), bwd)
+    return _emit(qd[..., :, None, :] * kd[..., None, :, :], (q, k), bwd)
+
+
+def _opa_operands(name: str, s: Tensor, v: Tensor, allowed, value_width_is_d: bool):
+    a = np.asarray(allowed, dtype=np.float64)
+    ok = (s.ndim >= 3 and v.ndim == s.ndim - 1 and a.shape == s.shape[:-1]
+          and v.shape[:-1] == s.shape[:-3] + s.shape[-2:-1]
+          and (not value_width_is_d or v.shape[-1] == s.shape[-1]))
+    if not ok:
+        raise ShapeError(f"{name} shape mismatch: scores {s.shape}, values {v.shape}")
+    return a, s.data, v.data
 
 
 def opa_sum_outer(s: Tensor, v: Tensor, allowed) -> Tensor:
-    """out[i] = sum over allowed j of s[i, j, :] (outer) v[j], a matrix per query."""
-    a = np.asarray(allowed, dtype=np.float64)
-    if s.ndim != 3 or v.ndim != 2 or a.shape != s.shape[:2] or v.shape[0] != s.shape[1]:
-        raise ShapeError(f"opa_sum_outer shape mismatch: scores {s.shape}, values {v.shape}")
-    sd, vd = s.data, v.data
+    """out[..., i] = sum over allowed j of s[..., i, j, :] (outer) v[..., j], a matrix per query.
+
+    s is (..., n, m, d), v is (..., m, e) and allowed is (..., n, m), with matching leading axes.
+    """
+    a, sd, vd = _opa_operands("opa_sum_outer", s, v, allowed, False)
+    # per query row i these are matrix products over j, so they run as batched matmuls
+    sa = sd * a[..., None]
+    vb = vd[..., None, :, :]
 
     def bwd(dout):
-        ds = np.einsum("ij,ide,je->ijd", a, dout, vd)
-        dv = np.einsum("ij,ijd,ide->je", a, sd, dout)
+        ds = np.swapaxes(dout @ np.swapaxes(vb, -1, -2), -1, -2) * a[..., None]
+        n, m, d = sa.shape[-3:]
+        by_key = np.swapaxes(sa, -3, -2).reshape(sa.shape[:-3] + (m, n * d))
+        dv = by_key @ dout.reshape(dout.shape[:-3] + (n * d, dout.shape[-1]))
         return (ds, dv)
 
-    return _emit(np.einsum("ij,ijd,je->ide", a, sd, vd), (s, v), bwd)
+    return _emit(np.swapaxes(sa, -1, -2) @ vb, (s, v), bwd)
 
 
 def opa_sum_hadamard(s: Tensor, v: Tensor, allowed) -> Tensor:
-    """out[i] = sum over allowed j of s[i, j, :] * v[j]."""
-    a = np.asarray(allowed, dtype=np.float64)
-    if s.ndim != 3 or v.ndim != 2 or a.shape != s.shape[:2] or v.shape != s.shape[1:]:
-        raise ShapeError(f"opa_sum_hadamard shape mismatch: scores {s.shape}, values {v.shape}")
-    sd, vd = s.data, v.data
+    """out[..., i] = sum over allowed j of s[..., i, j, :] * v[..., j]; shapes as opa_sum_outer."""
+    a, sd, vd = _opa_operands("opa_sum_hadamard", s, v, allowed, True)
 
     def bwd(dout):
-        ds = np.einsum("ij,id,jd->ijd", a, dout, vd)
-        dv = np.einsum("ij,ijd,id->jd", a, sd, dout)
+        ds = np.einsum("...ij,...id,...jd->...ijd", a, dout, vd)
+        dv = np.einsum("...ij,...ijd,...id->...jd", a, sd, dout)
         return (ds, dv)
 
-    return _emit(np.einsum("ij,ijd,jd->id", a, sd, vd), (s, v), bwd)
+    return _emit(np.einsum("...ij,...ijd,...jd->...id", a, sd, vd), (s, v), bwd)
 
 
 _ELEMENTWISE.update({"tanh": tanh, "add": add, "mul": mul, "scale": scale, "relu": relu})

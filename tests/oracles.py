@@ -2,14 +2,21 @@
 
 The attention oracles are scalar brute-force loops, written independently of
 the tensor/tape path. `recompute_greedy_decode` is greedy decoding that reruns
-the teacher-forced decoder over the whole prefix for every new token.
+the teacher-forced decoder over the whole prefix for every new token. The
+encoder oracles run the hierarchical encoder one example at a time: each
+distinct word through the character encoder on its own (a per-batch cache of
+words), then each sentence through the word encoder on its own, with dropout
+drawn inline by `tensor.dropout`. `oracle_loss` builds every task loss on them.
 """
 
 import math
 
 import numpy as np
 
+from hitkit import tensor as T
+from hitkit.attention import fame_forward
 from hitkit.data import CLS_ID, EOS_ID
+from hitkit.model import ClassificationModel, MlmModel, Seq2SeqModel, TaggingModel, ZslModel
 from hitkit.tensor import no_grad
 
 
@@ -109,3 +116,99 @@ def recompute_greedy_decode(model, ex, max_out):
             if len(seq) >= model.encoder.config.max_len:
                 break
     return out, probs
+
+
+def oracle_encoder_layer(layer, x, mask=None, training=False, rng=None):
+    """One EncoderLayer over one sequence, dropout drawn after each sublayer."""
+    h = T.dropout(fame_forward(layer.fame, x, mask), layer.dropout_rate, training, rng)
+    y1 = T.layer_norm(T.add(x, h), layer.norm1_g.tensor, layer.norm1_b.tensor, layer.eps)
+    f = T.dropout(layer.ffn.forward(y1), layer.dropout_rate, training, rng)
+    return T.layer_norm(T.add(y1, f), layer.norm2_g.tensor, layer.norm2_b.tensor, layer.eps)
+
+
+def oracle_hier_pool(pool, h):
+    n, d = h.shape
+    u = T.tanh(T.add_bias(T.matmul(h, pool.proj_w.tensor), pool.proj_b.tensor))
+    scores = T.reshape(T.matmul(u, T.reshape(pool.context.tensor, (d, 1))), (n,))
+    a = T.softmax(scores, axis=0)
+    return T.reshape(T.matmul(T.reshape(a, (1, n)), h), (d,))
+
+
+def oracle_encode_word(char_hit, ids, training=False, rng=None):
+    ids = list(ids)
+    x = T.add(T.embedding_lookup(char_hit.emb.tensor, ids), T.Tensor(char_hit.pos[:len(ids)]))
+    for layer in char_hit.layers:
+        x = oracle_encoder_layer(layer, x, training=training, rng=rng)
+    return oracle_hier_pool(char_hit.pool, x)
+
+
+def oracle_word_states(encoder, examples, training=False, rng=None):
+    """Per-example (n, d) word states: every distinct word once, then one sentence at a time."""
+    index, rows = {}, []
+    for ex in examples:
+        for seq in ex.char_ids:
+            key = tuple(seq)
+            if key not in index:
+                index[key] = len(rows)
+                rows.append(oracle_encode_word(encoder.char_hit, key, training, rng))
+    matrix = T.stack_rows(rows)
+    states = []
+    for ex in examples:
+        n = len(ex.word_ids)
+        h_char = T.embedding_lookup(matrix, [index[tuple(seq)] for seq in ex.char_ids])
+        h_word = T.embedding_lookup(encoder.word_hit.emb.tensor, list(ex.word_ids))
+        x = T.add(T.add(h_char, h_word), T.Tensor(encoder.word_hit.pos[:n]))
+        for layer in encoder.word_hit.layers:
+            x = oracle_encoder_layer(layer, x, ex.mask, training, rng)
+        states.append(x)
+    return states
+
+
+def _head(model, h):
+    # one product over the stacked rows: OpenBLAS rounds a one-row product (gemv)
+    # differently from the same row inside a larger one (gemm)
+    return T.add_bias(T.matmul(h, model.head_w.tensor), model.head_b.tensor)
+
+
+def oracle_loss(model, batch, training=False, rng=None):
+    """The model's loss_batch, built one example at a time on `oracle_word_states`.
+
+    `batch` is a list of examples, or of (text, label, entail) triples for ZslModel.
+    """
+    if isinstance(model, ZslModel):
+        examples = [ex for pair in batch for ex in pair[:2]]
+    else:
+        examples = list(batch)
+    states = oracle_word_states(model.encoder, examples, training, rng)
+    if isinstance(model, ClassificationModel):
+        rows = []
+        for ex, h in zip(examples, states):
+            s = T.mean_rows(h, ex.mask)
+            if model.use_tfidf:
+                s = T.concat_vec([s, T.Tensor(np.asarray(ex.features, dtype=np.float64))])
+            rows.append(s)
+        return T.cross_entropy(_head(model, T.stack_rows(rows)), [ex.target for ex in examples])
+    if isinstance(model, (TaggingModel, MlmModel)):
+        targets = []
+        for ex in examples:
+            pad = [-1] * (ex.n_words - len(ex.target))
+            targets.extend(list(ex.target) + pad)
+        return T.cross_entropy(_head(model, T.concat_rows(states)), targets, ignore_index=-1)
+    if isinstance(model, Seq2SeqModel):
+        blocks, targets = [], []
+        for ex, memory in zip(examples, states):
+            tgt = list(ex.target)
+            blocks.append(model.decode_logits(tgt[:-1], memory, ex.mask, training, rng))
+            targets.extend(tgt[1:])
+        return T.cross_entropy(T.concat_rows(blocks), targets)
+    if isinstance(model, ZslModel):
+        pooled = [T.mean_rows(h, ex.mask) for ex, h in zip(examples, states)]
+        one = T.Tensor(1.0)
+        total = None
+        for i, (_, _, entail) in enumerate(batch):
+            s = T.cosine_similarity(pooled[2 * i], pooled[2 * i + 1])
+            p = T.sigmoid(T.scale(s, 1.0 / model.temperature))
+            term = T.log(p) if entail else T.log(T.sub(one, p))
+            total = term if total is None else T.add(total, term)
+        return T.scale(total, -1.0 / len(batch))
+    raise TypeError(f"no oracle loss for {type(model).__name__}")

@@ -1,0 +1,177 @@
+"""The packed, length-grouped encoder against the one-example-at-a-time oracle."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hitkit import data as D
+from hitkit import tensor as T
+from hitkit.train import (
+    TrainConfig,
+    build_classifier,
+    build_mlm,
+    build_seq2seq,
+    build_tagger,
+    build_zsl,
+    seed_streams,
+)
+
+from oracles import oracle_loss, oracle_word_states
+
+WORDS = ["a", "red", "cat", "blue", "dog", "green", "bird", "x", "banana", "to"]
+VOCAB = D.build_vocab([WORDS])
+# ragged sentences; three are padded with [PAD] rows, and words repeat across them
+SENTENCES = [(["red", "cat"], 0), (["a", "blue", "dog", "x"], 5), (["banana"], 0),
+             (["green", "bird", "to", "red"], 0), (["cat", "a"], 4), (["dog"], 3),
+             (["to", "x", "banana"], 0)]
+# OpenBLAS rounds a one-row product (gemv) differently from the same row inside a
+# larger product (gemm), so the packed path equals the oracle bit for bit only when
+# no word has one character and no sentence has one row; this batch has neither.
+NO_ONE_ROW = [(["red", "cat"], 0), (["blue", "dog"], 5), (["green", "bird", "to", "red"], 0),
+              (["cat"], 4), (["dog"], 3), (["to", "banana"], 0)]
+SCORES = ["tanh", "softmax"]
+COMBINES = ["true_outer_projected", "hadamard"]
+KINDS = ["classification", "tagging", "mlm", "seq2seq", "zsl"]
+
+
+def cfg(**kw):
+    base = dict(d_model=8, n_heads=2, l_c=1, l_w=2, l_dec=1, dropout=0.0, epochs=1,
+                batch_size=8, max_len=12, max_word_len=8)
+    base.update(kw)
+    return TrainConfig(**base)
+
+
+def encode(tokens, pad_to=0, target=None):
+    return D.encode_example(tokens, VOCAB, target=target, max_len=12, max_word_len=8,
+                            pad_to=pad_to)
+
+
+def model_and_batch(kind, config, seed=0, sentences=SENTENCES):
+    """A model of `kind` and a ragged, partly padded batch with targets for its loss."""
+    init = seed_streams(seed)["init"]
+    w, c = VOCAB.word_size, VOCAB.char_size
+    rng = np.random.default_rng(seed + 100)
+    if kind == "classification":
+        model = build_classifier(config, w, c, 3, init)
+        batch = [encode(t, p, target=i % 3) for i, (t, p) in enumerate(sentences)]
+    elif kind == "tagging":
+        model = build_tagger(config, w, c, 3, init)
+        batch = [encode(t, p, target=[int(x) for x in rng.integers(0, 3, len(t))])
+                 for t, p in sentences]
+    elif kind == "mlm":
+        model = build_mlm(config, w, c, init)
+        batch = []
+        for t, p in sentences:
+            ex = encode(t, p)
+            ex.target = [int(x) if keep else -1 for x, keep
+                         in zip(rng.integers(5, w, ex.n_words), rng.random(ex.n_words) < 0.5)]
+            ex.target[0] = ex.word_ids[0]
+            batch.append(ex)
+    elif kind == "seq2seq":
+        model = build_seq2seq(config, w, c, init)
+        batch = [encode(t, p, target=[D.CLS_ID] + [VOCAB.word_id(x) for x in t] + [D.EOS_ID])
+                 for t, p in sentences]
+    else:
+        model = build_zsl(config, w, c, init)
+        ex = [encode(t, p) for t, p in sentences]
+        batch = [(ex[i], ex[-1 - i], i % 2 == 0) for i in range(len(ex) // 2 + 1)]
+    return model, batch
+
+
+def grads_of(model, loss):
+    for p in model.parameters():
+        p.tensor.zero_grad()
+    T.backward(loss)
+    return {p.name: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+            for p in model.parameters()}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("score", SCORES)
+@pytest.mark.parametrize("combine", COMBINES)
+def test_batched_loss_and_gradients_match_oracle(kind, score, combine):
+    model, batch = model_and_batch(kind, cfg(opa_score=score, opa_combine=combine))
+    got = model.loss_batch(batch)
+    got_grads = grads_of(model, got)
+    want = oracle_loss(model, batch)
+    want_grads = grads_of(model, want)
+    assert abs(got.item() - want.item()) < 1e-12
+    for name, g in want_grads.items():
+        scale = max(1.0, float(np.max(np.abs(g))))
+        assert np.max(np.abs(got_grads[name] - g)) < 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("sentences", [SENTENCES, NO_ONE_ROW], ids=["ragged", "no_one_row"])
+def test_training_loss_and_dropout_stream_match_oracle(kind, sentences):
+    model, batch = model_and_batch(kind, cfg(dropout=0.3), seed=1, sentences=sentences)
+    rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+    with T.no_grad():
+        got = model.loss_batch(batch, training=True, rng=rng_a).item()
+        want = oracle_loss(model, batch, training=True, rng=rng_b).item()
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    if sentences is NO_ONE_ROW:
+        assert got == want
+    else:
+        assert abs(got - want) < 1e-12
+
+
+@pytest.mark.parametrize("score", SCORES)
+@pytest.mark.parametrize("combine", COMBINES)
+def test_word_states_match_per_example_oracle(score, combine):
+    model, batch = model_and_batch("classification", cfg(opa_score=score, opa_combine=combine))
+    with T.no_grad():
+        got = model.encoder.word_states(batch).data
+        want = np.concatenate([h.data for h in oracle_word_states(model.encoder, batch)])
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+MODEL, _ = model_and_batch("classification", cfg(), seed=3)
+PAD_WORD = st.integers(0, VOCAB.word_size - 1)
+PAD_CHARS = st.lists(st.integers(0, VOCAB.char_size - 1), min_size=1, max_size=8)
+
+
+def sentence_vectors(batch):
+    with T.no_grad():
+        return MODEL.encoder.sentence_vectors(batch).data
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.permutations(range(len(SENTENCES))))
+def test_batch_order_does_not_change_results(order):
+    batch = [encode(t, p) for t, p in SENTENCES]
+    base = sentence_vectors(batch)
+    permuted = sentence_vectors([batch[i] for i in order])
+    assert np.max(np.abs(permuted - base[list(order)])) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_values_at_padded_positions_have_no_effect(data):
+    batch = [encode(t, p) for t, p in SENTENCES]
+    base = sentence_vectors(batch)
+    with T.no_grad():
+        base_states = MODEL.encoder.word_states(batch).data
+    for ex in batch:
+        for i, real in enumerate(ex.mask):
+            if not real:
+                ex.word_ids[i] = data.draw(PAD_WORD)
+                ex.char_ids[i] = data.draw(PAD_CHARS)
+    keep = np.concatenate([ex.mask for ex in batch])
+    with T.no_grad():
+        states = MODEL.encoder.word_states(batch).data
+    assert np.max(np.abs(sentence_vectors(batch) - base)) < 1e-12
+    assert np.max(np.abs(states[keep] - base_states[keep])) < 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.booleans(), min_size=2, max_size=6).filter(any),
+       st.sampled_from([np.nan, np.inf, -1e300, 0.0]))
+def test_mean_rows_ignores_values_at_masked_rows(mask, junk):
+    rows = np.random.default_rng(len(mask)).standard_normal((3, len(mask), 4))
+    noisy = rows.copy()
+    noisy[:, ~np.array(mask)] = junk
+    stack = np.broadcast_to(np.array(mask), (3, len(mask)))
+    assert np.array_equal(T.mean_rows(T.Tensor(rows), stack).data,
+                          T.mean_rows(T.Tensor(noisy), stack).data)

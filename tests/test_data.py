@@ -99,6 +99,15 @@ class TestFlattenDialog:
         assert src[0] == "[CLS]" and src[-1] == "[EOS]"
         assert src[-3:] == ["latest", "words", "[EOS]"]
 
+    @pytest.mark.parametrize("max_len", [1, 2, 3])
+    def test_tiny_max_len_bounds_the_source(self, max_len):
+        turns = [{"speaker": "user", "text": "one two three four five"},
+                 {"speaker": "bot", "text": "reply"}]
+        src, _ = D.flatten_dialog(turns, 1, max_len=max_len)
+        assert len(src) <= max(max_len, 2)
+        assert src[0] == "[CLS]" and src[-1] == "[EOS]"
+        assert src[1:-1] == ["one", "two", "three", "four", "five"][5 - max(max_len - 2, 0):]
+
     def test_out_of_range_errors(self):
         with pytest.raises(D.DataError):
             D.flatten_dialog(self.turns(), 3)

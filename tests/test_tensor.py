@@ -357,8 +357,83 @@ class TestStructuralOps:
 
     def test_reshape_transpose_gradient(self):
         x = T.Tensor(rand((2, 6), 49), requires_grad=True)
-        check_gradients(lambda: T.sum_all(T.tanh(T.transpose2d(T.reshape(x, (3, 4))))), [x])
+        check_gradients(lambda: T.sum_all(T.tanh(T.transpose(T.reshape(x, (3, 4)), (1, 0)))), [x])
 
+
+
+class TestBatchedOps:
+    """Ops with leading batch axes: each slice equals the 2-D op, and gradients check out."""
+
+    def test_batched_matmul_matches_slices_and_gradient(self):
+        a = T.Tensor(rand((2, 3, 3, 4), 60), requires_grad=True)
+        b = T.Tensor(rand((2, 3, 4, 2), 61), requires_grad=True)
+        out = T.matmul(a, b).data
+        for i in range(2):
+            for j in range(3):
+                want = T.matmul(T.Tensor(a.data[i, j]), T.Tensor(b.data[i, j])).data
+                assert np.array_equal(out[i, j], want)
+        check_gradients(lambda: T.sum_all(T.tanh(T.matmul(a, b))), [a, b])
+
+    @pytest.mark.parametrize("shapes", [((2, 3, 4), (3, 4, 2)), ((2, 3, 4), (4, 2)),
+                                        ((3, 4), (2, 4, 2)), ((2, 3, 4), (2, 3, 2))])
+    def test_matmul_rejects_unmatched_batch_axes(self, shapes):
+        with pytest.raises(T.ShapeError):
+            T.matmul(T.Tensor(np.ones(shapes[0])), T.Tensor(np.ones(shapes[1])))
+
+    def test_transpose_values_and_gradient(self):
+        x = T.Tensor(rand((2, 3, 4), 62), requires_grad=True)
+        assert np.array_equal(T.transpose(x, (2, 0, 1)).data, x.data.transpose(2, 0, 1))
+        probe = T.Tensor(rand((4, 2, 3), 63))
+        check_gradients(lambda: T.sum_all(T.mul(T.transpose(x, (2, 0, 1)), probe)), [x])
+
+    @pytest.mark.parametrize("axes", [(0, 1), (0, 0, 1), (0, 1, 3)])
+    def test_transpose_rejects_invalid_axes(self, axes):
+        with pytest.raises(T.ShapeError):
+            T.transpose(T.Tensor(np.ones((2, 3, 4))), axes)
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 3), (5, 2, 3)])
+    def test_slice_rows_values_and_gradient(self, shape):
+        x = T.Tensor(rand(shape, 64), requires_grad=True)
+        assert np.array_equal(T.slice_rows(x, 1, 4).data, x.data[1:4])
+        probe = T.Tensor(rand((3,) + shape[1:], 65))
+        check_gradients(lambda: T.sum_all(T.mul(T.slice_rows(x, 1, 4), probe)), [x])
+
+    @pytest.mark.parametrize("bounds", [(2, 2), (3, 1), (-1, 2), (0, 6)])
+    def test_slice_rows_rejects_invalid_ranges(self, bounds):
+        with pytest.raises(T.ShapeError):
+            T.slice_rows(T.Tensor(np.ones((5, 3))), *bounds)
+
+    def test_batched_pairwise_and_opa_sums_match_slices_and_gradient(self):
+        q = T.Tensor(rand((2, 3, 2), 66), requires_grad=True)
+        k = T.Tensor(rand((2, 4, 2), 67), requires_grad=True)
+        v = T.Tensor(rand((2, 4, 2), 68), requires_grad=True)
+        allowed = np.array([[[True, True, False, True]] * 3, [[True, False, True, True]] * 3])
+        for op in (T.opa_sum_outer, T.opa_sum_hadamard):
+            out = op(T.tanh(T.pairwise_hadamard(q, k)), v, allowed).data
+            for i in range(2):
+                s = T.tanh(T.pairwise_hadamard(T.Tensor(q.data[i]), T.Tensor(k.data[i])))
+                want = op(s, T.Tensor(v.data[i]), allowed[i]).data
+                assert np.max(np.abs(out[i] - want)) < 1e-12
+            check_gradients(
+                lambda: T.sum_all(T.tanh(op(T.tanh(T.pairwise_hadamard(q, k)), v, allowed))),
+                [q, k, v])
+
+    def test_batched_pairwise_rejects_unmatched_batch_axes(self):
+        with pytest.raises(T.ShapeError):
+            T.pairwise_hadamard(T.Tensor(np.ones((2, 3, 2))), T.Tensor(np.ones((3, 3, 2))))
+        with pytest.raises(T.ShapeError):
+            T.opa_sum_outer(T.Tensor(np.ones((2, 3, 4, 2))), T.Tensor(np.ones((2, 3, 2))),
+                            np.ones((2, 3, 4)))
+
+    def test_batched_mean_rows_matches_slices_and_gradient(self):
+        x = T.Tensor(rand((2, 4, 3), 69), requires_grad=True)
+        mask = np.array([[True, False, True, True], [False, True, False, False]])
+        out = T.mean_rows(x, mask).data
+        for i in range(2):
+            assert np.array_equal(out[i], T.mean_rows(T.Tensor(x.data[i]), mask[i]).data)
+        check_gradients(lambda: T.sum_all(T.tanh(T.mean_rows(x, mask))), [x])
+        with pytest.raises(ValueError, match="masked"):
+            T.mean_rows(x, np.array([[True] * 4, [False] * 4]))
 
 class TestInvariants:
     def test_zero_dim_rejected(self):
