@@ -2,10 +2,10 @@
 
 The block keeps two independent Q/K/V projection sets. The self branch is
 standard scaled dot-product attention over heads. The outer branch scores
-each query/key pair elementwise, activates (tanh by default, or a softmax
-over the feature axis), aggregates values with an outer product per query,
-and projects the result back to model width. A two-way softmax gate fuses
-the branches.
+each query/key pair feature by feature, activates (tanh by default, or a
+softmax over the feature axis), aggregates values with an outer product per
+query, and projects the result back to model width. A two-way softmax gate
+fuses the branches.
 """
 
 from __future__ import annotations

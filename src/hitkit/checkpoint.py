@@ -50,17 +50,22 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: dict, extras: d
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with zipfile.ZipFile(path, "r") as zf:
-        meta = json.loads(zf.read("meta.json").decode("utf-8"))
-        if meta.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format version {meta.get('format_version')!r}")
-        params = {}
-        for entry in meta["params"]:
-            raw = zf.read(f"params/{entry['name']}")
-            arr = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-            params[entry["name"]] = arr.reshape(entry["shape"])
-        extras = {}
-        for info in zf.infolist():
-            if info.filename.startswith("extras/"):
-                extras[info.filename[len("extras/"):]] = zf.read(info).decode("utf-8")
-    return Checkpoint(config=meta["config"], params=params, extras=extras)
+    """Read a checkpoint; a file that is not one raises ValueError naming `path`."""
+    try:
+        with zipfile.ZipFile(path, "r") as zf:
+            meta = json.loads(zf.read("meta.json").decode("utf-8"))
+            if meta.get("format_version") != FORMAT_VERSION:
+                raise ValueError(f"unsupported checkpoint format version "
+                                 f"{meta.get('format_version')!r}")
+            params = {}
+            for entry in meta["params"]:
+                raw = zf.read(f"params/{entry['name']}")
+                arr = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+                params[entry["name"]] = arr.reshape(entry["shape"])
+            extras = {}
+            for info in zf.infolist():
+                if info.filename.startswith("extras/"):
+                    extras[info.filename[len("extras/"):]] = zf.read(info).decode("utf-8")
+        return Checkpoint(config=meta["config"], params=params, extras=extras)
+    except (zipfile.BadZipFile, KeyError, ValueError) as exc:
+        raise ValueError(f"malformed checkpoint {path}: {exc}") from None

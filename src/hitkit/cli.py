@@ -167,6 +167,10 @@ def _restore(checkpoint_path):
     if not os.path.exists(checkpoint_path):
         raise CliError(f"checkpoint not found: {checkpoint_path}")
     ckpt = load_checkpoint(checkpoint_path)
+    missing = ([key for key in ("task", "train_config") if key not in ckpt.config]
+               + [key for key in ("vocab.tsv",) if key not in ckpt.extras])
+    if missing:
+        raise CliError(f"checkpoint {checkpoint_path} has no {', '.join(missing)}")
     cfg = TrainConfig.from_dict(ckpt.config["train_config"])
     task = ckpt.config["task"]
     vocab = D.Vocab.from_text(ckpt.extras["vocab.tsv"])
@@ -389,26 +393,32 @@ def cmd_pretrain_zsl(args) -> int:
     return 0
 
 
+def _embed_lines(model, vocab, cfg, lines) -> list:
+    """Each line's sentence embedding, or None for a line that preprocessing empties."""
+    zsl = ZslModel(model.encoder)
+    vectors = []
+    for line in lines:
+        tokens = D.preprocess_text(line, cfg.lowercase)
+        if not tokens:
+            vectors.append(None)
+            continue
+        ex = D.encode_example(tokens, vocab, max_len=cfg.max_len, max_word_len=cfg.max_word_len)
+        with no_grad():
+            vectors.append(zsl.embed(ex).data)
+    return vectors
+
+
 def cmd_embed(args) -> int:
     model, vocab, cfg, task, labels, tfidf = _restore(args.checkpoint)
     out = _out_dir(args)
-    encoder = model.encoder
-    zsl = ZslModel(encoder)
     lines = Path(args.input).read_text(encoding="utf-8").splitlines()
     out_path = out / "embeddings.jsonl"
-    d = encoder.config.d_model
+    d = model.encoder.config.d_model
     with open(out_path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            tokens = D.preprocess_text(line, cfg.lowercase)
-            if not tokens:
-                fh.write(json.dumps({"embedding": [0.0] * d, "empty": True}) + "\n")
-                continue
-            ex = D.encode_example(tokens, vocab, max_len=cfg.max_len,
-                                  max_word_len=cfg.max_word_len)
-            with no_grad():
-                vec = zsl.embed(ex).data
-            fh.write(json.dumps({"embedding": [round(float(v), 8) for v in vec],
-                                 "empty": False}) + "\n")
+        for vec in _embed_lines(model, vocab, cfg, lines):
+            row = ({"embedding": [0.0] * d, "empty": True} if vec is None else
+                   {"embedding": [round(float(v), 8) for v in vec], "empty": False})
+            fh.write(json.dumps(row) + "\n")
     print(f"wrote {len(lines)} embeddings to {out_path}")
     return 0
 
@@ -433,16 +443,8 @@ def cmd_generate(args) -> int:
 def cmd_analyze(args) -> int:
     model, vocab, cfg, task, labels, tfidf = _restore(args.checkpoint)
     out = _out_dir(args)
-    zsl = ZslModel(model.encoder)
-    lines = [l for l in Path(args.input).read_text(encoding="utf-8").splitlines() if l.strip()]
-    vectors = []
-    for line in lines:
-        tokens = D.preprocess_text(line, cfg.lowercase)
-        if not tokens:
-            continue
-        ex = D.encode_example(tokens, vocab, max_len=cfg.max_len, max_word_len=cfg.max_word_len)
-        with no_grad():
-            vectors.append(zsl.embed(ex).data)
+    lines = Path(args.input).read_text(encoding="utf-8").splitlines()
+    vectors = [v for v in _embed_lines(model, vocab, cfg, lines) if v is not None]
     if len(vectors) < args.k:
         raise CliError(f"only {len(vectors)} non-empty lines for k={args.k}")
     points = np.stack(vectors)

@@ -84,10 +84,6 @@ class Vocab:
             lines.append(f"char\t{c}\t{i}\t0")
         return "\n".join(lines) + "\n"
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
-
     @classmethod
     def from_text(cls, text: str) -> "Vocab":
         word_to_id, char_to_id, word_freq = {}, {}, {}
@@ -101,11 +97,6 @@ class Vocab:
             else:
                 char_to_id[token] = int(sid)
         return cls(word_to_id, char_to_id, word_freq)
-
-    @classmethod
-    def load(cls, path) -> "Vocab":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
 
 
 def build_vocab(corpus, min_freq: int = 1) -> Vocab:

@@ -13,7 +13,6 @@ import itertools
 import numpy as np
 
 from .attention import FameConfig, FameLayer, fame_forward, group_blocks
-from .data import EncodedExample
 from .optim import Parameter, normal_init, xavier_uniform
 from .tensor import (
     ShapeError,
@@ -21,7 +20,6 @@ from .tensor import (
     add,
     add_bias,
     concat_rows,
-    concat_vec,
     embedding_lookup,
     layer_norm,
     matmul,
@@ -148,17 +146,12 @@ class EncoderLayer:
         self.dropout_rate = dropout_rate
         self.eps = eps
 
-    def forward(self, x: Tensor, mask=None, training: bool = False, rng=None,
-                layout=None, drop=None) -> Tensor:
+    def forward(self, x: Tensor, mask=None, layout=None, drop=None) -> Tensor:
         """Rows x of one sequence, or packed sequences grouped as `layout` says.
 
         `drop` is this layer's (attention, FFN) pair from `dropout_multipliers`;
-        in training mode without it, the pair is drawn from `rng` for x as one
-        sequence.
+        without it the layer runs without dropout.
         """
-        if drop is None and training:
-            drop = dropout_multipliers(rng, self.dropout_rate, Packing([x.shape[0]]), 1,
-                                       x.shape[1])[0]
         drop_attn, drop_ffn = (None, None) if drop is None else drop
         h = _apply_dropout(fame_forward(self.fame, x, mask, layout=layout), drop_attn)
         y1 = layer_norm(add(x, h), self.norm1_g.tensor, self.norm1_b.tensor, self.eps)
@@ -306,7 +299,7 @@ class HitEncoder:
         for ex in examples:
             n = len(ex.word_ids)
             if n == 0:
-                raise ValueError("word_level_forward: empty word sequence")
+                raise ValueError("word_states: empty word sequence")
             if n > cap:
                 raise ShapeError(f"sequence of {n} words exceeds cap {cap}")
             if len(ex.char_ids) != n or len(ex.mask) != n:
@@ -335,25 +328,6 @@ class HitEncoder:
                                                   group_blocks(mask, pack.layout))]
         return pack.unpack_sequences(means[0] if len(means) == 1 else concat_rows(means))
 
-    def word_level_forward(self, word_ids, char_rows, mask=None,
-                           training: bool = False, rng=None) -> Tensor:
-        """Word states of one sentence, (n, d): a batch of one."""
-        return self.word_states([_sentence(word_ids, char_rows, mask)], training, rng)
-
-    def sentence_embed(self, word_ids, char_rows, mask=None, features=None,
-                       training: bool = False, rng=None) -> Tensor:
-        """One sentence's mean word state, (d,), with `features` appended if given."""
-        pooled = reshape(self.sentence_vectors([_sentence(word_ids, char_rows, mask)],
-                                               training, rng), (self.config.d_model,))
-        if features is None:
-            return pooled
-        return concat_vec([pooled, Tensor(np.asarray(features, dtype=np.float64))])
-
     def parameters(self):
         return self.char_hit.parameters() + self.word_hit.parameters()
 
-
-def _sentence(word_ids, char_rows, mask) -> EncodedExample:
-    word_ids = list(word_ids)
-    mask = [True] * len(word_ids) if mask is None else list(mask)
-    return EncodedExample(word_ids, [list(row) for row in char_rows], mask)

@@ -31,11 +31,20 @@ class TfidfVocab:
     char_ngrams: dict[str, int]
     word_df: dict[tuple[str, ...], int]
     char_df: dict[str, int]
-    idf: np.ndarray
     n_docs: int
     min_df: int = 2
     max_df: int = 6
     stopwords: frozenset = field(default_factory=lambda: STOPWORDS)
+    idf: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        """idf of each retained n-gram, word block first, from the document frequencies."""
+        self.idf = np.zeros(self.dim)
+        offset = len(self.word_ngrams)
+        for g, i in self.word_ngrams.items():
+            self.idf[i] = np.log((1 + self.n_docs) / (1 + self.word_df[g])) + 1.0
+        for g, i in self.char_ngrams.items():
+            self.idf[offset + i] = np.log((1 + self.n_docs) / (1 + self.char_df[g])) + 1.0
 
     @property
     def dim(self) -> int:
@@ -77,13 +86,7 @@ def tfidf_fit(corpus, stopwords=STOPWORDS, min_df: int = 2, max_df: int = 6) -> 
 
     word_index, word_df = retained(word_docs)
     char_index, char_df = retained(char_docs)
-    idf = np.zeros(len(word_index) + len(char_index))
-    offset = len(word_index)
-    for g, i in word_index.items():
-        idf[i] = np.log((1 + n_docs) / (1 + word_df[g])) + 1.0
-    for g, i in char_index.items():
-        idf[offset + i] = np.log((1 + n_docs) / (1 + char_df[g])) + 1.0
-    return TfidfVocab(word_index, char_index, word_df, char_df, idf, n_docs,
+    return TfidfVocab(word_index, char_index, word_df, char_df, n_docs,
                       min_df=min_df, max_df=max_df, stopwords=stopwords)
 
 
@@ -103,11 +106,6 @@ def tfidf_transform(vocab: TfidfVocab, tokens) -> np.ndarray:
     if norm > 0:
         vec /= norm
     return vec
-
-
-def save_tfidf(vocab: TfidfVocab, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(tfidf_to_text(vocab))
 
 
 def tfidf_to_text(vocab: TfidfVocab) -> str:
@@ -146,16 +144,5 @@ def tfidf_from_text(text: str, stopwords=STOPWORDS) -> TfidfVocab:
         else:
             char_index[gram] = int(idx)
             char_df[gram] = int(df)
-    idf = np.zeros(len(word_index) + len(char_index))
-    offset = len(word_index)
-    for g, i in word_index.items():
-        idf[i] = np.log((1 + n_docs) / (1 + word_df[g])) + 1.0
-    for g, i in char_index.items():
-        idf[offset + i] = np.log((1 + n_docs) / (1 + char_df[g])) + 1.0
-    return TfidfVocab(word_index, char_index, word_df, char_df, idf, n_docs,
+    return TfidfVocab(word_index, char_index, word_df, char_df, n_docs,
                       min_df=min_df, max_df=max_df, stopwords=frozenset(stopwords))
-
-
-def load_tfidf(path, stopwords=STOPWORDS) -> TfidfVocab:
-    with open(path, encoding="utf-8") as fh:
-        return tfidf_from_text(fh.read(), stopwords)

@@ -155,16 +155,28 @@ def pearson(x, y) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise ValueError("pearson: need two equal-length sequences of length >= 2")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = np.sqrt((xc * xc).sum() * (yc * yc).sum())
-    if denom == 0:
+    if np.ptp(x) == 0 or np.ptp(y) == 0:
         raise ValueError("pearson: zero variance input")
-    return float((xc * yc).sum() / denom)
+    xc, yc = _unit_deviations(x), _unit_deviations(y)
+    return float((xc * yc).sum() / np.sqrt((xc * xc).sum() * (yc * yc).sum()))
+
+
+def _unit_deviations(v: np.ndarray) -> np.ndarray:
+    """v centred, scaled to a peak magnitude of 1, and centred again.
+
+    At unit scale the squares cannot underflow into subnormals, and the second
+    centring removes the rounding error of the first mean, which near-equal or
+    subnormal inputs would otherwise carry into every deviation.
+    """
+    d = v - v.mean()
+    d = d / np.abs(d).max()
+    return d - d.mean()
 
 
 def kmeans(points, k: int, seed: int = 0, iters: int = 100, return_history: bool = False):
     """k-means++ then Lloyd iterations until the assignment fixes or iters cap."""
+    if k < 1:
+        raise ValueError(f"kmeans: k must be at least 1, got {k}")
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
     distinct = len({tuple(row) for row in pts})

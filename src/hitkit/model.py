@@ -1,10 +1,10 @@
 """Task heads over the hierarchical encoder.
 
 Classification pools word states (optionally concatenating tf-idf features)
-into a dense softmax head; tagging keeps per-token states; generation adds a
-causal FAME decoder with cross-attention; masked-token prediction projects
-word states onto the vocabulary; the entailment scorer compares sentence
-embeddings by cosine.
+into a dense softmax head; one token head scores each word state, over tags
+for labeling and over the vocabulary for masked-token prediction; generation
+adds a causal FAME decoder with cross-attention; the entailment scorer
+compares sentence embeddings by cosine.
 """
 
 from __future__ import annotations
@@ -94,28 +94,33 @@ class ClassificationModel(_TaskModel):
         return cross_entropy(self.logits(examples, training, rng), [ex.target for ex in examples])
 
 
-class TaggingModel(_TaskModel):
-    def __init__(self, encoder: HitEncoder, n_tags: int, rng: np.random.Generator):
+class TokenModel(_TaskModel):
+    """One softmax per unpadded token: tags for labeling, vocabulary ids for MLM.
+
+    Each example's target holds one id per unpadded position; -1 leaves a
+    position out of the loss (unmasked tokens in MLM).
+    """
+
+    def __init__(self, encoder: HitEncoder, n_out: int, rng: np.random.Generator):
         self.encoder = encoder
-        self.n_tags = n_tags
+        self.n_out = n_out
         d = encoder.config.d_model
-        self.head_w = Parameter("head.w", xavier_uniform(rng, (d, n_tags)))
-        self.head_b = Parameter("head.b", np.zeros(n_tags))
+        self.head_w = Parameter("head.w", xavier_uniform(rng, (d, n_out)))
+        self.head_b = Parameter("head.b", np.zeros(n_out))
 
     def head_parameters(self):
         return [self.head_w, self.head_b]
 
     def token_logits(self, examples, training=False, rng=None) -> Tensor:
-        """Tag logits of every example's positions, stacked in example order."""
+        """Logits of every example's positions, padded ones included, stacked in example order."""
         h = self.encoder.word_states(examples, training, rng)
         return add_bias(matmul(h, self.head_w.tensor), self.head_b.tensor)
 
     def predict_probs(self, ex: EncodedExample) -> np.ndarray:
-        """Per-token tag distributions for the unpadded positions."""
+        """Per-token distributions for the unpadded positions."""
         with no_grad():
             probs = softmax(self.token_logits([ex]), axis=-1).data
-        keep = np.asarray(ex.mask, dtype=bool)
-        return probs[keep].copy()
+        return probs[np.asarray(ex.mask, dtype=bool)].copy()
 
     def predict_tags(self, ex: EncodedExample) -> list[int]:
         return [int(i) for i in self.predict_probs(ex).argmax(axis=1)]
@@ -123,38 +128,15 @@ class TaggingModel(_TaskModel):
     def loss_batch(self, examples, training=False, rng=None) -> Tensor:
         targets = []
         for ex in examples:
-            tags = list(ex.target)
-            n_real = int(np.sum(ex.mask))
-            if len(tags) != n_real:
-                raise ValueError(f"tag/target length mismatch: {len(tags)} tags "
-                                 f"for {n_real} tokens")
-            targets.extend(tags + [-1] * (ex.n_words - n_real))
-        return cross_entropy(self.token_logits(examples, training, rng), targets, ignore_index=-1)
-
-
-class MlmModel(_TaskModel):
-    def __init__(self, encoder: HitEncoder, vocab_size: int, rng: np.random.Generator):
-        self.encoder = encoder
-        self.vocab_size = vocab_size
-        d = encoder.config.d_model
-        self.head_w = Parameter("head.w", xavier_uniform(rng, (d, vocab_size)))
-        self.head_b = Parameter("head.b", np.zeros(vocab_size))
-
-    def head_parameters(self):
-        return [self.head_w, self.head_b]
-
-    def token_logits(self, examples, training=False, rng=None) -> Tensor:
-        """Vocabulary logits of every example's positions, stacked in example order."""
-        h = self.encoder.word_states(examples, training, rng)
-        return add_bias(matmul(h, self.head_w.tensor), self.head_b.tensor)
-
-    def predict_probs(self, ex: EncodedExample) -> np.ndarray:
-        with no_grad():
-            return softmax(self.token_logits([ex]), axis=-1).data.copy()
-
-    def loss_batch(self, examples, training=False, rng=None) -> Tensor:
-        targets = [t for ex in examples for t in ex.target]
-        return cross_entropy(self.token_logits(examples, training, rng), targets, ignore_index=-1)
+            keep = np.asarray(ex.mask, dtype=bool)
+            if len(ex.target) != keep.sum():
+                raise ValueError(f"target length mismatch: {len(ex.target)} targets "
+                                 f"for {keep.sum()} tokens")
+            row = np.full(ex.n_words, -1, dtype=np.int64)
+            row[keep] = ex.target
+            targets.append(row)
+        return cross_entropy(self.token_logits(examples, training, rng), np.concatenate(targets),
+                             ignore_index=-1)
 
 
 class CrossAttention:
@@ -276,7 +258,7 @@ class Seq2SeqModel(_TaskModel):
         """
         limit = self.max_out if max_out is None else max_out
         with no_grad():
-            memory = self.encoder.word_level_forward(ex.word_ids, ex.char_ids, mask=ex.mask)
+            memory = self.encoder.word_states([ex])
             mem_allowed = np.asarray(ex.mask, dtype=bool)[None, :]
             inputs: list[list[np.ndarray]] = [[] for _ in self.layers]
             token = CLS_ID
@@ -307,8 +289,9 @@ class ZslModel(_TaskModel):
         self.temperature = temperature
 
     def embed(self, ex: EncodedExample, training=False, rng=None) -> Tensor:
-        return self.encoder.sentence_embed(ex.word_ids, ex.char_ids, mask=ex.mask,
-                                           training=training, rng=rng)
+        """One example's mean word state, (d,)."""
+        return reshape(self.encoder.sentence_vectors([ex], training, rng),
+                       (self.encoder.config.d_model,))
 
     def score(self, ex_a: EncodedExample, ex_b: EncodedExample) -> float:
         with no_grad():

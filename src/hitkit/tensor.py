@@ -2,7 +2,7 @@
 
 Every differentiable operation records a backward rule on a module-level
 tape; ``backward`` replays the tape in reverse and accumulates gradients
-on requires_grad leaves. Shapes are strict: binary elementwise ops demand
+on requires_grad leaves. Shapes are strict: binary pointwise ops demand
 identical shapes, and the only implicit broadcast is scalar * tensor.
 """
 
@@ -87,10 +87,6 @@ _tape: list[_Entry] = []
 _recording: bool = True
 
 
-def tape_size() -> int:
-    return len(_tape)
-
-
 def clear_tape() -> None:
     _tape.clear()
 
@@ -148,7 +144,7 @@ def backward(loss: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# elementwise and linear algebra
+# pointwise ops and linear algebra
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -257,18 +253,6 @@ def sqrt(x: Tensor) -> Tensor:
     return _emit(y, (x,), lambda dout: (dout * 0.5 / y,))
 
 
-_ELEMENTWISE = {}
-
-
-def elementwise(op: str, *operands: Tensor) -> Tensor:
-    """Dispatch by name over the basic pointwise ops."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op!r}") from None
-    return fn(*operands)
-
-
 def softmax(x: Tensor, axis: int = -1, mask=None) -> Tensor:
     """Stable softmax along one axis; masked-out entries get probability zero."""
     ax = axis if axis >= 0 else x.ndim + axis
@@ -344,9 +328,6 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         return (g,)
 
     return _emit(table.data[ids], (table,), bwd)
-
-
-gather_rows = embedding_lookup
 
 
 def cross_entropy(logits: Tensor, targets, ignore_index=None) -> Tensor:
@@ -578,9 +559,6 @@ def opa_sum_hadamard(s: Tensor, v: Tensor, allowed) -> Tensor:
         return (ds, dv)
 
     return _emit(np.einsum("...ij,...ijd,...jd->...id", a, sd, vd), (s, v), bwd)
-
-
-_ELEMENTWISE.update({"tanh": tanh, "add": add, "mul": mul, "scale": scale, "relu": relu})
 
 
 def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:

@@ -21,9 +21,8 @@ from .metrics import (
 )
 from .model import (
     ClassificationModel,
-    MlmModel,
     Seq2SeqModel,
-    TaggingModel,
+    TokenModel,
     ZslModel,
 )
 from .optim import adam_step, clip_gradients
@@ -152,7 +151,7 @@ def build_classifier(cfg, word_size, char_size, n_classes, rng, tfidf_dim=0):
 
 
 def build_tagger(cfg, word_size, char_size, n_tags, rng):
-    return TaggingModel(build_encoder(cfg, word_size, char_size, rng), n_tags, rng)
+    return TokenModel(build_encoder(cfg, word_size, char_size, rng), n_tags, rng)
 
 
 def build_seq2seq(cfg, word_size, char_size, rng):
@@ -162,7 +161,7 @@ def build_seq2seq(cfg, word_size, char_size, rng):
 
 
 def build_mlm(cfg, word_size, char_size, rng):
-    return MlmModel(build_encoder(cfg, word_size, char_size, rng), word_size, rng)
+    return TokenModel(build_encoder(cfg, word_size, char_size, rng), word_size, rng)
 
 
 def build_zsl(cfg, word_size, char_size, rng):
@@ -319,7 +318,7 @@ def evaluate_classification(model: ClassificationModel, examples, label_names):
     return metrics, rows
 
 
-def evaluate_labeling(model: TaggingModel, examples, tag_names):
+def evaluate_labeling(model: TokenModel, examples, tag_names):
     golds, preds, rows = [], [], []
     for ex in examples:
         dist = model.predict_probs(ex)

@@ -16,7 +16,7 @@ import numpy as np
 from hitkit import tensor as T
 from hitkit.attention import fame_forward
 from hitkit.data import CLS_ID, EOS_ID
-from hitkit.model import ClassificationModel, MlmModel, Seq2SeqModel, TaggingModel, ZslModel
+from hitkit.model import ClassificationModel, Seq2SeqModel, TokenModel, ZslModel
 from hitkit.tensor import no_grad
 
 
@@ -100,7 +100,7 @@ def layer_arrays(layer):
 def recompute_greedy_decode(model, ex, max_out):
     """Greedy ids and their probabilities, from `decode_logits` on each full prefix."""
     with no_grad():
-        memory = model.encoder.word_level_forward(ex.word_ids, ex.char_ids, mask=ex.mask)
+        memory = model.encoder.word_states([ex])
         seq = [CLS_ID]
         out, probs = [], []
         while len(out) < max_out:
@@ -188,7 +188,7 @@ def oracle_loss(model, batch, training=False, rng=None):
                 s = T.concat_vec([s, T.Tensor(np.asarray(ex.features, dtype=np.float64))])
             rows.append(s)
         return T.cross_entropy(_head(model, T.stack_rows(rows)), [ex.target for ex in examples])
-    if isinstance(model, (TaggingModel, MlmModel)):
+    if isinstance(model, TokenModel):
         targets = []
         for ex in examples:
             pad = [-1] * (ex.n_words - len(ex.target))

@@ -65,7 +65,7 @@ def model_and_batch(kind, config, seed=0, sentences=SENTENCES):
         for t, p in sentences:
             ex = encode(t, p)
             ex.target = [int(x) if keep else -1 for x, keep
-                         in zip(rng.integers(5, w, ex.n_words), rng.random(ex.n_words) < 0.5)]
+                         in zip(rng.integers(5, w, len(t)), rng.random(len(t)) < 0.5)]
             ex.target[0] = ex.word_ids[0]
             batch.append(ex)
     elif kind == "seq2seq":

@@ -189,6 +189,53 @@ class TestBadInvocations:
         assert "checkpoint" in capsys.readouterr().err
 
 
+class TestMalformedInputs:
+    """Each input gives exit status 1 and one `hitkit: error:` line, never a traceback."""
+
+    @staticmethod
+    def run_embed(tmp_path, capsys, checkpoint):
+        texts = tmp_path / "texts.txt"
+        texts.write_text("hello good day\n")
+        code = main(["embed", "--checkpoint", str(checkpoint), "--input", str(texts),
+                     "--out-dir", str(tmp_path / "emb")])
+        return code, capsys.readouterr().err
+
+    @staticmethod
+    def assert_one_error_line(code, err, *needles):
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("hitkit: error: "), err
+        for needle in needles:
+            assert needle in lines[0]
+
+    def test_checkpoint_that_is_not_a_zip(self, tmp_path, capsys):
+        bad = tmp_path / "ckpt"
+        bad.write_text("not a zip archive\n")
+        self.assert_one_error_line(*self.run_embed(tmp_path, capsys, bad), str(bad))
+
+    def test_zip_without_meta(self, tmp_path, capsys):
+        import zipfile
+        bad = tmp_path / "ckpt"
+        with zipfile.ZipFile(bad, "w") as zf:
+            zf.writestr("params/x", b"")
+        self.assert_one_error_line(*self.run_embed(tmp_path, capsys, bad), str(bad), "meta.json")
+
+    def test_checkpoint_without_train_config(self, tmp_path, capsys):
+        import numpy as np
+        from hitkit.checkpoint import save_checkpoint
+        bad = tmp_path / "ckpt"
+        save_checkpoint(bad, {"head.w": np.zeros((2, 2))}, {"task": "mlm"})
+        self.assert_one_error_line(*self.run_embed(tmp_path, capsys, bad), str(bad),
+                                   "train_config", "vocab.tsv")
+
+    def test_analyze_with_k_zero(self, tmp_path, trained_dir, capsys):
+        texts = tmp_path / "texts.txt"
+        texts.write_text("hello good day\nthanks time\n")
+        code = main(["analyze-embeddings", "--checkpoint", str(trained_dir / "checkpoint"),
+                     "--input", str(texts), "--k", "0", "--out-dir", str(tmp_path / "a")])
+        self.assert_one_error_line(code, capsys.readouterr().err, "k must be at least 1")
+
+
 class TestEvaluate:
     def test_metrics_deterministic_modulo_timestamp(self, tmp_path, trained_dir):
         data = write_classification(tmp_path, "test.jsonl", n=10)

@@ -5,6 +5,7 @@ import pytest
 
 from hitkit import tensor as T
 from hitkit.attention import FameConfig
+from hitkit.data import EncodedExample
 from hitkit.encoders import (
     CharHit,
     EncoderLayer,
@@ -31,6 +32,12 @@ def rand(shape, seed=0):
     return np.random.default_rng(seed).standard_normal(shape)
 
 
+def sentence(word_ids, char_rows, mask=None):
+    """One example for the batched encoder calls; every position unmasked by default."""
+    return EncodedExample(list(word_ids), [list(row) for row in char_rows],
+                          [True] * len(word_ids) if mask is None else list(mask))
+
+
 class TestEncoderLayer:
     @pytest.mark.parametrize("n", [1, 5, 40])
     def test_shape_preserved(self, n):
@@ -41,8 +48,8 @@ class TestEncoderLayer:
     def test_eval_mode_deterministic(self):
         layer = EncoderLayer(make_config(), 16, 0.5, np.random.default_rng(2), "enc")
         x = T.Tensor(rand((4, 8), 3))
-        a = layer.forward(x, training=False)
-        b = layer.forward(x, training=False)
+        a = layer.forward(x)
+        b = layer.forward(x)
         assert np.array_equal(a.data, b.data)
 
     def test_gradient_through_layer(self):
@@ -163,20 +170,20 @@ class TestWordLevelForward:
         enc = make_encoder(seed=21)
         words = [5] * n
         chars = [[6, 7]] * n
-        out = enc.word_level_forward(words, chars)
+        out = enc.word_states([sentence(words, chars)])
         assert out.shape == (n, 8)
 
     def test_unknown_word_uses_unk_row_deterministically(self):
         enc = make_encoder(seed=22)
-        a = enc.word_level_forward([1], [[5, 6]])
-        b = enc.word_level_forward([1], [[5, 6]])
+        a = enc.word_states([sentence([1], [[5, 6]])])
+        b = enc.word_states([sentence([1], [[5, 6]])])
         assert np.array_equal(a.data, b.data)
 
     def test_zero_word_layers_is_identity_stack(self):
         enc = make_encoder(l_w=0, seed=23)
         words = [5, 6, 7]
         chars = [[5], [6, 7], [8]]
-        out = enc.word_level_forward(words, chars)
+        out = enc.word_states([sentence(words, chars)])
         h_char = np.stack([enc.char_hit.encode_word(c).data for c in chars])
         expected = h_char + enc.word_hit.emb.data[words] + enc.word_hit.pos[:3]
         assert np.max(np.abs(out.data - expected)) < 1e-12
@@ -184,61 +191,54 @@ class TestWordLevelForward:
     def test_empty_sequence_errors(self):
         enc = make_encoder(seed=24)
         with pytest.raises(ValueError):
-            enc.word_level_forward([], [])
+            enc.word_states([sentence([], [])])
 
     def test_overflow_rejected_here(self):
         enc = make_encoder(seed=25)
         with pytest.raises(T.ShapeError):
-            enc.word_level_forward([5] * 41, [[6]] * 41)
+            enc.word_states([sentence([5] * 41, [[6]] * 41)])
 
     def test_padding_invariance(self):
         enc = make_encoder(l_w=2, seed=26)
         words = [5, 6, 7]
         chars = [[5, 6], [7], [8, 9]]
-        plain = enc.word_level_forward(words, chars)
+        plain = enc.word_states([sentence(words, chars)])
         padded_words = words + [0, 0]
         padded_chars = chars + [[0], [0]]
         mask = [True, True, True, False, False]
-        padded = enc.word_level_forward(padded_words, padded_chars, mask=mask)
+        padded = enc.word_states([sentence(padded_words, padded_chars, mask)])
         assert np.max(np.abs(plain.data - padded.data[:3])) < 1e-6
 
 
 class TestSentenceEmbed:
     def test_single_word_sentence_is_word_representation(self):
         enc = make_encoder(seed=27)
-        out = enc.sentence_embed([5], [[6, 7]])
-        h = enc.word_level_forward([5], [[6, 7]])
-        assert np.max(np.abs(out.data - h.data[0])) < 1e-12
+        out = enc.sentence_vectors([sentence([5], [[6, 7]])])
+        h = enc.word_states([sentence([5], [[6, 7]])])
+        assert np.max(np.abs(out.data - h.data)) < 1e-12
 
     def test_dimension_without_features(self):
         enc = make_encoder(seed=28)
-        assert enc.sentence_embed([5, 6], [[5], [6]]).shape == (8,)
-
-    def test_feature_tail_concatenated(self):
-        enc = make_encoder(seed=29)
-        feats = np.array([0.1, 0.2, 0.3])
-        out = enc.sentence_embed([5], [[6]], features=feats)
-        assert out.shape == (11,)
-        assert np.array_equal(out.data[8:], feats)
+        assert enc.sentence_vectors([sentence([5, 6], [[5], [6]])]).shape == (1, 8)
 
     def test_mean_matches_loop_oracle(self):
         enc = make_encoder(seed=30)
         words = [5, 6, 7, 8]
         chars = [[5], [6], [7], [8]]
         mask = [True, True, False, True]
-        h = enc.word_level_forward(words, chars, mask=mask)
+        h = enc.word_states([sentence(words, chars, mask)])
         expected = (h.data[0] + h.data[1] + h.data[3]) / 3
-        out = enc.sentence_embed(words, chars, mask=mask)
-        assert np.max(np.abs(out.data - expected)) < 1e-10
+        out = enc.sentence_vectors([sentence(words, chars, mask)])
+        assert np.max(np.abs(out.data[0] - expected)) < 1e-10
 
     def test_gradient_through_whole_encoder(self):
         enc = make_encoder(l_c=1, l_w=1, d=4, seed=31)
         words = [5, 6]
         chars = [[5, 6], [7]]
-        w = T.Tensor(rand((4,), 32))
+        w = T.Tensor(rand((1, 4), 32))
         leaves = [p.tensor for p in enc.parameters()]
 
         def loss():
-            return T.sum_all(T.mul(enc.sentence_embed(words, chars), w))
+            return T.sum_all(T.mul(enc.sentence_vectors([sentence(words, chars)]), w))
 
         check_gradients(loss, leaves)

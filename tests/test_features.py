@@ -5,9 +5,9 @@ import pytest
 
 from hitkit.features import (
     NGRAM_RANGE,
-    load_tfidf,
-    save_tfidf,
     tfidf_fit,
+    tfidf_from_text,
+    tfidf_to_text,
     tfidf_transform,
 )
 
@@ -122,17 +122,14 @@ class TestTransform:
 
 
 class TestPersistence:
-    def test_file_roundtrip_preserves_transform(self, tmp_path):
+    def test_text_roundtrip_preserves_transform(self):
         vocab = tfidf_fit(DOCS)
-        path = tmp_path / "tfidf.txt"
-        save_tfidf(vocab, path)
-        loaded = load_tfidf(path)
+        loaded = tfidf_from_text(tfidf_to_text(vocab))
         assert loaded.dim == vocab.dim
+        assert np.array_equal(loaded.idf, vocab.idf)
         for doc in DOCS + [["red", "zzz", "dog"]]:
             assert np.allclose(tfidf_transform(vocab, doc), tfidf_transform(loaded, doc))
 
-    def test_header_records_formula(self, tmp_path):
-        path = tmp_path / "tfidf.txt"
-        save_tfidf(tfidf_fit(DOCS), path)
-        head = path.read_text().splitlines()[0]
+    def test_header_records_formula(self):
+        head = tfidf_to_text(tfidf_fit(DOCS)).splitlines()[0]
         assert "idf = ln((1+n_docs)/(1+df)) + 1" in head

@@ -1,9 +1,10 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hitkit import metrics as M
@@ -149,6 +150,18 @@ class TestMeteorLite:
         assert 0.0 <= M.meteor_lite(cand, ref) <= 1.0
 
 
+def exact_pearson(xs, ys):
+    """Pearson r from exact rational sums, rounded once; None for a constant input."""
+    xs, ys = [Fraction(v) for v in xs], [Fraction(v) for v in ys]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxx = sum((x - mx) ** 2 for x in xs)
+    syy = sum((y - my) ** 2 for y in ys)
+    if sxx == 0 or syy == 0:
+        return None
+    num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    return math.copysign(math.sqrt(float(num * num / (sxx * syy))), num)
+
+
 class TestPearson:
     def test_identity(self):
         assert abs(M.pearson([1, 2, 3], [1, 2, 3]) - 1.0) < 1e-12
@@ -164,13 +177,15 @@ class TestPearson:
             M.pearson([1, 1, 1], [1, 2, 3])
 
     @given(st.lists(st.floats(-100, 100), min_size=3, max_size=20))
+    @example(xs=[0.0, 0.0, 1.7286305419035292e-161])
     @settings(max_examples=60, deadline=None)
-    def test_matches_numpy_oracle(self, xs):
+    def test_matches_exact_oracle(self, xs):
         rng = np.random.default_rng(0)
         ys = [x * 0.5 + float(rng.standard_normal()) for x in xs]
-        if np.std(xs) == 0 or np.std(ys) == 0:
+        want = exact_pearson(xs, ys)
+        if want is None:
             return
-        assert abs(M.pearson(xs, ys) - np.corrcoef(xs, ys)[0, 1]) < 1e-9
+        assert abs(M.pearson(xs, ys) - want) < 1e-9
 
 
 class TestKmeans:

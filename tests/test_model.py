@@ -99,6 +99,25 @@ class TestMlm:
         assert probs.shape == (2, vocab.word_size)
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-6
 
+    def test_misaligned_targets_rejected(self, vocab):
+        model = build_mlm(tiny_cfg(), vocab.word_size, vocab.char_size,
+                          seed_streams(7)["init"])
+        a = encode(["red", "cat"], vocab)
+        a.target = [vocab.word_id("red"), -1, vocab.word_id("cat")]
+        b = encode(["blue", "dog", "red"], vocab)
+        b.target = [-1, vocab.word_id("dog")]
+        with pytest.raises(ValueError, match="length mismatch"):
+            model.loss_batch([a, b])
+
+    def test_padded_positions_ignored(self, vocab):
+        model = build_mlm(tiny_cfg(), vocab.word_size, vocab.char_size,
+                          seed_streams(7)["init"])
+        target = [-1, vocab.word_id("cat")]
+        plain = encode(["red", "cat"], vocab, target=target)
+        padded = encode(["red", "cat"], vocab, target=target, pad_to=5)
+        assert model.predict_probs(padded).shape == (2, vocab.word_size)
+        assert abs(model.loss_batch([plain]).item() - model.loss_batch([padded]).item()) < 1e-6
+
     def test_no_modified_positions_raises_empty_loss(self, vocab):
         model = build_mlm(tiny_cfg(), vocab.word_size, vocab.char_size,
                           seed_streams(7)["init"])
@@ -155,7 +174,7 @@ class TestSeq2Seq:
         model = self.make(vocab)
         src = self.source(vocab)
         with T.no_grad():
-            memory = model.encoder.word_level_forward(src.word_ids, src.char_ids, mask=src.mask)
+            memory = model.encoder.word_states([src])
             tgt_a = [D.CLS_ID, 5, 6, 7]
             tgt_b = [D.CLS_ID, 5, 8, 7]  # differs at position 2
             out_a = model.decode_logits(tgt_a, memory, src.mask).data
@@ -216,7 +235,7 @@ class TestSeq2Seq:
         seq = [D.CLS_ID] + [int(t) for t in np.random.default_rng(25).integers(
             0, vocab.word_size, cfg.max_len - 1)]
         with T.no_grad():
-            memory = model.encoder.word_level_forward(src.word_ids, src.char_ids, mask=src.mask)
+            memory = model.encoder.word_states([src])
             mem_allowed = np.asarray(src.mask, dtype=bool)[None, :]
             inputs = [[] for _ in model.layers]
             for t, token in enumerate(seq):
