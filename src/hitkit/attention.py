@@ -200,8 +200,9 @@ def opa_forward(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None,
                 x_kv: Tensor | None = None, layout=None) -> Tensor:
     """Outer branch: q from `x`, k and v from `x_kv` (default `x`); masks as in msa_forward.
 
-    Each group runs as one (count, L_q, L_kv, d) block, and the output
-    projection runs once per group, on a reshape of its aggregate.
+    Each group's scores run as one (count, L_q, L_kv, d) block. Every group's
+    aggregate is written into one (rows, d, d) array (or (rows, d) in hadamard
+    mode), so the output projection runs once over all packed rows.
     """
     x_kv = x if x_kv is None else x_kv
     d = x.shape[1]
@@ -209,19 +210,16 @@ def opa_forward(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None,
     q = matmul(x, layer.wq_outer.tensor)
     k = matmul(x_kv, layer.wk_outer.tensor)
     v = matmul(x_kv, layer.wv_outer.tensor)
-    outer = layer.config.opa_combine == "true_outer_projected"
-    outs = []
-    for a, qg, kg, vg in zip(blocks, _group_rows(q, blocks, 1), _group_rows(k, blocks, 2),
-                             _group_rows(v, blocks, 2)):
-        rows = a.shape[0] * a.shape[1]
+    scores = []
+    for qg, kg in zip(_group_rows(q, blocks, 1), _group_rows(k, blocks, 2)):
         pair = scale(pairwise_hadamard(qg, kg), 1.0 / np.sqrt(d))
-        s = tanh(pair) if layer.config.opa_score == "tanh" else softmax(pair, axis=-1)
-        if outer:
-            flat = reshape(opa_sum_outer(s, vg, a), (rows, d * d))
-        else:
-            flat = reshape(opa_sum_hadamard(s, vg, a), (rows, d))
-        outs.append(matmul(flat, layer.wo_outer.tensor))
-    return outs[0] if len(outs) == 1 else concat_rows(outs)
+        scores.append(tanh(pair) if layer.config.opa_score == "tanh" else softmax(pair, axis=-1))
+    values = _group_rows(v, blocks, 2)
+    if layer.config.opa_combine == "true_outer_projected":
+        flat = reshape(opa_sum_outer(scores, values, blocks), (x.shape[0], d * d))
+    else:
+        flat = opa_sum_hadamard(scores, values, blocks)
+    return matmul(flat, layer.wo_outer.tensor)
 
 
 def fame_fuse(layer: FameLayer, z_self: Tensor, z_outer: Tensor) -> Tensor:

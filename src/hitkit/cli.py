@@ -175,6 +175,8 @@ def _restore(checkpoint_path):
     task = ckpt.config["task"]
     vocab = D.Vocab.from_text(ckpt.extras["vocab.tsv"])
     labels = json.loads(ckpt.extras["labels.json"]) if "labels.json" in ckpt.extras else None
+    if labels is None and task in ("classification", "labeling"):
+        raise CliError(f"checkpoint {checkpoint_path} has no labels.json for its {task} head")
     tfidf = (F.tfidf_from_text(ckpt.extras["tfidf_vocab.txt"])
              if "tfidf_vocab.txt" in ckpt.extras else None)
     rng = seed_streams(cfg.seed)["init"]

@@ -12,15 +12,15 @@ class MissingGradError(RuntimeError):
 
 
 class Parameter:
-    """A trainable tensor with a name path and per-parameter Adam state."""
+    """A trainable tensor with a name path and per-parameter Adam state (made on the first step)."""
 
     __slots__ = ("name", "tensor", "adam_m", "adam_v", "step_count", "trainable")
 
     def __init__(self, name: str, data, trainable: bool = True):
         self.name = name
         self.tensor = Tensor(np.asarray(data, dtype=np.float64), requires_grad=trainable)
-        self.adam_m = np.zeros_like(self.tensor.data)
-        self.adam_v = np.zeros_like(self.tensor.data)
+        self.adam_m = None
+        self.adam_v = None
         self.step_count = 0
         self.trainable = trainable
 
@@ -33,7 +33,8 @@ class Parameter:
         return self.tensor.grad
 
     def assign(self, values) -> None:
-        arr = np.asarray(values, dtype=np.float64)
+        """Set the values to a copy of `values`, which later in-place updates leave untouched."""
+        arr = np.array(values, dtype=np.float64)
         if arr.shape != self.tensor.data.shape:
             raise ValueError(f"parameter '{self.name}' shape {self.tensor.data.shape} cannot take {arr.shape}")
         self.tensor.data = arr
@@ -60,11 +61,26 @@ def adam_step(params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: 
     for p in params:
         g = p.tensor.grad
         t = p.step_count + 1
-        p.adam_m = beta1 * p.adam_m + (1.0 - beta1) * g
-        p.adam_v = beta2 * p.adam_v + (1.0 - beta2) * (g * g)
-        m_hat = p.adam_m / (1.0 - beta1 ** t)
-        v_hat = p.adam_v / (1.0 - beta2 ** t)
-        p.tensor.data = p.tensor.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        if p.adam_m is None:
+            p.adam_m = np.zeros_like(p.tensor.data)
+            p.adam_v = np.zeros_like(p.tensor.data)
+        m, v = p.adam_m, p.adam_v
+        # in place, with the operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+        # data -= lr*m_hat / (sqrt(v_hat) + eps) in their order, so results are unchanged
+        step = (1.0 - beta1) * g
+        m *= beta1
+        m += step
+        np.multiply(g, g, out=step)
+        step *= 1.0 - beta2
+        v *= beta2
+        v += step
+        np.divide(m, 1.0 - beta1 ** t, out=step)
+        denom = v / (1.0 - beta2 ** t)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step *= lr
+        step /= denom
+        p.tensor.data -= step
         p.step_count = t
         p.tensor.grad = None
 

@@ -104,8 +104,7 @@ def transfer_load(model, checkpoint_path, mode: str):
         raise ValueError("transfer_load encoder mismatch: " + "; ".join(sorted(problems)))
     for p in encoder_params:
         p.assign(ckpt.params[p.name])
-        p.adam_m[...] = 0.0
-        p.adam_v[...] = 0.0
+        p.adam_m = p.adam_v = None
         p.step_count = 0
         if mode == "frozen":
             p.freeze()

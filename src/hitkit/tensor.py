@@ -1,7 +1,7 @@
 """Dense tensors with a reverse-mode gradient tape.
 
 Every differentiable operation records a backward rule on a module-level
-tape; ``backward`` replays the tape in reverse and accumulates gradients
+tape; ``backward`` pops the tape in reverse and accumulates gradients
 on requires_grad leaves. Shapes are strict: binary pointwise ops demand
 identical shapes, and the only implicit broadcast is scalar * tensor.
 """
@@ -115,13 +115,18 @@ def _emit(out_data, inputs, backward_fn) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into every requires_grad leaf, then clear the tape."""
+    """Accumulate d(loss)/d(leaf) into every requires_grad leaf, emptying the tape.
+
+    Each entry is popped as its rule runs, so the intermediates it holds are freed
+    before the gradients of earlier (often larger) entries are allocated.
+    """
     if loss.data.size != 1:
         raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
     produced = {id(e.out) for e in _tape}
-    for entry in reversed(_tape):
+    while _tape:
+        entry = _tape.pop()
         dout = grads.pop(id(entry.out), None)
         holders.pop(id(entry.out), None)
         if dout is None:
@@ -140,7 +145,6 @@ def backward(loss: Tensor) -> None:
             continue
         g = np.array(grads[key], dtype=np.float64, copy=True)
         tensor.grad = g if tensor.grad is None else tensor.grad + g
-    clear_tape()
 
 
 # ---------------------------------------------------------------------------
@@ -519,46 +523,90 @@ def pairwise_hadamard(q: Tensor, k: Tensor) -> Tensor:
     return _emit(qd[..., :, None, :] * kd[..., None, :, :], (q, k), bwd)
 
 
-def _opa_operands(name: str, s: Tensor, v: Tensor, allowed, value_width_is_d: bool):
+def _opa_operands(name: str, s: Tensor, v: Tensor, allowed, outer: bool):
     a = np.asarray(allowed, dtype=np.float64)
     ok = (s.ndim >= 3 and v.ndim == s.ndim - 1 and a.shape == s.shape[:-1]
           and v.shape[:-1] == s.shape[:-3] + s.shape[-2:-1]
-          and (not value_width_is_d or v.shape[-1] == s.shape[-1]))
+          and (outer or v.shape[-1] == s.shape[-1]))
     if not ok:
         raise ShapeError(f"{name} shape mismatch: scores {s.shape}, values {v.shape}")
     return a, s.data, v.data
 
 
-def opa_sum_outer(s: Tensor, v: Tensor, allowed) -> Tensor:
+def _opa_sum(name: str, s, v, allowed, outer: bool, forward, backward) -> Tensor:
+    """The two OPA sums over one block, or over lists of per-group blocks.
+
+    `forward(a, sd, vd, out)` writes one group's aggregate into `out` and
+    `backward(a, sd, vd, dout)` returns its (ds, dv). Each group writes into
+    a reshaped slice of one preallocated (rows, ...) array, so no per-group
+    result is kept and then concatenated.
+    """
+    packed = isinstance(s, (list, tuple))
+    ss, vs, masks = (list(s), list(v), list(allowed)) if packed else ([s], [v], [allowed])
+    if not len(ss) == len(vs) == len(masks) > 0:
+        raise ShapeError(f"{name} needs equal-length non-empty lists, got "
+                         f"{len(ss)} scores, {len(vs)} values, {len(masks)} masks")
+    groups = [_opa_operands(name, *block, outer) for block in zip(ss, vs, masks)]
+    tails = {(sd.shape[-1], vd.shape[-1]) if outer else (sd.shape[-1],) for _, sd, vd in groups}
+    if len(tails) != 1:
+        raise ShapeError(f"{name} groups differ in width: {sorted(tails)}")
+    (tail,) = tails
+    leads = [t.shape[:-2] for t in ss]
+    offsets = np.cumsum([0] + [math.prod(lead) for lead in leads])
+
+    def views(arr):
+        flat = arr.reshape((-1,) + tail)
+        return [flat[offsets[i]:offsets[i + 1]].reshape(lead + tail) for i, lead in enumerate(leads)]
+
+    out = np.empty((int(offsets[-1]),) + tail)
+    for group, view in zip(groups, views(out)):
+        forward(*group, view)
+
+    def bwd(dout):
+        grads = [backward(*group, g) for group, g in zip(groups, views(dout))]
+        return tuple(ds for ds, _ in grads) + tuple(dv for _, dv in grads)
+
+    return _emit(out if packed else out.reshape(leads[0] + tail), tuple(ss) + tuple(vs), bwd)
+
+
+# per query row i the outer sums are matrix products over j, so they run as batched matmuls
+def _outer_forward(a, sd, vd, out):
+    np.matmul(np.swapaxes(sd * a[..., None], -1, -2), vd[..., None, :, :], out=out)
+
+
+def _outer_backward(a, sd, vd, dout):
+    ds = np.swapaxes(dout @ np.swapaxes(vd[..., None, :, :], -1, -2), -1, -2) * a[..., None]
+    n, m, d = sd.shape[-3:]
+    by_key = np.swapaxes(sd * a[..., None], -3, -2).reshape(sd.shape[:-3] + (m, n * d))
+    return ds, by_key @ dout.reshape(dout.shape[:-3] + (n * d, dout.shape[-1]))
+
+
+def opa_sum_outer(s, v, allowed) -> Tensor:
     """out[..., i] = sum over allowed j of s[..., i, j, :] (outer) v[..., j], a matrix per query.
 
     s is (..., n, m, d), v is (..., m, e) and allowed is (..., n, m), with matching leading axes.
+    s, v and allowed may also be equal-length lists of such blocks, one per group of
+    sequences; the result is then one (rows, d, e) array: each group's (..., n, d, e)
+    result flattened to rows, in list order.
     """
-    a, sd, vd = _opa_operands("opa_sum_outer", s, v, allowed, False)
-    # per query row i these are matrix products over j, so they run as batched matmuls
-    sa = sd * a[..., None]
-    vb = vd[..., None, :, :]
-
-    def bwd(dout):
-        ds = np.swapaxes(dout @ np.swapaxes(vb, -1, -2), -1, -2) * a[..., None]
-        n, m, d = sa.shape[-3:]
-        by_key = np.swapaxes(sa, -3, -2).reshape(sa.shape[:-3] + (m, n * d))
-        dv = by_key @ dout.reshape(dout.shape[:-3] + (n * d, dout.shape[-1]))
-        return (ds, dv)
-
-    return _emit(np.swapaxes(sa, -1, -2) @ vb, (s, v), bwd)
+    return _opa_sum("opa_sum_outer", s, v, allowed, True, _outer_forward, _outer_backward)
 
 
-def opa_sum_hadamard(s: Tensor, v: Tensor, allowed) -> Tensor:
-    """out[..., i] = sum over allowed j of s[..., i, j, :] * v[..., j]; shapes as opa_sum_outer."""
-    a, sd, vd = _opa_operands("opa_sum_hadamard", s, v, allowed, True)
+def _hadamard_forward(a, sd, vd, out):
+    np.einsum("...ij,...ijd,...jd->...id", a, sd, vd, out=out)
 
-    def bwd(dout):
-        ds = np.einsum("...ij,...id,...jd->...ijd", a, dout, vd)
-        dv = np.einsum("...ij,...ijd,...id->...jd", a, sd, dout)
-        return (ds, dv)
 
-    return _emit(np.einsum("...ij,...ijd,...jd->...id", a, sd, vd), (s, v), bwd)
+def _hadamard_backward(a, sd, vd, dout):
+    return (np.einsum("...ij,...id,...jd->...ijd", a, dout, vd),
+            np.einsum("...ij,...ijd,...id->...jd", a, sd, dout))
+
+
+def opa_sum_hadamard(s, v, allowed) -> Tensor:
+    """out[..., i] = sum over allowed j of s[..., i, j, :] * v[..., j].
+
+    Shapes as opa_sum_outer with e == d; lists of groups give one (rows, d) array.
+    """
+    return _opa_sum("opa_sum_hadamard", s, v, allowed, False, _hadamard_forward, _hadamard_backward)
 
 
 def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:

@@ -228,6 +228,15 @@ class TestMalformedInputs:
         self.assert_one_error_line(*self.run_embed(tmp_path, capsys, bad), str(bad),
                                    "train_config", "vocab.tsv")
 
+    def test_classification_checkpoint_without_labels(self, tmp_path, trained_dir, capsys):
+        import zipfile
+        bad = tmp_path / "ckpt"
+        with zipfile.ZipFile(trained_dir / "checkpoint") as src, zipfile.ZipFile(bad, "w") as dst:
+            for info in src.infolist():
+                if info.filename != "extras/labels.json":
+                    dst.writestr(info, src.read(info))
+        self.assert_one_error_line(*self.run_embed(tmp_path, capsys, bad), str(bad), "labels.json")
+
     def test_analyze_with_k_zero(self, tmp_path, trained_dir, capsys):
         texts = tmp_path / "texts.txt"
         texts.write_text("hello good day\nthanks time\n")

@@ -74,6 +74,18 @@ class TestVocab:
         assert clone.word_to_id == vocab.word_to_id
         assert clone.char_to_id == vocab.char_to_id
 
+    @given(st.lists(st.text(max_size=40), min_size=1, max_size=6), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_text_roundtrip_of_any_corpus(self, raw_lines, min_freq):
+        """Whatever preprocess_text makes of arbitrary text, the vocab survives to_text/from_text."""
+        corpus = [D.preprocess_text(line) for line in raw_lines]
+        vocab = D.build_vocab(corpus + [["anchor"] * min_freq], min_freq)
+        clone = D.Vocab.from_text(vocab.to_text())
+        assert clone.word_to_id == vocab.word_to_id
+        assert clone.char_to_id == vocab.char_to_id
+        assert all(clone.word_freq[w] == vocab.word_freq.get(w, 0) for w in vocab.word_to_id)
+        assert clone.to_text() == vocab.to_text()
+
 
 class TestFlattenDialog:
     def turns(self):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hitkit.data import preprocess_text
 from hitkit.features import (
     NGRAM_RANGE,
     tfidf_fit,
@@ -129,6 +132,21 @@ class TestPersistence:
         assert np.array_equal(loaded.idf, vocab.idf)
         for doc in DOCS + [["red", "zzz", "dog"]]:
             assert np.allclose(tfidf_transform(vocab, doc), tfidf_transform(loaded, doc))
+
+    @given(st.lists(st.text(max_size=30), min_size=1, max_size=8),
+           st.integers(1, 3), st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_text_roundtrip_of_any_corpus(self, raw_lines, min_df, extra):
+        """tfidf_to_text/tfidf_from_text keep every n-gram, df, index and idf of any fitted vocab."""
+        corpus = [preprocess_text(line) for line in raw_lines]
+        vocab = tfidf_fit(corpus, min_df=min_df, max_df=min_df + extra)
+        loaded = tfidf_from_text(tfidf_to_text(vocab))
+        assert loaded.word_ngrams == vocab.word_ngrams and loaded.char_ngrams == vocab.char_ngrams
+        assert loaded.word_df == vocab.word_df and loaded.char_df == vocab.char_df
+        assert (loaded.n_docs, loaded.min_df, loaded.max_df) == (vocab.n_docs, min_df, min_df + extra)
+        assert np.array_equal(loaded.idf, vocab.idf)
+        for tokens in corpus:
+            assert np.array_equal(tfidf_transform(loaded, tokens), tfidf_transform(vocab, tokens))
 
     def test_header_records_formula(self):
         head = tfidf_to_text(tfidf_fit(DOCS)).splitlines()[0]

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from hitkit import data as D
 from hitkit import tensor as T
+from hitkit.checkpoint import save_checkpoint
 from hitkit.optim import (
     MissingGradError,
     Parameter,
@@ -9,10 +11,33 @@ from hitkit.optim import (
     clip_gradients,
     global_grad_norm,
 )
+from hitkit.pretrain import transfer_load
+from hitkit.train import TrainConfig, build_classifier, seed_streams
 
 
 def make_param(values, name="p"):
     return Parameter(name, np.asarray(values, dtype=np.float64))
+
+
+def reference_adam(theta, m, v, t, g, lr, b1, b2, eps):
+    """The out-of-place update: new (theta, m, v) arrays, inputs untouched."""
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * (g * g)
+    m_hat = m / (1.0 - b1 ** t)
+    v_hat = v / (1.0 - b2 ** t)
+    return theta - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+def tiny_classifier(seed=0):
+    vocab = D.build_vocab([["tok1", "tok2", "tok3"]])
+    cfg = TrainConfig(d_model=8, n_heads=2, l_c=1, l_w=1, max_len=12, max_word_len=8)
+    return build_classifier(cfg, vocab.word_size, vocab.char_size, 2, seed_streams(seed)["init"])
+
+
+def step_with_random_grads(params, rng, lr=0.01):
+    for p in params:
+        p.tensor.grad = rng.standard_normal(p.data.shape)
+    adam_step(params, lr=lr)
 
 
 class TestAdam:
@@ -57,6 +82,58 @@ class TestAdam:
         adam_step([p], lr=0.001)
         assert p.tensor.grad is None
         assert p.step_count == 1
+
+    def test_in_place_update_equals_out_of_place_formula(self):
+        rng = np.random.default_rng(12)
+        lr, b1, b2, eps = 0.003, 0.9, 0.999, 1e-8
+        # parameters of the size of one step, so that a step rounded differently shows
+        p = make_param(rng.standard_normal((4, 3)) * lr)
+        theta, m, v = p.data.copy(), np.zeros((4, 3)), np.zeros((4, 3))
+        for t in range(1, 6):
+            g = rng.standard_normal((4, 3)) * 10.0 ** rng.integers(-4, 3)
+            p.tensor.grad = g.copy()
+            adam_step([p], lr=lr, beta1=b1, beta2=b2, eps=eps)
+            theta, m, v = reference_adam(theta, m, v, t, g, lr, b1, b2, eps)
+            assert np.array_equal(p.data, theta)
+            assert np.array_equal(p.adam_m, m) and np.array_equal(p.adam_v, v)
+
+    def test_moments_made_on_first_step(self):
+        p = make_param([1.0, 2.0])
+        assert p.adam_m is None and p.adam_v is None
+        p.tensor.grad = np.array([0.5, -0.5])
+        adam_step([p], lr=0.001)
+        assert p.adam_m.shape == (2,) and p.adam_v.shape == (2,)
+
+    def test_loaded_arrays_untouched_by_training(self):
+        model = tiny_classifier()
+        arrays = model.parameter_arrays()
+        snapshot = {name: a.copy() for name, a in arrays.items()}
+        model.load_arrays(arrays)
+        rng = np.random.default_rng(13)
+        for _ in range(3):
+            step_with_random_grads(model.parameters(), rng)
+        assert not np.array_equal(model.head_w.data, snapshot["head.w"])
+        for name, a in arrays.items():
+            assert np.array_equal(a, snapshot[name]), name
+
+    def test_transfer_load_restarts_state(self, tmp_path):
+        source = tiny_classifier(seed=1)
+        path = tmp_path / "ckpt"
+        save_checkpoint(path, source.parameter_arrays(), {"task": "classification"})
+        rng = np.random.default_rng(14)
+        model = tiny_classifier(seed=2)
+        encoder = [p for p in model.parameters() if p.name.startswith(("char_hit.", "word_hit."))]
+        for _ in range(3):
+            step_with_random_grads(encoder, rng)
+        transfer_load(model, path, "finetune")
+        fresh = tiny_classifier(seed=3)
+        fresh.load_arrays({p.name: p.data for p in encoder})
+        twins = [fresh.named_parameters()[p.name] for p in encoder]
+        step_with_random_grads(encoder, np.random.default_rng(15))
+        step_with_random_grads(twins, np.random.default_rng(15))
+        for p, twin in zip(encoder, twins):
+            assert p.step_count == twin.step_count == 1
+            assert np.array_equal(p.data, twin.data), p.name
 
     def test_determinism(self):
         def run():

@@ -83,6 +83,29 @@ class TestSoftmax:
         w = T.Tensor(rand((3, 4), 6))
         check_gradients(lambda: T.sum_all(T.mul(T.softmax(x, axis=-1), w)), [x])
 
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 1),
+           st.lists(st.sampled_from([np.inf, -np.inf, np.nan, 0.0, 1e300, -1e300]),
+                    min_size=12, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_masked_values_have_no_effect(self, seed, axis, fill):
+        """Output and gradient do not depend on what masked positions hold, even inf or nan."""
+        rng = np.random.default_rng(seed)
+        mask = rng.random((3, 4)) < 0.5
+        if axis == 0:  # keep one position of every slice unmasked
+            mask[rng.integers(3, size=4), np.arange(4)] = True
+        else:
+            mask[np.arange(3), rng.integers(4, size=3)] = True
+        base = rng.standard_normal((3, 4))
+        probe = T.Tensor(rng.standard_normal((3, 4)))
+        results = []
+        for values in (base, np.where(mask, base, np.reshape(fill, (3, 4)))):
+            x = T.Tensor(values, requires_grad=True)
+            y = T.softmax(x, axis=axis, mask=mask)
+            T.backward(T.sum_all(T.mul(y, probe)))
+            results.append((y.data, x.grad))
+        assert np.array_equal(results[0][0], results[1][0])
+        assert np.array_equal(results[0][1], results[1][1])
+
 
 class TestElementwise:
     def test_tanh_of_zeros(self):
@@ -423,6 +446,55 @@ class TestBatchedOps:
         with pytest.raises(T.ShapeError):
             T.opa_sum_outer(T.Tensor(np.ones((2, 3, 4, 2))), T.Tensor(np.ones((2, 3, 2))),
                             np.ones((2, 3, 4)))
+
+    @staticmethod
+    def ragged_groups(width=2, seed=70):
+        """Three groups of (count, length) sequences: per group a query, key and value block."""
+        rng = np.random.default_rng(seed)
+        groups = []
+        for count, length in ((2, 3), (1, 1), (3, 2)):
+            q, k, v = (T.Tensor(rng.standard_normal((count, length, width)), requires_grad=True)
+                       for _ in range(3))
+            allowed = rng.random((count, length, length)) < 0.7
+            allowed[..., 0] = True
+            groups.append((q, k, v, allowed))
+        return groups
+
+    @pytest.mark.parametrize("op", [T.opa_sum_outer, T.opa_sum_hadamard])
+    def test_group_list_stacks_single_block_results(self, op):
+        groups = self.ragged_groups()
+        scores = [T.tanh(T.pairwise_hadamard(q, k)) for q, k, _, _ in groups]
+        packed = op(scores, [v for _, _, v, _ in groups], [a for *_, a in groups]).data
+        singles = [op(s, v, a).data for s, (_, _, v, a) in zip(scores, groups)]
+        want = np.concatenate([r.reshape((-1,) + r.shape[2:]) for r in singles])
+        assert packed.shape == want.shape and np.array_equal(packed, want)
+
+    @pytest.mark.parametrize("op", [T.opa_sum_outer, T.opa_sum_hadamard])
+    def test_group_list_gradient(self, op):
+        groups = self.ragged_groups()
+        leaves = [t for q, k, v, _ in groups for t in (q, k, v)]
+
+        def loss():
+            scores = [T.tanh(T.pairwise_hadamard(q, k)) for q, k, _, _ in groups]
+            return T.sum_all(T.tanh(op(scores, [v for _, _, v, _ in groups],
+                                       [a for *_, a in groups])))
+
+        check_gradients(loss, leaves)
+
+    @pytest.mark.parametrize("op", [T.opa_sum_outer, T.opa_sum_hadamard])
+    def test_group_list_rejects_mismatches(self, op):
+        groups = self.ragged_groups()
+        scores = [T.tanh(T.pairwise_hadamard(q, k)) for q, k, _, _ in groups]
+        values = [v for _, _, v, _ in groups]
+        masks = [a for *_, a in groups]
+        with pytest.raises(T.ShapeError, match="equal-length"):
+            op(scores, values[:2], masks)
+        with pytest.raises(T.ShapeError, match="equal-length"):
+            op(scores, values, masks[1:])
+        wide = self.ragged_groups(width=3)[0]
+        with pytest.raises(T.ShapeError, match="width"):
+            op(scores + [T.tanh(T.pairwise_hadamard(wide[0], wide[1]))], values + [wide[2]],
+               masks + [wide[3]])
 
     def test_batched_mean_rows_matches_slices_and_gradient(self):
         x = T.Tensor(rand((2, 4, 3), 69), requires_grad=True)

@@ -1,9 +1,14 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hitkit import data as D
+from hitkit.attention import OPA_COMBINES, OPA_SCORES
 from hitkit.train import (
     TrainConfig,
     TrainingDiverged,
@@ -32,7 +37,41 @@ def tiny_task(cfg, seed=0):
     return model, items
 
 
+def valid_configs():
+    """Any TrainConfig that passes its own checks: every field drawn, none left at its default."""
+    positive = st.integers(1, 10**6)
+    real = st.floats(-1e6, 1e6, allow_nan=False)
+    unit_open = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+    @st.composite
+    def build(draw):
+        n_heads = draw(st.integers(1, 16))
+        fields = dict(
+            lr=draw(st.floats(1e-12, 10.0)), beta1=draw(real), beta2=draw(real),
+            adam_eps=draw(real), epochs=draw(positive), batch_size=draw(positive),
+            dropout=draw(st.floats(0.0, 1.0, exclude_max=True)),
+            plateau_patience=draw(positive), plateau_factor=draw(unit_open),
+            early_stop_patience=draw(positive), d_model=n_heads * draw(st.integers(1, 64)),
+            d_ff=draw(st.integers(0, 10**6)), l_c=draw(positive), l_w=draw(positive),
+            l_dec=draw(positive), n_heads=n_heads, opa_score=draw(st.sampled_from(OPA_SCORES)),
+            opa_combine=draw(st.sampled_from(OPA_COMBINES)), seed=draw(st.integers(0, 2**63)),
+            use_tfidf=draw(st.booleans()), max_len=draw(positive), max_word_len=draw(positive),
+            clip_norm=draw(real), layer_norm_eps=draw(real), zsl_temperature=draw(real),
+            lowercase=draw(st.booleans()), min_freq=draw(st.integers(0, 10**6)))
+        assert set(fields) == {f.name for f in dataclasses.fields(TrainConfig)}
+        return TrainConfig(**fields)
+
+    return build()
+
+
 class TestConfig:
+    @given(valid_configs())
+    @settings(max_examples=100, deadline=None)
+    def test_dict_roundtrip(self, cfg):
+        """to_dict/from_dict, directly and through the JSON a checkpoint stores."""
+        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+        assert TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
     def test_defaults_match_schedule(self):
         cfg = TrainConfig()
         assert (cfg.lr, cfg.beta1, cfg.beta2) == (0.001, 0.9, 0.999)
