@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs: a parent revision against this checkout, in alternating order.
+
+    python3 scripts/bench_pairs.py --parent HEAD~1 --workload train-clf --seeds 1-10
+
+For each seed it runs `perfbench/run.py` once on a temporary copy of the parent
+revision and once on this checkout (the working tree, uncommitted edits
+included), at BENCHMARK.json's run_seconds unless --seconds says otherwise.
+Odd pairs run the parent first and even pairs the change first, so a drift of
+the host's speed does not favour one side. It then prints, per end-to-end
+metric, each side's median and quartiles, how many pairs the change won, and
+whether every run reported correct outputs. It only reads what run.py prints.
+
+The parent is exported with `git archive` into a temporary directory, which is
+removed afterwards, so the repository's git state is left untouched.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'1-10' or '3,5,8' (or a mix such as '1-3,7') as a list of seeds."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    if not seeds:
+        raise ValueError(f"no seeds in {text!r}")
+    return seeds
+
+
+def export(rev: str, dest: Path) -> None:
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The result line of one untraced run.py call in `checkout`."""
+    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"],
+                          cwd=checkout, capture_output=True, text=True, check=False)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise RuntimeError(f"run.py failed in {checkout} (seed {seed}): {done.stderr.strip()[-500:]}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def report(metrics: list[dict], results: dict) -> None:
+    n = len(results["parent"])
+    for m in metrics:
+        name, higher = m["name"], m["better"] == "higher"
+        sides = {side: [r["metrics"][name]["value"] for r in results[side]] for side in results}
+        wins = sum((c > p) if higher else (c < p) for p, c in zip(sides["parent"], sides["change"]))
+        (p1, p2, p3), (c1, c2, c3) = quartiles(sides["parent"]), quartiles(sides["change"])
+        change = (c2 - p2) / p2 if p2 else float("nan")
+        print(f"{name:18s} parent {p2:10.4g} [{p1:.4g}, {p3:.4g}]  change {c2:10.4g} "
+              f"[{c1:.4g}, {c3:.4g}]  median {change:+.1%}  parent IQR {p3 - p1:.4g}  "
+              f"change wins {wins}/{n} ({m['better']} is better)")
+    correct = {side: all(r["correct"] for r in runs) for side, runs in results.items()}
+    print(f"all runs correct: parent {correct['parent']}, change {correct['change']}")
+
+
+def main(argv=None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--parent", required=True, help="git revision to compare against")
+    p.add_argument("--workload", required=True, choices=[w["name"] for w in bench["workloads"]])
+    p.add_argument("--seeds", required=True, help="e.g. 1-10 or 3,5,8")
+    p.add_argument("--seconds", type=float, default=float(bench["run_seconds"]))
+    args = p.parse_args(argv)
+    seeds = parse_seeds(args.seeds)
+    results = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        parent = Path(tmp)
+        export(args.parent, parent)
+        for k, seed in enumerate(seeds):
+            order = [("parent", parent), ("change", ROOT)]
+            for side, checkout in order if k % 2 == 0 else order[::-1]:
+                r = run(checkout, args.workload, seed, args.seconds)
+                results[side].append(r)
+                tp = r["metrics"]["throughput_per_s"]["value"]
+                print(f"pair {k + 1}/{len(seeds)} seed {seed} {side}: throughput {tp:.4g}/s, "
+                      f"correct {r['correct']}", file=sys.stderr, flush=True)
+    print(f"workload {args.workload}, parent {args.parent}, seeds {args.seeds}, "
+          f"{args.seconds:g} s per run, {len(seeds)} pairs")
+    report(bench["end_to_end"], results)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

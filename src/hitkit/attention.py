@@ -22,6 +22,7 @@ from .tensor import (
     concat_rows,
     get_element,
     matmul,
+    opa_project,
     opa_sum_hadamard,
     opa_sum_outer,
     pairwise_hadamard,
@@ -197,12 +198,15 @@ def msa_weights(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None) -> np
 
 
 def opa_forward(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None,
-                x_kv: Tensor | None = None, layout=None) -> Tensor:
+                x_kv: Tensor | None = None, layout=None, value_ids=None) -> Tensor:
     """Outer branch: q from `x`, k and v from `x_kv` (default `x`); masks as in msa_forward.
 
     Each group's scores run as one (count, L_q, L_kv, d) block. Every group's
     aggregate is written into one (rows, d, d) array (or (rows, d) in hadamard
     mode), so the output projection runs once over all packed rows.
+    `value_ids` (one per `x_kv` row) say which rows of `x_kv` are equal by
+    construction. With them, in true_outer_projected mode, `opa_project`
+    projects each distinct value row once instead of making the aggregate.
     """
     x_kv = x if x_kv is None else x_kv
     d = x.shape[1]
@@ -215,10 +219,12 @@ def opa_forward(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None,
         pair = scale(pairwise_hadamard(qg, kg), 1.0 / np.sqrt(d))
         scores.append(tanh(pair) if layer.config.opa_score == "tanh" else softmax(pair, axis=-1))
     values = _group_rows(v, blocks, 2)
-    if layer.config.opa_combine == "true_outer_projected":
-        flat = reshape(opa_sum_outer(scores, values, blocks), (x.shape[0], d * d))
-    else:
+    if layer.config.opa_combine == "hadamard":
         flat = opa_sum_hadamard(scores, values, blocks)
+    elif value_ids is not None:
+        return opa_project(scores, values, blocks, layer.wo_outer.tensor, value_ids)
+    else:
+        flat = reshape(opa_sum_outer(scores, values, blocks), (x.shape[0], d * d))
     return matmul(flat, layer.wo_outer.tensor)
 
 
@@ -232,14 +238,14 @@ def fame_fuse(layer: FameLayer, z_self: Tensor, z_outer: Tensor) -> Tensor:
 
 
 def fame_forward(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None,
-                 x_kv: Tensor | None = None, layout=None) -> Tensor:
+                 x_kv: Tensor | None = None, layout=None, value_ids=None) -> Tensor:
     """Both branches over the same queries `x` and key/value rows `x_kv` (default `x`), fused.
 
     The one attention entry point. The encoders pass packed rows of many
     sequences with their `layout`, a list of (count, length) groups of
     equal-length sequences; the decoder passes one sequence, with `x_kv` and
-    `attn_allowed` when it needs them.
+    `attn_allowed` when it needs them. `value_ids` go to `opa_forward`.
     """
     return fame_fuse(layer,
                      msa_forward(layer, x, mask, attn_allowed, x_kv, layout),
-                     opa_forward(layer, x, mask, attn_allowed, x_kv, layout))
+                     opa_forward(layer, x, mask, attn_allowed, x_kv, layout, value_ids))

@@ -146,14 +146,15 @@ class EncoderLayer:
         self.dropout_rate = dropout_rate
         self.eps = eps
 
-    def forward(self, x: Tensor, mask=None, layout=None, drop=None) -> Tensor:
+    def forward(self, x: Tensor, mask=None, layout=None, drop=None, value_ids=None) -> Tensor:
         """Rows x of one sequence, or packed sequences grouped as `layout` says.
 
         `drop` is this layer's (attention, FFN) pair from `dropout_multipliers`;
-        without it the layer runs without dropout.
+        without it the layer runs without dropout. `value_ids` go to `fame_forward`.
         """
         drop_attn, drop_ffn = (None, None) if drop is None else drop
-        h = _apply_dropout(fame_forward(self.fame, x, mask, layout=layout), drop_attn)
+        h = _apply_dropout(fame_forward(self.fame, x, mask, layout=layout, value_ids=value_ids),
+                           drop_attn)
         y1 = layer_norm(add(x, h), self.norm1_g.tensor, self.norm1_b.tensor, self.eps)
         f = _apply_dropout(self.ffn.forward(y1), drop_ffn)
         return layer_norm(add(y1, f), self.norm2_g.tensor, self.norm2_b.tensor, self.eps)
@@ -163,13 +164,19 @@ class EncoderLayer:
                 + [self.norm1_g, self.norm1_b, self.norm2_g, self.norm2_b])
 
 
-def run_layers(layers, x: Tensor, packing: Packing, mask, training: bool, rng) -> Tensor:
-    """A stack of encoder layers over packed rows; dropout is drawn for all layers first."""
+def run_layers(layers, x: Tensor, packing: Packing, mask, training: bool, rng,
+               value_ids=None) -> Tensor:
+    """A stack of encoder layers over packed rows; dropout is drawn for all layers first.
+
+    `value_ids` name the rows of `x` that are equal by construction. Only the
+    first layer gets them: the later layers' rows depend on whole sequences.
+    """
     drops = [None] * len(layers)
     if training and layers:
         drops = dropout_multipliers(rng, layers[0].dropout_rate, packing, len(layers), x.shape[1])
     for layer, drop in zip(layers, drops):
-        x = layer.forward(x, mask, layout=packing.layout, drop=drop)
+        x = layer.forward(x, mask, layout=packing.layout, drop=drop, value_ids=value_ids)
+        value_ids = None
     return x
 
 
@@ -190,14 +197,18 @@ class HierPool:
         m = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
         groups = [(1, n)] if layout is None else layout
         u = tanh(add_bias(matmul(h, self.proj_w.tensor), self.proj_b.tensor))
-        scores = reshape(matmul(u, reshape(self.context.tensor, (d, 1))), (n,))
+        context = reshape(self.context.tensor, (1, d))
         pooled, weights = [], []
-        for s, hg, mg in zip(group_blocks(scores, groups), group_blocks(h, groups),
-                             group_blocks(m, groups)):
+        for ug, hg, mg in zip(group_blocks(u, groups), group_blocks(h, groups),
+                              group_blocks(m, groups)):
             if not mg.any(axis=1).all():
                 raise ValueError("hier_pool: every position is masked")
             count, length = mg.shape
-            a = softmax(s, axis=-1, mask=mg)
+            # one (length, d) @ (d, 1) product per sequence, as when it is pooled alone: BLAS
+            # rounds a row of one (rows, d) @ (d, 1) product by the row's place in the block
+            tiled = embedding_lookup(context, np.zeros(count, dtype=np.int64))
+            scores = reshape(matmul(ug, reshape(tiled, (count, d, 1))), (count, length))
+            a = softmax(scores, axis=-1, mask=mg)
             weights.append(a.data)
             pooled.append(reshape(matmul(reshape(a, (count, 1, length)), hg), (count, d)))
         out = pooled[0] if len(pooled) == 1 else concat_rows(pooled)
@@ -238,9 +249,12 @@ class CharHit:
             if len(ids) > self.max_word_len:
                 raise ShapeError(f"word of {len(ids)} characters exceeds cap {self.max_word_len}")
         pack = Packing([len(ids) for ids in words])
-        x = add(embedding_lookup(self.emb.tensor, pack.rows(words)),
-                Tensor(self.pos[pack.positions]))
-        x = run_layers(self.layers, x, pack, None, training, rng)
+        chars = np.asarray(pack.rows(words), dtype=np.int64)
+        x = add(embedding_lookup(self.emb.tensor, chars), Tensor(self.pos[pack.positions]))
+        # a first-layer row is char_emb[c] + pos[p] (dropout comes after attention), so
+        # rows with the same (character, position) are equal and share one OPA projection
+        x = run_layers(self.layers, x, pack, None, training, rng,
+                       value_ids=chars * self.max_word_len + pack.positions)
         return pack.unpack_sequences(self.pool.forward(x, layout=pack.layout))
 
     def encode_word(self, char_ids, training: bool = False, rng=None) -> Tensor:

@@ -90,19 +90,22 @@ def global_grad_norm(params) -> float:
     for p in params:
         g = p.tensor.grad
         if g is not None:
-            total += float(np.sum(g * g))
+            total += float(np.vdot(g, g))
     return float(np.sqrt(total))
 
 
 def clip_gradients(params, max_norm: float) -> float:
-    """Scale all gradients so their global norm is at most max_norm; returns the pre-clip norm."""
+    """Scale all gradients so their global norm is at most max_norm; returns the pre-clip norm.
+
+    Scales in place: `tensor.backward` gives every leaf a gradient array of its own.
+    """
     params = list(params)
     norm = global_grad_norm(params)
     if norm > max_norm > 0:
         factor = max_norm / norm
         for p in params:
             if p.tensor.grad is not None:
-                p.tensor.grad = p.tensor.grad * factor
+                p.tensor.grad *= factor
     return norm
 
 

@@ -533,13 +533,11 @@ def _opa_operands(name: str, s: Tensor, v: Tensor, allowed, outer: bool):
     return a, s.data, v.data
 
 
-def _opa_sum(name: str, s, v, allowed, outer: bool, forward, backward) -> Tensor:
-    """The two OPA sums over one block, or over lists of per-group blocks.
+def _opa_groups(name: str, s, v, allowed, outer: bool):
+    """One block, or lists of per-group blocks, as (packed, scores, values, groups, tail).
 
-    `forward(a, sd, vd, out)` writes one group's aggregate into `out` and
-    `backward(a, sd, vd, dout)` returns its (ds, dv). Each group writes into
-    a reshaped slice of one preallocated (rows, ...) array, so no per-group
-    result is kept and then concatenated.
+    `groups` holds each group's (allowed, scores, values) arrays and `tail` the
+    width shared by every group: (d, e) for the outer sums, (d,) for hadamard.
     """
     packed = isinstance(s, (list, tuple))
     ss, vs, masks = (list(s), list(v), list(allowed)) if packed else ([s], [v], [allowed])
@@ -550,7 +548,18 @@ def _opa_sum(name: str, s, v, allowed, outer: bool, forward, backward) -> Tensor
     tails = {(sd.shape[-1], vd.shape[-1]) if outer else (sd.shape[-1],) for _, sd, vd in groups}
     if len(tails) != 1:
         raise ShapeError(f"{name} groups differ in width: {sorted(tails)}")
-    (tail,) = tails
+    return packed, ss, vs, groups, tails.pop()
+
+
+def _opa_sum(name: str, s, v, allowed, outer: bool, forward, backward) -> Tensor:
+    """The two OPA sums over one block, or over lists of per-group blocks.
+
+    `forward(a, sd, vd, out)` writes one group's aggregate into `out` and
+    `backward(a, sd, vd, dout)` returns its (ds, dv). Each group writes into
+    a reshaped slice of one preallocated (rows, ...) array, so no per-group
+    result is kept and then concatenated.
+    """
+    packed, ss, vs, groups, tail = _opa_groups(name, s, v, allowed, outer)
     leads = [t.shape[:-2] for t in ss]
     offsets = np.cumsum([0] + [math.prod(lead) for lead in leads])
 
@@ -607,6 +616,76 @@ def opa_sum_hadamard(s, v, allowed) -> Tensor:
     Shapes as opa_sum_outer with e == d; lists of groups give one (rows, d) array.
     """
     return _opa_sum("opa_sum_hadamard", s, v, allowed, False, _hadamard_forward, _hadamard_backward)
+
+
+def opa_project(s, v, allowed, w: Tensor, ids) -> Tensor:
+    """reshape(opa_sum_outer(s, v, allowed), (rows, d * e)) @ w, without the aggregate.
+
+    `ids` names every value row, in the order opa_sum_outer flattens them. Rows that
+    share an id share a value: it is read from the id's first row, which also gets the
+    value's whole gradient. Each distinct value u is projected once, as
+    P[a, u] = sum_b v_u[b] w[a * e + b], and out_i is the sum over allowed j of
+    s_ij @ P[:, id(j)]. So the d * e * c work scales with the distinct values, not
+    with the query rows, and no (rows, d, e) aggregate is made.
+    """
+    _, ss, vs, groups, (d, e) = _opa_groups("opa_project", s, v, allowed, True)
+    if w.ndim != 2 or w.shape[0] != d * e:
+        raise ShapeError(f"opa_project weight {w.shape} does not take {d}x{e} aggregates")
+    vflat = np.concatenate([vd.reshape(-1, e) for _, _, vd in groups])
+    ids = np.asarray(ids)
+    if ids.shape != vflat.shape[:1]:
+        raise ShapeError(f"opa_project needs {vflat.shape[0]} value ids, got shape {ids.shape}")
+    _, first, uid = np.unique(ids, return_index=True, return_inverse=True)
+    # every allowed (query, key) pair: its query row and its key's distinct value
+    keeps, pair_q, pair_u = [], [], []
+    q0 = v0 = 0
+    for a, sd, vd in groups:
+        n, m = sd.shape[-3:-1]
+        keep = np.flatnonzero(a)
+        query, key = np.divmod(keep, m)
+        keeps.append(keep)
+        pair_q.append(q0 + query)
+        pair_u.append(uid[v0 + query // n * m + key])
+        q0, v0 = q0 + a.size // m, v0 + vd.size // e
+    pair_u = np.concatenate(pair_u)
+    order = np.argsort(pair_u, kind="stable")  # pairs in value order
+    rank = np.argsort(order)
+    sp = np.concatenate([sd.reshape(-1, d)[k] for k, (_, sd, _) in zip(keeps, groups)])[order]
+    qp = np.concatenate(pair_q)[order]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(pair_u, minlength=len(first)))])
+    segs = [(u, lo, hi) for u, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo]
+    vu, w3 = vflat[first], w.data.reshape(d, e, -1)
+    proj = np.matmul(vu[None], w3)
+
+    def by_group(rows):
+        """Per-pair rows, in value order, as one zero-filled (..., n, m, width) block per group."""
+        p0 = 0
+        for keep, (a, _, _) in zip(keeps, groups):
+            full = np.zeros((a.size, rows.shape[1]))
+            full[keep] = rows[rank[p0:p0 + len(keep)]]
+            p0 += len(keep)
+            yield full.reshape(a.shape + (-1,))
+
+    terms = np.empty((len(order), w3.shape[2]))
+    for u, lo, hi in segs:
+        np.matmul(sp[lo:hi], proj[:, u], out=terms[lo:hi])
+    out = np.concatenate([t.sum(axis=-2).reshape(-1, w3.shape[2]) for t in by_group(terms)])
+
+    def bwd(dout):
+        dterms = dout[qp]
+        ds = np.empty_like(sp)
+        dproj = np.zeros((len(first),) + w3.shape[::2])  # (u, a, c): each u's block contiguous
+        for u, lo, hi in segs:
+            np.matmul(dterms[lo:hi], proj[:, u].T, out=ds[lo:hi])
+            np.matmul(sp[lo:hi].T, dterms[lo:hi], out=dproj[u])
+        dv = np.zeros_like(vflat)
+        dv[first] = sum(dproj[:, a] @ w3[a].T for a in range(d))
+        splits = np.cumsum([vd.size // e for _, _, vd in groups])[:-1]
+        dvs = [g.reshape(vd.shape) for g, (_, _, vd) in zip(np.split(dv, splits), groups)]
+        dw = np.matmul(vu.T[None], dproj.transpose(1, 0, 2)).reshape(w.shape)
+        return tuple(by_group(ds)) + tuple(dvs) + (dw,)
+
+    return _emit(out, tuple(ss) + tuple(vs) + (w,), bwd)
 
 
 def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:

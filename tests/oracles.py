@@ -118,9 +118,10 @@ def recompute_greedy_decode(model, ex, max_out):
     return out, probs
 
 
-def oracle_encoder_layer(layer, x, mask=None, training=False, rng=None):
+def oracle_encoder_layer(layer, x, mask=None, training=False, rng=None, value_ids=None):
     """One EncoderLayer over one sequence, dropout drawn after each sublayer."""
-    h = T.dropout(fame_forward(layer.fame, x, mask), layer.dropout_rate, training, rng)
+    h = T.dropout(fame_forward(layer.fame, x, mask, value_ids=value_ids), layer.dropout_rate,
+                  training, rng)
     y1 = T.layer_norm(T.add(x, h), layer.norm1_g.tensor, layer.norm1_b.tensor, layer.eps)
     f = T.dropout(layer.ffn.forward(y1), layer.dropout_rate, training, rng)
     return T.layer_norm(T.add(y1, f), layer.norm2_g.tensor, layer.norm2_b.tensor, layer.eps)
@@ -137,8 +138,11 @@ def oracle_hier_pool(pool, h):
 def oracle_encode_word(char_hit, ids, training=False, rng=None):
     ids = list(ids)
     x = T.add(T.embedding_lookup(char_hit.emb.tensor, ids), T.Tensor(char_hit.pos[:len(ids)]))
-    for layer in char_hit.layers:
-        x = oracle_encoder_layer(layer, x, training=training, rng=rng)
+    # the first layer projects each value row once, as CharHit.forward does; within one
+    # word every (character, position) pair is distinct, so each row is its own value
+    for i, layer in enumerate(char_hit.layers):
+        x = oracle_encoder_layer(layer, x, training=training, rng=rng,
+                                 value_ids=np.arange(len(ids)) if i == 0 else None)
     return oracle_hier_pool(char_hit.pool, x)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hitkit import attention as A
 from hitkit import data as D
 from hitkit import tensor as T
 from hitkit.train import (
@@ -175,3 +176,70 @@ def test_mean_rows_ignores_values_at_masked_rows(mask, junk):
     stack = np.broadcast_to(np.array(mask), (3, len(mask)))
     assert np.array_equal(T.mean_rows(T.Tensor(rows), stack).data,
                           T.mean_rows(T.Tensor(noisy), stack).data)
+
+
+# Words that share many (character, position) pairs: the first character layer's value rows
+# repeat within and across words, so most of them take the distinct-value path.
+SHARED = [(["aab", "aba", "baa", "abab"], 0), (["baa", "abab", "ab"], 5),
+          (["bab", "aab", "ba"], 0), (["abba", "aba"], 0)]
+
+
+def aggregate_only(monkeypatch):
+    """Make every OPA layer make the (rows, d, d) aggregate, as before value-first projection."""
+    def project(s, v, allowed, w, ids):
+        rows = sum(t.size // (t.shape[-2] * t.shape[-1]) for t in s)
+        d = s[0].shape[-1]
+        return T.matmul(T.reshape(T.opa_sum_outer(s, v, allowed), (rows, d * d)), w)
+
+    monkeypatch.setattr(A, "opa_project", project)
+
+
+def shared_model_and_batch(kind, tie, **kw):
+    model, batch = model_and_batch(kind, cfg(**kw), sentences=SHARED)
+    if tie:
+        # 'a' and 'b' get equal embeddings: equal values must not merge their gradients
+        emb = model.encoder.char_hit.emb.data
+        (b,), (a,) = VOCAB.char_ids("b"), VOCAB.char_ids("a")
+        emb[b] = emb[a]
+    return model, batch
+
+
+def loss_and_grads(model, batch, loss_fn, training):
+    rng = np.random.default_rng(7) if training else None
+    loss = loss_fn(model, batch, training=training, rng=rng)
+    return loss.item(), grads_of(model, loss)
+
+
+def assert_same(got, want):
+    assert abs(got[0] - want[0]) < 1e-12
+    for name, g in want[1].items():
+        scale = max(1.0, float(np.max(np.abs(g))))
+        assert np.max(np.abs(got[1][name] - g)) < 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "dropout"])
+@pytest.mark.parametrize("l_c", [1, 2])
+@pytest.mark.parametrize("tie", [False, True], ids=["distinct_emb", "tied_emb"])
+def test_shared_char_positions_match_oracle_and_aggregate(kind, training, l_c, tie, monkeypatch):
+    kw = dict(l_c=l_c, dropout=0.3 if training else 0.0)
+    model, batch = shared_model_and_batch(kind, tie, **kw)
+    packed_loss = lambda m, b, **a: m.loss_batch(b, **a)
+    got = loss_and_grads(model, batch, packed_loss, training)
+    assert_same(got, loss_and_grads(model, batch, oracle_loss, training))
+    aggregate_only(monkeypatch)
+    assert_same(got, loss_and_grads(model, batch, packed_loss, training))
+
+
+def test_only_the_word_layers_make_the_opa_aggregate(monkeypatch):
+    calls = []
+    real = A.opa_sum_outer
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(A, "opa_sum_outer", spy)
+    model, batch = model_and_batch("classification", cfg(l_c=1, l_w=2), sentences=SHARED)
+    model.loss_batch(batch)
+    assert len(calls) == 2

@@ -506,6 +506,81 @@ class TestBatchedOps:
         with pytest.raises(ValueError, match="masked"):
             T.mean_rows(x, np.array([[True] * 4, [False] * 4]))
 
+
+class TestOpaProject:
+    """opa_project against the aggregate it replaces: reshape(opa_sum_outer(...)) @ w."""
+
+    LAYOUT = ((2, 3), (1, 1), (3, 2))  # (count, length) per group: 13 value rows
+    # ids repeat inside a sequence, across sequences and across groups
+    IDS = np.array([4, 7, 4, 7, 1, 4, 1, 7, 4, 9, 9, 1, 7])
+
+    @classmethod
+    def operands(cls, seed=80, d=2, e=3, c=2):
+        """Score, value and mask blocks per group (some pairs masked) and a weight, all leaves."""
+        rng = np.random.default_rng(seed)
+        scores, values, masks = [], [], []
+        for count, length in cls.LAYOUT:
+            scores.append(T.Tensor(rng.standard_normal((count, length, length, d)), requires_grad=True))
+            values.append(T.Tensor(rng.standard_normal((count, length, e)), requires_grad=True))
+            allowed = rng.random((count, length, length)) < 0.6
+            allowed[..., 0] = True
+            masks.append(allowed)
+        w = T.Tensor(rng.standard_normal((d * e, c)), requires_grad=True)
+        return scores, values, masks, w
+
+    @staticmethod
+    def aggregate(scores, values, masks, w):
+        d, e = scores[0].shape[-1], values[0].shape[-1]
+        rows = sum(s.size // (s.shape[-2] * d) for s in scores)
+        return T.matmul(T.reshape(T.opa_sum_outer(scores, values, masks), (rows, d * e)), w)
+
+    def test_gradient_with_repeated_ids_and_masked_pairs(self):
+        scores, values, masks, w = self.operands()
+        assert not all(m.all() for m in masks)
+        check_gradients(
+            lambda: T.sum_all(T.tanh(T.opa_project(scores, values, masks, w, self.IDS))),
+            scores + values + [w])
+
+    def test_distinct_ids_match_the_aggregate(self):
+        scores, values, masks, w = self.operands(seed=81)
+        leaves = scores + values + [w]
+        grads = []
+        for build in (lambda: T.opa_project(scores, values, masks, w, np.arange(13)),
+                      lambda: self.aggregate(scores, values, masks, w)):
+            for leaf in leaves:
+                leaf.zero_grad()
+            out = build()
+            T.backward(T.sum_all(T.tanh(out)))
+            grads.append((out.data, [leaf.grad for leaf in leaves]))
+        (got, got_grads), (want, want_grads) = grads
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12
+        for g, h in zip(got_grads, want_grads):
+            assert np.max(np.abs(g - h)) < 1e-12
+
+    def test_rows_sharing_an_id_read_the_first_rows_value(self):
+        scores, values, masks, w = self.operands(seed=82)
+        flat = np.concatenate([v.data.reshape(-1, 3) for v in values])
+        _, first, inverse = np.unique(self.IDS, return_index=True, return_inverse=True)
+        tied = flat[first][inverse]
+        splits = np.cumsum([v.data.size // 3 for v in values])[:-1]
+        tied_values = [T.Tensor(t.reshape(v.shape)) for t, v in zip(np.split(tied, splits), values)]
+        got = T.opa_project(scores, values, masks, w, self.IDS).data
+        want = self.aggregate(scores, tied_values, masks, w).data
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("ids", [np.arange(12), np.arange(14), np.zeros((13, 1))])
+    def test_rejects_ids_of_the_wrong_length(self, ids):
+        scores, values, masks, w = self.operands()
+        with pytest.raises(T.ShapeError, match="value ids"):
+            T.opa_project(scores, values, masks, w, ids)
+
+    def test_rejects_a_weight_of_the_wrong_height(self):
+        scores, values, masks, _ = self.operands()
+        with pytest.raises(T.ShapeError, match="weight"):
+            T.opa_project(scores, values, masks, T.Tensor(np.ones((5, 2))), self.IDS)
+
+
 class TestInvariants:
     def test_zero_dim_rejected(self):
         with pytest.raises(T.ShapeError):
