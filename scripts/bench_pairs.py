@@ -10,6 +10,8 @@ Odd pairs run the parent first and even pairs the change first, so a drift of
 the host's speed does not favour one side. It then prints, per end-to-end
 metric, each side's median and quartiles, how many pairs the change won, and
 whether every run reported correct outputs. It only reads what run.py prints.
+It exits 1 if any run was incorrect or had failed units (run.py itself exits 0
+either way), and 2 with one line on stderr for a malformed --seeds.
 
 The parent is exported with `git archive` into a temporary directory, which is
 removed afterwards, so the repository's git state is left untouched.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -29,13 +32,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'1-10' or '3,5,8' (or a mix such as '1-3,7') as a list of seeds."""
+    """'1-10' or '3,5,8' (or a mix such as '1-3,7') as a list of seeds; ValueError if malformed."""
     seeds = []
     for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
-    if not seeds:
-        raise ValueError(f"no seeds in {text!r}")
+        match = re.fullmatch(r"(\d+)(?:-(\d+))?", part.strip())
+        span = range(int(match[1]), int(match[2] or match[1]) + 1) if match else range(0)
+        if not span:
+            raise ValueError(f"malformed seed range {part!r} in {text!r}")
+        seeds.extend(span)
     return seeds
 
 
@@ -63,7 +67,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def report(metrics: list[dict], results: dict) -> None:
+def report(metrics: list[dict], results: dict) -> bool:
+    """Print the per-metric comparison; True if every run was correct with no failed unit."""
     n = len(results["parent"])
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
@@ -74,8 +79,10 @@ def report(metrics: list[dict], results: dict) -> None:
         print(f"{name:18s} parent {p2:10.4g} [{p1:.4g}, {p3:.4g}]  change {c2:10.4g} "
               f"[{c1:.4g}, {c3:.4g}]  median {change:+.1%}  parent IQR {p3 - p1:.4g}  "
               f"change wins {wins}/{n} ({m['better']} is better)")
-    correct = {side: all(r["correct"] for r in runs) for side, runs in results.items()}
+    correct = {side: all(r["correct"] is True and r["failed"] == 0 for r in runs)
+               for side, runs in results.items()}
     print(f"all runs correct: parent {correct['parent']}, change {correct['change']}")
+    return all(correct.values())
 
 
 def main(argv=None) -> int:
@@ -86,7 +93,11 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", required=True, help="e.g. 1-10 or 3,5,8")
     p.add_argument("--seconds", type=float, default=float(bench["run_seconds"]))
     args = p.parse_args(argv)
-    seeds = parse_seeds(args.seeds)
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError as exc:
+        print(f"bench_pairs: {exc}", file=sys.stderr)
+        return 2
     results = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         parent = Path(tmp)
@@ -101,8 +112,7 @@ def main(argv=None) -> int:
                       f"correct {r['correct']}", file=sys.stderr, flush=True)
     print(f"workload {args.workload}, parent {args.parent}, seeds {args.seeds}, "
           f"{args.seconds:g} s per run, {len(seeds)} pairs")
-    report(bench["end_to_end"], results)
-    return 0
+    return 0 if report(bench["end_to_end"], results) else 1
 
 
 if __name__ == "__main__":

@@ -253,6 +253,16 @@ def _prepare_task(args, cfg):
     raise CliError(f"unknown task {args.task!r}")
 
 
+def _keep_best(model, path: Path, best_params: dict, config: dict, extras: dict) -> None:
+    """Save the best parameters and load them into `model` as the checkpoint stores them.
+
+    The checkpoint holds float32 values, so whatever the caller then predicts or
+    scores matches what `evaluate` computes from the checkpoint, bit for bit.
+    """
+    save_checkpoint(path, best_params, config, extras)
+    model.load_arrays(load_checkpoint(path).params)
+
+
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
@@ -260,9 +270,8 @@ def cmd_train(args) -> int:
     if args.init_from:
         transfer_load(model, args.init_from, args.transfer_mode)
     result = train(model, train_items, val_items, cfg)
-    model.load_arrays(result.best_params)
-    config_block = {"task": args.task, "train_config": cfg.to_dict()}
-    save_checkpoint(out / "checkpoint", result.best_params, config_block, extras)
+    _keep_best(model, out / "checkpoint", result.best_params,
+               {"task": args.task, "train_config": cfg.to_dict()}, extras)
     _write_json(out / "history.json", result.history_dict())
     if args.task == "classification":
         metrics, rows = evaluate_classification(model, val_items, names)
@@ -324,10 +333,8 @@ def cmd_pretrain_mlm(args) -> int:
     if not val_items:
         train_items, val_items = items, items
     result = train(model, train_items, val_items, cfg)
-    model.load_arrays(result.best_params)
-    save_checkpoint(out / "checkpoint", result.best_params,
-                    {"task": "mlm", "train_config": cfg.to_dict()},
-                    _checkpoint_extras(vocab))
+    _keep_best(model, out / "checkpoint", result.best_params,
+               {"task": "mlm", "train_config": cfg.to_dict()}, _checkpoint_extras(vocab))
     _write_json(out / "history.json", result.history_dict())
     _write_metrics(out / "metrics.json",
                    {"task": "mlm", "best_val_loss": result.best_val_loss}, cfg)
@@ -381,10 +388,8 @@ def cmd_pretrain_zsl(args) -> int:
     if not val_items:
         train_items, val_items = items, items
     result = train(model, train_items, val_items, cfg)
-    model.load_arrays(result.best_params)
-    save_checkpoint(out / "checkpoint", result.best_params,
-                    {"task": "zsl", "train_config": cfg.to_dict()},
-                    _checkpoint_extras(vocab, labels))
+    _keep_best(model, out / "checkpoint", result.best_params,
+               {"task": "zsl", "train_config": cfg.to_dict()}, _checkpoint_extras(vocab, labels))
     _write_json(out / "history.json", result.history_dict())
     ordered_labels = [label_examples[name] for name in labels]
     hits = sum(model.classify(ex, ordered_labels) == gold for ex, gold in dataset)

@@ -12,13 +12,16 @@ class MissingGradError(RuntimeError):
 
 
 class Parameter:
-    """A trainable tensor with a name path and per-parameter Adam state (made on the first step)."""
+    """A trainable tensor with a name path and per-parameter Adam state (made on the first step).
+
+    Its data are C-contiguous, so `adam_step` can update them through flat views.
+    """
 
     __slots__ = ("name", "tensor", "adam_m", "adam_v", "step_count", "trainable")
 
     def __init__(self, name: str, data, trainable: bool = True):
         self.name = name
-        self.tensor = Tensor(np.asarray(data, dtype=np.float64), requires_grad=trainable)
+        self.tensor = Tensor(np.ascontiguousarray(data, dtype=np.float64), requires_grad=trainable)
         self.adam_m = None
         self.adam_v = None
         self.step_count = 0
@@ -33,8 +36,8 @@ class Parameter:
         return self.tensor.grad
 
     def assign(self, values) -> None:
-        """Set the values to a copy of `values`, which later in-place updates leave untouched."""
-        arr = np.array(values, dtype=np.float64)
+        """Set the values to a C-ordered copy of `values`, which later in-place updates leave untouched."""
+        arr = np.array(values, dtype=np.float64, order="C")
         if arr.shape != self.tensor.data.shape:
             raise ValueError(f"parameter '{self.name}' shape {self.tensor.data.shape} cannot take {arr.shape}")
         self.tensor.data = arr
@@ -52,35 +55,47 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={self.tensor.shape}, trainable={self.trainable})"
 
 
+CHUNK = 32768  # elements per Adam block: its six 256 KB operands stay in cache
+
+
 def adam_step(params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update over the given parameters; grads are then zeroed."""
+    """One bias-corrected Adam update over the given parameters; grads are then zeroed.
+
+    Runs block by block over flat views of each parameter, its gradient and its
+    moments, so each array is read and written once per step rather than once
+    per operation.
+    """
     params = list(params)
     for p in params:
         if p.tensor.grad is None:
             raise MissingGradError(f"adam_step: parameter '{p.name}' has no gradient")
+    scratch = np.empty((2, CHUNK))
     for p in params:
-        g = p.tensor.grad
         t = p.step_count + 1
         if p.adam_m is None:
-            p.adam_m = np.zeros_like(p.tensor.data)
-            p.adam_v = np.zeros_like(p.tensor.data)
-        m, v = p.adam_m, p.adam_v
-        # in place, with the operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
-        # data -= lr*m_hat / (sqrt(v_hat) + eps) in their order, so results are unchanged
-        step = (1.0 - beta1) * g
-        m *= beta1
-        m += step
-        np.multiply(g, g, out=step)
-        step *= 1.0 - beta2
-        v *= beta2
-        v += step
-        np.divide(m, 1.0 - beta1 ** t, out=step)
-        denom = v / (1.0 - beta2 ** t)
-        np.sqrt(denom, out=denom)
-        denom += eps
-        step *= lr
-        step /= denom
-        p.tensor.data -= step
+            p.adam_m = np.zeros(p.tensor.data.shape)
+            p.adam_v = np.zeros(p.tensor.data.shape)
+        flat = [a.reshape(-1) for a in (np.ascontiguousarray(p.tensor.grad), p.adam_m,
+                                         p.adam_v, p.tensor.data)]
+        for lo in range(0, flat[0].size, CHUNK):
+            g, m, v, data = (a[lo:lo + CHUNK] for a in flat)
+            step, denom = scratch[0, :g.size], scratch[1, :g.size]
+            # in place, with the operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+            # data -= lr*m_hat / (sqrt(v_hat) + eps) in their order, so results are unchanged
+            np.multiply(g, 1.0 - beta1, out=step)
+            m *= beta1
+            m += step
+            np.multiply(g, g, out=step)
+            step *= 1.0 - beta2
+            v *= beta2
+            v += step
+            np.divide(m, 1.0 - beta1 ** t, out=step)
+            np.divide(v, 1.0 - beta2 ** t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            step *= lr
+            step /= denom
+            data -= step
         p.step_count = t
         p.tensor.grad = None
 
@@ -97,7 +112,9 @@ def global_grad_norm(params) -> float:
 def clip_gradients(params, max_norm: float) -> float:
     """Scale all gradients so their global norm is at most max_norm; returns the pre-clip norm.
 
-    Scales in place: `tensor.backward` gives every leaf a gradient array of its own.
+    Scales each gradient in place, exactly once: `tensor.backward` copies a leaf's
+    gradient whenever its base array is shared with another leaf's, so no two
+    parameters' gradients share memory.
     """
     params = list(params)
     norm = global_grad_norm(params)

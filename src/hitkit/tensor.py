@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from collections import Counter, namedtuple
 
 import numpy as np
 
@@ -114,16 +115,27 @@ def _emit(out_data, inputs, backward_fn) -> Tensor:
     return out
 
 
+# a gradient that is zero outside rows start:stop of an array of `shape`
+_Rows = namedtuple("_Rows", "shape start stop rows")
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every requires_grad leaf, emptying the tape.
 
     Each entry is popped as its rule runs, so the intermediates it holds are freed
     before the gradients of earlier (often larger) entries are allocated.
+    Gradients are summed in place only into arrays that backward allocated: a
+    rule may hand one array to several inputs (`add`, views of `dout` from the
+    `concat_*` ops), so an array a rule returned is never written. A `_Rows`
+    gradient is added into one full-size buffer. A leaf gets its gradient array
+    itself, copied only if its base array is shared with another leaf's gradient,
+    so every leaf owns its array and may scale it in place.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
+    owned = {id(loss)}
     produced = {id(e.out) for e in _tape}
     while _tape:
         entry = _tape.pop()
@@ -135,15 +147,31 @@ def backward(loss: Tensor) -> None:
             if g is None or not tensor.requires_grad:
                 continue
             key = id(tensor)
-            if key in grads:
-                grads[key] = grads[key] + g
-            else:
+            held = grads.get(key)
+            holders[key] = tensor
+            if isinstance(g, _Rows):
+                if held is None:
+                    grads[key] = held = np.zeros(g.shape)
+                    held[g.start:g.stop] = g.rows
+                else:
+                    if key not in owned:
+                        grads[key] = held = held.copy()
+                    held[g.start:g.stop] += g.rows
+                owned.add(key)
+            elif held is None:
                 grads[key] = g
-                holders[key] = tensor
-    for key, tensor in holders.items():
-        if key in produced:
-            continue
-        g = np.array(grads[key], dtype=np.float64, copy=True)
+            elif key in owned:
+                held += g
+            else:
+                grads[key] = np.asarray(held + g)  # a 0-d sum is a scalar, not an array
+                owned.add(key)
+    leaves = [(key, t) for key, t in holders.items() if key not in produced]
+    base = lambda key: id(grads[key] if grads[key].base is None else grads[key].base)
+    shared = Counter(base(key) for key, _ in leaves if key not in owned)
+    for key, tensor in leaves:
+        g = grads[key]
+        if key not in owned and shared[base(key)] > 1:
+            g = g.copy()
         tensor.grad = g if tensor.grad is None else tensor.grad + g
 
 
@@ -418,12 +446,7 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
         raise ShapeError(f"slice_rows [{start}:{stop}] invalid for shape {x.shape}")
     shape = x.shape
 
-    def bwd(dout):
-        g = np.zeros(shape, dtype=np.float64)
-        g[start:stop] = dout
-        return (g,)
-
-    return _emit(x.data[start:stop], (x,), bwd)
+    return _emit(x.data[start:stop], (x,), lambda dout: (_Rows(shape, start, stop, dout),))
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:

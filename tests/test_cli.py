@@ -63,6 +63,19 @@ class TestTrain:
         assert "timestamp" in payload
         assert payload["task"] == "classification"
 
+    def test_train_predictions_match_evaluate_on_the_checkpoint(self, tmp_path):
+        # the checkpoint stores float32, so train must predict with the rounded values too
+        data = write_classification(tmp_path)
+        val = write_classification(tmp_path, name="val.jsonl", n=9)
+        out, eval_out = tmp_path / "run", tmp_path / "eval"
+        assert main(["train", "--task", "classification", "--train-file", data,
+                     "--val-file", val, "--config", write_cfg(tmp_path),
+                     "--out-dir", str(out)]) == 0
+        assert main(["evaluate", "--checkpoint", str(out / "checkpoint"),
+                     "--test-file", val, "--out-dir", str(eval_out)]) == 0
+        assert ((out / "predictions.jsonl").read_bytes()
+                == (eval_out / "predictions.jsonl").read_bytes())
+
     def test_missing_config_names_path(self, tmp_path, capsys):
         data = write_classification(tmp_path)
         code = main(["train", "--task", "classification", "--train-file", data,
