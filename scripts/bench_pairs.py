@@ -4,17 +4,23 @@
     python3 scripts/bench_pairs.py --parent HEAD~1 --workload train-clf --seeds 1-10
 
 For each seed it runs `perfbench/run.py` once on a temporary copy of the parent
-revision and once on this checkout (the working tree, uncommitted edits
-included), at BENCHMARK.json's run_seconds unless --seconds says otherwise.
+revision and once on a temporary copy of this checkout's working tree
+(uncommitted edits and untracked, not ignored files included), at
+BENCHMARK.json's run_seconds unless --seconds says otherwise. Both sides start
+from fresh directories, so neither sees the checkout's `__pycache__` or
+`.perfbench/` state.
 Odd pairs run the parent first and even pairs the change first, so a drift of
 the host's speed does not favour one side. It then prints, per end-to-end
 metric, each side's median and quartiles, how many pairs the change won, and
 whether every run reported correct outputs. It only reads what run.py prints.
 It exits 1 if any run was incorrect or had failed units (run.py itself exits 0
-either way), and 2 with one line on stderr for a malformed --seeds.
+either way), 1 with one line on stderr if run.py fails, and 2 with one line on
+stderr for a malformed --seeds, a --seconds that is not positive or an unknown
+--parent.
 
-The parent is exported with `git archive` into a temporary directory, which is
-removed afterwards, so the repository's git state is left untouched.
+The parent is exported with `git archive` and the working tree copied file by
+file, each into a temporary directory that is removed afterwards, so the
+repository's git state is left untouched.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -43,10 +50,23 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def export(rev: str, dest: Path) -> None:
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
-                             capture_output=True, check=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+def export(rev: str | None, dest: Path) -> None:
+    """Revision `rev` into `dest`; with rev None, the working tree as it is on disk.
+
+    The working tree is every tracked file that still exists and every untracked
+    file that .gitignore does not exclude.
+    """
+    if rev is not None:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+        return
+    listed = subprocess.run(["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], capture_output=True, check=True).stdout
+    for name in filter(None, listed.decode().split("\0")):
+        if (ROOT / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -56,7 +76,8 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
                           cwd=checkout, capture_output=True, text=True, check=False)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
-        raise RuntimeError(f"run.py failed in {checkout} (seed {seed}): {done.stderr.strip()[-500:]}")
+        why = (done.stderr.strip().splitlines() or [f"exit status {done.returncode}"])[-1]
+        raise RuntimeError(f"run.py failed for {checkout.name} (seed {seed}): {why}")
     return json.loads(lines[-1])
 
 
@@ -95,21 +116,33 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     try:
         seeds = parse_seeds(args.seeds)
+        if not args.seconds > 0:
+            raise ValueError(f"--seconds must be positive, got {args.seconds:g}")
+        known = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet",
+                                f"{args.parent}^{{commit}}"], capture_output=True, check=False)
+        if known.returncode != 0:
+            raise ValueError(f"unknown --parent revision {args.parent!r}")
     except ValueError as exc:
         print(f"bench_pairs: {exc}", file=sys.stderr)
         return 2
     results = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        parent = Path(tmp)
-        export(args.parent, parent)
-        for k, seed in enumerate(seeds):
-            order = [("parent", parent), ("change", ROOT)]
-            for side, checkout in order if k % 2 == 0 else order[::-1]:
-                r = run(checkout, args.workload, seed, args.seconds)
-                results[side].append(r)
-                tp = r["metrics"]["throughput_per_s"]["value"]
-                print(f"pair {k + 1}/{len(seeds)} seed {seed} {side}: throughput {tp:.4g}/s, "
-                      f"correct {r['correct']}", file=sys.stderr, flush=True)
+        parent, change = Path(tmp) / "parent", Path(tmp) / "change"
+        for checkout, rev in ((parent, args.parent), (change, None)):
+            checkout.mkdir()
+            export(rev, checkout)
+        order = [("parent", parent), ("change", change)]
+        try:
+            for k, seed in enumerate(seeds):
+                for side, checkout in order if k % 2 == 0 else order[::-1]:
+                    r = run(checkout, args.workload, seed, args.seconds)
+                    results[side].append(r)
+                    tp = r["metrics"]["throughput_per_s"]["value"]
+                    print(f"pair {k + 1}/{len(seeds)} seed {seed} {side}: throughput {tp:.4g}/s, "
+                          f"correct {r['correct']}", file=sys.stderr, flush=True)
+        except RuntimeError as exc:
+            print(f"bench_pairs: {exc}", file=sys.stderr)
+            return 1
     print(f"workload {args.workload}, parent {args.parent}, seeds {args.seeds}, "
           f"{args.seconds:g} s per run, {len(seeds)} pairs")
     return 0 if report(bench["end_to_end"], results) else 1

@@ -198,31 +198,34 @@ def msa_weights(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None) -> np
 
 
 def opa_forward(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None,
-                x_kv: Tensor | None = None, layout=None, value_ids=None) -> Tensor:
+                x_kv: Tensor | None = None, layout=None, value_parts=None) -> Tensor:
     """Outer branch: q from `x`, k and v from `x_kv` (default `x`); masks as in msa_forward.
 
     Each group's scores run as one (count, L_q, L_kv, d) block. Every group's
     aggregate is written into one (rows, d, d) array (or (rows, d) in hadamard
     mode), so the output projection runs once over all packed rows.
-    `value_ids` (one per `x_kv` row) say which rows of `x_kv` are equal by
-    construction. With them, in true_outer_projected mode, `opa_project`
-    projects each distinct value row once instead of making the aggregate.
+    `value_parts` is a list of (table, ids) whose `table[ids]` rows sum to `x_kv`.
+    With them, in true_outer_projected mode, each table is multiplied by
+    `wv_outer` and `opa_project` projects each table row once instead of making
+    the aggregate.
     """
     x_kv = x if x_kv is None else x_kv
     d = x.shape[1]
     blocks = _allowed(mask, attn_allowed, x.shape[0], x_kv.shape[0], "opa_forward", layout)
     q = matmul(x, layer.wq_outer.tensor)
     k = matmul(x_kv, layer.wk_outer.tensor)
-    v = matmul(x_kv, layer.wv_outer.tensor)
+    projected = value_parts is not None and layer.config.opa_combine != "hadamard"
+    v = ([(matmul(table, layer.wv_outer.tensor), ids) for table, ids in value_parts]
+         if projected else matmul(x_kv, layer.wv_outer.tensor))
     scores = []
     for qg, kg in zip(_group_rows(q, blocks, 1), _group_rows(k, blocks, 2)):
         pair = scale(pairwise_hadamard(qg, kg), 1.0 / np.sqrt(d))
         scores.append(tanh(pair) if layer.config.opa_score == "tanh" else softmax(pair, axis=-1))
+    if projected:
+        return opa_project(scores, v, blocks, layer.wo_outer.tensor)
     values = _group_rows(v, blocks, 2)
     if layer.config.opa_combine == "hadamard":
         flat = opa_sum_hadamard(scores, values, blocks)
-    elif value_ids is not None:
-        return opa_project(scores, values, blocks, layer.wo_outer.tensor, value_ids)
     else:
         flat = reshape(opa_sum_outer(scores, values, blocks), (x.shape[0], d * d))
     return matmul(flat, layer.wo_outer.tensor)
@@ -238,14 +241,14 @@ def fame_fuse(layer: FameLayer, z_self: Tensor, z_outer: Tensor) -> Tensor:
 
 
 def fame_forward(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None,
-                 x_kv: Tensor | None = None, layout=None, value_ids=None) -> Tensor:
+                 x_kv: Tensor | None = None, layout=None, value_parts=None) -> Tensor:
     """Both branches over the same queries `x` and key/value rows `x_kv` (default `x`), fused.
 
     The one attention entry point. The encoders pass packed rows of many
     sequences with their `layout`, a list of (count, length) groups of
     equal-length sequences; the decoder passes one sequence, with `x_kv` and
-    `attn_allowed` when it needs them. `value_ids` go to `opa_forward`.
+    `attn_allowed` when it needs them. `value_parts` go to `opa_forward`.
     """
     return fame_fuse(layer,
                      msa_forward(layer, x, mask, attn_allowed, x_kv, layout),
-                     opa_forward(layer, x, mask, attn_allowed, x_kv, layout, value_ids))
+                     opa_forward(layer, x, mask, attn_allowed, x_kv, layout, value_parts))

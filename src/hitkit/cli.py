@@ -56,7 +56,11 @@ def _load_config(args) -> TrainConfig:
         cfg = TrainConfig()
     env_seed = os.environ.get("HITKIT_SEED")
     if env_seed is not None:
-        cfg = TrainConfig.from_dict({**cfg.to_dict(), "seed": int(env_seed)})
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise CliError(f"HITKIT_SEED must be an integer, got {env_seed!r}") from None
+        cfg = TrainConfig.from_dict({**cfg.to_dict(), "seed": seed})
     if args.seed is not None:
         cfg = TrainConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
     return cfg
@@ -362,6 +366,8 @@ def build_mlm_dataset(token_lists, vocab, cfg, rng):
 
 
 def cmd_pretrain_zsl(args) -> int:
+    if args.neg_per_pos < 1:
+        raise CliError(f"--neg-per-pos must be at least 1, got {args.neg_per_pos}")
     cfg = _load_config(args)
     out = _out_dir(args)
     records = D.load_dataset(args.train_file, "classification")

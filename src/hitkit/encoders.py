@@ -146,14 +146,14 @@ class EncoderLayer:
         self.dropout_rate = dropout_rate
         self.eps = eps
 
-    def forward(self, x: Tensor, mask=None, layout=None, drop=None, value_ids=None) -> Tensor:
+    def forward(self, x: Tensor, mask=None, layout=None, drop=None, value_parts=None) -> Tensor:
         """Rows x of one sequence, or packed sequences grouped as `layout` says.
 
         `drop` is this layer's (attention, FFN) pair from `dropout_multipliers`;
-        without it the layer runs without dropout. `value_ids` go to `fame_forward`.
+        without it the layer runs without dropout. `value_parts` go to `fame_forward`.
         """
         drop_attn, drop_ffn = (None, None) if drop is None else drop
-        h = _apply_dropout(fame_forward(self.fame, x, mask, layout=layout, value_ids=value_ids),
+        h = _apply_dropout(fame_forward(self.fame, x, mask, layout=layout, value_parts=value_parts),
                            drop_attn)
         y1 = layer_norm(add(x, h), self.norm1_g.tensor, self.norm1_b.tensor, self.eps)
         f = _apply_dropout(self.ffn.forward(y1), drop_ffn)
@@ -165,18 +165,18 @@ class EncoderLayer:
 
 
 def run_layers(layers, x: Tensor, packing: Packing, mask, training: bool, rng,
-               value_ids=None) -> Tensor:
+               value_parts=None) -> Tensor:
     """A stack of encoder layers over packed rows; dropout is drawn for all layers first.
 
-    `value_ids` name the rows of `x` that are equal by construction. Only the
-    first layer gets them: the later layers' rows depend on whole sequences.
+    `value_parts` (see `opa_forward`) write the rows of `x` as sums of table rows.
+    Only the first layer gets them: the later layers' rows depend on whole sequences.
     """
     drops = [None] * len(layers)
     if training and layers:
         drops = dropout_multipliers(rng, layers[0].dropout_rate, packing, len(layers), x.shape[1])
     for layer, drop in zip(layers, drops):
-        x = layer.forward(x, mask, layout=packing.layout, drop=drop, value_ids=value_ids)
-        value_ids = None
+        x = layer.forward(x, mask, layout=packing.layout, drop=drop, value_parts=value_parts)
+        value_parts = None
     return x
 
 
@@ -251,10 +251,12 @@ class CharHit:
         pack = Packing([len(ids) for ids in words])
         chars = np.asarray(pack.rows(words), dtype=np.int64)
         x = add(embedding_lookup(self.emb.tensor, chars), Tensor(self.pos[pack.positions]))
-        # a first-layer row is char_emb[c] + pos[p] (dropout comes after attention), so
-        # rows with the same (character, position) are equal and share one OPA projection
-        x = run_layers(self.layers, x, pack, None, training, rng,
-                       value_ids=chars * self.max_word_len + pack.positions)
+        # a first-layer row is char_emb[c] + pos[p] (dropout comes after attention), and the
+        # OPA projection is linear in the value: it projects each character and position once
+        distinct, char_ids = np.unique(chars, return_inverse=True)
+        parts = [(embedding_lookup(self.emb.tensor, distinct), char_ids),
+                 (Tensor(self.pos[:max(pack.lengths)]), pack.positions)]
+        x = run_layers(self.layers, x, pack, None, training, rng, value_parts=parts)
         return pack.unpack_sequences(self.pool.forward(x, layout=pack.layout))
 
     def encode_word(self, char_ids, training: bool = False, rng=None) -> Tensor:

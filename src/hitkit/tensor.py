@@ -641,74 +641,102 @@ def opa_sum_hadamard(s, v, allowed) -> Tensor:
     return _opa_sum("opa_sum_hadamard", s, v, allowed, False, _hadamard_forward, _hadamard_backward)
 
 
-def opa_project(s, v, allowed, w: Tensor, ids) -> Tensor:
-    """reshape(opa_sum_outer(s, v, allowed), (rows, d * e)) @ w, without the aggregate.
+def opa_project(s, parts, allowed, w: Tensor) -> Tensor:
+    """reshape(opa_sum_outer(s, v, allowed), (rows, d * e)) @ w, where v sums table rows.
 
-    `ids` names every value row, in the order opa_sum_outer flattens them. Rows that
-    share an id share a value: it is read from the id's first row, which also gets the
-    value's whole gradient. Each distinct value u is projected once, as
-    P[a, u] = sum_b v_u[b] w[a * e + b], and out_i is the sum over allowed j of
-    s_ij @ P[:, id(j)]. So the d * e * c work scales with the distinct values, not
-    with the query rows, and no (rows, d, e) aggregate is made.
+    s and allowed are lists of (count, n, m, d) score and (count, n, m) mask blocks,
+    one per group, as opa_sum_outer takes them. `parts` lists (table, ids): value row j,
+    in the order opa_sum_outer flattens them, is the sum over parts of table[ids[j]].
+    The projection P(v)[a] = sum_b v[b] w[a * e + b] is linear in v, so every table row
+    is projected once, each distinct combination u of ids gets P_u as the sum of its
+    rows' projections, and out_i is the sum over allowed j of s_ij @ P_u(j). So the
+    d * e * c work scales with the table rows, and neither v nor the (rows, d, e)
+    aggregate is made. The gradient goes to s, to every table and to w.
     """
-    _, ss, vs, groups, (d, e) = _opa_groups("opa_project", s, v, allowed, True)
+    ss, masks = list(s), [np.asarray(a, dtype=np.float64) for a in allowed]
+    d = ss[0].shape[-1] if ss else 0
+    if not ss or len(ss) != len(masks) or any(
+            t.ndim != 4 or t.shape[-1] != d or a.shape != t.shape[:-1] for t, a in zip(ss, masks)):
+        raise ShapeError(f"opa_project shape mismatch: scores {[t.shape for t in ss]}, "
+                         f"masks {[a.shape for a in masks]}")
+    tables = [table for table, _ in parts]
+    widths = {table.shape[1:] for table in tables}
+    if len(widths) != 1 or len(next(iter(widths))) != 1:
+        raise ShapeError(f"opa_project tables differ in width: {[t.shape for t in tables]}")
+    (e,) = widths.pop()
     if w.ndim != 2 or w.shape[0] != d * e:
         raise ShapeError(f"opa_project weight {w.shape} does not take {d}x{e} aggregates")
-    vflat = np.concatenate([vd.reshape(-1, e) for _, _, vd in groups])
-    ids = np.asarray(ids)
-    if ids.shape != vflat.shape[:1]:
-        raise ShapeError(f"opa_project needs {vflat.shape[0]} value ids, got shape {ids.shape}")
-    _, first, uid = np.unique(ids, return_index=True, return_inverse=True)
+    n_keys = sum(a.shape[0] * a.shape[2] for a in masks)
+    ids = [np.asarray(i, dtype=np.int64) for _, i in parts]
+    if any(i.shape != (n_keys,) for i in ids):
+        raise ShapeError(f"opa_project needs {n_keys} value ids per table, "
+                         f"got shapes {[i.shape for i in ids]}")
+    sizes = [table.shape[0] for table in tables]
+    _, first, uid = np.unique(np.ravel_multi_index(ids, sizes), return_index=True,
+                              return_inverse=True)
+    # each distinct value's rows in the tables stacked into one
+    starts = np.cumsum([0] + sizes[:-1])
+    combos = np.stack([start + i[first] for start, i in zip(starts, ids)], axis=1)
     # every allowed (query, key) pair: its query row and its key's distinct value
     keeps, pair_q, pair_u = [], [], []
     q0 = v0 = 0
-    for a, sd, vd in groups:
-        n, m = sd.shape[-3:-1]
+    for a in masks:
+        count, n, m = a.shape
         keep = np.flatnonzero(a)
         query, key = np.divmod(keep, m)
         keeps.append(keep)
         pair_q.append(q0 + query)
         pair_u.append(uid[v0 + query // n * m + key])
-        q0, v0 = q0 + a.size // m, v0 + vd.size // e
+        q0, v0 = q0 + count * n, v0 + count * m
     pair_u = np.concatenate(pair_u)
     order = np.argsort(pair_u, kind="stable")  # pairs in value order
     rank = np.argsort(order)
-    sp = np.concatenate([sd.reshape(-1, d)[k] for k, (_, sd, _) in zip(keeps, groups)])[order]
+    sp = np.concatenate([sd.data.reshape(-1, d)[k] for k, sd in zip(keeps, ss)])[order]
     qp = np.concatenate(pair_q)[order]
     bounds = np.concatenate([[0], np.cumsum(np.bincount(pair_u, minlength=len(first)))])
     segs = [(u, lo, hi) for u, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo]
-    vu, w3 = vflat[first], w.data.reshape(d, e, -1)
-    proj = np.matmul(vu[None], w3)
+    table, w3 = np.concatenate([t.data for t in tables]), w.data.reshape(d, e, -1)
+    proj = np.empty((len(table),) + w3.shape[::2])  # (row, a, c): each row's block contiguous
+    np.matmul(table[None], w3, out=proj.transpose(1, 0, 2))
+    buf = np.empty(w3.shape[::2])
+
+    def value_proj(u):
+        """P_u, the sum of its table rows' projections, in one buffer that stays in cache."""
+        np.copyto(buf, proj[combos[u, 0]])
+        for row in combos[u, 1:]:
+            np.add(buf, proj[row], out=buf)
+        return buf
+
+    terms = np.empty((len(order), w3.shape[2]))
+    for u, lo, hi in segs:
+        np.matmul(sp[lo:hi], value_proj(u), out=terms[lo:hi])
 
     def by_group(rows):
-        """Per-pair rows, in value order, as one zero-filled (..., n, m, width) block per group."""
+        """Per-pair rows, in value order, as one zero-filled (count, n, m, width) block per group."""
         p0 = 0
-        for keep, (a, _, _) in zip(keeps, groups):
+        for keep, a in zip(keeps, masks):
             full = np.zeros((a.size, rows.shape[1]))
             full[keep] = rows[rank[p0:p0 + len(keep)]]
             p0 += len(keep)
             yield full.reshape(a.shape + (-1,))
 
-    terms = np.empty((len(order), w3.shape[2]))
-    for u, lo, hi in segs:
-        np.matmul(sp[lo:hi], proj[:, u], out=terms[lo:hi])
     out = np.concatenate([t.sum(axis=-2).reshape(-1, w3.shape[2]) for t in by_group(terms)])
 
     def bwd(dout):
         dterms = dout[qp]
         ds = np.empty_like(sp)
-        dproj = np.zeros((len(first),) + w3.shape[::2])  # (u, a, c): each u's block contiguous
+        drows = np.zeros_like(proj)
+        dproj = np.empty_like(buf)
         for u, lo, hi in segs:
-            np.matmul(dterms[lo:hi], proj[:, u].T, out=ds[lo:hi])
-            np.matmul(sp[lo:hi].T, dterms[lo:hi], out=dproj[u])
-        dv = np.zeros_like(vflat)
-        dv[first] = sum(dproj[:, a] @ w3[a].T for a in range(d))
-        splits = np.cumsum([vd.size // e for _, _, vd in groups])[:-1]
-        dvs = [g.reshape(vd.shape) for g, (_, _, vd) in zip(np.split(dv, splits), groups)]
-        dw = np.matmul(vu.T[None], dproj.transpose(1, 0, 2)).reshape(w.shape)
-        return tuple(by_group(ds)) + tuple(dvs) + (dw,)
+            np.matmul(dterms[lo:hi], value_proj(u).T, out=ds[lo:hi])
+            np.matmul(sp[lo:hi].T, dterms[lo:hi], out=dproj)
+            for row in combos[u]:
+                drows[row] += dproj
+        dtable = sum(drows[:, a] @ w3[a].T for a in range(d))
+        dw = np.matmul(table.T[None], drows.transpose(1, 0, 2)).reshape(w.shape)
+        return tuple(by_group(ds)) + tuple(np.split(dtable, starts[1:])) + (dw,)
 
-    return _emit(out, tuple(ss) + tuple(vs) + (w,), bwd)
+    return _emit(out, tuple(ss) + tuple(tables) + (w,), bwd)
 
 
 def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:

@@ -118,9 +118,9 @@ def recompute_greedy_decode(model, ex, max_out):
     return out, probs
 
 
-def oracle_encoder_layer(layer, x, mask=None, training=False, rng=None, value_ids=None):
+def oracle_encoder_layer(layer, x, mask=None, training=False, rng=None, value_parts=None):
     """One EncoderLayer over one sequence, dropout drawn after each sublayer."""
-    h = T.dropout(fame_forward(layer.fame, x, mask, value_ids=value_ids), layer.dropout_rate,
+    h = T.dropout(fame_forward(layer.fame, x, mask, value_parts=value_parts), layer.dropout_rate,
                   training, rng)
     y1 = T.layer_norm(T.add(x, h), layer.norm1_g.tensor, layer.norm1_b.tensor, layer.eps)
     f = T.dropout(layer.ffn.forward(y1), layer.dropout_rate, training, rng)
@@ -137,12 +137,14 @@ def oracle_hier_pool(pool, h):
 
 def oracle_encode_word(char_hit, ids, training=False, rng=None):
     ids = list(ids)
-    x = T.add(T.embedding_lookup(char_hit.emb.tensor, ids), T.Tensor(char_hit.pos[:len(ids)]))
-    # the first layer projects each value row once, as CharHit.forward does; within one
-    # word every (character, position) pair is distinct, so each row is its own value
+    emb, pos = T.embedding_lookup(char_hit.emb.tensor, ids), T.Tensor(char_hit.pos[:len(ids)])
+    x = T.add(emb, pos)
+    # the first layer projects its values as sums of an embedding row and a position row,
+    # as CharHit.forward does, here with one row of each per character of the word
+    rows = np.arange(len(ids))
     for i, layer in enumerate(char_hit.layers):
         x = oracle_encoder_layer(layer, x, training=training, rng=rng,
-                                 value_ids=np.arange(len(ids)) if i == 0 else None)
+                                 value_parts=[(emb, rows), (pos, rows)] if i == 0 else None)
     return oracle_hier_pool(char_hit.pool, x)
 
 

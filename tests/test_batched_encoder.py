@@ -186,10 +186,15 @@ SHARED = [(["aab", "aba", "baa", "abab"], 0), (["baa", "abab", "ab"], 5),
 
 def aggregate_only(monkeypatch):
     """Make every OPA layer make the (rows, d, d) aggregate, as before value-first projection."""
-    def project(s, v, allowed, w, ids):
-        rows = sum(t.size // (t.shape[-2] * t.shape[-1]) for t in s)
+    def project(s, parts, allowed, w):
+        (table, ids), *rest = parts
+        v = T.embedding_lookup(table, ids)
+        for table, ids in rest:
+            v = T.add(v, T.embedding_lookup(table, ids))
+        values = A.group_blocks(v, [(t.shape[0], t.shape[2]) for t in s])
+        rows = sum(t.shape[0] * t.shape[1] for t in s)
         d = s[0].shape[-1]
-        return T.matmul(T.reshape(T.opa_sum_outer(s, v, allowed), (rows, d * d)), w)
+        return T.matmul(T.reshape(T.opa_sum_outer(s, values, allowed), (rows, d * d)), w)
 
     monkeypatch.setattr(A, "opa_project", project)
 
@@ -243,3 +248,23 @@ def test_only_the_word_layers_make_the_opa_aggregate(monkeypatch):
     model, batch = model_and_batch("classification", cfg(l_c=1, l_w=2), sentences=SHARED)
     model.loss_batch(batch)
     assert len(calls) == 2
+
+
+def test_the_first_char_layer_projects_each_character_and_position_once(monkeypatch):
+    tables = []
+    real = A.opa_project
+
+    def spy(s, parts, allowed, w):
+        tables.append([table.shape[0] for table, _ in parts])
+        return real(s, parts, allowed, w)
+
+    monkeypatch.setattr(A, "opa_project", spy)
+    model, batch = model_and_batch("classification", cfg(l_c=2, l_w=2), sentences=SHARED)
+    model.loss_batch(batch)
+    words = {tuple(seq) for ex in batch for seq in ex.char_ids}
+    chars = {c for word in words for c in word}
+    longest = max(map(len, words))
+    pairs = {(c, p) for word in words for p, c in enumerate(word)}
+    # one call, from the first of the two char layers: a row per character and per position
+    assert tables == [[len(chars), longest]]
+    assert len(chars) + longest < len(pairs)

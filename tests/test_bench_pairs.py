@@ -1,6 +1,7 @@
 """scripts/bench_pairs.py: seed parsing, quartiles and the exit status."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -68,3 +69,68 @@ def test_exit_status_reflects_every_run(monkeypatch, capsys, bad, code):
     assert bench_pairs.main(["--parent", "HEAD", "--workload", "embed", "--seeds", "1-2"]) == code
     assert len(calls) == 4
     assert "all runs correct" in capsys.readouterr().out
+
+
+def test_no_run_uses_the_checkout_itself(monkeypatch, capsys):
+    exported, checkouts = {}, []
+
+    def export(rev, dest):
+        exported[dest] = rev
+
+    def run(checkout, workload, seed, seconds):
+        checkouts.append(checkout)
+        return fake_result()
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run", run)
+    assert bench_pairs.main(["--parent", "HEAD", "--workload", "embed", "--seeds", "1-2"]) == 0
+    assert sorted(exported.values(), key=str) == ["HEAD", None]
+    assert len(checkouts) == 4 and set(checkouts) == set(exported)
+    assert bench_pairs.ROOT not in checkouts
+
+
+def test_working_tree_copy_has_edits_and_untracked_files(monkeypatch, tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "copy"
+    (repo / "pkg").mkdir(parents=True)
+    dest.mkdir()
+    git = lambda *args: subprocess.run(["git", "-C", str(repo), "-c", "user.name=t",
+                                        "-c", "user.email=t@t", *args], check=True,
+                                       capture_output=True)
+    git("init", "-q")
+    for name, text in [("pkg/kept.py", "old\n"), ("pkg/gone.py", "x\n"), (".gitignore", "*.log\n")]:
+        (repo / name).write_text(text)
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "pkg" / "kept.py").write_text("edited\n")
+    (repo / "pkg" / "gone.py").unlink()
+    (repo / "pkg" / "new.py").write_text("untracked\n")
+    (repo / "run.log").write_text("ignored\n")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    bench_pairs.export(None, dest)
+    files = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert files == [".gitignore", "pkg/kept.py", "pkg/new.py"]
+    assert (dest / "pkg" / "kept.py").read_text() == "edited\n"
+
+
+@pytest.mark.parametrize("flag, value, needle", [
+    ("--seconds", "0", "--seconds"),
+    ("--seconds", "-1", "--seconds"),
+    ("--parent", "no-such-revision", "no-such-revision"),
+])
+def test_bad_arguments_give_one_stderr_line(monkeypatch, capsys, flag, value, needle):
+    monkeypatch.setattr(bench_pairs, "run", lambda *a: pytest.fail("no run may start"))
+    args = {"--parent": "HEAD", "--workload": "embed", "--seeds": "1", flag: value}
+    code = bench_pairs.main([x for item in args.items() for x in item])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and needle in err and "Traceback" not in err
+
+
+def test_a_failing_run_gives_one_stderr_line(monkeypatch, capsys):
+    # empty checkouts: run.py is missing, so its python process fails
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
+    code = bench_pairs.main(["--parent", "HEAD", "--workload", "embed", "--seeds", "1",
+                             "--seconds", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1 and "run.py failed" in err

@@ -257,6 +257,20 @@ class TestMalformedInputs:
                      "--input", str(texts), "--k", "0", "--out-dir", str(tmp_path / "a")])
         self.assert_one_error_line(code, capsys.readouterr().err, "k must be at least 1")
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_pretrain_zsl_with_fewer_than_one_negative(self, tmp_path, capsys, n):
+        data = write_classification(tmp_path)
+        code = main(["pretrain-zsl", "--train-file", data, "--neg-per-pos", n,
+                     "--out-dir", str(tmp_path / "z")])
+        self.assert_one_error_line(code, capsys.readouterr().err, "--neg-per-pos", n)
+        assert not (tmp_path / "z").exists()
+
+    def test_non_integer_seed_variable(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HITKIT_SEED", "abc")
+        code = main(["train", "--task", "classification", "--train-file",
+                     write_classification(tmp_path), "--out-dir", str(tmp_path / "o")])
+        self.assert_one_error_line(code, capsys.readouterr().err, "HITKIT_SEED", "'abc'")
+
 
 class TestEvaluate:
     def test_metrics_deterministic_modulo_timestamp(self, tmp_path, trained_dir):

@@ -511,42 +511,55 @@ class TestOpaProject:
     """opa_project against the aggregate it replaces: reshape(opa_sum_outer(...)) @ w."""
 
     LAYOUT = ((2, 3), (1, 1), (3, 2))  # (count, length) per group: 13 value rows
-    # ids repeat inside a sequence, across sequences and across groups
-    IDS = np.array([4, 7, 4, 7, 1, 4, 1, 7, 4, 9, 9, 1, 7])
+    # two tables whose ids repeat inside a sequence, across sequences and across groups
+    SIZES = (5, 3)
+    IDS = (np.array([4, 2, 4, 2, 1, 4, 1, 2, 4, 0, 0, 1, 2]),
+           np.array([0, 1, 2, 0, 1, 2, 0, 0, 1, 0, 1, 0, 1]))
 
     @classmethod
-    def operands(cls, seed=80, d=2, e=3, c=2):
-        """Score, value and mask blocks per group (some pairs masked) and a weight, all leaves."""
+    def operands(cls, seed=80, d=2, e=3, c=2, sizes=SIZES):
+        """Score and mask blocks per group (some pairs masked), tables and a weight; all leaves."""
         rng = np.random.default_rng(seed)
-        scores, values, masks = [], [], []
+        scores, masks = [], []
         for count, length in cls.LAYOUT:
             scores.append(T.Tensor(rng.standard_normal((count, length, length, d)), requires_grad=True))
-            values.append(T.Tensor(rng.standard_normal((count, length, e)), requires_grad=True))
             allowed = rng.random((count, length, length)) < 0.6
             allowed[..., 0] = True
             masks.append(allowed)
+        tables = [T.Tensor(rng.standard_normal((n, e)), requires_grad=True) for n in sizes]
         w = T.Tensor(rng.standard_normal((d * e, c)), requires_grad=True)
-        return scores, values, masks, w
+        return scores, tables, masks, w
 
-    @staticmethod
-    def aggregate(scores, values, masks, w):
-        d, e = scores[0].shape[-1], values[0].shape[-1]
-        rows = sum(s.size // (s.shape[-2] * d) for s in scores)
-        return T.matmul(T.reshape(T.opa_sum_outer(scores, values, masks), (rows, d * e)), w)
+    @classmethod
+    def aggregate(cls, scores, parts, masks, w):
+        """The aggregate path, on value rows built as the summed table rows."""
+        v = T.embedding_lookup(*parts[0])
+        for table, ids in parts[1:]:
+            v = T.add(v, T.embedding_lookup(table, ids))
+        values, start = [], 0
+        for count, length in cls.LAYOUT:
+            stop = start + count * length
+            values.append(T.reshape(T.slice_rows(v, start, stop), (count, length, v.shape[1])))
+            start = stop
+        d, e = scores[0].shape[-1], v.shape[1]
+        return T.matmul(T.reshape(T.opa_sum_outer(scores, values, masks), (start, d * e)), w)
 
     def test_gradient_with_repeated_ids_and_masked_pairs(self):
-        scores, values, masks, w = self.operands()
+        scores, tables, masks, w = self.operands()
         assert not all(m.all() for m in masks)
-        check_gradients(
-            lambda: T.sum_all(T.tanh(T.opa_project(scores, values, masks, w, self.IDS))),
-            scores + values + [w])
+        parts = list(zip(tables, self.IDS))
+        check_gradients(lambda: T.sum_all(T.tanh(T.opa_project(scores, parts, masks, w))),
+                        scores + tables + [w])
 
-    def test_distinct_ids_match_the_aggregate(self):
-        scores, values, masks, w = self.operands(seed=81)
-        leaves = scores + values + [w]
+    @pytest.mark.parametrize("sizes, ids", [(SIZES, IDS), ((13,), (np.arange(13),))],
+                             ids=["two_tables_repeated_ids", "one_table_distinct_ids"])
+    def test_matches_the_aggregate_of_the_summed_rows(self, sizes, ids):
+        scores, tables, masks, w = self.operands(seed=81, sizes=sizes)
+        parts = list(zip(tables, ids))
+        leaves = scores + tables + [w]
         grads = []
-        for build in (lambda: T.opa_project(scores, values, masks, w, np.arange(13)),
-                      lambda: self.aggregate(scores, values, masks, w)):
+        for build in (lambda: T.opa_project(scores, parts, masks, w),
+                      lambda: self.aggregate(scores, parts, masks, w)):
             for leaf in leaves:
                 leaf.zero_grad()
             out = build()
@@ -558,27 +571,22 @@ class TestOpaProject:
         for g, h in zip(got_grads, want_grads):
             assert np.max(np.abs(g - h)) < 1e-12
 
-    def test_rows_sharing_an_id_read_the_first_rows_value(self):
-        scores, values, masks, w = self.operands(seed=82)
-        flat = np.concatenate([v.data.reshape(-1, 3) for v in values])
-        _, first, inverse = np.unique(self.IDS, return_index=True, return_inverse=True)
-        tied = flat[first][inverse]
-        splits = np.cumsum([v.data.size // 3 for v in values])[:-1]
-        tied_values = [T.Tensor(t.reshape(v.shape)) for t, v in zip(np.split(tied, splits), values)]
-        got = T.opa_project(scores, values, masks, w, self.IDS).data
-        want = self.aggregate(scores, tied_values, masks, w).data
-        assert np.max(np.abs(got - want)) < 1e-12
-
     @pytest.mark.parametrize("ids", [np.arange(12), np.arange(14), np.zeros((13, 1))])
     def test_rejects_ids_of_the_wrong_length(self, ids):
-        scores, values, masks, w = self.operands()
+        scores, tables, masks, w = self.operands(sizes=(5, 14))
         with pytest.raises(T.ShapeError, match="value ids"):
-            T.opa_project(scores, values, masks, w, ids)
+            T.opa_project(scores, [(tables[0], self.IDS[0]), (tables[1], ids)], masks, w)
 
     def test_rejects_a_weight_of_the_wrong_height(self):
-        scores, values, masks, _ = self.operands()
+        scores, tables, masks, _ = self.operands()
         with pytest.raises(T.ShapeError, match="weight"):
-            T.opa_project(scores, values, masks, T.Tensor(np.ones((5, 2))), self.IDS)
+            T.opa_project(scores, list(zip(tables, self.IDS)), masks, T.Tensor(np.ones((5, 2))))
+
+    def test_rejects_tables_of_different_widths(self):
+        scores, tables, masks, w = self.operands()
+        narrow = T.Tensor(np.ones((3, 2)))
+        with pytest.raises(T.ShapeError, match="width"):
+            T.opa_project(scores, [(tables[0], self.IDS[0]), (narrow, self.IDS[1])], masks, w)
 
 
 class TestInvariants:
