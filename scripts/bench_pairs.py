@@ -20,7 +20,8 @@ stderr for a malformed --seeds, a --seconds that is not positive or an unknown
 
 The parent is exported with `git archive` and the working tree copied file by
 file, each into a temporary directory that is removed afterwards, so the
-repository's git state is left untouched.
+repository's git state is left untouched. SIGTERM ends the script as an exit
+with status 143: the running run.py is killed and the directory still removed.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import argparse
 import json
 import re
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -106,6 +108,10 @@ def report(metrics: list[dict], results: dict) -> bool:
     return all(correct.values())
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
@@ -126,13 +132,14 @@ def main(argv=None) -> int:
         print(f"bench_pairs: {exc}", file=sys.stderr)
         return 2
     results = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        parent, change = Path(tmp) / "parent", Path(tmp) / "change"
-        for checkout, rev in ((parent, args.parent), (change, None)):
-            checkout.mkdir()
-            export(rev, checkout)
-        order = [("parent", parent), ("change", change)]
-        try:
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    try:
+        with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+            parent, change = Path(tmp) / "parent", Path(tmp) / "change"
+            for checkout, rev in ((parent, args.parent), (change, None)):
+                checkout.mkdir()
+                export(rev, checkout)
+            order = [("parent", parent), ("change", change)]
             for k, seed in enumerate(seeds):
                 for side, checkout in order if k % 2 == 0 else order[::-1]:
                     r = run(checkout, args.workload, seed, args.seconds)
@@ -140,9 +147,11 @@ def main(argv=None) -> int:
                     tp = r["metrics"]["throughput_per_s"]["value"]
                     print(f"pair {k + 1}/{len(seeds)} seed {seed} {side}: throughput {tp:.4g}/s, "
                           f"correct {r['correct']}", file=sys.stderr, flush=True)
-        except RuntimeError as exc:
-            print(f"bench_pairs: {exc}", file=sys.stderr)
-            return 1
+    except RuntimeError as exc:
+        print(f"bench_pairs: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     print(f"workload {args.workload}, parent {args.parent}, seeds {args.seeds}, "
           f"{args.seconds:g} s per run, {len(seeds)} pairs")
     return 0 if report(bench["end_to_end"], results) else 1

@@ -141,8 +141,7 @@ def _group_rows(x: Tensor, blocks, axis: int) -> list[Tensor]:
 
 
 def multi_head_attention(wq: Parameter, wk: Parameter, wv: Parameter, wo: Parameter,
-                         n_heads: int, x_q: Tensor, x_kv: Tensor, allowed,
-                         return_weights: bool = False):
+                         n_heads: int, x_q: Tensor, x_kv: Tensor, allowed) -> Tensor:
     """Scaled dot-product attention over heads.
 
     `allowed` is an (n_q, n_kv) bool matrix for one sequence, or a list of
@@ -156,7 +155,6 @@ def multi_head_attention(wq: Parameter, wk: Parameter, wv: Parameter, wo: Parame
     k = matmul(x_kv, wk.tensor)
     v = matmul(x_kv, wv.tensor)
     outs = []
-    weights = []
     for a, qg, kg, vg in zip(blocks, _group_rows(q, blocks, 1), _group_rows(k, blocks, 2),
                              _group_rows(v, blocks, 2)):
         count, lq, lkv = a.shape
@@ -165,14 +163,9 @@ def multi_head_attention(wq: Parameter, wk: Parameter, wv: Parameter, wo: Parame
                        1.0 / np.sqrt(dh))
         attn = softmax(scores, axis=-1,
                        mask=np.broadcast_to(a[:, None], (count, n_heads, lq, lkv)))
-        if return_weights:
-            weights.append(attn.data.copy())
         z = matmul(attn, heads(vg, lkv, (0, 2, 1, 3)))
         outs.append(reshape(transpose(z, (0, 2, 1, 3)), (count * lq, d)))
-    out = matmul(outs[0] if len(outs) == 1 else concat_rows(outs), wo.tensor)
-    if return_weights:
-        return out, weights
-    return out
+    return matmul(outs[0] if len(outs) == 1 else concat_rows(outs), wo.tensor)
 
 
 def msa_forward(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None,
@@ -185,16 +178,6 @@ def msa_forward(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None,
     allowed = _allowed(mask, attn_allowed, x.shape[0], x_kv.shape[0], "msa_forward", layout)
     return multi_head_attention(layer.wq_self, layer.wk_self, layer.wv_self, layer.wo_self,
                                 layer.config.n_heads, x, x_kv, allowed)
-
-
-def msa_weights(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None) -> np.ndarray:
-    """Per-head attention matrices, shape (n_heads, n, n); for inspection and tests."""
-    n = x.shape[0]
-    _, w = multi_head_attention(layer.wq_self, layer.wk_self, layer.wv_self, layer.wo_self,
-                                layer.config.n_heads, x, x,
-                                _allowed(mask, attn_allowed, n, n, "msa_forward"),
-                                return_weights=True)
-    return w[0][0]
 
 
 def opa_forward(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None,

@@ -188,36 +188,20 @@ class HierPool:
         self.proj_b = Parameter(f"{name}.proj_b", np.zeros(d_model))
         self.context = Parameter(f"{name}.context", xavier_uniform(rng, (d_model, 1)).reshape(d_model))
 
-    def forward(self, h: Tensor, mask=None, return_weights: bool = False, layout=None):
-        """Pool one (n, d) sequence to a (d,) vector, or packed sequences to (sequences, d).
-
-        With `layout` (see `Packing`) the pooled rows come in packed order.
-        """
-        n, d = h.shape
-        m = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-        groups = [(1, n)] if layout is None else layout
+    def forward(self, h: Tensor, layout) -> Tensor:
+        """Pool packed sequences (see `Packing`) to one row each, (sequences, d) in packed order."""
+        d = h.shape[1]
         u = tanh(add_bias(matmul(h, self.proj_w.tensor), self.proj_b.tensor))
         context = reshape(self.context.tensor, (1, d))
-        pooled, weights = [], []
-        for ug, hg, mg in zip(group_blocks(u, groups), group_blocks(h, groups),
-                              group_blocks(m, groups)):
-            if not mg.any(axis=1).all():
-                raise ValueError("hier_pool: every position is masked")
-            count, length = mg.shape
+        pooled = []
+        for (count, length), ug, hg in zip(layout, group_blocks(u, layout), group_blocks(h, layout)):
             # one (length, d) @ (d, 1) product per sequence, as when it is pooled alone: BLAS
             # rounds a row of one (rows, d) @ (d, 1) product by the row's place in the block
             tiled = embedding_lookup(context, np.zeros(count, dtype=np.int64))
             scores = reshape(matmul(ug, reshape(tiled, (count, d, 1))), (count, length))
-            a = softmax(scores, axis=-1, mask=mg)
-            weights.append(a.data)
+            a = softmax(scores, axis=-1)
             pooled.append(reshape(matmul(reshape(a, (count, 1, length)), hg), (count, d)))
-        out = pooled[0] if len(pooled) == 1 else concat_rows(pooled)
-        if layout is not None:
-            return out
-        out = reshape(out, (d,))
-        if return_weights:
-            return out, weights[0][0].copy()
-        return out
+        return pooled[0] if len(pooled) == 1 else concat_rows(pooled)
 
     def parameters(self):
         return [self.proj_w, self.proj_b, self.context]
@@ -257,7 +241,7 @@ class CharHit:
         parts = [(embedding_lookup(self.emb.tensor, distinct), char_ids),
                  (Tensor(self.pos[:max(pack.lengths)]), pack.positions)]
         x = run_layers(self.layers, x, pack, None, training, rng, value_parts=parts)
-        return pack.unpack_sequences(self.pool.forward(x, layout=pack.layout))
+        return pack.unpack_sequences(self.pool.forward(x, pack.layout))
 
     def encode_word(self, char_ids, training: bool = False, rng=None) -> Tensor:
         """One word's pooled vector, (d,): a batch of one."""

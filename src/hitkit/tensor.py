@@ -1,14 +1,18 @@
-"""Dense tensors with a reverse-mode gradient tape.
+"""Dense tensors with reverse-mode autograd.
 
-Every differentiable operation records a backward rule on a module-level
-tape; ``backward`` pops the tape in reverse and accumulates gradients
-on requires_grad leaves. Shapes are strict: binary pointwise ops demand
-identical shapes, and the only implicit broadcast is scalar * tensor.
+Every differentiable operation run while a gradient is needed gives its output
+a node: a creation number, its inputs and its backward rule. ``backward(loss)``
+runs the nodes reachable from the loss, latest first, and accumulates gradients
+on requires_grad leaves. A graph lives only as long as its tensors do. Shapes
+are strict: binary pointwise ops demand identical shapes, and the only implicit
+broadcast is scalar * tensor.
 """
 
 from __future__ import annotations
 
 import contextlib
+import heapq
+import itertools
 import math
 from collections import Counter, namedtuple
 
@@ -20,9 +24,12 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    """A dense float64 array plus an optional gradient buffer."""
+    """A dense float64 array plus an optional gradient buffer.
 
-    __slots__ = ("data", "requires_grad", "grad")
+    `node` is (seq, inputs, backward_fn) while an op output awaits backward, else None.
+    """
+
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -31,6 +38,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self.node = None
 
     @property
     def shape(self):
@@ -75,26 +83,13 @@ class Tensor:
         return matmul(self, other)
 
 
-class _Entry:
-    __slots__ = ("out", "inputs", "backward_fn")
-
-    def __init__(self, out, inputs, backward_fn):
-        self.out = out
-        self.inputs = inputs
-        self.backward_fn = backward_fn
-
-
-_tape: list[_Entry] = []
 _recording: bool = True
-
-
-def clear_tape() -> None:
-    _tape.clear()
+_seq = itertools.count()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable tape recording inside the block (inference / finite differences)."""
+    """Make no graph inside the block (inference / finite differences)."""
     global _recording
     prev = _recording
     _recording = False
@@ -108,10 +103,8 @@ def _emit(out_data, inputs, backward_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
-    track = _recording and any(t.requires_grad for t in inputs)
-    out.requires_grad = track
-    if track:
-        _tape.append(_Entry(out, inputs, backward_fn))
+    out.requires_grad = _recording and any(t.requires_grad for t in inputs)
+    out.node = (next(_seq), inputs, backward_fn) if out.requires_grad else None
     return out
 
 
@@ -120,10 +113,11 @@ _Rows = namedtuple("_Rows", "shape start stop rows")
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into every requires_grad leaf, emptying the tape.
+    """Accumulate d(loss)/d(leaf) into every requires_grad leaf of the loss's graph.
 
-    Each entry is popped as its rule runs, so the intermediates it holds are freed
-    before the gradients of earlier (often larger) entries are allocated.
+    Nodes run latest first, so each runs after all of its consumers. Each node is
+    dropped from its tensor as its rule runs, so the intermediates it holds are
+    freed before the gradients of earlier (often larger) nodes are allocated.
     Gradients are summed in place only into arrays that backward allocated: a
     rule may hand one array to several inputs (`add`, views of `dout` from the
     `concat_*` ops), so an array a rule returned is never written. A `_Rows`
@@ -134,21 +128,21 @@ def backward(loss: Tensor) -> None:
     if loss.data.size != 1:
         raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
     owned = {id(loss)}
-    produced = {id(e.out) for e in _tape}
-    while _tape:
-        entry = _tape.pop()
-        dout = grads.pop(id(entry.out), None)
-        holders.pop(id(entry.out), None)
-        if dout is None:
-            continue
-        for tensor, g in zip(entry.inputs, entry.backward_fn(dout)):
+    heap = [] if loss.node is None else [(-loss.node[0], loss)]  # latest node on top
+    leaves = [loss] if loss.node is None else []
+    while heap:
+        _, out = heapq.heappop(heap)
+        (_, inputs, backward_fn), out.node = out.node, None
+        for tensor, g in zip(inputs, backward_fn(grads.pop(id(out)))):
             if g is None or not tensor.requires_grad:
                 continue
             key = id(tensor)
             held = grads.get(key)
-            holders[key] = tensor
+            if held is None and tensor.node is None:
+                leaves.append(tensor)
+            elif held is None:
+                heapq.heappush(heap, (-tensor.node[0], tensor))
             if isinstance(g, _Rows):
                 if held is None:
                     grads[key] = held = np.zeros(g.shape)
@@ -165,12 +159,11 @@ def backward(loss: Tensor) -> None:
             else:
                 grads[key] = np.asarray(held + g)  # a 0-d sum is a scalar, not an array
                 owned.add(key)
-    leaves = [(key, t) for key, t in holders.items() if key not in produced]
-    base = lambda key: id(grads[key] if grads[key].base is None else grads[key].base)
-    shared = Counter(base(key) for key, _ in leaves if key not in owned)
-    for key, tensor in leaves:
-        g = grads[key]
-        if key not in owned and shared[base(key)] > 1:
+    base = lambda g: id(g if g.base is None else g.base)
+    shared = Counter(base(grads[id(t)]) for t in leaves if id(t) not in owned)
+    for tensor in leaves:
+        g = grads[id(tensor)]
+        if id(tensor) not in owned and shared[base(g)] > 1:
             g = g.copy()
         tensor.grad = g if tensor.grad is None else tensor.grad + g
 

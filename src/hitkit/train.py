@@ -26,7 +26,7 @@ from .model import (
     ZslModel,
 )
 from .optim import adam_step, clip_gradients
-from .tensor import backward, clear_tape, no_grad
+from .tensor import backward, no_grad
 
 
 @dataclass
@@ -249,7 +249,6 @@ def train(model, train_items, val_items, config: TrainConfig,
         batch_losses = []
         batch_sizes = []
         for chunk in _batches(order, config.batch_size):
-            clear_tape()
             loss = model.loss_batch([train_items[i] for i in chunk], training=True, rng=drop_rng)
             value = loss.item()
             if not math.isfinite(value):

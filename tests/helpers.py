@@ -29,7 +29,6 @@ def check_gradients(build_loss, leaves, rtol=FD_RTOL, h=FD_H):
     """Assert analytic gradients match central differences for every leaf."""
     for leaf in leaves:
         leaf.zero_grad()
-    T.clear_tape()
     loss = build_loss()
     T.backward(loss)
     for leaf in leaves:

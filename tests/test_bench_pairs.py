@@ -1,7 +1,11 @@
 """scripts/bench_pairs.py: seed parsing, quartiles and the exit status."""
 
 import importlib.util
+import os
+import signal
 import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -134,3 +138,43 @@ def test_a_failing_run_gives_one_stderr_line(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert len(err.strip().splitlines()) == 1 and "run.py failed" in err
+
+
+SLEEPER = "import os, sys, time; open(sys.argv[1], 'w').write(str(os.getpid())); time.sleep(60)"
+
+
+def test_sigterm_kills_the_run_and_removes_the_checkouts(tmp_path):
+    # main with export faked and run faked as a child process that sleeps, as run.py would
+    temp, pid_file = tmp_path / "tmp", tmp_path / "pid"
+    temp.mkdir()
+    code = f"""
+import importlib.util, subprocess, sys
+spec = importlib.util.spec_from_file_location("bench_pairs", {str(SCRIPT)!r})
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+bench_pairs.export = lambda rev, dest: None
+bench_pairs.run = lambda *args: subprocess.run([sys.executable, "-c", {SLEEPER!r}, {str(pid_file)!r}])
+sys.exit(bench_pairs.main(["--parent", "HEAD", "--workload", "embed", "--seeds", "1"]))
+"""
+    proc = subprocess.Popen([sys.executable, "-c", code], env={**os.environ, "TMPDIR": str(temp)})
+    try:
+        deadline = time.monotonic() + 30
+        while not (pid_file.exists() and pid_file.read_text()):
+            assert proc.poll() is None and time.monotonic() < deadline, "the faked run never started"
+            time.sleep(0.05)
+        child = int(pid_file.read_text())
+        assert [p.name.startswith("bench-pairs-") for p in temp.iterdir()] == [True]
+        proc.send_signal(signal.SIGTERM)
+        proc.wait(timeout=30)
+    finally:
+        proc.kill()
+        proc.wait()
+    try:
+        os.kill(child, 0)
+    except ProcessLookupError:
+        pass
+    else:
+        os.kill(child, signal.SIGKILL)
+        pytest.fail("the faked run's child process outlived the script")
+    assert list(temp.iterdir()) == []
+    assert proc.returncode == 128 + signal.SIGTERM

@@ -65,14 +65,14 @@ class TestHierPool:
     def test_single_row_returned_exactly(self):
         pool = HierPool(6, np.random.default_rng(7), "pool")
         row = rand((1, 6), 8)
-        out = pool.forward(T.Tensor(row))
-        assert np.max(np.abs(out.data - row[0])) < 1e-12
+        out = pool.forward(T.Tensor(row), [(1, 1)])
+        assert np.max(np.abs(out.data - row)) < 1e-12
 
     def test_identical_rows_returned(self):
         pool = HierPool(5, np.random.default_rng(9), "pool")
         row = rand((1, 5), 10)
-        out = pool.forward(T.Tensor(np.tile(row, (4, 1))))
-        assert np.max(np.abs(out.data - row[0])) < 1e-12
+        out = pool.forward(T.Tensor(np.tile(row, (4, 1))), [(1, 4)])
+        assert np.max(np.abs(out.data - row)) < 1e-12
 
     def test_hand_arithmetic_case(self):
         pool = HierPool(2, np.random.default_rng(11), "pool")
@@ -84,26 +84,14 @@ class TestHierPool:
         e = np.exp(np.array(scores) - max(scores))
         a = e / e.sum()
         expected = (a[:, None] * h).sum(axis=0)
-        out = pool.forward(T.Tensor(h))
+        out = pool.forward(T.Tensor(h), [(1, 3)])
         assert np.max(np.abs(out.data - expected)) < 1e-10
-
-    def test_weights_sum_to_one_over_unmasked(self):
-        pool = HierPool(4, np.random.default_rng(12), "pool")
-        mask = [True, False, True, True, False]
-        _, w = pool.forward(T.Tensor(rand((5, 4), 13)), mask, return_weights=True)
-        assert abs(w.sum() - 1.0) < 1e-6
-        assert w[1] == 0.0 and w[4] == 0.0
-
-    def test_all_masked_errors(self):
-        pool = HierPool(3, np.random.default_rng(14), "pool")
-        with pytest.raises(ValueError, match="masked"):
-            pool.forward(T.Tensor(rand((2, 3))), [False, False])
 
     def test_gradient(self):
         pool = HierPool(3, np.random.default_rng(15), "pool")
         h = T.Tensor(rand((4, 3), 16), requires_grad=True)
         leaves = [h] + [p.tensor for p in pool.parameters()]
-        check_gradients(lambda: T.sum_all(T.tanh(pool.forward(h))), leaves)
+        check_gradients(lambda: T.sum_all(T.tanh(pool.forward(h, [(1, 4)]))), leaves)
 
 
 class TestPositionalEncoding:
@@ -150,7 +138,6 @@ class TestCharHit:
 
         def grad_for(words):
             ctx.zero_grad()
-            T.clear_tape()
             total = None
             for w in words:
                 s = T.sum_all(enc.char_hit.encode_word(w))

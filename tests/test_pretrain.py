@@ -135,7 +135,6 @@ class TestTransfer:
         examples = [D.encode_example(["tok1", "tok2"], vocab, target=0, max_len=12, max_word_len=8),
                     D.encode_example(["tok3"], vocab, target=1, max_len=12, max_word_len=8)]
         for _ in range(3):
-            T.clear_tape()
             loss = model_loss = clf.loss_batch(examples, training=False)
             T.backward(model_loss)
             for p in clf.parameters():

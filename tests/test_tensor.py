@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -285,6 +286,52 @@ class TestBackward:
         x = T.Tensor(rand((3,), 32), requires_grad=True)
         T.backward(T.sum_all(T.add(x, x)))
         assert np.array_equal(x.grad, 2 * np.ones(3))
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["first_built_first", "last_built_first"])
+    def test_independent_graphs_in_either_order(self, order):
+        def graph(seed):
+            leaf = T.Tensor(rand((3, 2), seed), requires_grad=True)
+            return leaf, T.sum_all(T.tanh(T.matmul(leaf, T.Tensor(rand((2, 4), seed + 1)))))
+
+        alone = []
+        for seed in (40, 42):
+            leaf, loss = graph(seed)
+            T.backward(loss)
+            alone.append(leaf.grad)
+        graphs = [graph(40), graph(42)]
+        for i in order:
+            T.backward(graphs[i][1])
+        for (leaf, _), expected in zip(graphs, alone):
+            assert np.array_equal(leaf.grad, expected)
+
+    def test_dropped_graph_is_freed(self):
+        x = T.Tensor(rand((4, 4), 43), requires_grad=True)
+        h = T.tanh(x)
+        alive = weakref.ref(h.data)  # Tensor has __slots__, so watch its array
+        T.sum_all(T.mul(h, h))  # a graph that is never backpropagated
+        del h
+        assert alive() is None
+
+    def test_forward_that_raises_leaves_no_graph(self):
+        x = T.Tensor(rand((3, 4), 44), requires_grad=True)
+        w = T.Tensor(rand((4, 2), 45), requires_grad=True)
+        loss = lambda: T.sum_all(T.tanh(T.matmul(x, w)))
+        T.backward(loss())
+        clean = x.grad, w.grad
+        x.zero_grad()
+        w.zero_grad()
+        alive = []
+
+        def broken_forward():
+            h = T.tanh(T.matmul(x, w))
+            alive.append(weakref.ref(h.data))
+            return T.add(h, T.Tensor(np.zeros((3, 3))))
+
+        with pytest.raises(T.ShapeError):
+            broken_forward()
+        assert alive[0]() is None
+        T.backward(loss())
+        assert np.array_equal(x.grad, clean[0]) and np.array_equal(w.grad, clean[1])
 
 
 class TestDropout:
