@@ -167,7 +167,7 @@ def _checkpoint_extras(vocab, labels=None, tfidf=None):
 
 
 def _restore(checkpoint_path):
-    """Rebuild the task model a checkpoint was saved from."""
+    """Rebuild the task model a checkpoint was saved from; it must hold every parameter, as shaped."""
     if not os.path.exists(checkpoint_path):
         raise CliError(f"checkpoint not found: {checkpoint_path}")
     ckpt = load_checkpoint(checkpoint_path)
@@ -197,6 +197,15 @@ def _restore(checkpoint_path):
         model = build_zsl(cfg, vocab.word_size, vocab.char_size, rng)
     else:
         raise CliError(f"checkpoint has unknown task {task!r}")
+    expected = model.named_parameters()
+    problems = ([f"no {name}" for name in expected if name not in ckpt.params]
+                + [f"unexpected {name}" for name in ckpt.params if name not in expected]
+                + [f"{name} has shape {ckpt.params[name].shape}, expected {p.data.shape}"
+                   for name, p in expected.items()
+                   if name in ckpt.params and ckpt.params[name].shape != p.data.shape])
+    if problems:
+        raise CliError(f"checkpoint {checkpoint_path} does not fit its {task} model: "
+                       + "; ".join(problems))
     model.load_arrays(ckpt.params)
     return model, vocab, cfg, task, labels, tfidf
 

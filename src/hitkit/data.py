@@ -212,18 +212,28 @@ def encode_example(tokens, vocab: Vocab, target=None, max_len: int = 40,
 _KINDS = ("classification", "labeling", "generation", "dialog")
 
 
+_LABEL_TYPES = (str, int, float, bool)  # a label or intent; it is used as its str()
+
+
 def _check_record(obj, kind: str):
     if not isinstance(obj, dict):
         raise ValueError("record is not a JSON object")
     if kind == "classification":
         if not isinstance(obj.get("text"), str) or "label" not in obj:
             raise ValueError("classification record needs 'text' and 'label'")
+        if not isinstance(obj["label"], _LABEL_TYPES):
+            raise ValueError(f"classification label must be a string, number or bool, "
+                             f"got {json.dumps(obj['label'])}")
     elif kind == "labeling":
         toks, tags = obj.get("tokens"), obj.get("tags")
         if not isinstance(toks, list) or not isinstance(tags, list):
             raise ValueError("labeling record needs 'tokens' and 'tags' lists")
         if len(toks) != len(tags):
             raise ValueError(f"labeling record has {len(toks)} tokens but {len(tags)} tags")
+        for name, items in (("tokens", toks), ("tags", tags)):
+            bad = [x for x in items if not isinstance(x, str)]
+            if bad:
+                raise ValueError(f"labeling {name} must be strings, got {json.dumps(bad[0])}")
     elif kind == "generation":
         if not isinstance(obj.get("source"), str) or not isinstance(obj.get("target"), str):
             raise ValueError("generation record needs 'source' and 'target'")
@@ -234,6 +244,12 @@ def _check_record(obj, kind: str):
         for t in turns:
             if not isinstance(t, dict) or t.get("speaker") not in ("user", "bot") or not isinstance(t.get("text"), str):
                 raise ValueError("each turn needs speaker in {user, bot} and text")
+        slots = obj.get("slots", {})
+        if not isinstance(slots, dict) or not all(isinstance(v, str) for v in slots.values()):
+            raise ValueError("dialog 'slots' must map slot names to string values")
+        if "intent" in obj and not isinstance(obj["intent"], _LABEL_TYPES):
+            raise ValueError(f"dialog intent must be a string, number or bool, "
+                             f"got {json.dumps(obj['intent'])}")
     return obj
 
 

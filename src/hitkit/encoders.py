@@ -9,6 +9,7 @@ uses a learned-context attention (the hierarchical attention operator).
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .tensor import (
     add_bias,
     concat_rows,
     embedding_lookup,
+    is_recording,
     layer_norm,
     matmul,
     mean_rows,
@@ -255,6 +257,58 @@ class CharHit:
         return out
 
 
+MEMO_ROWS = 8192  # the char-vector memo's bound: 8 MB of float64 rows at d_model 128
+
+
+class CharMemo:
+    """Bounded LRU memo from a word's character-id tuple to its pooled character vector.
+
+    The rows are copies in one (capacity, d) table made on the first fill, so the
+    memo never holds more than capacity * d floats. Each lookup first compares
+    the tensor versions of `params` with those its rows were computed under, and
+    empties itself if any moved.
+    """
+
+    def __init__(self, params, capacity: int = MEMO_ROWS):
+        self.params = list(params)
+        self.capacity = capacity
+        self.slots: OrderedDict[tuple, int] = OrderedDict()  # word -> table row, least recent first
+        self.table = None
+        self.versions = None
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def vectors(self, words, encode) -> np.ndarray:
+        """Rows for the distinct `words`, (len(words), d); `encode(missed)` computes the missed ones."""
+        versions = [p.tensor.version for p in self.params]
+        if versions != self.versions:
+            self.slots.clear()
+            self.versions = versions
+        found = [self.slots.get(w) for w in words]
+        hit = [i for i, slot in enumerate(found) if slot is not None]
+        missed = [i for i, slot in enumerate(found) if slot is None]
+        # with no words at all, encode rejects them as it does without the memo
+        fresh = encode([words[i] for i in missed]) if missed or not words else None
+        if self.table is None:
+            self.table = np.empty((self.capacity, fresh.shape[1]))
+        out = np.empty((len(words), self.table.shape[1]))
+        out[hit] = self.table[[found[i] for i in hit]]
+        for i in hit:
+            self.slots.move_to_end(words[i])
+        if missed:
+            out[missed] = fresh
+            for i, row in zip(missed, fresh):
+                # filled after the hits are read, so an eviction cannot reach this call's rows
+                if len(self.slots) < self.capacity:
+                    slot = len(self.slots)
+                else:
+                    slot = self.slots.popitem(last=False)[1]
+                self.slots[words[i]] = slot
+                self.table[slot] = row
+        return out
+
+
 class WordHit:
     """Word-level encoder stack with sinusoidal positions."""
 
@@ -282,6 +336,10 @@ class HitEncoder:
     the character encoder, then every sentence through the word encoder. In
     training mode dropout is drawn per distinct word in first-seen order, then
     per sentence in batch order (each per layer, attention before FFN).
+
+    At inference (not training, and no graph recorded) the character vectors
+    come through a `CharMemo` of this encoder's own, so only words it has not
+    seen since the char encoder's parameters last changed are encoded.
     """
 
     def __init__(self, word_vocab_size: int, char_vocab_size: int, config: FameConfig,
@@ -291,6 +349,7 @@ class HitEncoder:
         self.char_hit = CharHit(char_vocab_size, config, l_c, d_ff, dropout_rate,
                                 max_word_len, rng, eps)
         self.word_hit = WordHit(word_vocab_size, config, l_w, d_ff, dropout_rate, rng, eps)
+        self.memo = CharMemo(self.char_hit.parameters())
 
     def _forward(self, examples, training: bool, rng):
         """Packed word states of `examples`, their Packing, and the packed key mask."""
@@ -307,7 +366,11 @@ class HitEncoder:
                                  f"{len(ex.mask)} do not match {n} positions")
             for seq in ex.char_ids:
                 index.setdefault(tuple(seq), len(index))
-        char_vecs = self.char_hit.forward(list(index), training, rng)
+        if training or is_recording():
+            char_vecs = self.char_hit.forward(list(index), training, rng)
+        else:
+            char_vecs = Tensor(self.memo.vectors(list(index),
+                                                 lambda missed: self.char_hit.forward(missed).data))
         pack = Packing([len(ex.word_ids) for ex in examples])
         char_rows = [[index[tuple(seq)] for seq in ex.char_ids] for ex in examples]
         h_char = embedding_lookup(char_vecs, pack.rows(char_rows))

@@ -36,11 +36,16 @@ class Parameter:
         return self.tensor.grad
 
     def assign(self, values) -> None:
-        """Set the values to a C-ordered copy of `values`, which later in-place updates leave untouched."""
+        """Set the values to a C-ordered copy of `values`, which later in-place updates leave untouched.
+
+        Bumps the tensor's version, like `adam_step`: code that writes `data` in
+        place must do the same, or caches of results computed from it go stale.
+        """
         arr = np.array(values, dtype=np.float64, order="C")
         if arr.shape != self.tensor.data.shape:
             raise ValueError(f"parameter '{self.name}' shape {self.tensor.data.shape} cannot take {arr.shape}")
         self.tensor.data = arr
+        self.tensor.version += 1
 
     def freeze(self) -> None:
         self.trainable = False
@@ -60,6 +65,8 @@ CHUNK = 32768  # elements per Adam block: its six 256 KB operands stay in cache
 
 def adam_step(params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
     """One bias-corrected Adam update over the given parameters; grads are then zeroed.
+
+    Each updated parameter's tensor version goes up by one (see `Parameter.assign`).
 
     Runs block by block over flat views of each parameter, its gradient and its
     moments, so each array is read and written once per step rather than once
@@ -97,6 +104,7 @@ def adam_step(params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: 
             step /= denom
             data -= step
         p.step_count = t
+        p.tensor.version += 1
         p.tensor.grad = None
 
 

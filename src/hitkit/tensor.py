@@ -27,9 +27,12 @@ class Tensor:
     """A dense float64 array plus an optional gradient buffer.
 
     `node` is (seq, inputs, backward_fn) while an op output awaits backward, else None.
+    `version` counts writes to a leaf's values: whatever replaces `data` or writes
+    into it (`Parameter.assign`, `adam_step`) adds one, so a cache of results
+    computed from the values can tell that they moved.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "grad", "node", "version")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -39,6 +42,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self.node = None
+        self.version = 0
 
     @property
     def shape(self):
@@ -87,6 +91,11 @@ _recording: bool = True
 _seq = itertools.count()
 
 
+def is_recording() -> bool:
+    """Whether ops make graph nodes now, that is, outside every `no_grad` block."""
+    return _recording
+
+
 @contextlib.contextmanager
 def no_grad():
     """Make no graph inside the block (inference / finite differences)."""
@@ -103,6 +112,7 @@ def _emit(out_data, inputs, backward_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
+    out.version = 0
     out.requires_grad = _recording and any(t.requires_grad for t in inputs)
     out.node = (next(_seq), inputs, backward_fn) if out.requires_grad else None
     return out

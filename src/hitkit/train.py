@@ -96,11 +96,16 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "TrainConfig":
+        if not isinstance(values, dict):
+            raise ValueError(f"train config must be an object of config keys, "
+                             f"got {type(values).__name__}")
         known = {f.name: f for f in dataclasses.fields(cls)}
         kwargs = {}
         for key, raw in values.items():
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
+            if not isinstance(raw, (str, int, float, bool)):
+                raise ValueError(f"config key {key!r} must be a string, number or bool, got {raw!r}")
             ftype = known[key].type
             if ftype == "bool" or isinstance(known[key].default, bool):
                 if isinstance(raw, str):

@@ -9,7 +9,11 @@ FD_RTOL = 1e-3
 
 
 def numeric_grad(build_loss, leaf, h=FD_H):
-    """Central-difference d(loss)/d(leaf); build_loss() must recompute the forward pass."""
+    """Central-difference d(loss)/d(leaf); build_loss() must recompute the forward pass.
+
+    Each in-place write to the leaf bumps its version, as `Parameter.assign` does,
+    so results cached from the old values (the encoder's char memo) are not reused.
+    """
     grad = np.zeros_like(leaf.data)
     flat = leaf.data.reshape(-1)
     gflat = grad.reshape(-1)
@@ -17,10 +21,13 @@ def numeric_grad(build_loss, leaf, h=FD_H):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
+            leaf.version += 1
             hi = build_loss().item()
             flat[i] = orig - h
+            leaf.version += 1
             lo = build_loss().item()
             flat[i] = orig
+            leaf.version += 1
             gflat[i] = (hi - lo) / (2 * h)
     return grad
 

@@ -250,6 +250,58 @@ class TestMalformedInputs:
                     dst.writestr(info, src.read(info))
         self.assert_one_error_line(*self.run_embed(tmp_path, capsys, bad), str(bad), "labels.json")
 
+    @staticmethod
+    def resaved_checkpoint(tmp_path, trained_dir, edit):
+        """The trained checkpoint saved again after `edit(params, config)` changed it."""
+        from hitkit.checkpoint import load_checkpoint, save_checkpoint
+        ck = load_checkpoint(trained_dir / "checkpoint")
+        edit(ck.params, ck.config)
+        bad = tmp_path / "ckpt"
+        save_checkpoint(bad, ck.params, ck.config, ck.extras)
+        return bad
+
+    @pytest.mark.parametrize("edit,needle", [
+        (lambda params, config: params.pop("head.w"), "no head.w"),
+        (lambda params, config: params.update({"extra.w": params["head.w"]}), "unexpected extra.w"),
+        (lambda params, config: params.update({"head.w": params["head.w"][:, :1]}), "head.w has shape"),
+    ], ids=["missing", "extra", "misshaped"])
+    def test_checkpoint_parameters_that_do_not_fit_the_model(self, tmp_path, trained_dir, capsys,
+                                                             edit, needle):
+        bad = self.resaved_checkpoint(tmp_path, trained_dir, edit)
+        self.assert_one_error_line(*self.run_embed(tmp_path, capsys, bad), str(bad), needle)
+
+    @pytest.mark.parametrize("edit,needle", [
+        (lambda config: config.update({"train_config": [1]}), "train config must be an object"),
+        (lambda config: config["train_config"].update({"d_model": None}), "config key 'd_model'"),
+    ], ids=["list", "null-field"])
+    def test_train_config_that_is_malformed(self, tmp_path, trained_dir, capsys, edit, needle):
+        bad = self.resaved_checkpoint(tmp_path, trained_dir, lambda params, config: edit(config))
+        self.assert_one_error_line(*self.run_embed(tmp_path, capsys, bad), needle)
+
+    @pytest.mark.parametrize("task,record,needle", [
+        ("labeling", {"tokens": [1, 2], "tags": ["O", "O"]}, "tokens must be strings, got 1"),
+        ("labeling", {"tokens": ["a", "b"], "tags": ["O", None]}, "tags must be strings, got null"),
+        ("labeling", {"tokens": ["a", "b"], "tags": ["O", ["O"]]},
+         'tags must be strings, got ["O"]'),
+        ("classification", {"text": "a b", "label": ["x"]}, 'got ["x"]'),
+        ("classification", {"text": "a b", "label": {"x": 1}}, 'got {"x": 1}'),
+        ("dialog", {"turns": [{"speaker": "user", "text": "a b"}], "slots": ["a"]}, "slots"),
+    ], ids=["int-token", "null-tag", "list-tag", "list-label", "object-label", "list-slots"])
+    def test_record_element_of_the_wrong_type(self, tmp_path, capsys, task, record, needle):
+        if task == "classification":
+            good = [{"text": "a b", "label": "x"}]
+        elif task == "labeling":
+            good = [{"tokens": ["a", "b"], "tags": ["O", "B-x"]}]
+        else:
+            good = [{"turns": [{"speaker": "user", "text": "a b"}], "slots": {"x": "a"}}]
+        train_file, val_file = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
+        train_file.write_text(json.dumps(good[0]) + "\n")
+        val_file.write_text(json.dumps(good[0]) + "\n" + json.dumps(record) + "\n")
+        flags = ["--task", "labeling", "--dialog"] if task == "dialog" else ["--task", task]
+        code = main(["train", *flags, "--train-file", str(train_file), "--val-file", str(val_file),
+                     "--out-dir", str(tmp_path / "o")])
+        self.assert_one_error_line(code, capsys.readouterr().err, f"{val_file}:2: ", needle)
+
     def test_analyze_with_k_zero(self, tmp_path, trained_dir, capsys):
         texts = tmp_path / "texts.txt"
         texts.write_text("hello good day\nthanks time\n")
