@@ -14,6 +14,8 @@ import logging
 import os
 import sys
 import time
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +24,8 @@ from . import data as D
 from . import features as F
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metrics import cluster_quality, kmeans
-from .model import ZslModel
-from .pretrain import mask_tokens, transfer_load, zsl_build_pairs
+from .model import Seq2SeqModel, ZslModel
+from .pretrain import build_mlm_dataset, transfer_load, zsl_build_pairs
 from .tensor import no_grad
 from .train import (
     TrainConfig,
@@ -57,12 +59,11 @@ def _load_config(args) -> TrainConfig:
     env_seed = os.environ.get("HITKIT_SEED")
     if env_seed is not None:
         try:
-            seed = int(env_seed)
+            cfg = replace(cfg, seed=int(env_seed))
         except ValueError:
             raise CliError(f"HITKIT_SEED must be an integer, got {env_seed!r}") from None
-        cfg = TrainConfig.from_dict({**cfg.to_dict(), "seed": seed})
     if args.seed is not None:
-        cfg = TrainConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
+        cfg = replace(cfg, seed=args.seed)
     return cfg
 
 
@@ -77,10 +78,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_metrics(path: Path, metrics: dict, cfg: TrainConfig) -> None:
-    payload = dict(metrics)
-    payload["config_fingerprint"] = cfg.fingerprint()
-    payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    _write_json(path, payload)
+    _write_json(path, {**metrics, "config_fingerprint": cfg.fingerprint(),
+                       "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")})
 
 
 def _write_predictions(path: Path, rows) -> None:
@@ -101,35 +100,72 @@ def _wrap(body, max_len: int) -> list[str]:
     return ["[CLS]"] + list(body)[:max(max_len - 2, 0)] + ["[EOS]"]
 
 
-def _encode_classification(records, vocab, labels, cfg, source, tfidf=None):
+@dataclass
+class Artefacts:
+    """What a task fits from its training data; its checkpoint keeps them under extras/."""
+
+    vocab: D.Vocab
+    labels: list | None = None  # label or tag names, in the order of the head's outputs
+    tfidf: F.TfidfVocab | None = None
+
+    def to_extras(self) -> dict:
+        extras = {"vocab.tsv": self.vocab.to_text()}
+        if self.labels is not None:
+            extras["labels.json"] = json.dumps(self.labels)
+        if self.tfidf is not None:
+            extras["tfidf_vocab.txt"] = F.tfidf_to_text(self.tfidf)
+        return extras
+
+    @classmethod
+    def from_extras(cls, extras: dict) -> "Artefacts":
+        return cls(D.Vocab.from_text(extras["vocab.tsv"]),
+                   json.loads(extras["labels.json"]) if "labels.json" in extras else None,
+                   F.tfidf_from_text(extras["tfidf_vocab.txt"])
+                   if "tfidf_vocab.txt" in extras else None)
+
+
+def _fit_classification(records, cfg):
+    token_lists = [t for t in (D.preprocess_text(r["text"], cfg.lowercase) for r in records) if t]
+    vocab = D.build_vocab(token_lists, cfg.min_freq)
+    tfidf = F.tfidf_fit(token_lists) if cfg.use_tfidf else None
+    if tfidf is not None and tfidf.dim == 0:
+        raise CliError("use_tfidf is on but no n-gram survives the document-frequency "
+                       "bounds; the corpus is too small or too uniform")
+    return Artefacts(vocab, sorted({str(r["label"]) for r in records}), tfidf)
+
+
+def _encode_classification(records, arts, cfg, source):
     """`source` names where the records came from, for the unseen-label error."""
-    label_index = {name: i for i, name in enumerate(labels)}
-    examples, skipped = [], 0
+    label_index = {name: i for i, name in enumerate(arts.labels)}
+    examples = []
     for i, rec in enumerate(records):
         tokens = D.preprocess_text(rec["text"], cfg.lowercase)
         if not tokens:
-            skipped += 1
             continue
         target = _index_of(label_index, str(rec["label"]), "label", source, i)
-        ex = D.encode_example(tokens, vocab, target=target,
+        ex = D.encode_example(tokens, arts.vocab, target=target,
                               max_len=cfg.max_len, max_word_len=cfg.max_word_len, guid=i)
-        if tfidf is not None:
-            ex.features = F.tfidf_transform(tfidf, tokens[:cfg.max_len])
+        if arts.tfidf is not None:
+            ex.features = F.tfidf_transform(arts.tfidf, tokens[:cfg.max_len])
         examples.append(ex)
-    if skipped:
-        log.warning("skipped %d records that were empty after preprocessing", skipped)
-    return examples, skipped
+    return examples
 
 
-def _encode_labeling(records, vocab, tags, cfg, source):
-    tag_index = {name: i for i, name in enumerate(tags)}
+def _fit_labeling(records, cfg):
+    token_lists = [[t.lower() if cfg.lowercase else t for t in r["tokens"]] for r in records]
+    return Artefacts(D.build_vocab([t for t in token_lists if t], cfg.min_freq),
+                     sorted({t for r in records for t in r["tags"]}))
+
+
+def _encode_labeling(records, arts, cfg, source):
+    tag_index = {name: i for i, name in enumerate(arts.labels)}
     examples = []
     for i, rec in enumerate(records):
         tokens = [t.lower() if cfg.lowercase else t for t in rec["tokens"]][:cfg.max_len]
         if not tokens:
             continue
         target = [_index_of(tag_index, t, "tag", source, i) for t in rec["tags"][:len(tokens)]]
-        examples.append(D.encode_example(tokens, vocab, target=target, max_len=cfg.max_len,
+        examples.append(D.encode_example(tokens, arts.vocab, target=target, max_len=cfg.max_len,
                                          max_word_len=cfg.max_word_len, guid=i))
     return examples
 
@@ -157,13 +193,55 @@ def _generation_pairs(records, cfg, dialog: bool):
     return [(s, t) for s, t in pairs if len(t) > 2]
 
 
-def _checkpoint_extras(vocab, labels=None, tfidf=None):
-    extras = {"vocab.tsv": vocab.to_text()}
-    if labels is not None:
-        extras["labels.json"] = json.dumps(list(labels))
-    if tfidf is not None:
-        extras["tfidf_vocab.txt"] = F.tfidf_to_text(tfidf)
-    return extras
+@dataclass(frozen=True)
+class Task:
+    """How the CLI runs one checkpoint task; pretraining tasks set only `build`."""
+
+    build: Callable  # (cfg, artefacts, rng) -> model
+    labeled: bool = False  # the head has one output per name in artefacts.labels
+    records: Callable | None = None  # (loaded records, cfg, dialog) -> the task's records
+    fit: Callable | None = None  # (task records, cfg) -> Artefacts
+    encode: Callable | None = None  # (task records, artefacts, cfg, source) -> items
+    evaluate: Callable | None = None  # (model, items, artefacts) -> (metrics, prediction rows)
+
+
+TASKS = {
+    "classification": Task(
+        build=lambda cfg, a, rng: build_classifier(cfg, a.vocab.word_size, a.vocab.char_size,
+                                                   len(a.labels), rng,
+                                                   tfidf_dim=a.tfidf.dim if a.tfidf else 0),
+        labeled=True,
+        records=lambda rs, cfg, dialog: [D.dialog_to_classification(r) for r in rs] if dialog else rs,
+        fit=_fit_classification, encode=_encode_classification,
+        evaluate=lambda model, items, a: evaluate_classification(model, items, a.labels)),
+    "labeling": Task(
+        build=lambda cfg, a, rng: build_tagger(cfg, a.vocab.word_size, a.vocab.char_size,
+                                               len(a.labels), rng),
+        labeled=True,
+        records=lambda rs, cfg, dialog: ([D.dialog_to_labeling(r, cfg.lowercase) for r in rs]
+                                         if dialog else rs),
+        fit=_fit_labeling, encode=_encode_labeling,
+        evaluate=lambda model, items, a: evaluate_labeling(model, items, a.labels)),
+    "generation": Task(
+        build=lambda cfg, a, rng: build_seq2seq(cfg, a.vocab.word_size, a.vocab.char_size, rng),
+        records=_generation_pairs,
+        fit=lambda pairs, cfg: Artefacts(D.build_vocab([t for pair in pairs for t in pair],
+                                                       cfg.min_freq)),
+        encode=lambda pairs, a, cfg, source: _encode_generation(pairs, a.vocab, cfg),
+        evaluate=lambda model, items, a: evaluate_generation(model, items, a.vocab)),
+    "mlm": Task(build=lambda cfg, a, rng: build_mlm(cfg, a.vocab.word_size, a.vocab.char_size, rng)),
+    "zsl": Task(build=lambda cfg, a, rng: build_zsl(cfg, a.vocab.word_size, a.vocab.char_size, rng)),
+}
+
+
+def _encode(task: Task, records, arts, cfg, source):
+    """The task's items for `records`; a source with no usable record is an error."""
+    items = task.encode(records, arts, cfg, source)
+    if not items:
+        raise CliError(f"{source} has no usable record")
+    if len(items) < len(records):
+        log.warning("skipped %d records that were empty after preprocessing", len(records) - len(items))
+    return items
 
 
 def _restore(checkpoint_path):
@@ -176,149 +254,91 @@ def _restore(checkpoint_path):
     if missing:
         raise CliError(f"checkpoint {checkpoint_path} has no {', '.join(missing)}")
     cfg = TrainConfig.from_dict(ckpt.config["train_config"])
-    task = ckpt.config["task"]
-    vocab = D.Vocab.from_text(ckpt.extras["vocab.tsv"])
-    labels = json.loads(ckpt.extras["labels.json"]) if "labels.json" in ckpt.extras else None
-    if labels is None and task in ("classification", "labeling"):
-        raise CliError(f"checkpoint {checkpoint_path} has no labels.json for its {task} head")
-    tfidf = (F.tfidf_from_text(ckpt.extras["tfidf_vocab.txt"])
-             if "tfidf_vocab.txt" in ckpt.extras else None)
-    rng = seed_streams(cfg.seed)["init"]
-    if task == "classification":
-        model = build_classifier(cfg, vocab.word_size, vocab.char_size, len(labels), rng,
-                                 tfidf_dim=tfidf.dim if tfidf else 0)
-    elif task == "labeling":
-        model = build_tagger(cfg, vocab.word_size, vocab.char_size, len(labels), rng)
-    elif task == "generation":
-        model = build_seq2seq(cfg, vocab.word_size, vocab.char_size, rng)
-    elif task == "mlm":
-        model = build_mlm(cfg, vocab.word_size, vocab.char_size, rng)
-    elif task == "zsl":
-        model = build_zsl(cfg, vocab.word_size, vocab.char_size, rng)
-    else:
-        raise CliError(f"checkpoint has unknown task {task!r}")
+    name = ckpt.config["task"]
+    task = TASKS.get(name) if isinstance(name, str) else None
+    if task is None:
+        raise CliError(f"checkpoint has unknown task {name!r}")
+    arts = Artefacts.from_extras(ckpt.extras)
+    if task.labeled and arts.labels is None:
+        raise CliError(f"checkpoint {checkpoint_path} has no labels.json for its {name} head")
+    model = task.build(cfg, arts, seed_streams(cfg.seed)["init"])
     expected = model.named_parameters()
-    problems = ([f"no {name}" for name in expected if name not in ckpt.params]
-                + [f"unexpected {name}" for name in ckpt.params if name not in expected]
-                + [f"{name} has shape {ckpt.params[name].shape}, expected {p.data.shape}"
-                   for name, p in expected.items()
-                   if name in ckpt.params and ckpt.params[name].shape != p.data.shape])
+    problems = ([f"no {key}" for key in expected if key not in ckpt.params]
+                + [f"unexpected {key}" for key in ckpt.params if key not in expected]
+                + [f"{key} has shape {ckpt.params[key].shape}, expected {p.data.shape}"
+                   for key, p in expected.items()
+                   if key in ckpt.params and ckpt.params[key].shape != p.data.shape])
     if problems:
-        raise CliError(f"checkpoint {checkpoint_path} does not fit its {task} model: "
+        raise CliError(f"checkpoint {checkpoint_path} does not fit its {name} model: "
                        + "; ".join(problems))
     model.load_arrays(ckpt.params)
-    return model, vocab, cfg, task, labels, tfidf
+    return model, cfg, name, arts
 
 
-def _prepare_task(args, cfg):
-    """Load train/val records and build the model plus encoded datasets."""
-    records = D.load_dataset(args.train_file, "dialog" if args.dialog else args.task)
-    if args.val_file:
-        val_records = D.load_dataset(args.val_file, "dialog" if args.dialog else args.task)
-    else:
-        records, val_records = D.split_dataset(records, 0.9, cfg.seed)
-    if not records or not val_records:
-        raise CliError("datasets too small to carve a validation split")
-    if args.dialog and args.task == "classification":
-        records = [D.dialog_to_classification(r) for r in records]
-        val_records = [D.dialog_to_classification(r) for r in val_records]
-    if args.dialog and args.task == "labeling":
-        records = [D.dialog_to_labeling(r) for r in records]
-        val_records = [D.dialog_to_labeling(r) for r in val_records]
-    rng = seed_streams(cfg.seed)["init"]
-    val_source = args.val_file or f"{args.train_file} (validation split)"
-
-    if args.task == "classification":
-        token_lists = [D.preprocess_text(r["text"], cfg.lowercase) for r in records]
-        vocab = D.build_vocab([t for t in token_lists if t], cfg.min_freq)
-        labels = sorted({str(r["label"]) for r in records})
-        tfidf = F.tfidf_fit([t for t in token_lists if t]) if cfg.use_tfidf else None
-        if tfidf is not None and tfidf.dim == 0:
-            raise CliError("use_tfidf is on but no n-gram survives the document-frequency "
-                           "bounds; the corpus is too small or too uniform")
-        model = build_classifier(cfg, vocab.word_size, vocab.char_size, len(labels), rng,
-                                 tfidf_dim=tfidf.dim if tfidf else 0)
-        train_items, _ = _encode_classification(records, vocab, labels, cfg, args.train_file,
-                                                tfidf)
-        val_items, _ = _encode_classification(val_records, vocab, labels, cfg, val_source, tfidf)
-        extras = _checkpoint_extras(vocab, labels, tfidf)
-        return model, vocab, labels, tfidf, train_items, val_items, extras
-    if args.task == "labeling":
-        token_lists = [[t.lower() if cfg.lowercase else t for t in r["tokens"]] for r in records]
-        vocab = D.build_vocab([t for t in token_lists if t], cfg.min_freq)
-        tags = sorted({t for r in records for t in r["tags"]})
-        model = build_tagger(cfg, vocab.word_size, vocab.char_size, len(tags), rng)
-        train_items = _encode_labeling(records, vocab, tags, cfg, args.train_file)
-        val_items = _encode_labeling(val_records, vocab, tags, cfg, val_source)
-        extras = _checkpoint_extras(vocab, tags)
-        return model, vocab, tags, None, train_items, val_items, extras
-    if args.task == "generation":
-        pairs = _generation_pairs(records, cfg, args.dialog)
-        val_pairs = _generation_pairs(val_records, cfg, args.dialog)
-        if not pairs or not val_pairs:
-            raise CliError("no usable generation pairs after preprocessing")
-        vocab = D.build_vocab([s for s, t in pairs] + [t for s, t in pairs], cfg.min_freq)
-        model = build_seq2seq(cfg, vocab.word_size, vocab.char_size, rng)
-        train_items = _encode_generation(pairs, vocab, cfg)
-        val_items = _encode_generation(val_pairs, vocab, cfg)
-        extras = _checkpoint_extras(vocab)
-        return model, vocab, None, None, train_items, val_items, extras
-    raise CliError(f"unknown task {args.task!r}")
+def _train_and_report(args, cfg, name: str, model, split, arts, report, summary: str) -> int:
+    """Train on `split` and save the best parameters. `report(result)` gives the metrics and
+    the prediction rows (or None); `summary` is formatted with `task` and `r`, the TrainResult."""
+    out = _out_dir(args)
+    result = train(model, *split, cfg)
+    save_checkpoint(out / "checkpoint", result.best_params,
+                    {"task": name, "train_config": cfg.to_dict()}, arts.to_extras())
+    # report from the float32 values the checkpoint holds, as `evaluate` will, bit for bit
+    model.load_arrays(load_checkpoint(out / "checkpoint").params)
+    _write_json(out / "history.json", result.history_dict())
+    metrics, rows = report(result)
+    _write_metrics(out / "metrics.json", metrics, cfg)
+    if rows is not None:
+        _write_predictions(out / "predictions.jsonl", rows)
+    print(summary.format(task=name, r=result))
+    return 0
 
 
-def _keep_best(model, path: Path, best_params: dict, config: dict, extras: dict) -> None:
-    """Save the best parameters and load them into `model` as the checkpoint stores them.
-
-    The checkpoint holds float32 values, so whatever the caller then predicts or
-    scores matches what `evaluate` computes from the checkpoint, bit for bit.
-    """
-    save_checkpoint(path, best_params, config, extras)
-    model.load_arrays(load_checkpoint(path).params)
+def _pretrain(args, cfg, name: str, model, items, arts, extra_metrics=dict) -> int:
+    """Train on a 90/10 split of `items`; with too few to hold any out, validate on all."""
+    train_items, val_items = D.split_dataset(items, 0.9, cfg.seed)
+    return _train_and_report(
+        args, cfg, name, model, (train_items, val_items) if val_items else (items, items), arts,
+        lambda r: ({"task": name, "best_val_loss": r.best_val_loss, **extra_metrics()}, None),
+        "pretrained {task}: best val loss {r.best_val_loss:.6f}")
 
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(args)
-    model, vocab, names, tfidf, train_items, val_items, extras = _prepare_task(args, cfg)
+    task = TASKS[args.task]
+    kind = "dialog" if args.dialog else args.task
+    records = D.load_dataset(args.train_file, kind)
+    if args.val_file:
+        val_records = D.load_dataset(args.val_file, kind)
+    else:
+        records, val_records = D.split_dataset(records, 0.9, cfg.seed)
+    if not records or not val_records:
+        raise CliError("datasets too small to carve a validation split")
+    records, val_records = (task.records(r, cfg, args.dialog) for r in (records, val_records))
+    arts = task.fit(records, cfg)
+    if args.init_from:
+        # the pretrained embedding rows belong to the checkpoint's word and character ids
+        arts = replace(arts, vocab=_restore(args.init_from)[3].vocab)
+    train_items = _encode(task, records, arts, cfg, args.train_file)
+    val_items = _encode(task, val_records, arts, cfg,
+                        args.val_file or f"{args.train_file} (validation split)")
+    model = task.build(cfg, arts, seed_streams(cfg.seed)["init"])
     if args.init_from:
         transfer_load(model, args.init_from, args.transfer_mode)
-    result = train(model, train_items, val_items, cfg)
-    _keep_best(model, out / "checkpoint", result.best_params,
-               {"task": args.task, "train_config": cfg.to_dict()}, extras)
-    _write_json(out / "history.json", result.history_dict())
-    if args.task == "classification":
-        metrics, rows = evaluate_classification(model, val_items, names)
-    elif args.task == "labeling":
-        metrics, rows = evaluate_labeling(model, val_items, names)
-    else:
-        metrics, rows = evaluate_generation(model, val_items, vocab)
-    _write_metrics(out / "metrics.json", metrics, cfg)
-    _write_predictions(out / "predictions.jsonl", rows)
-    print(f"trained {args.task}: best epoch {result.best_epoch}, "
-          f"best val loss {result.best_val_loss:.6f}")
-    return 0
+    return _train_and_report(
+        args, cfg, args.task, model, (train_items, val_items), arts,
+        lambda _: task.evaluate(model, val_items, arts),
+        "trained {task}: best epoch {r.best_epoch}, best val loss {r.best_val_loss:.6f}")
 
 
 def cmd_evaluate(args) -> int:
-    model, vocab, cfg, task, labels, tfidf = _restore(args.checkpoint)
+    model, cfg, name, arts = _restore(args.checkpoint)
+    task = TASKS[name]
+    if task.evaluate is None:
+        raise CliError(f"cannot evaluate a {name!r} checkpoint; use embed instead")
+    records = D.load_dataset(args.test_file, "dialog" if args.dialog else name)
+    items = _encode(task, task.records(records, cfg, args.dialog), arts, cfg, args.test_file)
+    metrics, rows = task.evaluate(model, items, arts)
     out = _out_dir(args)
-    records = D.load_dataset(args.test_file, "dialog" if args.dialog else task)
-    if task == "classification":
-        if args.dialog:
-            records = [D.dialog_to_classification(r) for r in records]
-        items, _ = _encode_classification(records, vocab, labels, cfg, args.test_file, tfidf)
-        metrics, rows = evaluate_classification(model, items, labels)
-    elif task == "labeling":
-        if args.dialog:
-            records = [D.dialog_to_labeling(r) for r in records]
-        items = _encode_labeling(records, vocab, labels, cfg, args.test_file)
-        metrics, rows = evaluate_labeling(model, items, labels)
-    elif task == "generation":
-        pairs = _generation_pairs(records, cfg, args.dialog)
-        items = _encode_generation(pairs, vocab, cfg)
-        metrics, rows = evaluate_generation(model, items, vocab)
-    else:
-        raise CliError(f"cannot evaluate a {task!r} checkpoint; use embed instead")
     _write_metrics(out / "metrics.json", metrics, cfg)
     _write_predictions(out / "predictions.jsonl", rows)
     print(json.dumps({k: v for k, v in metrics.items() if isinstance(v, (int, float))},
@@ -328,57 +348,25 @@ def cmd_evaluate(args) -> int:
 
 def cmd_pretrain_mlm(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(args)
     if not os.path.exists(args.corpus):
         raise CliError(f"corpus file not found: {args.corpus}")
     lines = Path(args.corpus).read_text(encoding="utf-8").splitlines()
-    token_lists = [D.preprocess_text(line, cfg.lowercase) for line in lines]
-    token_lists = [t for t in token_lists if t]
+    token_lists = [t for t in (D.preprocess_text(line, cfg.lowercase) for line in lines) if t]
     if not token_lists:
         raise CliError("corpus is empty after preprocessing")
-    vocab = D.build_vocab(token_lists, cfg.min_freq)
+    arts = Artefacts(D.build_vocab(token_lists, cfg.min_freq))
     streams = seed_streams(cfg.seed)
-    model = build_mlm(cfg, vocab.word_size, vocab.char_size, streams["init"])
-    items = build_mlm_dataset(token_lists, vocab, cfg, streams["data"])
+    model = TASKS["mlm"].build(cfg, arts, streams["init"])
+    items = build_mlm_dataset(token_lists, arts.vocab, streams["data"], cfg.max_len, cfg.max_word_len)
     if not items:
         raise CliError("no maskable sentences in the corpus")
-    train_items, val_items = D.split_dataset(items, 0.9, cfg.seed)
-    if not val_items:
-        train_items, val_items = items, items
-    result = train(model, train_items, val_items, cfg)
-    _keep_best(model, out / "checkpoint", result.best_params,
-               {"task": "mlm", "train_config": cfg.to_dict()}, _checkpoint_extras(vocab))
-    _write_json(out / "history.json", result.history_dict())
-    _write_metrics(out / "metrics.json",
-                   {"task": "mlm", "best_val_loss": result.best_val_loss}, cfg)
-    print(f"pretrained mlm: best val loss {result.best_val_loss:.6f}")
-    return 0
-
-
-def build_mlm_dataset(token_lists, vocab, cfg, rng):
-    """Static masking: one masked copy per sentence, skipping unselectable ones."""
-    items = []
-    for i, tokens in enumerate(token_lists):
-        ids = [vocab.word_id(t) for t in tokens[:cfg.max_len - 2]]
-        ids = [D.CLS_ID] + ids + [D.EOS_ID]
-        try:
-            inputs, targets, _ = mask_tokens(ids, vocab, rng)
-        except ValueError:
-            continue
-        if all(t == -1 for t in targets):
-            continue
-        chars = [vocab.char_ids(t, cfg.max_word_len) for t in
-                 (["[CLS]"] + tokens[:cfg.max_len - 2] + ["[EOS]"])]
-        ex = D.EncodedExample(inputs, chars, [True] * len(inputs), target=targets, guid=i)
-        items.append(ex)
-    return items
+    return _pretrain(args, cfg, "mlm", model, items, arts)
 
 
 def cmd_pretrain_zsl(args) -> int:
     if args.neg_per_pos < 1:
         raise CliError(f"--neg-per-pos must be at least 1, got {args.neg_per_pos}")
     cfg = _load_config(args)
-    out = _out_dir(args)
     records = D.load_dataset(args.train_file, "classification")
     token_lists = [D.preprocess_text(r["text"], cfg.lowercase) for r in records]
     keep = [i for i, t in enumerate(token_lists) if t]
@@ -386,33 +374,26 @@ def cmd_pretrain_zsl(args) -> int:
     if len(labels) < 2:
         raise CliError("zero-shot pretraining needs at least 2 labels")
     label_tokens = {name: D.preprocess_text(name, cfg.lowercase) or [name.lower()] for name in labels}
-    vocab = D.build_vocab([token_lists[i] for i in keep] + list(label_tokens.values()),
-                          cfg.min_freq)
+    arts = Artefacts(D.build_vocab([token_lists[i] for i in keep] + list(label_tokens.values()),
+                                   cfg.min_freq), labels)
     streams = seed_streams(cfg.seed)
-    model = build_zsl(cfg, vocab.word_size, vocab.char_size, streams["init"])
-    label_examples = {name: D.encode_example(toks, vocab, max_len=cfg.max_len,
+    model = TASKS["zsl"].build(cfg, arts, streams["init"])
+    label_examples = {name: D.encode_example(toks, arts.vocab, max_len=cfg.max_len,
                                              max_word_len=cfg.max_word_len)
                       for name, toks in label_tokens.items()}
-    dataset = [(D.encode_example(token_lists[i], vocab, max_len=cfg.max_len,
+    dataset = [(D.encode_example(token_lists[i], arts.vocab, max_len=cfg.max_len,
                                  max_word_len=cfg.max_word_len, guid=i),
                 labels.index(str(records[i]["label"])))
                for i in keep]
     pairs = zsl_build_pairs(dataset, labels, streams["data"], neg_per_pos=args.neg_per_pos)
     items = [(p.item, label_examples[p.label], p.polarity == "entail") for p in pairs]
-    train_items, val_items = D.split_dataset(items, 0.9, cfg.seed)
-    if not val_items:
-        train_items, val_items = items, items
-    result = train(model, train_items, val_items, cfg)
-    _keep_best(model, out / "checkpoint", result.best_params,
-               {"task": "zsl", "train_config": cfg.to_dict()}, _checkpoint_extras(vocab, labels))
-    _write_json(out / "history.json", result.history_dict())
-    ordered_labels = [label_examples[name] for name in labels]
-    hits = sum(model.classify(ex, ordered_labels) == gold for ex, gold in dataset)
-    _write_metrics(out / "metrics.json",
-                   {"task": "zsl", "best_val_loss": result.best_val_loss,
-                    "zero_shot_train_accuracy": hits / len(dataset)}, cfg)
-    print(f"pretrained zsl: best val loss {result.best_val_loss:.6f}")
-    return 0
+
+    def accuracy():
+        hits = sum(model.classify(ex, [label_examples[n] for n in labels]) == gold
+                   for ex, gold in dataset)
+        return {"zero_shot_train_accuracy": hits / len(dataset)}
+
+    return _pretrain(args, cfg, "zsl", model, items, arts, accuracy)
 
 
 def _embed_lines(model, vocab, cfg, lines) -> list:
@@ -431,13 +412,13 @@ def _embed_lines(model, vocab, cfg, lines) -> list:
 
 
 def cmd_embed(args) -> int:
-    model, vocab, cfg, task, labels, tfidf = _restore(args.checkpoint)
+    model, cfg, _, arts = _restore(args.checkpoint)
     out = _out_dir(args)
     lines = Path(args.input).read_text(encoding="utf-8").splitlines()
     out_path = out / "embeddings.jsonl"
     d = model.encoder.config.d_model
     with open(out_path, "w", encoding="utf-8") as fh:
-        for vec in _embed_lines(model, vocab, cfg, lines):
+        for vec in _embed_lines(model, arts.vocab, cfg, lines):
             row = ({"embedding": [0.0] * d, "empty": True} if vec is None else
                    {"embedding": [round(float(v), 8) for v in vec], "empty": False})
             fh.write(json.dumps(row) + "\n")
@@ -446,27 +427,27 @@ def cmd_embed(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    model, vocab, cfg, task, labels, tfidf = _restore(args.checkpoint)
-    if task != "generation":
-        raise CliError(f"generate needs a generation checkpoint, got task {task!r}")
+    model, cfg, name, arts = _restore(args.checkpoint)
+    if not isinstance(model, Seq2SeqModel):
+        raise CliError(f"generate needs a generation checkpoint, got task {name!r}")
     out = _out_dir(args)
     lines = Path(args.input).read_text(encoding="utf-8").splitlines()
     out_path = out / "generated.txt"
     with open(out_path, "w", encoding="utf-8") as fh:
         for line in lines:
             tokens = _wrap(D.preprocess_text(line, cfg.lowercase), cfg.max_len)
-            ex = D.encode_example(tokens, vocab, max_len=cfg.max_len,
+            ex = D.encode_example(tokens, arts.vocab, max_len=cfg.max_len,
                                   max_word_len=cfg.max_word_len)
-            fh.write(" ".join(vocab.decode(model.greedy_decode(ex))) + "\n")
+            fh.write(" ".join(arts.vocab.decode(model.greedy_decode(ex))) + "\n")
     print(f"wrote {len(lines)} generations to {out_path}")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    model, vocab, cfg, task, labels, tfidf = _restore(args.checkpoint)
+    model, cfg, _, arts = _restore(args.checkpoint)
     out = _out_dir(args)
     lines = Path(args.input).read_text(encoding="utf-8").splitlines()
-    vectors = [v for v in _embed_lines(model, vocab, cfg, lines) if v is not None]
+    vectors = [v for v in _embed_lines(model, arts.vocab, cfg, lines) if v is not None]
     if len(vectors) < args.k:
         raise CliError(f"only {len(vectors)} non-empty lines for k={args.k}")
     points = np.stack(vectors)
@@ -479,63 +460,51 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _add_common(p):
-    p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--out-dir", default="out", help="output directory")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hitkit",
                                      description="hierarchical code-mixed text models")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train a task model")
-    p.add_argument("--task", required=True, choices=["classification", "labeling", "generation"])
+    def command(name, fn, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        p.add_argument("--config", default=None, help="flat key=value config file")
+        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--out-dir", default="out", help="output directory")
+        return p
+
+    p = command("train", cmd_train, "train a task model")
+    p.add_argument("--task", required=True, choices=[name for name, t in TASKS.items() if t.fit])
     p.add_argument("--train-file", required=True)
     p.add_argument("--val-file", default=None)
     p.add_argument("--dialog", action="store_true", help="input records are dialogs")
     p.add_argument("--init-from", default=None, help="checkpoint for transfer initialization")
     p.add_argument("--transfer-mode", default="finetune", choices=["frozen", "finetune"])
-    _add_common(p)
-    p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint on a test file")
+    p = command("evaluate", cmd_evaluate, "evaluate a checkpoint on a test file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--test-file", required=True)
     p.add_argument("--dialog", action="store_true")
-    _add_common(p)
-    p.set_defaults(fn=cmd_evaluate)
 
-    p = sub.add_parser("pretrain-mlm", help="masked-token pretraining over a text corpus")
+    p = command("pretrain-mlm", cmd_pretrain_mlm, "masked-token pretraining over a text corpus")
     p.add_argument("--corpus", required=True, help="one sentence per line, UTF-8")
-    _add_common(p)
-    p.set_defaults(fn=cmd_pretrain_mlm)
 
-    p = sub.add_parser("pretrain-zsl", help="entailment pretraining from a labeled file")
+    p = command("pretrain-zsl", cmd_pretrain_zsl, "entailment pretraining from a labeled file")
     p.add_argument("--train-file", required=True)
     p.add_argument("--neg-per-pos", type=int, default=1)
-    _add_common(p)
-    p.set_defaults(fn=cmd_pretrain_zsl)
 
-    p = sub.add_parser("embed", help="write one sentence embedding per input line")
+    p = command("embed", cmd_embed, "write one sentence embedding per input line")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_embed)
 
-    p = sub.add_parser("generate", help="greedy-decode each input line")
+    p = command("generate", cmd_generate, "greedy-decode each input line")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_generate)
 
-    p = sub.add_parser("analyze-embeddings", help="k-means plus cluster quality indices")
+    p = command("analyze-embeddings", cmd_analyze, "k-means plus cluster quality indices")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_analyze)
     return parser
 
 

@@ -8,7 +8,7 @@ from typing import Any
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .data import SPECIALS, Vocab
+from .data import SPECIALS, Vocab, encode_example
 
 IGNORE_INDEX = -1
 ENCODER_PREFIXES = ("char_hit.", "word_hit.")
@@ -57,6 +57,22 @@ def mask_tokens(token_ids, vocab: Vocab, rng: np.random.Generator,
         positions.append(i)
         actions.append(action)
     return inputs, targets, MaskPlan(positions, actions, seed=seed)
+
+
+def build_mlm_dataset(token_lists, vocab: Vocab, rng: np.random.Generator,
+                      max_len: int, max_word_len: int) -> list:
+    """Static masking: one masked [CLS] ... [EOS] copy per sentence, skipping unselectable ones."""
+    items = []
+    for i, tokens in enumerate(token_lists):
+        wrapped = ["[CLS]"] + list(tokens)[:max(max_len - 2, 0)] + ["[EOS]"]
+        ex = encode_example(wrapped, vocab, max_len=max_len, max_word_len=max_word_len, guid=i)
+        try:
+            ex.word_ids, ex.target, _ = mask_tokens(ex.word_ids, vocab, rng)
+        except ValueError:
+            continue
+        if any(t != IGNORE_INDEX for t in ex.target):
+            items.append(ex)
+    return items
 
 
 @dataclass

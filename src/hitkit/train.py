@@ -96,29 +96,27 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "TrainConfig":
+        """Each value has its field's type (an int passes for a float) or is a string of it."""
         if not isinstance(values, dict):
             raise ValueError(f"train config must be an object of config keys, "
                              f"got {type(values).__name__}")
-        known = {f.name: f for f in dataclasses.fields(cls)}
+        kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
         kwargs = {}
         for key, raw in values.items():
-            if key not in known:
+            if key not in kinds:
                 raise ValueError(f"unknown config key {key!r}")
-            if not isinstance(raw, (str, int, float, bool)):
-                raise ValueError(f"config key {key!r} must be a string, number or bool, got {raw!r}")
-            ftype = known[key].type
-            if ftype == "bool" or isinstance(known[key].default, bool):
-                if isinstance(raw, str):
-                    if raw.lower() not in ("true", "false"):
-                        raise ValueError(f"config key {key!r} expects true/false, got {raw!r}")
-                    raw = raw.lower() == "true"
-                kwargs[key] = bool(raw)
-            elif isinstance(known[key].default, int) and not isinstance(known[key].default, bool):
-                kwargs[key] = int(raw)
-            elif isinstance(known[key].default, float):
-                kwargs[key] = float(raw)
-            else:
-                kwargs[key] = str(raw)
+            kind = kinds[key]
+            if type(raw) is kind or (kind is float and type(raw) is int):
+                kwargs[key] = kind(raw)
+            elif kind is bool and isinstance(raw, str) and raw.lower() in ("true", "false"):
+                kwargs[key] = raw.lower() == "true"
+            elif kind in (int, float) and isinstance(raw, str):
+                try:
+                    kwargs[key] = kind(raw)
+                except ValueError:
+                    pass
+            if key not in kwargs:
+                raise ValueError(f"config key {key!r} expects {kind.__name__}, got {raw!r}")
         return cls(**kwargs)
 
     @classmethod

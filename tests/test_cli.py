@@ -140,6 +140,22 @@ class TestTrain:
         assert len(preds) == len(rows)
         assert all(len(p["tags"]) == len(p["probs"]) for p in preds)
 
+    def test_dialog_labeling_keeps_case_when_lowercase_is_off(self, tmp_path):
+        dialogs = [{"turns": [{"speaker": "user", "text": "Book a table in Paris for Ana"},
+                              {"speaker": "bot", "text": "Which day?"}],
+                    "slots": {"city": "Paris", "name": "Ana"}}] * 2
+        data = tmp_path / "dialog.jsonl"
+        data.write_text("".join(json.dumps(d) + "\n" for d in dialogs))
+        out = tmp_path / "tag_run"
+        assert main(["train", "--task", "labeling", "--dialog", "--train-file", str(data),
+                     "--val-file", str(data), "--config", write_cfg(tmp_path, lowercase=False),
+                     "--out-dir", str(out)]) == 0
+        from hitkit.checkpoint import load_checkpoint
+        ckpt = load_checkpoint(out / "checkpoint")
+        words = D.Vocab.from_text(ckpt.extras["vocab.tsv"]).word_to_id
+        assert {"Book", "Paris", "Ana"} <= set(words) and not {"book", "paris", "ana"} & set(words)
+        assert json.loads(ckpt.extras["labels.json"]) == ["B-city", "B-name", "O"]
+
 
 class TestUnseenLabels:
     @staticmethod
@@ -302,6 +318,31 @@ class TestMalformedInputs:
                      "--out-dir", str(tmp_path / "o")])
         self.assert_one_error_line(code, capsys.readouterr().err, f"{val_file}:2: ", needle)
 
+    @pytest.mark.parametrize("command", ["pretrain-mlm", "pretrain-zsl"])
+    def test_evaluate_on_a_pretraining_checkpoint(self, tmp_path, capsys, command):
+        data = write_classification(tmp_path)
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\n".join(json.loads(l)["text"] for l in open(data, encoding="utf-8")))
+        source = ["--corpus", str(corpus)] if command == "pretrain-mlm" else ["--train-file", data]
+        assert main([command, *source, "--config", write_cfg(tmp_path, epochs=1),
+                     "--out-dir", str(tmp_path / "pre")]) == 0
+        capsys.readouterr()
+        code = main(["evaluate", "--checkpoint", str(tmp_path / "pre" / "checkpoint"),
+                     "--test-file", data, "--out-dir", str(tmp_path / "e")])
+        task = command.split("-")[1]
+        self.assert_one_error_line(code, capsys.readouterr().err,
+                                   f"cannot evaluate a {task!r} checkpoint; use embed instead")
+
+    @pytest.mark.parametrize("lines", [[], [{"text": "!!! @someone", "label": "0"}]],
+                             ids=["empty-file", "empty-after-preprocessing"])
+    def test_evaluate_on_a_file_with_no_usable_record(self, tmp_path, trained_dir, capsys, lines):
+        test = tmp_path / "test.jsonl"
+        test.write_text("".join(json.dumps(r) + "\n" for r in lines))
+        code = main(["evaluate", "--checkpoint", str(trained_dir / "checkpoint"),
+                     "--test-file", str(test), "--out-dir", str(tmp_path / "e")])
+        self.assert_one_error_line(code, capsys.readouterr().err, str(test), "no usable record")
+        assert not (tmp_path / "e" / "metrics.json").exists()
+
     def test_analyze_with_k_zero(self, tmp_path, trained_dir, capsys):
         texts = tmp_path / "texts.txt"
         texts.write_text("hello good day\nthanks time\n")
@@ -437,16 +478,31 @@ class TestPretrainCommands:
                      "--config", cfg, "--out-dir", str(out),
                      "--init-from", str(mlm_out / "checkpoint")]) == 0
 
-    def test_transfer_rejects_mismatched_vocab(self, tmp_path, capsys):
+    def test_transfer_trains_with_the_pretrained_vocabulary(self, tmp_path):
+        # the corpus and the training file share some words, in another frequency order
         corpus = tmp_path / "corpus.txt"
-        corpus.write_text("\n".join(["aa bb cc aa bb cc aa bb"] * 8))  # 3-word vocabulary
-        mlm_out = tmp_path / "mlm_small"
-        cfg = write_cfg(tmp_path, epochs=2)
+        corpus.write_text("\n".join(" ".join(t) for t in toydata.mlm_corpus(30, seed=2)))
+        cfg = write_cfg(tmp_path, epochs=1)
+        mlm_out, out = tmp_path / "mlm_run", tmp_path / "ft_run"
         assert main(["pretrain-mlm", "--corpus", str(corpus), "--config", cfg,
+                     "--out-dir", str(mlm_out)]) == 0
+        assert main(["train", "--task", "classification",
+                     "--train-file", write_classification(tmp_path), "--config", cfg,
+                     "--out-dir", str(out), "--init-from", str(mlm_out / "checkpoint")]) == 0
+        from hitkit.checkpoint import load_checkpoint
+        assert (load_checkpoint(out / "checkpoint").extras["vocab.tsv"]
+                == load_checkpoint(mlm_out / "checkpoint").extras["vocab.tsv"])
+
+    def test_transfer_rejects_an_encoder_of_another_width(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\n".join(["aa bb cc aa bb cc aa bb"] * 8))
+        mlm_out = tmp_path / "mlm_wide"
+        assert main(["pretrain-mlm", "--corpus", str(corpus),
+                     "--config", write_cfg(tmp_path, epochs=2, d_model=16),
                      "--out-dir", str(mlm_out)]) == 0
         data = write_classification(tmp_path, n=14)
         code = main(["train", "--task", "classification", "--train-file", data,
-                     "--config", cfg, "--out-dir", str(tmp_path / "bad"),
+                     "--config", write_cfg(tmp_path, epochs=2), "--out-dir", str(tmp_path / "bad"),
                      "--init-from", str(mlm_out / "checkpoint")])
         assert code != 0
         assert "word_hit.word_emb" in capsys.readouterr().err

@@ -72,6 +72,29 @@ class TestConfig:
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
         assert TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
+    @pytest.mark.parametrize("values,expected", [
+        ({"d_model": "16", "lr": "1e-5", "use_tfidf": "true"},
+         {"d_model": 16, "lr": 1e-5, "use_tfidf": True}),
+        ({"lr": 1, "lowercase": False}, {"lr": 1.0, "lowercase": False}),
+        ({"d_model": 16.9}, "config key 'd_model' expects int, got 16.9"),
+        ({"d_model": True}, "config key 'd_model' expects int, got True"),
+        ({"d_model": "1.5"}, "config key 'd_model' expects int, got '1.5'"),
+        ({"use_tfidf": 2}, "config key 'use_tfidf' expects bool, got 2"),
+        ({"use_tfidf": "yes"}, "config key 'use_tfidf' expects bool, got 'yes'"),
+        ({"lr": True}, "config key 'lr' expects float, got True"),
+        ({"lr": "fast"}, "config key 'lr' expects float, got 'fast'"),
+    ])
+    def test_from_dict_field_types(self, values, expected):
+        """A value has its field's type (an int passes for a float) or is a string of it."""
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as err:
+                TrainConfig.from_dict(values)
+            assert str(err.value) == expected
+        else:
+            cfg = TrainConfig.from_dict(values)
+            assert {k: (getattr(cfg, k), type(getattr(cfg, k))) for k in expected} == \
+                {k: (v, type(v)) for k, v in expected.items()}
+
     def test_defaults_match_schedule(self):
         cfg = TrainConfig()
         assert (cfg.lr, cfg.beta1, cfg.beta2) == (0.001, 0.9, 0.999)
