@@ -11,6 +11,7 @@ fuses the branches.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -180,6 +181,17 @@ def msa_forward(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None,
                                 layer.config.n_heads, x, x_kv, allowed)
 
 
+class ProjectedValues(NamedTuple):
+    """Value tables already multiplied by `wv_outer`, with their rows' `wo_outer` blocks.
+
+    `parts` lists (table, ids) as `value_parts` does, and `proj` is what `opa_project`
+    takes as its `proj`. An inference cache passes this as `value_parts`.
+    """
+
+    parts: list
+    proj: np.ndarray
+
+
 def opa_forward(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None,
                 x_kv: Tensor | None = None, layout=None, value_parts=None) -> Tensor:
     """Outer branch: q from `x`, k and v from `x_kv` (default `x`); masks as in msa_forward.
@@ -190,7 +202,7 @@ def opa_forward(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None,
     `value_parts` is a list of (table, ids) whose `table[ids]` rows sum to `x_kv`.
     With them, in true_outer_projected mode, each table is multiplied by
     `wv_outer` and `opa_project` projects each table row once instead of making
-    the aggregate.
+    the aggregate. As `ProjectedValues`, they come with both products made.
     """
     x_kv = x if x_kv is None else x_kv
     d = x.shape[1]
@@ -198,14 +210,19 @@ def opa_forward(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None,
     q = matmul(x, layer.wq_outer.tensor)
     k = matmul(x_kv, layer.wk_outer.tensor)
     projected = value_parts is not None and layer.config.opa_combine != "hadamard"
-    v = ([(matmul(table, layer.wv_outer.tensor), ids) for table, ids in value_parts]
-         if projected else matmul(x_kv, layer.wv_outer.tensor))
+    proj = None
+    if projected and isinstance(value_parts, ProjectedValues):
+        v, proj = value_parts
+    elif projected:
+        v = [(matmul(table, layer.wv_outer.tensor), ids) for table, ids in value_parts]
+    else:
+        v = matmul(x_kv, layer.wv_outer.tensor)
     scores = []
     for qg, kg in zip(_group_rows(q, blocks, 1), _group_rows(k, blocks, 2)):
         pair = scale(pairwise_hadamard(qg, kg), 1.0 / np.sqrt(d))
         scores.append(tanh(pair) if layer.config.opa_score == "tanh" else softmax(pair, axis=-1))
     if projected:
-        return opa_project(scores, v, blocks, layer.wo_outer.tensor)
+        return opa_project(scores, v, blocks, layer.wo_outer.tensor, proj)
     values = _group_rows(v, blocks, 2)
     if layer.config.opa_combine == "hadamard":
         flat = opa_sum_hadamard(scores, values, blocks)

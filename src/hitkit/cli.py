@@ -244,11 +244,15 @@ def _encode(task: Task, records, arts, cfg, source):
     return items
 
 
-def _restore(checkpoint_path):
-    """Rebuild the task model a checkpoint was saved from; it must hold every parameter, as shaped."""
+def _read_checkpoint(checkpoint_path):
     if not os.path.exists(checkpoint_path):
         raise CliError(f"checkpoint not found: {checkpoint_path}")
-    ckpt = load_checkpoint(checkpoint_path)
+    return load_checkpoint(checkpoint_path)
+
+
+def _restore(checkpoint_path):
+    """Rebuild the task model a checkpoint was saved from; it must hold every parameter, as shaped."""
+    ckpt = _read_checkpoint(checkpoint_path)
     missing = ([key for key in ("task", "train_config") if key not in ckpt.config]
                + [key for key in ("vocab.tsv",) if key not in ckpt.extras])
     if missing:
@@ -315,15 +319,18 @@ def cmd_train(args) -> int:
         raise CliError("datasets too small to carve a validation split")
     records, val_records = (task.records(r, cfg, args.dialog) for r in (records, val_records))
     arts = task.fit(records, cfg)
-    if args.init_from:
+    pretrained = _read_checkpoint(args.init_from) if args.init_from else None
+    if pretrained is not None:
+        if "vocab.tsv" not in pretrained.extras:
+            raise CliError(f"checkpoint {args.init_from} has no vocab.tsv")
         # the pretrained embedding rows belong to the checkpoint's word and character ids
-        arts = replace(arts, vocab=_restore(args.init_from)[3].vocab)
+        arts = replace(arts, vocab=D.Vocab.from_text(pretrained.extras["vocab.tsv"]))
     train_items = _encode(task, records, arts, cfg, args.train_file)
     val_items = _encode(task, val_records, arts, cfg,
                         args.val_file or f"{args.train_file} (validation split)")
     model = task.build(cfg, arts, seed_streams(cfg.seed)["init"])
-    if args.init_from:
-        transfer_load(model, args.init_from, args.transfer_mode)
+    if pretrained is not None:
+        transfer_load(model, pretrained, args.transfer_mode)
     return _train_and_report(
         args, cfg, args.task, model, (train_items, val_items), arts,
         lambda _: task.evaluate(model, val_items, arts),

@@ -13,7 +13,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .attention import FameConfig, FameLayer, fame_forward, group_blocks
+from .attention import FameConfig, FameLayer, ProjectedValues, fame_forward, group_blocks
 from .optim import Parameter, normal_init, xavier_uniform
 from .tensor import (
     ShapeError,
@@ -27,6 +27,7 @@ from .tensor import (
     matmul,
     mean_rows,
     mul,
+    project_rows,
     relu,
     reshape,
     softmax,
@@ -209,8 +210,62 @@ class HierPool:
         return [self.proj_w, self.proj_b, self.context]
 
 
+class Versions:
+    """The tensor versions of `params` that a cache's contents were computed under."""
+
+    def __init__(self, params):
+        self.params = list(params)
+        self.seen = None
+
+    def moved(self) -> bool:
+        """Whether any version moved since the last call (or this is the first), then note them."""
+        now = [p.tensor.version for p in self.params]
+        moved, self.seen = now != self.seen, now
+        return moved
+
+
+class OpaTableCache:
+    """The first char layer's OPA projections at inference, one block per character and position.
+
+    That layer's value rows are char_emb[c] @ wv_outer + pos[p] @ wv_outer. Row r of the
+    stacked table (every character id, then every position) keeps its value and that
+    value's (d, d) block through wo_outer (`tensor.project_rows`), made the first time a
+    call needs row r. So it holds at most (char vocab + max_word_len) * d * d floats. It
+    forgets every row when a tensor version of char_emb, wv_outer or wo_outer moves.
+    """
+
+    def __init__(self, emb: Parameter, pos: np.ndarray, fame: FameLayer):
+        self.emb, self.pos, self.fame = emb, pos, fame
+        self.versions = Versions([emb, fame.wv_outer, fame.wo_outer])
+        self.filled = np.zeros(len(emb.data) + len(pos), dtype=bool)
+        self.values = self.blocks = None
+
+    def value_parts(self, chars, positions) -> ProjectedValues:
+        """The first layer's value parts for the rows char_emb[chars] + pos[positions]."""
+        if self.versions.moved():
+            self.filled[:] = False
+        n_chars = len(self.emb.data)
+        rows = np.unique(np.concatenate([chars, n_chars + positions]))
+        missing = rows[~self.filled[rows]]
+        if missing.size:
+            if self.blocks is None:
+                d = self.pos.shape[1]
+                self.values = np.zeros((len(self.filled), d))
+                self.blocks = np.zeros((len(self.filled), d, d))
+            v = np.concatenate([self.emb.data, self.pos])[missing] @ self.fame.wv_outer.data
+            self.values[missing] = v
+            self.blocks[missing] = project_rows(v, self.fame.wo_outer.data)
+            self.filled[missing] = True
+        return ProjectedValues([(Tensor(self.values[:n_chars]), chars),
+                                (Tensor(self.values[n_chars:]), positions)], self.blocks)
+
+
 class CharHit:
-    """Character encoder shared by every word slot."""
+    """Character encoder shared by every word slot.
+
+    Outside training and while no graph is recorded, its first layer's OPA takes
+    the projections of its characters and positions from an `OpaTableCache`.
+    """
 
     def __init__(self, char_vocab_size: int, config: FameConfig, n_layers: int, d_ff: int,
                  dropout_rate: float, max_word_len: int, rng: np.random.Generator,
@@ -222,6 +277,8 @@ class CharHit:
         self.pool = HierPool(d, rng, f"{name}.pool")
         self.pos = positional_table(max_word_len, d)
         self.max_word_len = max_word_len
+        self.opa_cache = (OpaTableCache(self.emb, self.pos, self.layers[0].fame)
+                          if self.layers and config.opa_combine == "true_outer_projected" else None)
 
     def forward(self, words, training: bool = False, rng=None) -> Tensor:
         """Pooled vectors of the character sequences `words`, (len(words), d), in that order.
@@ -239,9 +296,12 @@ class CharHit:
         x = add(embedding_lookup(self.emb.tensor, chars), Tensor(self.pos[pack.positions]))
         # a first-layer row is char_emb[c] + pos[p] (dropout comes after attention), and the
         # OPA projection is linear in the value: it projects each character and position once
-        distinct, char_ids = np.unique(chars, return_inverse=True)
-        parts = [(embedding_lookup(self.emb.tensor, distinct), char_ids),
-                 (Tensor(self.pos[:max(pack.lengths)]), pack.positions)]
+        if self.opa_cache is not None and not (training or is_recording()):
+            parts = self.opa_cache.value_parts(chars, pack.positions)
+        else:
+            distinct, char_ids = np.unique(chars, return_inverse=True)
+            parts = [(embedding_lookup(self.emb.tensor, distinct), char_ids),
+                     (Tensor(self.pos[:max(pack.lengths)]), pack.positions)]
         x = run_layers(self.layers, x, pack, None, training, rng, value_parts=parts)
         return pack.unpack_sequences(self.pool.forward(x, pack.layout))
 
@@ -270,21 +330,18 @@ class CharMemo:
     """
 
     def __init__(self, params, capacity: int = MEMO_ROWS):
-        self.params = list(params)
+        self.versions = Versions(params)
         self.capacity = capacity
         self.slots: OrderedDict[tuple, int] = OrderedDict()  # word -> table row, least recent first
         self.table = None
-        self.versions = None
 
     def __len__(self) -> int:
         return len(self.slots)
 
     def vectors(self, words, encode) -> np.ndarray:
         """Rows for the distinct `words`, (len(words), d); `encode(missed)` computes the missed ones."""
-        versions = [p.tensor.version for p in self.params]
-        if versions != self.versions:
+        if self.versions.moved():
             self.slots.clear()
-            self.versions = versions
         found = [self.slots.get(w) for w in words]
         hit = [i for i, slot in enumerate(found) if slot is not None]
         missed = [i for i, slot in enumerate(found) if slot is None]

@@ -7,7 +7,6 @@ from typing import Any
 
 import numpy as np
 
-from .checkpoint import load_checkpoint
 from .data import SPECIALS, Vocab, encode_example
 
 IGNORE_INDEX = -1
@@ -100,14 +99,13 @@ def zsl_build_pairs(dataset, label_names, rng: np.random.Generator,
     return pairs
 
 
-def transfer_load(model, checkpoint_path, mode: str):
-    """Copy encoder parameters from a checkpoint; the task head stays fresh.
+def transfer_load(model, ckpt, mode: str):
+    """Copy encoder parameters from a loaded checkpoint; the task head stays fresh.
 
     mode "frozen" marks encoder parameters non-trainable; "finetune" trains all.
     """
     if mode not in ("frozen", "finetune"):
         raise ValueError(f"transfer mode must be 'frozen' or 'finetune', got {mode!r}")
-    ckpt = load_checkpoint(checkpoint_path)
     problems = []
     encoder_params = [p for p in model.parameters() if p.name.startswith(ENCODER_PREFIXES)]
     for p in encoder_params:

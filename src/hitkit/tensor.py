@@ -61,9 +61,6 @@ class Tensor:
             raise ShapeError(f"item() needs a one-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -644,17 +641,33 @@ def opa_sum_hadamard(s, v, allowed) -> Tensor:
     return _opa_sum("opa_sum_hadamard", s, v, allowed, False, _hadamard_forward, _hadamard_backward)
 
 
-def opa_project(s, parts, allowed, w: Tensor) -> Tensor:
+def project_rows(table: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """P(v)[a] = sum_b v[b] w[a * e + b] for each row v of `table` (rows, e) and w (d * e, c).
+
+    Returns the (rows, d, c) blocks, each row's block contiguous: the table projection
+    of `opa_project`, and what an inference cache of its blocks is filled with.
+    """
+    w3 = w.reshape(-1, table.shape[1], w.shape[1])
+    proj = np.empty((len(table),) + w3.shape[::2])
+    np.matmul(table[None], w3, out=proj.transpose(1, 0, 2))
+    return proj
+
+
+def opa_project(s, parts, allowed, w: Tensor, proj=None) -> Tensor:
     """reshape(opa_sum_outer(s, v, allowed), (rows, d * e)) @ w, where v sums table rows.
 
     s and allowed are lists of (count, n, m, d) score and (count, n, m) mask blocks,
     one per group, as opa_sum_outer takes them. `parts` lists (table, ids): value row j,
     in the order opa_sum_outer flattens them, is the sum over parts of table[ids[j]].
     The projection P(v)[a] = sum_b v[b] w[a * e + b] is linear in v, so every table row
-    is projected once, each distinct combination u of ids gets P_u as the sum of its
-    rows' projections, and out_i is the sum over allowed j of s_ij @ P_u(j). So the
-    d * e * c work scales with the table rows, and neither v nor the (rows, d, e)
-    aggregate is made. The gradient goes to s, to every table and to w.
+    is projected once (`project_rows`), each distinct combination u of ids gets P_u as
+    the sum of its rows' projections, and out_i is the sum over allowed j of
+    s_ij @ P_u(j). So the d * e * c work scales with the table rows, and neither v nor
+    the (rows, d, e) aggregate is made. The gradient goes to s, to every table and to w.
+
+    `proj`, if given, stands for `project_rows` of the tables stacked in order. Only
+    its rows that `ids` reach are read, so it may be a cache whose other rows are
+    unfilled. It is for inference: no graph is made, and one that would be raises.
     """
     ss, masks = list(s), [np.asarray(a, dtype=np.float64) for a in allowed]
     d = ss[0].shape[-1] if ss else 0
@@ -698,9 +711,12 @@ def opa_project(s, parts, allowed, w: Tensor) -> Tensor:
     qp = np.concatenate(pair_q)[order]
     bounds = np.concatenate([[0], np.cumsum(np.bincount(pair_u, minlength=len(first)))])
     segs = [(u, lo, hi) for u, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo]
-    table, w3 = np.concatenate([t.data for t in tables]), w.data.reshape(d, e, -1)
-    proj = np.empty((len(table),) + w3.shape[::2])  # (row, a, c): each row's block contiguous
-    np.matmul(table[None], w3, out=proj.transpose(1, 0, 2))
+    w3 = w.data.reshape(d, e, -1)
+    if proj is None:
+        table = np.concatenate([t.data for t in tables])
+        proj = project_rows(table, w.data)
+    elif _recording and any(t.requires_grad for t in ss + tables + [w]):
+        raise ValueError("opa_project: a given projection makes no graph; run it under no_grad")
     buf = np.empty(w3.shape[::2])
 
     def value_proj(u):

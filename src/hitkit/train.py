@@ -60,8 +60,13 @@ class TrainConfig:
     min_freq: int = 1
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"config field {f.name} must be finite, got {value}")
         positive = ["lr", "epochs", "batch_size", "plateau_patience", "early_stop_patience",
-                    "d_model", "l_c", "l_w", "l_dec", "n_heads", "max_len", "max_word_len"]
+                    "d_model", "l_c", "l_w", "l_dec", "n_heads", "max_len", "max_word_len",
+                    "zsl_temperature"]
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name} must be positive, got {getattr(self, name)}")

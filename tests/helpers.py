@@ -35,7 +35,7 @@ def numeric_grad(build_loss, leaf, h=FD_H):
 def check_gradients(build_loss, leaves, rtol=FD_RTOL, h=FD_H):
     """Assert analytic gradients match central differences for every leaf."""
     for leaf in leaves:
-        leaf.zero_grad()
+        leaf.grad = None
     loss = build_loss()
     T.backward(loss)
     for leaf in leaves:

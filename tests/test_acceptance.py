@@ -16,7 +16,7 @@ from hitkit import tensor as T
 from hitkit.attention import FameConfig, FameLayer, fame_forward, msa_forward, opa_forward
 from hitkit.cli import main as cli_main
 from hitkit.encoders import EncoderLayer
-from hitkit.checkpoint import save_checkpoint
+from hitkit.checkpoint import load_checkpoint, save_checkpoint
 from hitkit.pretrain import mask_tokens, transfer_load, zsl_build_pairs
 from hitkit.train import (
     TrainConfig,
@@ -68,7 +68,7 @@ def train_classifier_to_target(records, vocab, cfg, init_from=None):
     model = build_classifier(cfg, vocab.word_size, vocab.char_size, 2,
                              seed_streams(cfg.seed)["init"])
     if init_from is not None:
-        transfer_load(model, init_from, "finetune")
+        transfer_load(model, load_checkpoint(init_from), "finetune")
     items = encode_items(records, vocab)
 
     def accuracy(m):

@@ -82,7 +82,7 @@ def model_and_batch(kind, config, seed=0, sentences=SENTENCES):
 
 def grads_of(model, loss):
     for p in model.parameters():
-        p.tensor.zero_grad()
+        p.tensor.grad = None
     T.backward(loss)
     return {p.name: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
             for p in model.parameters()}
@@ -186,7 +186,7 @@ SHARED = [(["aab", "aba", "baa", "abab"], 0), (["baa", "abab", "ab"], 5),
 
 def aggregate_only(monkeypatch):
     """Make every OPA layer make the (rows, d, d) aggregate, as before value-first projection."""
-    def project(s, parts, allowed, w):
+    def project(s, parts, allowed, w, proj=None):
         (table, ids), *rest = parts
         v = T.embedding_lookup(table, ids)
         for table, ids in rest:
@@ -254,9 +254,9 @@ def test_the_first_char_layer_projects_each_character_and_position_once(monkeypa
     tables = []
     real = A.opa_project
 
-    def spy(s, parts, allowed, w):
+    def spy(s, parts, allowed, w, proj=None):
         tables.append([table.shape[0] for table, _ in parts])
-        return real(s, parts, allowed, w)
+        return real(s, parts, allowed, w, proj)
 
     monkeypatch.setattr(A, "opa_project", spy)
     model, batch = model_and_batch("classification", cfg(l_c=2, l_w=2), sentences=SHARED)

@@ -358,6 +358,34 @@ class TestMalformedInputs:
         self.assert_one_error_line(code, capsys.readouterr().err, "--neg-per-pos", n)
         assert not (tmp_path / "z").exists()
 
+    @pytest.mark.parametrize("saved,needle", [(False, "checkpoint not found"),
+                                              (True, "has no vocab.tsv")],
+                             ids=["missing", "no-vocab"])
+    def test_init_from_a_checkpoint_without_a_vocabulary(self, tmp_path, capsys, saved, needle):
+        import numpy as np
+        from hitkit.checkpoint import save_checkpoint
+        bad = tmp_path / "ckpt"
+        if saved:
+            save_checkpoint(bad, {"word_hit.word_emb": np.zeros((2, 8))}, {"task": "mlm"})
+        code = main(["train", "--task", "classification", "--train-file",
+                     write_classification(tmp_path), "--init-from", str(bad),
+                     "--out-dir", str(tmp_path / "o")])
+        self.assert_one_error_line(code, capsys.readouterr().err, str(bad), needle)
+
+    @pytest.mark.parametrize("command,line,needle", [
+        ("pretrain-zsl", "zsl_temperature=0", "zsl_temperature must be positive, got 0.0"),
+        ("train", "lr=nan", "lr must be finite, got nan"),
+        ("train", "clip_norm=inf", "clip_norm must be finite, got inf"),
+    ], ids=["zero-temperature", "nan-lr", "inf-clip-norm"])
+    def test_config_value_out_of_range(self, tmp_path, capsys, command, line, needle):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"d_model=8\nn_heads=2\nepochs=1\n{line}\n")
+        flags = ["--task", "classification"] if command == "train" else []
+        code = main([command, *flags, "--train-file", write_classification(tmp_path),
+                     "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        self.assert_one_error_line(code, capsys.readouterr().err, needle)
+        assert not (tmp_path / "o").exists()
+
     def test_non_integer_seed_variable(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("HITKIT_SEED", "abc")
         code = main(["train", "--task", "classification", "--train-file",

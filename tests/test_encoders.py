@@ -137,7 +137,7 @@ class TestCharHit:
         ctx = enc.char_hit.pool.context.tensor
 
         def grad_for(words):
-            ctx.zero_grad()
+            ctx.grad = None
             total = None
             for w in words:
                 s = T.sum_all(enc.char_hit.encode_word(w))

@@ -71,8 +71,7 @@ class TestLeafGradients:
         twice = a.grad.copy(), b.grad.copy()
         singles = []
         for loss in losses:
-            a.zero_grad()
-            b.zero_grad()
+            a.grad = b.grad = None
             T.backward(loss())
             singles.append((a.grad.copy(), b.grad.copy()))
         assert np.array_equal(twice[0], singles[0][0] + singles[1][0])

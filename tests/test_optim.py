@@ -3,7 +3,7 @@ import pytest
 
 from hitkit import data as D
 from hitkit import tensor as T
-from hitkit.checkpoint import save_checkpoint
+from hitkit.checkpoint import load_checkpoint, save_checkpoint
 from hitkit.optim import (
     MissingGradError,
     Parameter,
@@ -125,7 +125,7 @@ class TestAdam:
         encoder = [p for p in model.parameters() if p.name.startswith(("char_hit.", "word_hit."))]
         for _ in range(3):
             step_with_random_grads(encoder, rng)
-        transfer_load(model, path, "finetune")
+        transfer_load(model, load_checkpoint(path), "finetune")
         fresh = tiny_classifier(seed=3)
         fresh.load_arrays({p.name: p.data for p in encoder})
         twins = [fresh.named_parameters()[p.name] for p in encoder]

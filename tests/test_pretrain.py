@@ -3,7 +3,7 @@ import pytest
 
 from hitkit import data as D
 from hitkit import tensor as T
-from hitkit.checkpoint import save_checkpoint
+from hitkit.checkpoint import load_checkpoint, save_checkpoint
 from hitkit.optim import adam_step
 from hitkit.pretrain import MaskPlan, mask_tokens, transfer_load, zsl_build_pairs
 from hitkit.train import TrainConfig, build_classifier, build_mlm, seed_streams
@@ -120,7 +120,7 @@ class TestTransfer:
         clf = build_classifier(self.cfg(), vocab.word_size, vocab.char_size, 2,
                                seed_streams(6)["init"])
         head_before = clf.head_w.data.copy()
-        transfer_load(clf, path, "finetune")
+        transfer_load(clf, load_checkpoint(path), "finetune")
         stored = mlm.encoder.word_hit.emb.data.astype(np.float32).astype(np.float64)
         assert np.array_equal(clf.encoder.word_hit.emb.data, stored)
         assert np.array_equal(clf.head_w.data, head_before)
@@ -129,7 +129,7 @@ class TestTransfer:
         path, _ = self.pretrained_path(tmp_path, vocab)
         clf = build_classifier(self.cfg(), vocab.word_size, vocab.char_size, 2,
                                seed_streams(7)["init"])
-        transfer_load(clf, path, "frozen")
+        transfer_load(clf, load_checkpoint(path), "frozen")
         snapshot = {p.name: p.data.copy() for p in clf.parameters()
                     if p.name.startswith(("char_hit.", "word_hit."))}
         examples = [D.encode_example(["tok1", "tok2"], vocab, target=0, max_len=12, max_word_len=8),
@@ -152,12 +152,11 @@ class TestTransfer:
         path, _ = self.pretrained_path(tmp_path, vocab)
         clf = build_classifier(self.cfg(), vocab.word_size, vocab.char_size, 2,
                                seed_streams(8)["init"])
-        transfer_load(clf, path, "finetune")
+        transfer_load(clf, load_checkpoint(path), "finetune")
         out = tmp_path / "resaved"
         encoder_arrays = {p.name: p.data for p in clf.parameters()
                           if p.name.startswith(("char_hit.", "word_hit."))}
         save_checkpoint(out, encoder_arrays, {"task": "mlm"})
-        from hitkit.checkpoint import load_checkpoint
         original = load_checkpoint(path)
         resaved = load_checkpoint(out)
         for name in encoder_arrays:
@@ -168,11 +167,11 @@ class TestTransfer:
         wide = build_classifier(self.cfg(d_model=16), vocab.word_size, vocab.char_size, 2,
                                 seed_streams(9)["init"])
         with pytest.raises(ValueError, match="word_hit.word_emb"):
-            transfer_load(wide, path, "finetune")
+            transfer_load(wide, load_checkpoint(path), "finetune")
 
     def test_invalid_mode_rejected(self, tmp_path, vocab):
         path, _ = self.pretrained_path(tmp_path, vocab)
         clf = build_classifier(self.cfg(), vocab.word_size, vocab.char_size, 2,
                                seed_streams(10)["init"])
         with pytest.raises(ValueError, match="frozen"):
-            transfer_load(clf, path, "sideways")
+            transfer_load(clf, load_checkpoint(path), "sideways")

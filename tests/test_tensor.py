@@ -318,8 +318,7 @@ class TestBackward:
         loss = lambda: T.sum_all(T.tanh(T.matmul(x, w)))
         T.backward(loss())
         clean = x.grad, w.grad
-        x.zero_grad()
-        w.zero_grad()
+        x.grad = w.grad = None
         alive = []
 
         def broken_forward():
@@ -608,7 +607,7 @@ class TestOpaProject:
         for build in (lambda: T.opa_project(scores, parts, masks, w),
                       lambda: self.aggregate(scores, parts, masks, w)):
             for leaf in leaves:
-                leaf.zero_grad()
+                leaf.grad = None
             out = build()
             T.backward(T.sum_all(T.tanh(out)))
             grads.append((out.data, [leaf.grad for leaf in leaves]))
@@ -617,6 +616,18 @@ class TestOpaProject:
         assert np.max(np.abs(got - want)) < 1e-12
         for g, h in zip(got_grads, want_grads):
             assert np.max(np.abs(g - h)) < 1e-12
+
+    def test_a_given_projection_is_read_only_where_ids_reach(self):
+        scores, tables, masks, w = self.operands(seed=82, sizes=(7, 3))
+        parts = list(zip(tables, self.IDS))
+        proj = T.project_rows(np.concatenate([t.data for t in tables]), w.data)
+        proj[[3, 5, 6]] = np.nan  # rows of the first table that no id reaches
+        with T.no_grad():
+            want = T.opa_project(scores, parts, masks, w).data
+            got = T.opa_project(scores, parts, masks, w, proj).data
+        assert np.array_equal(got, want)
+        with pytest.raises(ValueError, match="no_grad"):
+            T.opa_project(scores, parts, masks, w, proj)
 
     @pytest.mark.parametrize("ids", [np.arange(12), np.arange(14), np.zeros((13, 1))])
     def test_rejects_ids_of_the_wrong_length(self, ids):

@@ -56,7 +56,8 @@ def valid_configs():
             l_dec=draw(positive), n_heads=n_heads, opa_score=draw(st.sampled_from(OPA_SCORES)),
             opa_combine=draw(st.sampled_from(OPA_COMBINES)), seed=draw(st.integers(0, 2**63)),
             use_tfidf=draw(st.booleans()), max_len=draw(positive), max_word_len=draw(positive),
-            clip_norm=draw(real), layer_norm_eps=draw(real), zsl_temperature=draw(real),
+            clip_norm=draw(real), layer_norm_eps=draw(real),
+            zsl_temperature=draw(st.floats(0.0, 1e6, exclude_min=True)),
             lowercase=draw(st.booleans()), min_freq=draw(st.integers(0, 10**6)))
         assert set(fields) == {f.name for f in dataclasses.fields(TrainConfig)}
         return TrainConfig(**fields)
