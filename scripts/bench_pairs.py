@@ -52,6 +52,12 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def known_revision(rev: str) -> bool:
+    """Whether `rev` names a commit of this repository."""
+    return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet",
+                           f"{rev}^{{commit}}"], capture_output=True, check=False).returncode == 0
+
+
 def export(rev: str | None, dest: Path) -> None:
     """Revision `rev` into `dest`; with rev None, the working tree as it is on disk.
 
@@ -124,9 +130,7 @@ def main(argv=None) -> int:
         seeds = parse_seeds(args.seeds)
         if not args.seconds > 0:
             raise ValueError(f"--seconds must be positive, got {args.seconds:g}")
-        known = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet",
-                                f"{args.parent}^{{commit}}"], capture_output=True, check=False)
-        if known.returncode != 0:
+        if not known_revision(args.parent):
             raise ValueError(f"unknown --parent revision {args.parent!r}")
     except ValueError as exc:
         print(f"bench_pairs: {exc}", file=sys.stderr)

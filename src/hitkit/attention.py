@@ -108,31 +108,22 @@ def group_blocks(x, layout) -> list:
     return blocks
 
 
-def _allowed(mask, attn_allowed, n_q: int, n_kv: int, caller: str, layout=None) -> list:
-    """Allowed query/key pairs: one (count, L_q, L_kv) bool block per group.
+def _check_allowed(allowed, n_q: int, n_kv: int, caller: str) -> list:
+    """Allowed query/key pairs as a list of (count, L_q, L_kv) bool blocks, checked.
 
-    Without `layout` the n_q query rows and n_kv key rows form one group of one
-    sequence. With it, queries and keys are the same packed rows, grouped as
-    `layout` says. `mask` marks usable key rows; `attn_allowed` is an extra
-    (n_q, n_kv) mask for a single sequence.
+    Block g stands for `count` sequences whose L_q query rows and L_kv key rows
+    follow those of the blocks before it, in the n_q rows of the queries and
+    the n_kv rows of the keys. None is one sequence that sees every key.
     """
-    km = np.ones(n_kv, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    if km.shape != (n_kv,):
-        raise ShapeError(f"mask length {km.shape} does not match {n_kv} positions")
-    if layout is None:
-        layout, q_lengths = [(1, n_kv)], [n_q]
-    else:
-        q_lengths = [n for _, n in layout]
-    blocks = []
-    for lq, keys in zip(q_lengths, group_blocks(km, layout)):
-        if not keys.any(axis=1).all():
-            raise ValueError(f"{caller}: every position is masked")
-        blocks.append(np.repeat(keys[:, None, :], lq, axis=1))
-    if attn_allowed is not None:
-        a = np.asarray(attn_allowed, dtype=bool)
-        if len(blocks) != 1 or a.shape != blocks[0].shape[1:]:
-            raise ShapeError(f"attention mask shape {a.shape} does not match {(n_q, n_kv)}")
-        blocks[0] = blocks[0] & a
+    if allowed is None:
+        return [np.ones((1, n_q, n_kv), dtype=bool)]
+    blocks = [np.asarray(a, dtype=bool) for a in allowed]
+    shapes = [a.shape for a in blocks]
+    if (any(len(s) != 3 for s in shapes) or sum(c * lq for c, lq, _ in shapes) != n_q
+            or sum(c * lkv for c, _, lkv in shapes) != n_kv):
+        raise ShapeError(f"allowed blocks {shapes} do not cover {n_q} query and {n_kv} key rows")
+    if not all(a.any(axis=2).all() for a in blocks):
+        raise ValueError(f"{caller}: every position is masked")
     return blocks
 
 
@@ -145,19 +136,18 @@ def multi_head_attention(wq: Parameter, wk: Parameter, wv: Parameter, wo: Parame
                          n_heads: int, x_q: Tensor, x_kv: Tensor, allowed) -> Tensor:
     """Scaled dot-product attention over heads.
 
-    `allowed` is an (n_q, n_kv) bool matrix for one sequence, or a list of
-    (count, L_q, L_kv) blocks, one per group of packed rows (see `_allowed`).
-    Each group's heads run as one (count, heads, L_q, L_kv) block.
+    `allowed` is a list of (count, L_q, L_kv) blocks, one per group of packed
+    rows (see `_check_allowed`). Each group's heads run as one
+    (count, heads, L_q, L_kv) block.
     """
-    blocks = [allowed[None]] if isinstance(allowed, np.ndarray) else allowed
     d = wq.data.shape[0]
     dh = d // n_heads
     q = matmul(x_q, wq.tensor)
     k = matmul(x_kv, wk.tensor)
     v = matmul(x_kv, wv.tensor)
     outs = []
-    for a, qg, kg, vg in zip(blocks, _group_rows(q, blocks, 1), _group_rows(k, blocks, 2),
-                             _group_rows(v, blocks, 2)):
+    for a, qg, kg, vg in zip(allowed, _group_rows(q, allowed, 1), _group_rows(k, allowed, 2),
+                             _group_rows(v, allowed, 2)):
         count, lq, lkv = a.shape
         heads = lambda t, n, axes: transpose(reshape(t, (count, n, n_heads, dh)), axes)
         scores = scale(matmul(heads(qg, lq, (0, 2, 1, 3)), heads(kg, lkv, (0, 2, 3, 1))),
@@ -169,14 +159,13 @@ def multi_head_attention(wq: Parameter, wk: Parameter, wv: Parameter, wo: Parame
     return matmul(outs[0] if len(outs) == 1 else concat_rows(outs), wo.tensor)
 
 
-def msa_forward(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None,
-                x_kv: Tensor | None = None, layout=None) -> Tensor:
-    """Queries from `x`, keys/values from `x_kv` (default `x`); `mask` marks usable key rows.
+def msa_forward(layer: FameLayer, x: Tensor, allowed=None, x_kv: Tensor | None = None) -> Tensor:
+    """Queries from `x`, keys/values from `x_kv` (default `x`), paired as `allowed` says.
 
-    With `layout`, `x` holds packed sequences grouped as `_allowed` describes.
+    `allowed` lists (count, L_q, L_kv) bool blocks over packed rows (see `_check_allowed`).
     """
     x_kv = x if x_kv is None else x_kv
-    allowed = _allowed(mask, attn_allowed, x.shape[0], x_kv.shape[0], "msa_forward", layout)
+    allowed = _check_allowed(allowed, x.shape[0], x_kv.shape[0], "msa_forward")
     return multi_head_attention(layer.wq_self, layer.wk_self, layer.wv_self, layer.wo_self,
                                 layer.config.n_heads, x, x_kv, allowed)
 
@@ -192,9 +181,9 @@ class ProjectedValues(NamedTuple):
     proj: np.ndarray
 
 
-def opa_forward(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None,
-                x_kv: Tensor | None = None, layout=None, value_parts=None) -> Tensor:
-    """Outer branch: q from `x`, k and v from `x_kv` (default `x`); masks as in msa_forward.
+def opa_forward(layer: FameLayer, x: Tensor, allowed=None, x_kv: Tensor | None = None,
+                value_parts=None) -> Tensor:
+    """Outer branch: q from `x`, k and v from `x_kv` (default `x`); `allowed` as in msa_forward.
 
     Each group's scores run as one (count, L_q, L_kv, d) block. Every group's
     aggregate is written into one (rows, d, d) array (or (rows, d) in hadamard
@@ -206,7 +195,7 @@ def opa_forward(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None,
     """
     x_kv = x if x_kv is None else x_kv
     d = x.shape[1]
-    blocks = _allowed(mask, attn_allowed, x.shape[0], x_kv.shape[0], "opa_forward", layout)
+    blocks = _check_allowed(allowed, x.shape[0], x_kv.shape[0], "opa_forward")
     q = matmul(x, layer.wq_outer.tensor)
     k = matmul(x_kv, layer.wk_outer.tensor)
     projected = value_parts is not None and layer.config.opa_combine != "hadamard"
@@ -240,15 +229,14 @@ def fame_fuse(layer: FameLayer, z_self: Tensor, z_outer: Tensor) -> Tensor:
     return add(scalar_mul(a1, z_self), scalar_mul(a2, z_outer))
 
 
-def fame_forward(layer: FameLayer, x: Tensor, mask=None, attn_allowed=None,
-                 x_kv: Tensor | None = None, layout=None, value_parts=None) -> Tensor:
+def fame_forward(layer: FameLayer, x: Tensor, allowed=None, x_kv: Tensor | None = None,
+                 value_parts=None) -> Tensor:
     """Both branches over the same queries `x` and key/value rows `x_kv` (default `x`), fused.
 
-    The one attention entry point. The encoders pass packed rows of many
-    sequences with their `layout`, a list of (count, length) groups of
-    equal-length sequences; the decoder passes one sequence, with `x_kv` and
-    `attn_allowed` when it needs them. `value_parts` go to `opa_forward`.
+    The one attention entry point. `allowed` lists one (count, L_q, L_kv) bool
+    block per group of packed sequences (see `_check_allowed`): the encoders
+    pass groups of equal-length sequences, the decoder one causal sequence.
+    `value_parts` go to `opa_forward`.
     """
-    return fame_fuse(layer,
-                     msa_forward(layer, x, mask, attn_allowed, x_kv, layout),
-                     opa_forward(layer, x, mask, attn_allowed, x_kv, layout, value_parts))
+    return fame_fuse(layer, msa_forward(layer, x, allowed, x_kv),
+                     opa_forward(layer, x, allowed, x_kv, value_parts))

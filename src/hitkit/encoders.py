@@ -88,6 +88,13 @@ class Packing:
         self.positions = np.concatenate([np.arange(self.lengths[i]) for i in self.order])
         self.in_order = self.order == sorted(self.order)
 
+    def allowed(self, mask=None) -> list:
+        """One (count, length, length) block per group (see `fame_forward`): every query
+        row sees the keys of its own sequence that the packed key `mask` marks (default all)."""
+        keys = np.ones(self.n_rows, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+        return [np.repeat(k[:, None, :], n, axis=1)
+                for (_, n), k in zip(self.layout, group_blocks(keys, self.layout))]
+
     def rows(self, per_sequence) -> list:
         """The items of every sequence's list (lists given in original order), in packed order."""
         return [item for i in self.order for item in per_sequence[i]]
@@ -149,15 +156,14 @@ class EncoderLayer:
         self.dropout_rate = dropout_rate
         self.eps = eps
 
-    def forward(self, x: Tensor, mask=None, layout=None, drop=None, value_parts=None) -> Tensor:
-        """Rows x of one sequence, or packed sequences grouped as `layout` says.
+    def forward(self, x: Tensor, allowed=None, drop=None, value_parts=None) -> Tensor:
+        """Rows x of one sequence, or packed sequences paired as `allowed` says (`fame_forward`).
 
         `drop` is this layer's (attention, FFN) pair from `dropout_multipliers`;
         without it the layer runs without dropout. `value_parts` go to `fame_forward`.
         """
         drop_attn, drop_ffn = (None, None) if drop is None else drop
-        h = _apply_dropout(fame_forward(self.fame, x, mask, layout=layout, value_parts=value_parts),
-                           drop_attn)
+        h = _apply_dropout(fame_forward(self.fame, x, allowed, value_parts=value_parts), drop_attn)
         y1 = layer_norm(add(x, h), self.norm1_g.tensor, self.norm1_b.tensor, self.eps)
         f = _apply_dropout(self.ffn.forward(y1), drop_ffn)
         return layer_norm(add(y1, f), self.norm2_g.tensor, self.norm2_b.tensor, self.eps)
@@ -169,16 +175,18 @@ class EncoderLayer:
 
 def run_layers(layers, x: Tensor, packing: Packing, mask, training: bool, rng,
                value_parts=None) -> Tensor:
-    """A stack of encoder layers over packed rows; dropout is drawn for all layers first.
+    """A stack of encoder layers over packed rows, keys marked by `mask` (default all).
 
-    `value_parts` (see `opa_forward`) write the rows of `x` as sums of table rows.
-    Only the first layer gets them: the later layers' rows depend on whole sequences.
+    Dropout and the allowed blocks are made once for all layers. `value_parts` (see
+    `opa_forward`) write the rows of `x` as sums of table rows. Only the first layer
+    gets them: the later layers' rows depend on whole sequences.
     """
     drops = [None] * len(layers)
     if training and layers:
         drops = dropout_multipliers(rng, layers[0].dropout_rate, packing, len(layers), x.shape[1])
+    allowed = packing.allowed(mask)
     for layer, drop in zip(layers, drops):
-        x = layer.forward(x, mask, layout=packing.layout, drop=drop, value_parts=value_parts)
+        x = layer.forward(x, allowed, drop, value_parts)
         value_parts = None
     return x
 

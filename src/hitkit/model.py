@@ -122,9 +122,6 @@ class TokenModel(_TaskModel):
             probs = softmax(self.token_logits([ex]), axis=-1).data
         return probs[np.asarray(ex.mask, dtype=bool)].copy()
 
-    def predict_tags(self, ex: EncodedExample) -> list[int]:
-        return [int(i) for i in self.predict_probs(ex).argmax(axis=1)]
-
     def loss_batch(self, examples, training=False, rng=None) -> Tensor:
         targets = []
         for ex in examples:
@@ -148,7 +145,7 @@ class CrossAttention:
         mk = lambda suffix: Parameter(f"{name}.{suffix}", xavier_uniform(rng, (d, d)))
         self.wq, self.wk, self.wv, self.wo = mk("wq"), mk("wk"), mk("wv"), mk("wo")
 
-    def forward(self, x_q: Tensor, memory: Tensor, allowed: np.ndarray) -> Tensor:
+    def forward(self, x_q: Tensor, memory: Tensor, allowed: list) -> Tensor:
         return multi_head_attention(self.wq, self.wk, self.wv, self.wo,
                                     self.n_heads, x_q, memory, allowed)
 
@@ -170,10 +167,11 @@ class DecoderLayer:
         self.dropout_rate = dropout_rate
         self.eps = eps
 
-    def forward(self, x: Tensor, causal_allowed, memory: Tensor, mem_allowed,
+    def forward(self, x: Tensor, self_allowed, memory: Tensor, mem_allowed,
                 training=False, rng=None, history: Tensor | None = None) -> Tensor:
-        """Rows `x` attend over `history` (default `x`), the inputs this layer has received."""
-        h = dropout(fame_forward(self.fame, x, attn_allowed=causal_allowed, x_kv=history),
+        """Rows `x` attend over `history` (default `x`), the inputs this layer has received,
+        and over `memory`, as the allowed blocks (see `fame_forward`) say."""
+        h = dropout(fame_forward(self.fame, x, self_allowed, x_kv=history),
                     self.dropout_rate, training, rng)
         y = layer_norm(add(x, h), self.norms[0][0].tensor, self.norms[0][1].tensor, self.eps)
         c = dropout(self.cross.forward(y, memory, mem_allowed), self.dropout_rate, training, rng)
@@ -213,13 +211,25 @@ class Seq2SeqModel(_TaskModel):
         out.extend([self.out_w, self.out_b])
         return out
 
-    def decode_logits(self, tgt_ids, memory: Tensor, mem_mask, training=False, rng=None) -> Tensor:
-        m = len(tgt_ids)
-        x = add(embedding_lookup(self.tgt_emb.tensor, list(tgt_ids)), Tensor(self.pos[:m]))
-        causal = np.tril(np.ones((m, m), dtype=bool))
-        mem_allowed = np.repeat(np.asarray(mem_mask, dtype=bool)[None, :], m, axis=0)
-        for layer in self.layers:
-            x = layer.forward(x, causal, memory, mem_allowed, training=training, rng=rng)
+    def decode_logits(self, tgt_ids, memory: Tensor, mem_mask, training=False, rng=None,
+                      inputs: list[list[np.ndarray]] | None = None) -> Tensor:
+        """Logits (m, vocab) of m = len(tgt_ids) positions, each seeing the positions up to it.
+
+        The positions start at t = len(inputs[0]) (0 without `inputs`); `mem_mask`
+        marks the usable memory rows. `inputs[i]` holds the rows decoder layer i
+        received at the t earlier positions: each layer appends its new rows and
+        attends over all of them, as constants, so no graph is kept across calls.
+        """
+        m, t = len(tgt_ids), 0 if inputs is None else len(inputs[0])
+        x = add(embedding_lookup(self.tgt_emb.tensor, list(tgt_ids)), Tensor(self.pos[t:t + m]))
+        causal = [np.tri(m, t + m, t, dtype=bool)[None]]
+        mem_allowed = [np.repeat(np.asarray(mem_mask, dtype=bool)[None, None, :], m, axis=1)]
+        for i, layer in enumerate(self.layers):
+            history = None
+            if inputs is not None:
+                inputs[i].extend(x.data)
+                history = Tensor(np.stack(inputs[i]))
+            x = layer.forward(x, causal, memory, mem_allowed, training, rng, history)
         return add_bias(matmul(x, self.out_w.tensor), self.out_b.tensor)
 
     def loss_batch(self, examples, training=False, rng=None) -> Tensor:
@@ -234,38 +244,22 @@ class Seq2SeqModel(_TaskModel):
             targets.extend(tgt[1:])
         return cross_entropy(concat_rows(blocks), targets)
 
-    def decode_step(self, token: int, inputs: list[list[np.ndarray]], memory: Tensor,
-                    mem_allowed: np.ndarray) -> Tensor:
-        """Logits (1, vocab) for one new position holding `token`, without a causal mask.
-
-        `inputs[i]` holds the rows decoder layer i received at the earlier
-        positions; this step appends its own row, and the new position attends
-        over all of them. `mem_allowed` has shape (1, n_memory).
-        """
-        t = len(inputs[0])
-        x = add(embedding_lookup(self.tgt_emb.tensor, [token]), Tensor(self.pos[t:t + 1]))
-        for layer, rows in zip(self.layers, inputs):
-            rows.append(x.data[0])
-            x = layer.forward(x, None, memory, mem_allowed, history=Tensor(np.stack(rows)))
-        return add_bias(matmul(x, self.out_w.tensor), self.out_b.tensor)
-
     def greedy_decode(self, ex: EncodedExample, max_out: int | None = None,
                       return_probs: bool = False):
         """Argmax continuation from [CLS]; returns the ids between [CLS] and [EOS].
 
-        Incremental: each step runs the decoder on the newest position only,
+        Incremental: each step runs `decode_logits` on the newest position only,
         so a step costs time linear in the prefix length.
         """
         limit = self.max_out if max_out is None else max_out
         with no_grad():
             memory = self.encoder.word_states([ex])
-            mem_allowed = np.asarray(ex.mask, dtype=bool)[None, :]
             inputs: list[list[np.ndarray]] = [[] for _ in self.layers]
             token = CLS_ID
             out: list[int] = []
             probs: list[float] = []
             while len(out) < limit:
-                row = self.decode_step(token, inputs, memory, mem_allowed).data[0]
+                row = self.decode_logits([token], memory, ex.mask, inputs=inputs).data[0]
                 nxt = int(np.argmax(row))
                 shifted = np.exp(row - row.max())
                 prob = float(shifted[nxt] / shifted.sum())

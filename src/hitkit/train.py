@@ -92,10 +92,6 @@ class TrainConfig:
             lines.append(f"{f.name}={v}")
         return "\n".join(lines) + "\n"
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
-
     def fingerprint(self) -> str:
         return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()[:16]
 

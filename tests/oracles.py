@@ -120,7 +120,8 @@ def recompute_greedy_decode(model, ex, max_out):
 
 def oracle_encoder_layer(layer, x, mask=None, training=False, rng=None, value_parts=None):
     """One EncoderLayer over one sequence, dropout drawn after each sublayer."""
-    h = T.dropout(fame_forward(layer.fame, x, mask, value_parts=value_parts), layer.dropout_rate,
+    allowed = None if mask is None else [np.tile(np.asarray(mask, bool), (1, x.shape[0], 1))]
+    h = T.dropout(fame_forward(layer.fame, x, allowed, value_parts=value_parts), layer.dropout_rate,
                   training, rng)
     y1 = T.layer_norm(T.add(x, h), layer.norm1_g.tensor, layer.norm1_b.tensor, layer.eps)
     f = T.dropout(layer.ffn.forward(y1), layer.dropout_rate, training, rng)

@@ -260,7 +260,7 @@ def test_a6_labeling_overfit():
     def token_accuracy(m):
         good = total = 0
         for ex in items:
-            pred = m.predict_tags(ex)
+            pred = m.predict_probs(ex).argmax(axis=1)
             good += sum(int(p == g) for p, g in zip(pred, ex.target))
             total += len(ex.target)
         return good / total
@@ -421,9 +421,10 @@ def test_a11_schedule_conformance():
 @criterion("A12 whole-pipeline determinism")
 def test_a12_determinism(tmp_path):
     cfg_path = tmp_path / "run.cfg"
-    TrainConfig(d_model=8, n_heads=2, l_c=1, l_w=1, l_dec=1, dropout=0.2, epochs=3,
-                batch_size=8, max_len=12, max_word_len=8, plateau_patience=3,
-                early_stop_patience=3, seed=7).save(cfg_path)
+    cfg_path.write_text(TrainConfig(d_model=8, n_heads=2, l_c=1, l_w=1, l_dec=1, dropout=0.2,
+                                    epochs=3, batch_size=8, max_len=12, max_word_len=8,
+                                    plateau_patience=3, early_stop_patience=3,
+                                    seed=7).to_text(), encoding="utf-8")
     rows = [{"text": " ".join(t), "label": str(l)}
             for t, l in toydata.classification_records(14, seed=3)]
     data = tmp_path / "train.jsonl"

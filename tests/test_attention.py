@@ -29,6 +29,11 @@ def rand(shape, seed=0):
     return np.random.default_rng(seed).standard_normal(shape)
 
 
+def key_mask(mask, n_q):
+    """The allowed blocks of one sequence whose n_q query rows see the keys `mask` marks."""
+    return [np.tile(np.asarray(mask, dtype=bool), (1, n_q, 1))]
+
+
 class TestMsa:
     def test_single_token_attends_to_itself(self):
         layer = make_layer(d=4, heads=2, seed=1)
@@ -57,7 +62,7 @@ class TestMsa:
         layer = make_layer(d=4, heads=2, seed=7)
         x = rand((4, 4), 8)
         mask = [True, False, True, True]
-        out = msa_forward(layer, T.Tensor(x), mask)
+        out = msa_forward(layer, T.Tensor(x), key_mask(mask, 4))
         la = layer_arrays(layer)
         expected = msa_oracle(x, la["wq_self"], la["wk_self"], la["wv_self"], la["wo_self"],
                               2, mask)
@@ -66,13 +71,13 @@ class TestMsa:
     def test_all_masked_errors(self):
         layer = make_layer()
         with pytest.raises(ValueError, match="masked"):
-            msa_forward(layer, T.Tensor(rand((2, 4))), [False, False])
+            msa_forward(layer, T.Tensor(rand((2, 4))), key_mask([False, False], 2))
 
     def test_causal_mask_matches_prefix_oracle(self):
         layer = make_layer(d=4, heads=2, seed=50)
         x = rand((4, 4), 51)
         causal = np.tril(np.ones((4, 4), dtype=bool))
-        out = msa_forward(layer, T.Tensor(x), attn_allowed=causal)
+        out = msa_forward(layer, T.Tensor(x), [causal[None]])
         la = layer_arrays(layer)
         for i in range(4):
             # query i over keys 0..i equals the full oracle on the prefix
@@ -85,7 +90,7 @@ class TestMsa:
         x_q = rand((3, 4), 12)
         x_kv = rand((5, 4), 13)
         perm = [4, 2, 0, 3, 1]
-        allowed = np.ones((3, 5), dtype=bool)
+        allowed = [np.ones((1, 3, 5), dtype=bool)]
         base = multi_head_attention(layer.wq_self, layer.wk_self, layer.wv_self,
                                     layer.wo_self, 2, T.Tensor(x_q), T.Tensor(x_kv), allowed)
         permuted = multi_head_attention(layer.wq_self, layer.wk_self, layer.wv_self,
@@ -133,14 +138,14 @@ class TestOpa:
         la = layer_arrays(layer)
         expected = opa_oracle(x, la["wq_outer"], la["wk_outer"], la["wv_outer"],
                               la["wo_outer"], score, combine, mask)
-        out = opa_forward(layer, T.Tensor(x), mask)
+        out = opa_forward(layer, T.Tensor(x), key_mask(mask, 3))
         assert np.max(np.abs(out.data - expected)) < 1e-10
 
     def test_causal_mask_matches_prefix_oracle(self):
         layer = make_layer(d=4, heads=2, seed=52)
         x = rand((4, 4), 53)
         causal = np.tril(np.ones((4, 4), dtype=bool))
-        out = opa_forward(layer, T.Tensor(x), attn_allowed=causal)
+        out = opa_forward(layer, T.Tensor(x), [causal[None]])
         la = layer_arrays(layer)
         for i in range(4):
             row = opa_oracle(x[:i + 1], la["wq_outer"], la["wk_outer"], la["wv_outer"],
@@ -150,7 +155,7 @@ class TestOpa:
     def test_all_masked_errors(self):
         layer = make_layer()
         with pytest.raises(ValueError, match="masked"):
-            opa_forward(layer, T.Tensor(rand((2, 4))), [False, False])
+            opa_forward(layer, T.Tensor(rand((2, 4))), key_mask([False, False], 2))
 
 
 class TestFuse:
@@ -269,3 +274,64 @@ class TestFameForward:
             return T.sum_all(T.mul(fame_forward(layer, x, x_kv=kv), w))
 
         check_gradients(loss, leaves)
+
+
+class TestAllowedBlocks:
+    """Packed groups whose query length differs from their key length."""
+
+    # two sequences of one query over three keys, then one of one query over five keys
+    BLOCKS = [np.array([[[True, False, True]], [[True, True, True]]]),
+              np.array([[[False, True, True, False, True]]])]
+
+    def per_sequence(self):
+        """Each sequence's (query rows, key rows, allowed block) within the packed rows."""
+        q0 = k0 = 0
+        for a in self.BLOCKS:
+            count, lq, lkv = a.shape
+            for c in range(count):
+                yield slice(q0, q0 + lq), slice(k0, k0 + lkv), a[c:c + 1]
+                q0, k0 = q0 + lq, k0 + lkv
+
+    @pytest.mark.parametrize("score", ["tanh", "softmax"])
+    @pytest.mark.parametrize("combine", ["true_outer_projected", "hadamard"])
+    def test_packed_groups_match_per_sequence_calls(self, score, combine):
+        layer = make_layer(d=4, heads=2, score=score, combine=combine, seed=60)
+        layer.fusion_logits.assign(rand((2,), 61))
+        x, kv = rand((3, 4), 62), rand((11, 4), 63)
+        packed = fame_forward(layer, T.Tensor(x), self.BLOCKS, x_kv=T.Tensor(kv)).data
+        for q, k, a in self.per_sequence():
+            alone = fame_forward(layer, T.Tensor(x[q]), [a], x_kv=T.Tensor(kv[k])).data
+            assert np.max(np.abs(packed[q] - alone)) < 1e-12
+
+    @pytest.mark.parametrize("combine", ["true_outer_projected", "hadamard"])
+    def test_packed_groups_gradients_match_finite_differences(self, combine):
+        layer = make_layer(d=4, heads=2, combine=combine, seed=64)
+        x = T.Tensor(rand((3, 4), 65), requires_grad=True)
+        kv = T.Tensor(rand((11, 4), 66), requires_grad=True)
+        w = T.Tensor(rand((3, 4), 67))
+        leaves = [x, kv] + [p.tensor for p in layer.parameters()]
+
+        def loss():
+            return T.sum_all(T.mul(fame_forward(layer, x, self.BLOCKS, x_kv=kv), w))
+
+        check_gradients(loss, leaves)
+
+    @pytest.mark.parametrize("n_q,n_kv", [(2, 11), (3, 10), (4, 12)])
+    def test_blocks_that_do_not_cover_the_rows_raise(self, n_q, n_kv):
+        layer = make_layer(seed=68)
+        with pytest.raises(T.ShapeError, match="do not cover"):
+            fame_forward(layer, T.Tensor(rand((n_q, 4))), self.BLOCKS,
+                         x_kv=T.Tensor(rand((n_kv, 4))))
+
+    def test_blocks_of_the_wrong_rank_raise(self):
+        layer = make_layer(seed=69)
+        with pytest.raises(T.ShapeError, match="do not cover"):
+            fame_forward(layer, T.Tensor(rand((3, 4))), [np.ones((3, 3), dtype=bool)])
+
+    @pytest.mark.parametrize("branch", [msa_forward, opa_forward])
+    def test_a_query_row_without_keys_raises(self, branch):
+        layer = make_layer(seed=70)
+        blocks = [self.BLOCKS[0], self.BLOCKS[1].copy()]
+        blocks[1][0, 0] = False
+        with pytest.raises(ValueError, match="every position is masked"):
+            branch(layer, T.Tensor(rand((3, 4))), blocks, x_kv=T.Tensor(rand((11, 4))))

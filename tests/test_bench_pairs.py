@@ -49,6 +49,12 @@ def test_malformed_seeds_give_one_stderr_line(capsys):
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.fixture
+def any_parent(monkeypatch):
+    """Every --parent revision is known, so a test runs outside a git checkout too."""
+    monkeypatch.setattr(bench_pairs, "known_revision", lambda rev: True)
+
+
 def fake_result(correct=True, failed=0, throughput=10.0):
     names = ["throughput_per_s", "latency_ms_p50", "latency_ms_p90", "setup_s", "peak_rss_mb"]
     return {"correct": correct, "attempted": 5, "failed": failed,
@@ -61,7 +67,7 @@ def fake_result(correct=True, failed=0, throughput=10.0):
     ({"failed": 1}, 1),
     ({"correct": False}, 1),
 ])
-def test_exit_status_reflects_every_run(monkeypatch, capsys, bad, code):
+def test_exit_status_reflects_every_run(monkeypatch, capsys, any_parent, bad, code):
     calls = []
 
     def run(checkout, workload, seed, seconds):
@@ -75,7 +81,7 @@ def test_exit_status_reflects_every_run(monkeypatch, capsys, bad, code):
     assert "all runs correct" in capsys.readouterr().out
 
 
-def test_no_run_uses_the_checkout_itself(monkeypatch, capsys):
+def test_no_run_uses_the_checkout_itself(monkeypatch, capsys, any_parent):
     exported, checkouts = {}, []
 
     def export(rev, dest):
@@ -130,7 +136,7 @@ def test_bad_arguments_give_one_stderr_line(monkeypatch, capsys, flag, value, ne
     assert len(err.strip().splitlines()) == 1 and needle in err and "Traceback" not in err
 
 
-def test_a_failing_run_gives_one_stderr_line(monkeypatch, capsys):
+def test_a_failing_run_gives_one_stderr_line(monkeypatch, capsys, any_parent):
     # empty checkouts: run.py is missing, so its python process fails
     monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
     code = bench_pairs.main(["--parent", "HEAD", "--workload", "embed", "--seeds", "1",
@@ -144,7 +150,8 @@ SLEEPER = "import os, sys, time; open(sys.argv[1], 'w').write(str(os.getpid()));
 
 
 def test_sigterm_kills_the_run_and_removes_the_checkouts(tmp_path):
-    # main with export faked and run faked as a child process that sleeps, as run.py would
+    # main with the revision check and export faked, and run faked as a child process
+    # that sleeps, as run.py would
     temp, pid_file = tmp_path / "tmp", tmp_path / "pid"
     temp.mkdir()
     code = f"""
@@ -152,6 +159,7 @@ import importlib.util, subprocess, sys
 spec = importlib.util.spec_from_file_location("bench_pairs", {str(SCRIPT)!r})
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
+bench_pairs.known_revision = lambda rev: True
 bench_pairs.export = lambda rev, dest: None
 bench_pairs.run = lambda *args: subprocess.run([sys.executable, "-c", {SLEEPER!r}, {str(pid_file)!r}])
 sys.exit(bench_pairs.main(["--parent", "HEAD", "--workload", "embed", "--seeds", "1"]))

@@ -16,7 +16,7 @@ def write_cfg(tmp_path, **kw):
                 early_stop_patience=3, seed=0)
     base.update(kw)
     path = tmp_path / "run.cfg"
-    TrainConfig(**base).save(path)
+    path.write_text(TrainConfig(**base).to_text(), encoding="utf-8")
     return str(path)
 
 

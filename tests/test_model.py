@@ -236,12 +236,26 @@ class TestSeq2Seq:
             0, vocab.word_size, cfg.max_len - 1)]
         with T.no_grad():
             memory = model.encoder.word_states([src])
-            mem_allowed = np.asarray(src.mask, dtype=bool)[None, :]
             inputs = [[] for _ in model.layers]
             for t, token in enumerate(seq):
-                step = model.decode_step(token, inputs, memory, mem_allowed).data[0]
+                step = model.decode_logits([token], memory, src.mask, inputs=inputs).data[0]
                 full = model.decode_logits(seq[:t + 1], memory, src.mask).data[t]
                 assert np.max(np.abs(step - full)) < 1e-12
+
+    def test_chunks_after_a_prefix_match_decode_logits(self, vocab):
+        model = build_seq2seq(tiny_cfg(l_dec=2), vocab.word_size, vocab.char_size,
+                              seed_streams(26)["init"])
+        src = self.source(vocab)
+        seq = [D.CLS_ID] + [int(t) for t in np.random.default_rng(27).integers(
+            0, vocab.word_size, 8)]
+        with T.no_grad():
+            memory = model.encoder.word_states([src])
+            full = model.decode_logits(seq, memory, src.mask).data
+            inputs = [[] for _ in model.layers]
+            chunks = [model.decode_logits(seq[lo:hi], memory, src.mask, inputs=inputs).data
+                      for lo, hi in [(0, 3), (3, 4), (4, 9)]]
+        assert [len(rows) for rows in inputs] == [9, 9]
+        assert np.max(np.abs(np.concatenate(chunks) - full)) < 1e-12
 
     def test_teacher_forcing_loss_runs_and_is_finite(self, vocab):
         model = self.make(vocab, seed=12)
@@ -261,8 +275,8 @@ class TestSeq2Seq:
         x = T.Tensor(np.random.default_rng(31).standard_normal((3, 4)), requires_grad=True)
         memory = T.Tensor(np.random.default_rng(32).standard_normal((2, 4)), requires_grad=True)
         probe = T.Tensor(np.random.default_rng(33).standard_normal((3, 4)))
-        causal = np.tril(np.ones((3, 3), dtype=bool))
-        mem_allowed = np.ones((3, 2), dtype=bool)
+        causal = [np.tril(np.ones((3, 3), dtype=bool))[None]]
+        mem_allowed = [np.ones((1, 3, 2), dtype=bool)]
         leaves = [x, memory] + [p.tensor for p in layer.parameters()]
 
         def loss():

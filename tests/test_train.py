@@ -107,7 +107,7 @@ class TestConfig:
     def test_file_roundtrip(self, tmp_path):
         cfg = TrainConfig(d_model=16, n_heads=4, use_tfidf=True, seed=9)
         path = tmp_path / "c.cfg"
-        cfg.save(path)
+        path.write_text(cfg.to_text(), encoding="utf-8")
         assert TrainConfig.from_file(path) == cfg
 
     def test_unknown_key_rejected(self, tmp_path):
