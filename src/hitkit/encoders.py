@@ -68,19 +68,20 @@ class FeedForward:
 
 
 class Packing:
-    """Ragged sequences as one block of rows, grouped by length.
+    """Ragged sequences as one block of rows, grouped by length or by `keys`.
 
-    Sequences are sorted by length (stably, so equal lengths keep their
-    order), which makes each group of equal-length sequences a contiguous run
-    of rows: `layout` lists (count, length) per group, and a group's rows
-    reshape to a (count, length, d) block without a copy or any padding.
+    Sequences are sorted by key, by default their length (stably, so equal keys
+    keep their order; equal keys must mean equal lengths), which makes each group
+    a contiguous run of rows: `layout` lists (count, length) per group, and a
+    group's rows reshape to a (count, length, d) block without a copy or padding.
     """
 
-    def __init__(self, lengths):
+    def __init__(self, lengths, keys=None):
         self.lengths = [int(n) for n in lengths]
-        self.order = sorted(range(len(self.lengths)), key=self.lengths.__getitem__)
-        self.layout = [(len(list(run)), n) for n, run
-                       in itertools.groupby(self.lengths[i] for i in self.order)]
+        key = (self.lengths if keys is None else list(keys)).__getitem__
+        self.order = sorted(range(len(self.lengths)), key=key)
+        self.layout = [(len(run), self.lengths[run[0]]) for run
+                       in (list(g) for _, g in itertools.groupby(self.order, key))]
         bounds = np.cumsum([0] + [self.lengths[i] for i in self.order])
         self.starts = np.empty(len(self.lengths), dtype=np.int64)
         self.starts[self.order] = bounds[:-1]
@@ -88,38 +89,42 @@ class Packing:
         self.positions = np.concatenate([np.arange(self.lengths[i]) for i in self.order])
         self.in_order = self.order == sorted(self.order)
 
-    def allowed(self, mask=None) -> list:
-        """One (count, length, length) block per group (see `fame_forward`): every query
-        row sees the keys of its own sequence that the packed key `mask` marks (default all)."""
+    def allowed(self, mask=None, queries=None) -> list:
+        """One (count, L_q, length) block per group (see `fame_forward`): every query row sees
+        the keys of its own sequence that the packed key `mask` marks (default all). The query
+        rows are the sequences' own, or those of `queries`, a Packing of the same groups."""
         keys = np.ones(self.n_rows, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
         return [np.repeat(k[:, None, :], n, axis=1)
-                for (_, n), k in zip(self.layout, group_blocks(keys, self.layout))]
+                for (_, n), k in zip((queries or self).layout, group_blocks(keys, self.layout))]
 
     def rows(self, per_sequence) -> list:
         """The items of every sequence's list (lists given in original order), in packed order."""
         return [item for i in self.order for item in per_sequence[i]]
 
+    def pack_rows(self, x: Tensor) -> Tensor:
+        """Rows x of the sequences stacked in their original order, in packed order."""
+        return x if self.in_order else embedding_lookup(x, np.argsort(self._packed_rows()))
+
     def unpack_rows(self, x: Tensor) -> Tensor:
         """Packed rows x, stacked back in the original order of their sequences."""
-        if self.in_order:
-            return x
-        return embedding_lookup(x, np.concatenate(
-            [np.arange(s, s + n) for s, n in zip(self.starts, self.lengths)]))
+        return x if self.in_order else embedding_lookup(x, self._packed_rows())
 
     def unpack_sequences(self, x: Tensor) -> Tensor:
         """One row per sequence, from packed order back to the original order."""
-        if self.in_order:
-            return x
-        return embedding_lookup(x, np.argsort(self.order))
+        return x if self.in_order else embedding_lookup(x, np.argsort(self.order))
+
+    def _packed_rows(self) -> np.ndarray:
+        """The packed row of each row of the sequences stacked in their original order."""
+        return np.concatenate([np.arange(s, s + n) for s, n in zip(self.starts, self.lengths)])
 
 
-def dropout_multipliers(rng, p: float, packing: Packing, n_layers: int, d: int) -> list:
+def dropout_multipliers(rng, p: float, packing: Packing, n_layers: int, d: int, sites: int) -> list:
     """Inverted-dropout multipliers for every layer of a stack, in packed row order.
 
-    Returns one (attention, FFN) pair of (rows, d) arrays per layer, or None per
-    layer when p is 0. The draws follow running the sequences one at a time:
-    per sequence in original order, then per layer, the attention mask before
-    the FFN mask. The values equal those `tensor.dropout` draws in that order.
+    Returns per layer a tuple of one (rows, d) array per site, the sublayers in the
+    order they run (2 in `EncoderLayer`, 3 in `DecoderLayer`), or None per layer
+    when p is 0. The draws follow running the sequences one at a time: per sequence
+    in original order, then per layer, then per site, as `tensor.dropout` draws.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
@@ -127,18 +132,23 @@ def dropout_multipliers(rng, p: float, packing: Packing, n_layers: int, d: int) 
         return [None] * n_layers
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
-    keep = (rng.random(packing.n_rows * n_layers * 2 * d) >= p) / (1.0 - p)
-    out = np.empty((n_layers, 2, packing.n_rows, d))
+    keep = (rng.random(packing.n_rows * n_layers * sites * d) >= p) / (1.0 - p)
+    out = np.empty((n_layers, sites, packing.n_rows, d))
     drawn = 0
     for start, n in zip(packing.starts, packing.lengths):
-        size = n_layers * 2 * n * d
-        out[:, :, start:start + n] = keep[drawn:drawn + size].reshape(n_layers, 2, n, d)
+        size = n_layers * sites * n * d
+        out[:, :, start:start + n] = keep[drawn:drawn + size].reshape(n_layers, sites, n, d)
         drawn += size
-    return [(out[i, 0], out[i, 1]) for i in range(n_layers)]
+    return [tuple(out[i]) for i in range(n_layers)]
 
 
-def _apply_dropout(x: Tensor, multiplier) -> Tensor:
-    return x if multiplier is None else mul(x, Tensor(multiplier))
+def add_norm(layer, i: int, x: Tensor, h: Tensor, drop) -> Tensor:
+    """The end of a layer's sublayer i: its output h under dropout (`drop` is the layer's
+    entry of `dropout_multipliers`, None for none), plus its input x, layer-normed."""
+    if drop is not None:
+        h = mul(h, Tensor(drop[i]))
+    gamma, beta = layer.norms[i]
+    return layer_norm(add(x, h), gamma.tensor, beta.tensor, layer.eps)
 
 
 class EncoderLayer:
@@ -149,28 +159,20 @@ class EncoderLayer:
         d = config.d_model
         self.fame = FameLayer(config, rng, name=f"{name}.fame")
         self.ffn = FeedForward(d, d_ff, rng, name=f"{name}.ffn")
-        self.norm1_g = Parameter(f"{name}.norm1.gamma", np.ones(d))
-        self.norm1_b = Parameter(f"{name}.norm1.beta", np.zeros(d))
-        self.norm2_g = Parameter(f"{name}.norm2.gamma", np.ones(d))
-        self.norm2_b = Parameter(f"{name}.norm2.beta", np.zeros(d))
+        self.norms = [(Parameter(f"{name}.norm{i}.gamma", np.ones(d)),
+                       Parameter(f"{name}.norm{i}.beta", np.zeros(d))) for i in (1, 2)]
         self.dropout_rate = dropout_rate
         self.eps = eps
 
     def forward(self, x: Tensor, allowed=None, drop=None, value_parts=None) -> Tensor:
         """Rows x of one sequence, or packed sequences paired as `allowed` says (`fame_forward`).
-
-        `drop` is this layer's (attention, FFN) pair from `dropout_multipliers`;
-        without it the layer runs without dropout. `value_parts` go to `fame_forward`.
-        """
-        drop_attn, drop_ffn = (None, None) if drop is None else drop
-        h = _apply_dropout(fame_forward(self.fame, x, allowed, value_parts=value_parts), drop_attn)
-        y1 = layer_norm(add(x, h), self.norm1_g.tensor, self.norm1_b.tensor, self.eps)
-        f = _apply_dropout(self.ffn.forward(y1), drop_ffn)
-        return layer_norm(add(y1, f), self.norm2_g.tensor, self.norm2_b.tensor, self.eps)
+        `drop` is this layer's (attention, FFN) pair from `dropout_multipliers`, None for no
+        dropout; `value_parts` go to `fame_forward`."""
+        y = add_norm(self, 0, x, fame_forward(self.fame, x, allowed, value_parts=value_parts), drop)
+        return add_norm(self, 1, y, self.ffn.forward(y), drop)
 
     def parameters(self):
-        return (self.fame.parameters() + self.ffn.parameters()
-                + [self.norm1_g, self.norm1_b, self.norm2_g, self.norm2_b])
+        return self.fame.parameters() + self.ffn.parameters() + [p for n in self.norms for p in n]
 
 
 def run_layers(layers, x: Tensor, packing: Packing, mask, training: bool, rng,
@@ -181,9 +183,8 @@ def run_layers(layers, x: Tensor, packing: Packing, mask, training: bool, rng,
     `opa_forward`) write the rows of `x` as sums of table rows. Only the first layer
     gets them: the later layers' rows depend on whole sequences.
     """
-    drops = [None] * len(layers)
-    if training and layers:
-        drops = dropout_multipliers(rng, layers[0].dropout_rate, packing, len(layers), x.shape[1])
+    p = layers[0].dropout_rate if training and layers else 0.0
+    drops = dropout_multipliers(rng, p, packing, len(layers), x.shape[1], 2)
     allowed = packing.allowed(mask)
     for layer, drop in zip(layers, drops):
         x = layer.forward(x, allowed, drop, value_parts)

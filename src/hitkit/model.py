@@ -13,19 +13,18 @@ import numpy as np
 
 from .attention import FameConfig, FameLayer, fame_forward, multi_head_attention
 from .data import CLS_ID, EOS_ID, EncodedExample
-from .encoders import FeedForward, HitEncoder, positional_table
+from .encoders import (FeedForward, HitEncoder, Packing, add_norm, dropout_multipliers,
+                       positional_table)
 from .optim import Parameter, normal_init, xavier_uniform
 from .tensor import (
+    ShapeError,
     Tensor,
     add,
     add_bias,
     concat_cols,
-    concat_rows,
     cosine_similarity,
     cross_entropy,
-    dropout,
     embedding_lookup,
-    layer_norm,
     log,
     matmul,
     no_grad,
@@ -167,23 +166,18 @@ class DecoderLayer:
         self.dropout_rate = dropout_rate
         self.eps = eps
 
-    def forward(self, x: Tensor, self_allowed, memory: Tensor, mem_allowed,
-                training=False, rng=None, history: Tensor | None = None) -> Tensor:
+    def forward(self, x: Tensor, self_allowed, memory: Tensor, mem_allowed, drop=None,
+                history: Tensor | None = None) -> Tensor:
         """Rows `x` attend over `history` (default `x`), the inputs this layer has received,
-        and over `memory`, as the allowed blocks (see `fame_forward`) say."""
-        h = dropout(fame_forward(self.fame, x, self_allowed, x_kv=history),
-                    self.dropout_rate, training, rng)
-        y = layer_norm(add(x, h), self.norms[0][0].tensor, self.norms[0][1].tensor, self.eps)
-        c = dropout(self.cross.forward(y, memory, mem_allowed), self.dropout_rate, training, rng)
-        y = layer_norm(add(y, c), self.norms[1][0].tensor, self.norms[1][1].tensor, self.eps)
-        f = dropout(self.ffn.forward(y), self.dropout_rate, training, rng)
-        return layer_norm(add(y, f), self.norms[2][0].tensor, self.norms[2][1].tensor, self.eps)
+        and over `memory`, as the allowed blocks (see `fame_forward`) say. `drop` is this
+        layer's (self-attention, cross-attention, FFN) triple from `dropout_multipliers`."""
+        y = add_norm(self, 0, x, fame_forward(self.fame, x, self_allowed, x_kv=history), drop)
+        y = add_norm(self, 1, y, self.cross.forward(y, memory, mem_allowed), drop)
+        return add_norm(self, 2, y, self.ffn.forward(y), drop)
 
     def parameters(self):
-        out = self.fame.parameters() + self.cross.parameters() + self.ffn.parameters()
-        for g, b in self.norms:
-            out.extend([g, b])
-        return out
+        return (self.fame.parameters() + self.cross.parameters() + self.ffn.parameters()
+                + [p for n in self.norms for p in n])
 
 
 class Seq2SeqModel(_TaskModel):
@@ -211,38 +205,45 @@ class Seq2SeqModel(_TaskModel):
         out.extend([self.out_w, self.out_b])
         return out
 
-    def decode_logits(self, tgt_ids, memory: Tensor, mem_mask, training=False, rng=None,
+    def decode_logits(self, targets, memory: Tensor, mem_masks, training=False, rng=None,
                       inputs: list[list[np.ndarray]] | None = None) -> Tensor:
-        """Logits (m, vocab) of m = len(tgt_ids) positions, each seeing the positions up to it.
+        """Logits of every position of every id list in `targets`, stacked in their order.
 
-        The positions start at t = len(inputs[0]) (0 without `inputs`); `mem_mask`
-        marks the usable memory rows. `inputs[i]` holds the rows decoder layer i
-        received at the t earlier positions: each layer appends its new rows and
-        attends over all of them, as constants, so no graph is kept across calls.
+        A position sees its sequence up to it and the memory rows its mask in `mem_masks`
+        marks; `memory` stacks the memories in that order (as `word_states` returns them).
+        Sequences run packed, grouped by (target length, memory length). With `inputs`, one
+        sequence starts at t = len(inputs[0]): `inputs[i]` holds the rows layer i got at the
+        t earlier positions; each layer appends its new rows and attends over all of them,
+        as constants, so no graph is kept across calls.
         """
-        m, t = len(tgt_ids), 0 if inputs is None else len(inputs[0])
-        x = add(embedding_lookup(self.tgt_emb.tensor, list(tgt_ids)), Tensor(self.pos[t:t + m]))
-        causal = [np.tri(m, t + m, t, dtype=bool)[None]]
-        mem_allowed = [np.repeat(np.asarray(mem_mask, dtype=bool)[None, None, :], m, axis=1)]
-        for i, layer in enumerate(self.layers):
+        t, cap = 0 if inputs is None else len(inputs[0]), self.encoder.config.max_len
+        for ids in targets:
+            if not 0 < len(ids) <= cap - t:
+                raise ShapeError(f"target of {len(ids)} ids at {t} is empty or past cap {cap}")
+        keys = [(len(ids), len(mask)) for ids, mask in zip(targets, mem_masks)]
+        pack, mem = Packing([n for n, _ in keys], keys), Packing([s for _, s in keys], keys)
+        x = add(embedding_lookup(self.tgt_emb.tensor, pack.rows(targets)),
+                Tensor(self.pos[t + pack.positions]))
+        causal = [np.repeat(np.tri(n, t + n, t, dtype=bool)[None], count, axis=0)
+                  for count, n in pack.layout]
+        mem_allowed = mem.allowed(mem.rows(mem_masks), queries=pack)
+        memory = mem.pack_rows(memory)
+        p = self.layers[0].dropout_rate if training and self.layers else 0.0
+        drops = dropout_multipliers(rng, p, pack, len(self.layers), x.shape[1], 3)
+        for i, (layer, drop) in enumerate(zip(self.layers, drops)):
             history = None
             if inputs is not None:
                 inputs[i].extend(x.data)
                 history = Tensor(np.stack(inputs[i]))
-            x = layer.forward(x, causal, memory, mem_allowed, training, rng, history)
-        return add_bias(matmul(x, self.out_w.tensor), self.out_b.tensor)
+            x = layer.forward(x, causal, memory, mem_allowed, drop, history)
+        return add_bias(matmul(pack.unpack_rows(x), self.out_w.tensor), self.out_b.tensor)
 
     def loss_batch(self, examples, training=False, rng=None) -> Tensor:
         """Teacher forcing: each example's target is the full [CLS] .. [EOS] id list."""
         states = self.encoder.word_states(examples, training, rng)
-        blocks, targets, start = [], [], 0
-        for ex in examples:
-            memory = slice_rows(states, start, start + ex.n_words)
-            start += ex.n_words
-            tgt = list(ex.target)
-            blocks.append(self.decode_logits(tgt[:-1], memory, ex.mask, training, rng))
-            targets.extend(tgt[1:])
-        return cross_entropy(concat_rows(blocks), targets)
+        logits = self.decode_logits([list(ex.target)[:-1] for ex in examples], states,
+                                    [ex.mask for ex in examples], training, rng)
+        return cross_entropy(logits, [i for ex in examples for i in list(ex.target)[1:]])
 
     def greedy_decode(self, ex: EncodedExample, max_out: int | None = None,
                       return_probs: bool = False):
@@ -251,7 +252,8 @@ class Seq2SeqModel(_TaskModel):
         Incremental: each step runs `decode_logits` on the newest position only,
         so a step costs time linear in the prefix length.
         """
-        limit = self.max_out if max_out is None else max_out
+        # the decoder takes max_len positions: [CLS] and at most max_len - 1 generated ids
+        limit = min(self.max_out if max_out is None else max_out, self.encoder.config.max_len - 1)
         with no_grad():
             memory = self.encoder.word_states([ex])
             inputs: list[list[np.ndarray]] = [[] for _ in self.layers]
@@ -259,7 +261,7 @@ class Seq2SeqModel(_TaskModel):
             out: list[int] = []
             probs: list[float] = []
             while len(out) < limit:
-                row = self.decode_logits([token], memory, ex.mask, inputs=inputs).data[0]
+                row = self.decode_logits([[token]], memory, [ex.mask], inputs=inputs).data[0]
                 nxt = int(np.argmax(row))
                 shifted = np.exp(row - row.max())
                 prob = float(shifted[nxt] / shifted.sum())
@@ -268,8 +270,6 @@ class Seq2SeqModel(_TaskModel):
                 out.append(nxt)
                 probs.append(prob)
                 token = nxt
-                if len(out) + 1 >= self.encoder.config.max_len:
-                    break
         if return_probs:
             return out, probs
         return out

@@ -6,7 +6,8 @@ the teacher-forced decoder over the whole prefix for every new token. The
 encoder oracles run the hierarchical encoder one example at a time: each
 distinct word through the character encoder on its own (a per-batch cache of
 words), then each sentence through the word encoder on its own, with dropout
-drawn inline by `tensor.dropout`. `oracle_loss` builds every task loss on them.
+drawn inline by `tensor.dropout`. The decoder oracle runs each target sequence
+on its own in the same way. `oracle_loss` builds every task loss on them.
 """
 
 import math
@@ -104,7 +105,7 @@ def recompute_greedy_decode(model, ex, max_out):
         seq = [CLS_ID]
         out, probs = [], []
         while len(out) < max_out:
-            row = model.decode_logits(seq, memory, ex.mask).data[-1]
+            row = model.decode_logits([seq], memory, [ex.mask]).data[-1]
             nxt = int(np.argmax(row))
             shifted = np.exp(row - row.max())
             prob = float(shifted[nxt] / shifted.sum())
@@ -123,9 +124,24 @@ def oracle_encoder_layer(layer, x, mask=None, training=False, rng=None, value_pa
     allowed = None if mask is None else [np.tile(np.asarray(mask, bool), (1, x.shape[0], 1))]
     h = T.dropout(fame_forward(layer.fame, x, allowed, value_parts=value_parts), layer.dropout_rate,
                   training, rng)
-    y1 = T.layer_norm(T.add(x, h), layer.norm1_g.tensor, layer.norm1_b.tensor, layer.eps)
+    (g1, b1), (g2, b2) = [(g.tensor, b.tensor) for g, b in layer.norms]
+    y1 = T.layer_norm(T.add(x, h), g1, b1, layer.eps)
     f = T.dropout(layer.ffn.forward(y1), layer.dropout_rate, training, rng)
-    return T.layer_norm(T.add(y1, f), layer.norm2_g.tensor, layer.norm2_b.tensor, layer.eps)
+    return T.layer_norm(T.add(y1, f), g2, b2, layer.eps)
+
+
+def oracle_decoder_layer(layer, x, memory, mem_mask, training=False, rng=None):
+    """One DecoderLayer over one causal sequence, dropout drawn after each sublayer."""
+    n = x.shape[0]
+    causal = [np.tril(np.ones((n, n), dtype=bool))[None]]
+    mem_allowed = [np.tile(np.asarray(mem_mask, bool), (1, n, 1))]
+    (g1, b1), (g2, b2), (g3, b3) = [(g.tensor, b.tensor) for g, b in layer.norms]
+    h = T.dropout(fame_forward(layer.fame, x, causal), layer.dropout_rate, training, rng)
+    y1 = T.layer_norm(T.add(x, h), g1, b1, layer.eps)
+    c = T.dropout(layer.cross.forward(y1, memory, mem_allowed), layer.dropout_rate, training, rng)
+    y2 = T.layer_norm(T.add(y1, c), g2, b2, layer.eps)
+    f = T.dropout(layer.ffn.forward(y2), layer.dropout_rate, training, rng)
+    return T.layer_norm(T.add(y2, f), g3, b3, layer.eps)
 
 
 def oracle_hier_pool(pool, h):
@@ -171,10 +187,10 @@ def oracle_word_states(encoder, examples, training=False, rng=None):
     return states
 
 
-def _head(model, h):
+def _head(h, w, b):
     # one product over the stacked rows: OpenBLAS rounds a one-row product (gemv)
     # differently from the same row inside a larger one (gemm)
-    return T.add_bias(T.matmul(h, model.head_w.tensor), model.head_b.tensor)
+    return T.add_bias(T.matmul(h, w.tensor), b.tensor)
 
 
 def oracle_loss(model, batch, training=False, rng=None):
@@ -194,20 +210,26 @@ def oracle_loss(model, batch, training=False, rng=None):
             if model.use_tfidf:
                 s = T.concat_vec([s, T.Tensor(np.asarray(ex.features, dtype=np.float64))])
             rows.append(s)
-        return T.cross_entropy(_head(model, T.stack_rows(rows)), [ex.target for ex in examples])
+        return T.cross_entropy(_head(T.stack_rows(rows), model.head_w, model.head_b),
+                               [ex.target for ex in examples])
     if isinstance(model, TokenModel):
         targets = []
         for ex in examples:
             pad = [-1] * (ex.n_words - len(ex.target))
             targets.extend(list(ex.target) + pad)
-        return T.cross_entropy(_head(model, T.concat_rows(states)), targets, ignore_index=-1)
+        return T.cross_entropy(_head(T.concat_rows(states), model.head_w, model.head_b), targets,
+                               ignore_index=-1)
     if isinstance(model, Seq2SeqModel):
         blocks, targets = [], []
         for ex, memory in zip(examples, states):
             tgt = list(ex.target)
-            blocks.append(model.decode_logits(tgt[:-1], memory, ex.mask, training, rng))
+            x = T.add(T.embedding_lookup(model.tgt_emb.tensor, tgt[:-1]),
+                      T.Tensor(model.pos[:len(tgt) - 1]))
+            for layer in model.layers:
+                x = oracle_decoder_layer(layer, x, memory, ex.mask, training, rng)
+            blocks.append(x)
             targets.extend(tgt[1:])
-        return T.cross_entropy(T.concat_rows(blocks), targets)
+        return T.cross_entropy(_head(T.concat_rows(blocks), model.out_w, model.out_b), targets)
     if isinstance(model, ZslModel):
         pooled = [T.mean_rows(h, ex.mask) for ex, h in zip(examples, states)]
         one = T.Tensor(1.0)

@@ -48,6 +48,10 @@ def encode(tokens, pad_to=0, target=None):
                             pad_to=pad_to)
 
 
+def copy_target(tokens):
+    return [D.CLS_ID] + [VOCAB.word_id(x) for x in tokens] + [D.EOS_ID]
+
+
 def model_and_batch(kind, config, seed=0, sentences=SENTENCES):
     """A model of `kind` and a ragged, partly padded batch with targets for its loss."""
     init = seed_streams(seed)["init"]
@@ -71,8 +75,7 @@ def model_and_batch(kind, config, seed=0, sentences=SENTENCES):
             batch.append(ex)
     elif kind == "seq2seq":
         model = build_seq2seq(config, w, c, init)
-        batch = [encode(t, p, target=[D.CLS_ID] + [VOCAB.word_id(x) for x in t] + [D.EOS_ID])
-                 for t, p in sentences]
+        batch = [encode(t, p, target=copy_target(t)) for t, p in sentences]
     else:
         model = build_zsl(config, w, c, init)
         ex = [encode(t, p) for t, p in sentences]
@@ -129,6 +132,7 @@ def test_word_states_match_per_example_oracle(score, combine):
 
 
 MODEL, _ = model_and_batch("classification", cfg(), seed=3)
+SEQ2SEQ, _ = model_and_batch("seq2seq", cfg(), seed=3)
 PAD_WORD = st.integers(0, VOCAB.word_size - 1)
 PAD_CHARS = st.lists(st.integers(0, VOCAB.char_size - 1), min_size=1, max_size=8)
 
@@ -138,20 +142,27 @@ def sentence_vectors(batch):
         return MODEL.encoder.sentence_vectors(batch).data
 
 
+def teacher_forced_loss(batch):
+    with T.no_grad():
+        return SEQ2SEQ.loss_batch(batch).item()
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.permutations(range(len(SENTENCES))))
 def test_batch_order_does_not_change_results(order):
-    batch = [encode(t, p) for t, p in SENTENCES]
+    batch = [encode(t, p, target=copy_target(t)) for t, p in SENTENCES]
     base = sentence_vectors(batch)
     permuted = sentence_vectors([batch[i] for i in order])
     assert np.max(np.abs(permuted - base[list(order)])) < 1e-12
+    assert abs(teacher_forced_loss([batch[i] for i in order]) - teacher_forced_loss(batch)) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_values_at_padded_positions_have_no_effect(data):
-    batch = [encode(t, p) for t, p in SENTENCES]
+    batch = [encode(t, p, target=copy_target(t)) for t, p in SENTENCES]
     base = sentence_vectors(batch)
+    base_loss = teacher_forced_loss(batch)
     with T.no_grad():
         base_states = MODEL.encoder.word_states(batch).data
     for ex in batch:
@@ -164,6 +175,7 @@ def test_values_at_padded_positions_have_no_effect(data):
         states = MODEL.encoder.word_states(batch).data
     assert np.max(np.abs(sentence_vectors(batch) - base)) < 1e-12
     assert np.max(np.abs(states[keep] - base_states[keep])) < 1e-12
+    assert abs(teacher_forced_loss(batch) - base_loss) < 1e-12
 
 
 @settings(max_examples=50, deadline=None)

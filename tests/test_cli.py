@@ -446,6 +446,16 @@ class TestGenerationPipeline:
         assert len(sources[2].word_ids) == 12
         assert sources[2].word_ids[-1] == D.EOS_ID
 
+    def test_seeded_training_with_dropout_repeats_byte_for_byte(self, tmp_path):
+        cfg = write_cfg(tmp_path, dropout=0.2, seed=7)
+        data = write_generation(tmp_path)
+        runs = [tmp_path / tag for tag in ("a", "b")]
+        for out in runs:
+            assert main(["train", "--task", "generation", "--train-file", data,
+                         "--config", cfg, "--out-dir", str(out)]) == 0
+        for name in ("checkpoint", "history.json"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
     def test_long_target_keeps_eos_last(self):
         cfg = TrainConfig(max_len=12)
         words = " ".join(f"w{i}" for i in range(60))

@@ -177,8 +177,8 @@ class TestSeq2Seq:
             memory = model.encoder.word_states([src])
             tgt_a = [D.CLS_ID, 5, 6, 7]
             tgt_b = [D.CLS_ID, 5, 8, 7]  # differs at position 2
-            out_a = model.decode_logits(tgt_a, memory, src.mask).data
-            out_b = model.decode_logits(tgt_b, memory, src.mask).data
+            out_a = model.decode_logits([tgt_a], memory, [src.mask]).data
+            out_b = model.decode_logits([tgt_b], memory, [src.mask]).data
         assert np.array_equal(out_a[:2], out_b[:2])
         assert not np.array_equal(out_a[2:], out_b[2:])
 
@@ -238,8 +238,8 @@ class TestSeq2Seq:
             memory = model.encoder.word_states([src])
             inputs = [[] for _ in model.layers]
             for t, token in enumerate(seq):
-                step = model.decode_logits([token], memory, src.mask, inputs=inputs).data[0]
-                full = model.decode_logits(seq[:t + 1], memory, src.mask).data[t]
+                step = model.decode_logits([[token]], memory, [src.mask], inputs=inputs).data[0]
+                full = model.decode_logits([seq[:t + 1]], memory, [src.mask]).data[t]
                 assert np.max(np.abs(step - full)) < 1e-12
 
     def test_chunks_after_a_prefix_match_decode_logits(self, vocab):
@@ -250,9 +250,9 @@ class TestSeq2Seq:
             0, vocab.word_size, 8)]
         with T.no_grad():
             memory = model.encoder.word_states([src])
-            full = model.decode_logits(seq, memory, src.mask).data
+            full = model.decode_logits([seq], memory, [src.mask]).data
             inputs = [[] for _ in model.layers]
-            chunks = [model.decode_logits(seq[lo:hi], memory, src.mask, inputs=inputs).data
+            chunks = [model.decode_logits([seq[lo:hi]], memory, [src.mask], inputs=inputs).data
                       for lo, hi in [(0, 3), (3, 4), (4, 9)]]
         assert [len(rows) for rows in inputs] == [9, 9]
         assert np.max(np.abs(np.concatenate(chunks) - full)) < 1e-12
@@ -265,6 +265,18 @@ class TestSeq2Seq:
         assert np.isfinite(loss.item())
         T.backward(loss)
         assert model.tgt_emb.grad is not None
+
+    @pytest.mark.parametrize("case", ["cls_only", "past_max_len"])
+    def test_target_that_is_empty_or_past_max_len_is_rejected(self, vocab, case):
+        model = self.make(vocab, seed=12)
+        good = self.source(vocab)
+        good.target = [D.CLS_ID, vocab.word_id("red"), D.EOS_ID]
+        bad = self.source(vocab)
+        # no decoder input at all, or 13 inputs where max_len is 12
+        bad.target = {"cls_only": [D.CLS_ID],
+                      "past_max_len": [D.CLS_ID] + [vocab.word_id("cat")] * 12 + [D.EOS_ID]}[case]
+        with pytest.raises(T.ShapeError, match="cap 12"):
+            model.loss_batch([good, bad])
 
     def test_decoder_gradients_match_finite_differences(self, vocab):
         from hitkit.attention import FameConfig
