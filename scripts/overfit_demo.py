@@ -34,8 +34,7 @@ def main():
              for t, l in records]
 
     def accuracy():
-        return np.mean([int(np.argmax(model.predict_probs(ex)) == ex.target)
-                        for ex in items])
+        return np.mean(model.predict_probs(items).argmax(axis=1) == [ex.target for ex in items])
 
     start = time.time()
 

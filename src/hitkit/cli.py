@@ -24,7 +24,7 @@ from . import data as D
 from . import features as F
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metrics import cluster_quality, kmeans
-from .model import Seq2SeqModel, ZslModel
+from .model import Seq2SeqModel
 from .pretrain import build_mlm_dataset, transfer_load, zsl_build_pairs
 from .tensor import no_grad
 from .train import (
@@ -37,6 +37,8 @@ from .train import (
     evaluate_classification,
     evaluate_generation,
     evaluate_labeling,
+    generate,
+    infer,
     seed_streams,
     train,
 )
@@ -100,6 +102,10 @@ def _wrap(body, max_len: int) -> list[str]:
     return ["[CLS]"] + list(body)[:max(max_len - 2, 0)] + ["[EOS]"]
 
 
+def _example(tokens, vocab, cfg, **kw) -> D.EncodedExample:
+    return D.encode_example(tokens, vocab, max_len=cfg.max_len, max_word_len=cfg.max_word_len, **kw)
+
+
 @dataclass
 class Artefacts:
     """What a task fits from its training data; its checkpoint keeps them under extras/."""
@@ -143,8 +149,7 @@ def _encode_classification(records, arts, cfg, source):
         if not tokens:
             continue
         target = _index_of(label_index, str(rec["label"]), "label", source, i)
-        ex = D.encode_example(tokens, arts.vocab, target=target,
-                              max_len=cfg.max_len, max_word_len=cfg.max_word_len, guid=i)
+        ex = _example(tokens, arts.vocab, cfg, target=target, guid=i)
         if arts.tfidf is not None:
             ex.features = F.tfidf_transform(arts.tfidf, tokens[:cfg.max_len])
         examples.append(ex)
@@ -165,16 +170,14 @@ def _encode_labeling(records, arts, cfg, source):
         if not tokens:
             continue
         target = [_index_of(tag_index, t, "tag", source, i) for t in rec["tags"][:len(tokens)]]
-        examples.append(D.encode_example(tokens, arts.vocab, target=target, max_len=cfg.max_len,
-                                         max_word_len=cfg.max_word_len, guid=i))
+        examples.append(_example(tokens, arts.vocab, cfg, target=target, guid=i))
     return examples
 
 
 def _encode_generation(pairs, vocab, cfg):
     examples = []
     for i, (src_tokens, tgt_tokens) in enumerate(pairs):
-        ex = D.encode_example(src_tokens, vocab, max_len=cfg.max_len,
-                              max_word_len=cfg.max_word_len, guid=i)
+        ex = _example(src_tokens, vocab, cfg, guid=i)
         ex.target = [vocab.word_id(t) for t in _wrap(tgt_tokens[1:-1], cfg.max_len)]
         examples.append(ex)
     return examples
@@ -202,7 +205,7 @@ class Task:
     records: Callable | None = None  # (loaded records, cfg, dialog) -> the task's records
     fit: Callable | None = None  # (task records, cfg) -> Artefacts
     encode: Callable | None = None  # (task records, artefacts, cfg, source) -> items
-    evaluate: Callable | None = None  # (model, items, artefacts) -> (metrics, prediction rows)
+    evaluate: Callable | None = None  # (model, items, artefacts, cfg) -> (metrics, prediction rows)
 
 
 TASKS = {
@@ -213,7 +216,8 @@ TASKS = {
         labeled=True,
         records=lambda rs, cfg, dialog: [D.dialog_to_classification(r) for r in rs] if dialog else rs,
         fit=_fit_classification, encode=_encode_classification,
-        evaluate=lambda model, items, a: evaluate_classification(model, items, a.labels)),
+        evaluate=lambda model, items, a, cfg: evaluate_classification(model, items, a.labels,
+                                                                      cfg.batch_size)),
     "labeling": Task(
         build=lambda cfg, a, rng: build_tagger(cfg, a.vocab.word_size, a.vocab.char_size,
                                                len(a.labels), rng),
@@ -221,14 +225,15 @@ TASKS = {
         records=lambda rs, cfg, dialog: ([D.dialog_to_labeling(r, cfg.lowercase) for r in rs]
                                          if dialog else rs),
         fit=_fit_labeling, encode=_encode_labeling,
-        evaluate=lambda model, items, a: evaluate_labeling(model, items, a.labels)),
+        evaluate=lambda model, items, a, cfg: evaluate_labeling(model, items, a.labels,
+                                                                cfg.batch_size)),
     "generation": Task(
         build=lambda cfg, a, rng: build_seq2seq(cfg, a.vocab.word_size, a.vocab.char_size, rng),
         records=_generation_pairs,
         fit=lambda pairs, cfg: Artefacts(D.build_vocab([t for pair in pairs for t in pair],
                                                        cfg.min_freq)),
         encode=lambda pairs, a, cfg, source: _encode_generation(pairs, a.vocab, cfg),
-        evaluate=lambda model, items, a: evaluate_generation(model, items, a.vocab)),
+        evaluate=lambda model, items, a, cfg: evaluate_generation(model, items, a.vocab)),
     "mlm": Task(build=lambda cfg, a, rng: build_mlm(cfg, a.vocab.word_size, a.vocab.char_size, rng)),
     "zsl": Task(build=lambda cfg, a, rng: build_zsl(cfg, a.vocab.word_size, a.vocab.char_size, rng)),
 }
@@ -333,7 +338,7 @@ def cmd_train(args) -> int:
         transfer_load(model, pretrained, args.transfer_mode)
     return _train_and_report(
         args, cfg, args.task, model, (train_items, val_items), arts,
-        lambda _: task.evaluate(model, val_items, arts),
+        lambda _: task.evaluate(model, val_items, arts, cfg),
         "trained {task}: best epoch {r.best_epoch}, best val loss {r.best_val_loss:.6f}")
 
 
@@ -344,7 +349,7 @@ def cmd_evaluate(args) -> int:
         raise CliError(f"cannot evaluate a {name!r} checkpoint; use embed instead")
     records = D.load_dataset(args.test_file, "dialog" if args.dialog else name)
     items = _encode(task, task.records(records, cfg, args.dialog), arts, cfg, args.test_file)
-    metrics, rows = task.evaluate(model, items, arts)
+    metrics, rows = task.evaluate(model, items, arts, cfg)
     out = _out_dir(args)
     _write_metrics(out / "metrics.json", metrics, cfg)
     _write_predictions(out / "predictions.jsonl", rows)
@@ -380,24 +385,25 @@ def cmd_pretrain_zsl(args) -> int:
     labels = sorted({str(records[i]["label"]) for i in keep})
     if len(labels) < 2:
         raise CliError("zero-shot pretraining needs at least 2 labels")
+    if "" in labels:
+        raise CliError(f"{args.train_file}: label '' has no characters to encode")
     label_tokens = {name: D.preprocess_text(name, cfg.lowercase) or [name.lower()] for name in labels}
     arts = Artefacts(D.build_vocab([token_lists[i] for i in keep] + list(label_tokens.values()),
                                    cfg.min_freq), labels)
     streams = seed_streams(cfg.seed)
     model = TASKS["zsl"].build(cfg, arts, streams["init"])
-    label_examples = {name: D.encode_example(toks, arts.vocab, max_len=cfg.max_len,
-                                             max_word_len=cfg.max_word_len)
-                      for name, toks in label_tokens.items()}
-    dataset = [(D.encode_example(token_lists[i], arts.vocab, max_len=cfg.max_len,
-                                 max_word_len=cfg.max_word_len, guid=i),
+    label_examples = {name: _example(toks, arts.vocab, cfg) for name, toks in label_tokens.items()}
+    dataset = [(_example(token_lists[i], arts.vocab, cfg, guid=i),
                 labels.index(str(records[i]["label"])))
                for i in keep]
     pairs = zsl_build_pairs(dataset, labels, streams["data"], neg_per_pos=args.neg_per_pos)
     items = [(p.item, label_examples[p.label], p.polarity == "entail") for p in pairs]
 
     def accuracy():
-        hits = sum(model.classify(ex, [label_examples[n] for n in labels]) == gold
-                   for ex, gold in dataset)
+        phrases = [label_examples[n] for n in labels]
+        preds = infer(lambda chunk: model.classify(chunk, phrases), [ex for ex, _ in dataset],
+                      cfg.batch_size)
+        hits = sum(pred == gold for pred, (_, gold) in zip(preds, dataset))
         return {"zero_shot_train_accuracy": hits / len(dataset)}
 
     return _pretrain(args, cfg, "zsl", model, items, arts, accuracy)
@@ -405,17 +411,12 @@ def cmd_pretrain_zsl(args) -> int:
 
 def _embed_lines(model, vocab, cfg, lines) -> list:
     """Each line's sentence embedding, or None for a line that preprocessing empties."""
-    zsl = ZslModel(model.encoder)
-    vectors = []
-    for line in lines:
-        tokens = D.preprocess_text(line, cfg.lowercase)
-        if not tokens:
-            vectors.append(None)
-            continue
-        ex = D.encode_example(tokens, vocab, max_len=cfg.max_len, max_word_len=cfg.max_word_len)
-        with no_grad():
-            vectors.append(zsl.embed(ex).data)
-    return vectors
+    token_lists = [D.preprocess_text(line, cfg.lowercase) for line in lines]
+    examples = [_example(tokens, vocab, cfg) for tokens in token_lists if tokens]
+    with no_grad():
+        vectors = iter(infer(lambda chunk: model.encoder.sentence_vectors(chunk).data, examples,
+                             cfg.batch_size))
+    return [next(vectors) if tokens else None for tokens in token_lists]
 
 
 def cmd_embed(args) -> int:
@@ -440,12 +441,11 @@ def cmd_generate(args) -> int:
     out = _out_dir(args)
     lines = Path(args.input).read_text(encoding="utf-8").splitlines()
     out_path = out / "generated.txt"
+    examples = [_example(_wrap(D.preprocess_text(line, cfg.lowercase), cfg.max_len), arts.vocab, cfg)
+                for line in lines]
     with open(out_path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            tokens = _wrap(D.preprocess_text(line, cfg.lowercase), cfg.max_len)
-            ex = D.encode_example(tokens, arts.vocab, max_len=cfg.max_len,
-                                  max_word_len=cfg.max_word_len)
-            fh.write(" ".join(arts.vocab.decode(model.greedy_decode(ex))) + "\n")
+        for tokens, _ in generate(model, examples, arts.vocab):
+            fh.write(" ".join(tokens) + "\n")
     print(f"wrote {len(lines)} generations to {out_path}")
     return 0
 

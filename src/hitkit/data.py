@@ -234,6 +234,8 @@ def _check_record(obj, kind: str):
             bad = [x for x in items if not isinstance(x, str)]
             if bad:
                 raise ValueError(f"labeling {name} must be strings, got {json.dumps(bad[0])}")
+        if "" in toks:
+            raise ValueError(f"labeling token {toks.index('') + 1} is an empty string")
     elif kind == "generation":
         if not isinstance(obj.get("source"), str) or not isinstance(obj.get("target"), str):
             raise ValueError("generation record needs 'source' and 'target'")

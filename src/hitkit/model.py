@@ -85,9 +85,10 @@ class ClassificationModel(_TaskModel):
             s = concat_cols([s, Tensor(feats)])
         return add_bias(matmul(s, self.head_w.tensor), self.head_b.tensor)
 
-    def predict_probs(self, ex: EncodedExample) -> np.ndarray:
+    def predict_probs(self, examples) -> np.ndarray:
+        """(examples, n_classes) probabilities, from one encoder call."""
         with no_grad():
-            return softmax(self.logits([ex]), axis=-1).data[0].copy()
+            return softmax(self.logits(examples), axis=-1).data
 
     def loss_batch(self, examples, training=False, rng=None) -> Tensor:
         return cross_entropy(self.logits(examples, training, rng), [ex.target for ex in examples])
@@ -115,11 +116,12 @@ class TokenModel(_TaskModel):
         h = self.encoder.word_states(examples, training, rng)
         return add_bias(matmul(h, self.head_w.tensor), self.head_b.tensor)
 
-    def predict_probs(self, ex: EncodedExample) -> np.ndarray:
-        """Per-token distributions for the unpadded positions."""
+    def predict_probs(self, examples) -> list[np.ndarray]:
+        """Each example's (unpadded tokens, n_out) distributions, from one encoder call."""
         with no_grad():
-            probs = softmax(self.token_logits([ex]), axis=-1).data
-        return probs[np.asarray(ex.mask, dtype=bool)].copy()
+            probs = softmax(self.token_logits(examples), axis=-1).data
+        rows = np.split(probs, np.cumsum([ex.n_words for ex in examples])[:-1])
+        return [p[np.asarray(ex.mask, dtype=bool)] for p, ex in zip(rows, examples)]
 
     def loss_batch(self, examples, training=False, rng=None) -> Tensor:
         targets = []
@@ -311,7 +313,16 @@ class ZslModel(_TaskModel):
 
     loss_batch = pair_loss
 
-    def classify(self, ex: EncodedExample, label_examples) -> int:
-        """Zero-shot inference: index of the closest label phrase by raw cosine."""
-        scores = [self.score(ex, lab) for lab in label_examples]
-        return int(np.argmax(scores))
+    def classify(self, examples, label_examples) -> list[int]:
+        """Zero-shot inference: each example's closest label phrase by raw cosine.
+
+        The examples and the label phrases run through one encoder call.
+        """
+        with no_grad():
+            vectors = self.encoder.sentence_vectors(list(examples) + list(label_examples)).data
+        norms = np.linalg.norm(vectors, axis=1)
+        if not norms.all():
+            raise ValueError("cosine of a zero-norm embedding")
+        unit = vectors / norms[:, None]
+        n = len(examples)
+        return [int(i) for i in np.argmax(unit[:n] @ unit[n:].T, axis=1)]

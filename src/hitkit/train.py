@@ -1,4 +1,4 @@
-"""Training schedule (plateau LR decay + early stopping), evaluation, config io."""
+"""Training schedule (plateau LR decay + early stopping), chunked inference, evaluation, config io."""
 
 from __future__ import annotations
 
@@ -295,61 +295,61 @@ def train(model, train_items, val_items, config: TrainConfig,
 
 
 # ---------------------------------------------------------------------------
-# evaluation drivers
+# inference and evaluation drivers
 
 
-def evaluate_classification(model: ClassificationModel, examples, label_names):
+def infer(step, examples, batch_size: int) -> list:
+    """`step(chunk)`'s per-example outputs over `examples` in chunks of `batch_size`."""
+    return [out for chunk in _batches(examples, batch_size) for out in step(chunk)]
+
+
+def generate(model: Seq2SeqModel, examples, vocab) -> list:
+    """Each example's greedy continuation: (tokens, the probability of each)."""
+    return [(vocab.decode(ids), probs)
+            for ids, probs in (model.greedy_decode(ex, return_probs=True) for ex in examples)]
+
+
+def _label_metrics(golds, preds, names, task: str, accuracy_key: str) -> dict:
+    """Macro P/R/F1, accuracy and confusion of gold against predicted label indices."""
+    p, r, f1 = macro_prf(golds, preds, len(names))
+    cm = confusion_matrix(golds, preds, len(names))
+    return {
+        "task": task,
+        "macro_precision": p,
+        "macro_recall": r,
+        "macro_f1": f1,
+        accuracy_key: float(np.mean(np.array(golds) == np.array(preds))),
+        "confusion": cm.tolist(),
+        "labels": list(names),
+    }
+
+
+def evaluate_classification(model: ClassificationModel, examples, label_names, batch_size: int):
     golds, preds, rows = [], [], []
-    for ex in examples:
-        probs = model.predict_probs(ex)
+    for ex, probs in zip(examples, infer(model.predict_probs, examples, batch_size)):
         pred = int(np.argmax(probs))
         golds.append(int(ex.target))
         preds.append(pred)
         rows.append({"id": ex.guid, "label": label_names[pred],
                      "probs": {label_names[c]: float(probs[c]) for c in range(len(label_names))}})
-    p, r, f1 = macro_prf(golds, preds, len(label_names))
-    cm = confusion_matrix(golds, preds, len(label_names))
-    metrics = {
-        "task": "classification",
-        "macro_precision": p,
-        "macro_recall": r,
-        "macro_f1": f1,
-        "accuracy": float(np.mean(np.array(golds) == np.array(preds))),
-        "confusion": cm.tolist(),
-        "labels": list(label_names),
-    }
-    return metrics, rows
+    return _label_metrics(golds, preds, label_names, "classification", "accuracy"), rows
 
 
-def evaluate_labeling(model: TokenModel, examples, tag_names):
+def evaluate_labeling(model: TokenModel, examples, tag_names, batch_size: int):
     golds, preds, rows = [], [], []
-    for ex in examples:
-        dist = model.predict_probs(ex)
+    for ex, dist in zip(examples, infer(model.predict_probs, examples, batch_size)):
         pred = [int(i) for i in dist.argmax(axis=1)]
         gold = [int(t) for t in ex.target]
         golds.extend(gold)
         preds.extend(pred)
         rows.append({"id": ex.guid, "tags": [tag_names[t] for t in pred],
                      "probs": [round(float(dist[i, t]), 6) for i, t in enumerate(pred)]})
-    p, r, f1 = macro_prf(golds, preds, len(tag_names))
-    cm = confusion_matrix(golds, preds, len(tag_names))
-    metrics = {
-        "task": "labeling",
-        "macro_precision": p,
-        "macro_recall": r,
-        "macro_f1": f1,
-        "token_accuracy": float(np.mean(np.array(golds) == np.array(preds))),
-        "confusion": cm.tolist(),
-        "labels": list(tag_names),
-    }
-    return metrics, rows
+    return _label_metrics(golds, preds, tag_names, "labeling", "token_accuracy"), rows
 
 
 def evaluate_generation(model: Seq2SeqModel, examples, vocab):
     candidates, references, rows = [], [], []
-    for ex in examples:
-        out_ids, out_probs = model.greedy_decode(ex, return_probs=True)
-        cand = vocab.decode(out_ids)
+    for ex, (cand, out_probs) in zip(examples, generate(model, examples, vocab)):
         ref = vocab.decode(ex.target[1:-1])  # targets are [CLS] ... [EOS]
         candidates.append(cand)
         references.append(ref)

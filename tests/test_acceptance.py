@@ -72,7 +72,7 @@ def train_classifier_to_target(records, vocab, cfg, init_from=None):
     items = encode_items(records, vocab)
 
     def accuracy(m):
-        return np.mean([int(np.argmax(m.predict_probs(ex)) == ex.target) for ex in items])
+        return np.mean(m.predict_probs(items).argmax(axis=1) == [ex.target for ex in items])
 
     reached = {"epoch": None}
 
@@ -226,7 +226,8 @@ def test_a5_classification_overfit(a5_run):
     assert a5_run["epoch"] is not None and a5_run["epoch"] <= 300
     assert a5_run["elapsed"] < 300.0
     from hitkit.train import evaluate_classification
-    metrics, _ = evaluate_classification(a5_run["model"], a5_run["items"], ["0", "1"])
+    metrics, _ = evaluate_classification(a5_run["model"], a5_run["items"], ["0", "1"],
+                                         batch_size=32)
     assert metrics["macro_f1"] == 1.0  # memorized train set scores perfectly
 
 
@@ -259,8 +260,8 @@ def test_a6_labeling_overfit():
 
     def token_accuracy(m):
         good = total = 0
-        for ex in items:
-            pred = m.predict_probs(ex).argmax(axis=1)
+        for ex, probs in zip(items, m.predict_probs(items)):
+            pred = probs.argmax(axis=1)
             good += sum(int(p == g) for p, g in zip(pred, ex.target))
             total += len(ex.target)
         return good / total
@@ -364,7 +365,8 @@ def test_a9_zero_shot_entailment():
               p.polarity == "entail") for p in pairs]
 
     def held_accuracy(m):
-        return np.mean([int(m.classify(enc(t), label_examples) == l) for t, l in held_texts])
+        preds = m.classify([enc(t) for t, _ in held_texts], label_examples)
+        return np.mean([int(p == l) for p, (_, l) in zip(preds, held_texts)])
 
     def hook(m, epoch, stats):
         return epoch % 10 == 0 and held_accuracy(m) >= 0.85

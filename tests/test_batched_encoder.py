@@ -15,6 +15,7 @@ from hitkit.train import (
     build_seq2seq,
     build_tagger,
     build_zsl,
+    infer,
     seed_streams,
 )
 
@@ -176,6 +177,46 @@ def test_values_at_padded_positions_have_no_effect(data):
     assert np.max(np.abs(sentence_vectors(batch) - base)) < 1e-12
     assert np.max(np.abs(states[keep] - base_states[keep])) < 1e-12
     assert abs(teacher_forced_loss(batch) - base_loss) < 1e-12
+
+
+LABEL_PHRASES = [encode(["red", "bird"]), encode(["blue"]), encode(["banana", "to"], pad_to=3)]
+ORDERS = {"ragged": list(range(len(SENTENCES))), "permuted": [4, 0, 6, 2, 5, 1, 3]}
+HEADS = {
+    "classification": ("classification", lambda m, chunk: m.predict_probs(chunk)),
+    "labeling": ("tagging", lambda m, chunk: m.predict_probs(chunk)),
+    "embed": ("classification", lambda m, chunk: m.encoder.sentence_vectors(chunk).data),
+    "zsl": ("zsl", lambda m, chunk: m.classify(chunk, LABEL_PHRASES)),
+}
+
+
+@pytest.mark.parametrize("head", HEADS)
+@pytest.mark.parametrize("order", ORDERS.values(), ids=ORDERS.keys())
+def test_inference_chunks_match_one_example_at_a_time(head, order):
+    kind, run = HEADS[head]
+    # two equal models, so that neither run reads the char memo the other filled
+    chunk_model, batch = model_and_batch(kind, cfg(), seed=5)
+    alone_model, _ = model_and_batch(kind, cfg(), seed=5)
+    batch = [encode(t, p) for t, p in SENTENCES] if kind == "zsl" else batch
+    batch = [batch[i] for i in order]
+    with T.no_grad():
+        chunked = infer(lambda chunk: run(chunk_model, chunk), batch, batch_size=3)
+        alone = [run(alone_model, [ex])[0] for ex in batch]
+    assert len(chunked) == len(batch)
+    if kind == "zsl":
+        assert chunked == alone
+    for got, want in zip(chunked, alone):
+        assert np.shape(got) == np.shape(want)
+        assert np.max(np.abs(np.subtract(got, want))) < 1e-12
+
+
+def test_zero_shot_labels_are_far_enough_apart_that_rounding_cannot_flip_them():
+    model, _ = model_and_batch("zsl", cfg(), seed=5)
+    with T.no_grad():
+        texts = model.encoder.sentence_vectors([encode(t, p) for t, p in SENTENCES]).data
+        labels = model.encoder.sentence_vectors(LABEL_PHRASES).data
+    unit = lambda v: v / np.linalg.norm(v, axis=1, keepdims=True)
+    top2 = np.sort(unit(texts) @ unit(labels).T, axis=1)[:, -2:]
+    assert np.min(top2[:, 1] - top2[:, 0]) > 1e-9
 
 
 @settings(max_examples=50, deadline=None)

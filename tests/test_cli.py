@@ -302,7 +302,9 @@ class TestMalformedInputs:
         ("classification", {"text": "a b", "label": ["x"]}, 'got ["x"]'),
         ("classification", {"text": "a b", "label": {"x": 1}}, 'got {"x": 1}'),
         ("dialog", {"turns": [{"speaker": "user", "text": "a b"}], "slots": ["a"]}, "slots"),
-    ], ids=["int-token", "null-tag", "list-tag", "list-label", "object-label", "list-slots"])
+        ("labeling", {"tokens": ["a", ""], "tags": ["O", "O"]}, "token 2 is an empty string"),
+    ], ids=["int-token", "null-tag", "list-tag", "list-label", "object-label", "list-slots",
+            "empty-token"])
     def test_record_element_of_the_wrong_type(self, tmp_path, capsys, task, record, needle):
         if task == "classification":
             good = [{"text": "a b", "label": "x"}]
@@ -349,6 +351,14 @@ class TestMalformedInputs:
         code = main(["analyze-embeddings", "--checkpoint", str(trained_dir / "checkpoint"),
                      "--input", str(texts), "--k", "0", "--out-dir", str(tmp_path / "a")])
         self.assert_one_error_line(code, capsys.readouterr().err, "k must be at least 1")
+
+    def test_pretrain_zsl_with_an_empty_label(self, tmp_path, capsys):
+        data = tmp_path / "zsl.jsonl"
+        data.write_text("".join(json.dumps({"text": text, "label": label}) + "\n"
+                                for text, label in [("good day", ""), ("bad day", "x")] * 2))
+        code = main(["pretrain-zsl", "--train-file", str(data), "--config",
+                     write_cfg(tmp_path, epochs=1), "--out-dir", str(tmp_path / "z")])
+        self.assert_one_error_line(code, capsys.readouterr().err, str(data), "label ''")
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_pretrain_zsl_with_fewer_than_one_negative(self, tmp_path, capsys, n):

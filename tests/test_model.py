@@ -40,20 +40,20 @@ class TestClassification:
         cfg = tiny_cfg()
         model = build_classifier(cfg, vocab.word_size, vocab.char_size, 3,
                                  seed_streams(0)["init"])
-        probs = model.predict_probs(encode(["red", "cat"], vocab))
+        probs = model.predict_probs([encode(["red", "cat"], vocab)])[0]
         assert abs(probs.sum() - 1.0) < 1e-6
 
     def test_single_class_degenerate(self, vocab):
         model = build_classifier(tiny_cfg(), vocab.word_size, vocab.char_size, 1,
                                  seed_streams(1)["init"])
-        probs = model.predict_probs(encode(["blue"], vocab))
+        probs = model.predict_probs([encode(["blue"], vocab)])[0]
         assert probs.tolist() == [1.0]
 
     def test_padding_invariance(self, vocab):
         model = build_classifier(tiny_cfg(), vocab.word_size, vocab.char_size, 2,
                                  seed_streams(2)["init"])
-        plain = model.predict_probs(encode(["red", "cat"], vocab))
-        padded = model.predict_probs(encode(["red", "cat"], vocab, pad_to=7))
+        plain = model.predict_probs([encode(["red", "cat"], vocab)])[0]
+        padded = model.predict_probs([encode(["red", "cat"], vocab, pad_to=7)])[0]
         assert np.max(np.abs(plain - padded)) < 1e-6
 
     def test_expected_parameter_names(self, vocab):
@@ -71,7 +71,7 @@ class TestTagging:
         model = build_tagger(tiny_cfg(), vocab.word_size, vocab.char_size, 3,
                              seed_streams(4)["init"])
         ex = encode(["red", "cat", "dog"], vocab, target=[0, 1, 2], pad_to=6)
-        probs = model.predict_probs(ex)
+        [probs] = model.predict_probs([ex])
         assert probs.shape == (3, 3)
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-6
 
@@ -95,7 +95,7 @@ class TestMlm:
                           seed_streams(6)["init"])
         ex = encode(["red", "cat"], vocab)
         ex.target = [-1, vocab.word_id("cat")]
-        probs = model.predict_probs(ex)
+        [probs] = model.predict_probs([ex])
         assert probs.shape == (2, vocab.word_size)
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-6
 
@@ -115,7 +115,7 @@ class TestMlm:
         target = [-1, vocab.word_id("cat")]
         plain = encode(["red", "cat"], vocab, target=target)
         padded = encode(["red", "cat"], vocab, target=target, pad_to=5)
-        assert model.predict_probs(padded).shape == (2, vocab.word_size)
+        assert model.predict_probs([padded])[0].shape == (2, vocab.word_size)
         assert abs(model.loss_batch([plain]).item() - model.loss_batch([padded]).item()) < 1e-6
 
     def test_no_modified_positions_raises_empty_loss(self, vocab):
@@ -150,8 +150,7 @@ class TestMlm:
 
         def masked_top1(m):
             good, total = 0, 0
-            for ex in items:
-                probs = m.predict_probs(ex)
+            for ex, probs in zip(items, m.predict_probs(items)):
                 for pos, t in enumerate(ex.target):
                     if t != -1:
                         good += int(np.argmax(probs[pos]) == t)
@@ -315,6 +314,11 @@ class TestZsl:
         s_ba = model.score(b, a)
         assert -1.0 <= s_ab <= 1.0
         assert abs(s_ab - s_ba) < 1e-12
+
+    def test_classify_picks_the_label_phrase_equal_to_the_text(self, vocab):
+        model = self.make(vocab)
+        phrases = [encode(t, vocab) for t in (["red", "cat"], ["blue", "dog"], ["green", "bird"])]
+        assert model.classify(phrases[::-1], phrases) == [2, 1, 0]
 
     def test_zero_norm_embedding_errors(self):
         with pytest.raises(ValueError, match="zero-norm"):

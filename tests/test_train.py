@@ -13,6 +13,7 @@ from hitkit.train import (
     TrainConfig,
     TrainingDiverged,
     build_classifier,
+    infer,
     seed_streams,
     train,
 )
@@ -207,3 +208,19 @@ class TestDeterminism:
         r1, _ = self.run_once(0)
         r2, _ = self.run_once(1)
         assert [s.train_loss for s in r1.history] != [s.train_loss for s in r2.history]
+
+
+class TestInfer:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 100), st.integers(1, 40))
+    def test_chunks_keep_order_cover_every_item_once_and_hold_at_most_batch_size(self, n,
+                                                                              batch_size):
+        sizes = []
+
+        def step(chunk):
+            sizes.append(len(chunk))
+            return [x * 10 for x in chunk]
+
+        assert infer(step, list(range(n)), batch_size) == [x * 10 for x in range(n)]
+        assert all(1 <= size <= batch_size for size in sizes)
+        assert len(sizes) == -(-n // batch_size)
