@@ -25,7 +25,7 @@ from .tensor import (
     matmul,
     opa_project,
     opa_sum_hadamard,
-    opa_sum_outer,
+    opa_sum_project,
     pairwise_hadamard,
     reshape,
     scalar_mul,
@@ -185,9 +185,11 @@ def opa_forward(layer: FameLayer, x: Tensor, allowed=None, x_kv: Tensor | None =
                 value_parts=None) -> Tensor:
     """Outer branch: q from `x`, k and v from `x_kv` (default `x`); `allowed` as in msa_forward.
 
-    Each group's scores run as one (count, L_q, L_kv, d) block. Every group's
-    aggregate is written into one (rows, d, d) array (or (rows, d) in hadamard
-    mode), so the output projection runs once over all packed rows.
+    Each group's scores run as one (count, L_q, L_kv, d) block. In
+    true_outer_projected mode `opa_sum_project` aggregates and projects all
+    packed rows in blocks of score features, so no (rows, d, d) aggregate is
+    held; in hadamard mode every group's aggregate goes into one (rows, d)
+    array, projected once.
     `value_parts` is a list of (table, ids) whose `table[ids]` rows sum to `x_kv`.
     With them, in true_outer_projected mode, each table is multiplied by
     `wv_outer` and `opa_project` projects each table row once instead of making
@@ -214,10 +216,8 @@ def opa_forward(layer: FameLayer, x: Tensor, allowed=None, x_kv: Tensor | None =
         return opa_project(scores, v, blocks, layer.wo_outer.tensor, proj)
     values = _group_rows(v, blocks, 2)
     if layer.config.opa_combine == "hadamard":
-        flat = opa_sum_hadamard(scores, values, blocks)
-    else:
-        flat = reshape(opa_sum_outer(scores, values, blocks), (x.shape[0], d * d))
-    return matmul(flat, layer.wo_outer.tensor)
+        return matmul(opa_sum_hadamard(scores, values, blocks), layer.wo_outer.tensor)
+    return opa_sum_project(scores, values, blocks, layer.wo_outer.tensor)
 
 
 def fame_fuse(layer: FameLayer, z_self: Tensor, z_outer: Tensor) -> Tensor:

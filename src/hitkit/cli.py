@@ -388,6 +388,12 @@ def cmd_pretrain_zsl(args) -> int:
     if "" in labels:
         raise CliError(f"{args.train_file}: label '' has no characters to encode")
     label_tokens = {name: D.preprocess_text(name, cfg.lowercase) or [name.lower()] for name in labels}
+    first_of = {}
+    for name, tokens in label_tokens.items():
+        other = first_of.setdefault(tuple(tokens), name)
+        if other != name:
+            raise CliError(f"{args.train_file}: labels {other!r} and {name!r} preprocess to the "
+                           f"same phrase {' '.join(tokens)!r}; merge or rename them")
     arts = Artefacts(D.build_vocab([token_lists[i] for i in keep] + list(label_tokens.values()),
                                    cfg.min_freq), labels)
     streams = seed_streams(cfg.seed)

@@ -574,6 +574,16 @@ def _opa_groups(name: str, s, v, allowed, outer: bool):
     return packed, ss, vs, groups, tails.pop()
 
 
+def _group_views(arr: np.ndarray, leads) -> list:
+    """Each group's rows of `arr` (rows, ...), reshaped to that group's lead axes."""
+    views, start = [], 0
+    for lead in leads:
+        stop = start + math.prod(lead)
+        views.append(arr[start:stop].reshape(lead + arr.shape[1:]))
+        start = stop
+    return views
+
+
 def _opa_sum(name: str, s, v, allowed, outer: bool, forward, backward) -> Tensor:
     """The two OPA sums over one block, or over lists of per-group blocks.
 
@@ -584,18 +594,13 @@ def _opa_sum(name: str, s, v, allowed, outer: bool, forward, backward) -> Tensor
     """
     packed, ss, vs, groups, tail = _opa_groups(name, s, v, allowed, outer)
     leads = [t.shape[:-2] for t in ss]
-    offsets = np.cumsum([0] + [math.prod(lead) for lead in leads])
-
-    def views(arr):
-        flat = arr.reshape((-1,) + tail)
-        return [flat[offsets[i]:offsets[i + 1]].reshape(lead + tail) for i, lead in enumerate(leads)]
-
-    out = np.empty((int(offsets[-1]),) + tail)
-    for group, view in zip(groups, views(out)):
+    out = np.empty((sum(map(math.prod, leads)),) + tail)
+    for group, view in zip(groups, _group_views(out, leads)):
         forward(*group, view)
 
     def bwd(dout):
-        grads = [backward(*group, g) for group, g in zip(groups, views(dout))]
+        grads = [backward(*group, g)
+                 for group, g in zip(groups, _group_views(dout.reshape((-1,) + tail), leads))]
         return tuple(ds for ds, _ in grads) + tuple(dv for _, dv in grads)
 
     return _emit(out if packed else out.reshape(leads[0] + tail), tuple(ss) + tuple(vs), bwd)
@@ -622,6 +627,59 @@ def opa_sum_outer(s, v, allowed) -> Tensor:
     result flattened to rows, in list order.
     """
     return _opa_sum("opa_sum_outer", s, v, allowed, True, _outer_forward, _outer_backward)
+
+
+# aggregate bytes per feature block of opa_sum_project: 16 of the 128 features of a
+# batch-32 word layer (about 256 rows), where the whole aggregate would be 32 MB
+OPA_BLOCK_BYTES = 4 << 20
+
+
+def opa_sum_project(s, v, allowed, w: Tensor) -> Tensor:
+    """reshape(opa_sum_outer(s, v, allowed), (rows, d * e)) @ w, never holding the aggregate.
+
+    s, v and allowed are as opa_sum_outer takes them, and w is (d * e, c). The score
+    features run in blocks a0:a1 of at most OPA_BLOCK_BYTES of aggregate (at least one
+    feature): each block's (rows, a1 - a0, e) aggregate meets rows a0 * e:a1 * e of w,
+    is added into the (rows, c) output and is dropped. Backward makes each block's
+    aggregate again, writes those rows of dw in one product over all rows, then that
+    block's ds[..., a0:a1] and its share of dv. One query row, or any aggregate under the
+    budget, is one block: the same products as opa_sum_outer followed by a matmul.
+    """
+    _, ss, vs, groups, (d, e) = _opa_groups("opa_sum_project", s, v, allowed, True)
+    if w.ndim != 2 or w.shape[0] != d * e:
+        raise ShapeError(f"opa_sum_project weight {w.shape} does not take {d}x{e} aggregates")
+    leads = [t.shape[:-2] for t in ss]
+    rows, wd = sum(map(math.prod, leads)), w.data
+    width = min(d, max(1, OPA_BLOCK_BYTES // (rows * e * 8)))
+    spans = [(a0, min(a0 + width, d)) for a0 in range(0, d, width)]
+
+    def aggregate(a0, a1, buf):
+        """The (rows, (a1 - a0) * e) aggregate of score features a0:a1, written into `buf`."""
+        agg = buf[:rows * (a1 - a0) * e].reshape(rows, a1 - a0, e)
+        for (a, sd, vd), view in zip(groups, _group_views(agg, leads)):
+            _outer_forward(a, sd[..., a0:a1], vd, view)
+        return agg.reshape(rows, -1)
+
+    buf = np.empty(rows * width * e)
+    out = aggregate(*spans[0], buf) @ wd[:spans[0][1] * e]
+    for a0, a1 in spans[1:]:
+        out += aggregate(a0, a1, buf) @ wd[a0 * e:a1 * e]
+
+    def bwd(dout):
+        buf = np.empty(rows * width * e)
+        ds = [np.empty(sd.shape) for _, sd, _ in groups]
+        dv = [np.zeros(vd.shape) for _, _, vd in groups]
+        dw = np.empty(wd.shape)
+        for a0, a1 in spans:
+            np.matmul(aggregate(a0, a1, buf).T, dout, out=dw[a0 * e:a1 * e])
+            dagg = (dout @ wd[a0 * e:a1 * e].T).reshape(rows, a1 - a0, e)
+            for (a, sd, vd), g, ds_g, dv_g in zip(groups, _group_views(dagg, leads), ds, dv):
+                ds_part, dv_part = _outer_backward(a, sd[..., a0:a1], vd, g)
+                ds_g[..., a0:a1] = ds_part
+                dv_g += dv_part
+        return tuple(ds) + tuple(dv) + (dw,)
+
+    return _emit(out, tuple(ss) + tuple(vs) + (w,), bwd)
 
 
 def _hadamard_forward(a, sd, vd, out):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,26 @@ class TestOpa:
         layer = make_layer()
         with pytest.raises(ValueError, match="masked"):
             opa_forward(layer, T.Tensor(rand((2, 4))), key_mask([False, False], 2))
+
+    def test_a_recorded_word_layer_keeps_no_aggregate_for_backward(self, monkeypatch):
+        d, lengths = 64, (4, 4, 3, 2, 2, 1)
+        layer = make_layer(d=d, heads=4, seed=20)
+        rows = sum(lengths)
+        x = T.Tensor(rand((rows, d), 21), requires_grad=True)
+        blocks = [np.ones((1, n, n), dtype=bool) for n in lengths]
+        monkeypatch.setattr(T, "OPA_BLOCK_BYTES", 4 * rows * d * 8)  # 4 features per block
+        aggregate = rows * d * d * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = opa_forward(layer, x, blocks)
+            alive = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # what the graph holds for backward: projections, scores and output, no aggregate
+        assert alive < aggregate / 2, (alive, aggregate)
+        T.backward(T.sum_all(out))
+        assert x.grad is not None
 
 
 class TestFuse:

@@ -291,13 +291,13 @@ def test_shared_char_positions_match_oracle_and_aggregate(kind, training, l_c, t
 
 def test_only_the_word_layers_make_the_opa_aggregate(monkeypatch):
     calls = []
-    real = A.opa_sum_outer
+    real = A.opa_sum_project
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(A, "opa_sum_outer", spy)
+    monkeypatch.setattr(A, "opa_sum_project", spy)
     model, batch = model_and_batch("classification", cfg(l_c=1, l_w=2), sentences=SHARED)
     model.loss_batch(batch)
     assert len(calls) == 2

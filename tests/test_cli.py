@@ -360,6 +360,16 @@ class TestMalformedInputs:
                      write_cfg(tmp_path, epochs=1), "--out-dir", str(tmp_path / "z")])
         self.assert_one_error_line(code, capsys.readouterr().err, str(data), "label ''")
 
+    def test_pretrain_zsl_with_labels_that_preprocess_alike(self, tmp_path, capsys):
+        data = tmp_path / "zsl.jsonl"
+        data.write_text("".join(json.dumps({"text": text, "label": label}) + "\n"
+                                for text, label in [("good game", "Sports"), ("rain today", "weather"),
+                                                    ("great match", "sports")] * 2))
+        code = main(["pretrain-zsl", "--train-file", str(data), "--config",
+                     write_cfg(tmp_path, epochs=1), "--out-dir", str(tmp_path / "z")])
+        self.assert_one_error_line(code, capsys.readouterr().err, str(data), "'Sports'", "'sports'")
+        assert not (tmp_path / "z").exists()
+
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_pretrain_zsl_with_fewer_than_one_negative(self, tmp_path, capsys, n):
         data = write_classification(tmp_path)

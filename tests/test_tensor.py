@@ -647,6 +647,84 @@ class TestOpaProject:
             T.opa_project(scores, [(tables[0], self.IDS[0]), (narrow, self.IDS[1])], masks, w)
 
 
+class TestOpaSumProject:
+    """opa_sum_project against the aggregate it never holds: reshape(opa_sum_outer(...)) @ w."""
+
+    LAYOUT = ((2, 3), (1, 1), (3, 2))  # (count, length) per group: 13 query rows
+    D, E, C = 8, 3, 2
+
+    @classmethod
+    def operands(cls, seed=90):
+        """Score, value and mask blocks per group (some pairs masked) and a weight; all leaves."""
+        rng = np.random.default_rng(seed)
+        scores, values, masks = [], [], []
+        for count, length in cls.LAYOUT:
+            scores.append(T.Tensor(rng.standard_normal((count, length, length, cls.D)),
+                                   requires_grad=True))
+            values.append(T.Tensor(rng.standard_normal((count, length, cls.E)), requires_grad=True))
+            allowed = rng.random((count, length, length)) < 0.6
+            allowed[..., 0] = True
+            masks.append(allowed)
+        assert not all(m.all() for m in masks)
+        w = T.Tensor(rng.standard_normal((cls.D * cls.E, cls.C)), requires_grad=True)
+        return scores, values, masks, w
+
+    @classmethod
+    def blocks_of(cls, monkeypatch, width):
+        """Patch the byte budget to `width` features of aggregate over the 13 query rows."""
+        monkeypatch.setattr(T, "OPA_BLOCK_BYTES", width * 13 * cls.E * 8)
+
+    @staticmethod
+    def run(build, leaves):
+        """The output of `build()` and each leaf's gradient of sum(tanh(output))."""
+        for leaf in leaves:
+            leaf.grad = None
+        out = build()
+        T.backward(T.sum_all(T.tanh(out)))
+        return out.data, [leaf.grad for leaf in leaves]
+
+    @pytest.mark.parametrize("width, spans", [(3, [3, 3, 2]), (1, [1] * 8), (8, [8])],
+                             ids=["uneven", "one_feature", "one_block"])
+    def test_matches_the_aggregate_then_matmul(self, monkeypatch, width, spans):
+        scores, values, masks, w = self.operands()
+        leaves = scores + values + [w]
+        want, want_grads = self.run(lambda: T.matmul(
+            T.reshape(T.opa_sum_outer(scores, values, masks), (13, self.D * self.E)), w), leaves)
+        self.blocks_of(monkeypatch, width)
+        real, seen = T._outer_forward, []
+
+        def spy(a, sd, vd, out):
+            seen.append(sd.shape[-1])
+            real(a, sd, vd, out)
+
+        monkeypatch.setattr(T, "_outer_forward", spy)
+        got, got_grads = self.run(lambda: T.opa_sum_project(scores, values, masks, w), leaves)
+        # forward, then backward, make each block's aggregate group by group
+        assert seen == [b for b in spans for _ in self.LAYOUT] * 2
+        assert got.shape == want.shape == (13, self.C)
+        assert np.max(np.abs(got - want)) < 1e-12
+        for g, h in zip(got_grads, want_grads):
+            assert g.shape == h.shape and np.max(np.abs(g - h)) < 1e-12
+
+    def test_gradient_in_uneven_blocks(self, monkeypatch):
+        self.blocks_of(monkeypatch, 3)
+        scores, values, masks, w = self.operands(seed=91)
+        check_gradients(lambda: T.sum_all(T.tanh(T.opa_sum_project(scores, values, masks, w))),
+                        scores + values + [w])
+
+    def test_rejects_mismatched_lists_and_widths(self):
+        scores, values, masks, w = self.operands()
+        with pytest.raises(T.ShapeError, match="equal-length"):
+            T.opa_sum_project(scores, values[:2], masks, w)
+        with pytest.raises(T.ShapeError, match="equal-length"):
+            T.opa_sum_project(scores, values, masks[1:], w)
+        narrow = T.Tensor(np.ones((2, 3, self.E + 1)))
+        with pytest.raises(T.ShapeError, match="width"):
+            T.opa_sum_project(scores, [narrow] + values[1:], masks, w)
+        with pytest.raises(T.ShapeError, match="weight"):
+            T.opa_sum_project(scores, values, masks, T.Tensor(np.ones((self.D * self.E - 1, 2))))
+
+
 class TestInvariants:
     def test_zero_dim_rejected(self):
         with pytest.raises(T.ShapeError):
