@@ -49,14 +49,25 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: dict, extras: d
             zf.writestr(_member(f"extras/{key}"), extras[key])
 
 
+def _is_entry(entry) -> bool:
+    """Whether a params index entry is {"name": str, "shape": [non-negative int, ...]}."""
+    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in entry["shape"]))
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a file that is not one raises ValueError naming `path`."""
     try:
         with zipfile.ZipFile(path, "r") as zf:
             meta = json.loads(zf.read("meta.json").decode("utf-8"))
+            if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
+                raise ValueError("meta.json is not a JSON object with a config object")
             if meta.get("format_version") != FORMAT_VERSION:
                 raise ValueError(f"unsupported checkpoint format version "
                                  f"{meta.get('format_version')!r}")
+            if not (isinstance(meta.get("params"), list) and all(map(_is_entry, meta["params"]))):
+                raise ValueError("meta.json params is not a list of {name: str, shape: [int]}")
             params = {}
             for entry in meta["params"]:
                 raw = zf.read(f"params/{entry['name']}")

@@ -124,8 +124,11 @@ class Artefacts:
 
     @classmethod
     def from_extras(cls, extras: dict) -> "Artefacts":
-        return cls(D.Vocab.from_text(extras["vocab.tsv"]),
-                   json.loads(extras["labels.json"]) if "labels.json" in extras else None,
+        labels = json.loads(extras["labels.json"]) if "labels.json" in extras else None
+        if labels is not None and not (isinstance(labels, list)
+                                       and all(isinstance(name, str) for name in labels)):
+            raise ValueError(f"labels.json is not a list of strings: {json.dumps(labels)[:60]}")
+        return cls(D.Vocab.from_text(extras["vocab.tsv"]), labels,
                    F.tfidf_from_text(extras["tfidf_vocab.txt"])
                    if "tfidf_vocab.txt" in extras else None)
 
@@ -267,7 +270,10 @@ def _restore(checkpoint_path):
     task = TASKS.get(name) if isinstance(name, str) else None
     if task is None:
         raise CliError(f"checkpoint has unknown task {name!r}")
-    arts = Artefacts.from_extras(ckpt.extras)
+    try:
+        arts = Artefacts.from_extras(ckpt.extras)
+    except ValueError as exc:
+        raise CliError(f"checkpoint {checkpoint_path} has malformed extras: {exc}") from None
     if task.labeled and arts.labels is None:
         raise CliError(f"checkpoint {checkpoint_path} has no labels.json for its {name} head")
     model = task.build(cfg, arts, seed_streams(cfg.seed)["init"])

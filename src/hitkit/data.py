@@ -6,7 +6,7 @@ import json
 import logging
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -180,11 +180,10 @@ def iob_encode(tokens, slots: dict[str, str], lowercase: bool = True) -> list[st
 
 @dataclass
 class EncodedExample:
-    """Word ids, per-word char-id rows, attention mask, and a task target."""
+    """Word ids, per-word char-id rows, and a task target."""
 
     word_ids: list[int]
     char_ids: list[list[int]]
-    mask: list[bool]
     target: Any = None
     features: np.ndarray | None = None
     guid: Any = None
@@ -195,18 +194,13 @@ class EncodedExample:
 
 
 def encode_example(tokens, vocab: Vocab, target=None, max_len: int = 40,
-                   max_word_len: int = 20, pad_to: int = 0, guid=None) -> EncodedExample:
+                   max_word_len: int = 20, guid=None) -> EncodedExample:
     tokens = list(tokens)[:max_len]
     if not tokens:
         raise DataError("encode_example: no tokens")
-    word_ids = [vocab.word_id(t) for t in tokens]
-    char_ids = [vocab.char_ids(t, max_word_len) for t in tokens]
-    mask = [True] * len(tokens)
-    while len(word_ids) < pad_to:
-        word_ids.append(PAD_ID)
-        char_ids.append([PAD_ID])
-        mask.append(False)
-    return EncodedExample(word_ids, char_ids, mask, target=target, guid=guid)
+    return EncodedExample([vocab.word_id(t) for t in tokens],
+                          [vocab.char_ids(t, max_word_len) for t in tokens],
+                          target=target, guid=guid)
 
 
 _KINDS = ("classification", "labeling", "generation", "dialog")

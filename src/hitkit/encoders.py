@@ -89,13 +89,12 @@ class Packing:
         self.positions = np.concatenate([np.arange(self.lengths[i]) for i in self.order])
         self.in_order = self.order == sorted(self.order)
 
-    def allowed(self, mask=None, queries=None) -> list:
+    def allowed(self, queries=None) -> list:
         """One (count, L_q, length) block per group (see `fame_forward`): every query row sees
-        the keys of its own sequence that the packed key `mask` marks (default all). The query
-        rows are the sequences' own, or those of `queries`, a Packing of the same groups."""
-        keys = np.ones(self.n_rows, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-        return [np.repeat(k[:, None, :], n, axis=1)
-                for (_, n), k in zip((queries or self).layout, group_blocks(keys, self.layout))]
+        every key of its own sequence. The query rows are the sequences' own, or those of
+        `queries`, a Packing of the same groups."""
+        return [np.ones((count, n, length), dtype=bool)
+                for (_, n), (count, length) in zip((queries or self).layout, self.layout)]
 
     def rows(self, per_sequence) -> list:
         """The items of every sequence's list (lists given in original order), in packed order."""
@@ -175,9 +174,9 @@ class EncoderLayer:
         return self.fame.parameters() + self.ffn.parameters() + [p for n in self.norms for p in n]
 
 
-def run_layers(layers, x: Tensor, packing: Packing, mask, training: bool, rng,
+def run_layers(layers, x: Tensor, packing: Packing, training: bool, rng,
                value_parts=None) -> Tensor:
-    """A stack of encoder layers over packed rows, keys marked by `mask` (default all).
+    """A stack of encoder layers over packed rows; each row sees its whole sequence.
 
     Dropout and the allowed blocks are made once for all layers. `value_parts` (see
     `opa_forward`) write the rows of `x` as sums of table rows. Only the first layer
@@ -185,7 +184,7 @@ def run_layers(layers, x: Tensor, packing: Packing, mask, training: bool, rng,
     """
     p = layers[0].dropout_rate if training and layers else 0.0
     drops = dropout_multipliers(rng, p, packing, len(layers), x.shape[1], 2)
-    allowed = packing.allowed(mask)
+    allowed = packing.allowed()
     for layer, drop in zip(layers, drops):
         x = layer.forward(x, allowed, drop, value_parts)
         value_parts = None
@@ -311,7 +310,7 @@ class CharHit:
             distinct, char_ids = np.unique(chars, return_inverse=True)
             parts = [(embedding_lookup(self.emb.tensor, distinct), char_ids),
                      (Tensor(self.pos[:max(pack.lengths)]), pack.positions)]
-        x = run_layers(self.layers, x, pack, None, training, rng, value_parts=parts)
+        x = run_layers(self.layers, x, pack, training, rng, value_parts=parts)
         return pack.unpack_sequences(self.pool.forward(x, pack.layout))
 
     def encode_word(self, char_ids, training: bool = False, rng=None) -> Tensor:
@@ -418,7 +417,7 @@ class HitEncoder:
         self.memo = CharMemo(self.char_hit.parameters())
 
     def _forward(self, examples, training: bool, rng):
-        """Packed word states of `examples`, their Packing, and the packed key mask."""
+        """Packed word states of `examples` and their Packing."""
         cap = self.word_hit.max_len
         index: dict[tuple, int] = {}
         for ex in examples:
@@ -427,9 +426,8 @@ class HitEncoder:
                 raise ValueError("word_states: empty word sequence")
             if n > cap:
                 raise ShapeError(f"sequence of {n} words exceeds cap {cap}")
-            if len(ex.char_ids) != n or len(ex.mask) != n:
-                raise ShapeError(f"{len(ex.char_ids)} character rows and mask length "
-                                 f"{len(ex.mask)} do not match {n} positions")
+            if len(ex.char_ids) != n:
+                raise ShapeError(f"{len(ex.char_ids)} character rows do not match {n} positions")
             for seq in ex.char_ids:
                 index.setdefault(tuple(seq), len(index))
         if training or is_recording():
@@ -442,19 +440,17 @@ class HitEncoder:
         h_char = embedding_lookup(char_vecs, pack.rows(char_rows))
         h_word = embedding_lookup(self.word_hit.emb.tensor, pack.rows([ex.word_ids for ex in examples]))
         x = add(add(h_char, h_word), Tensor(self.word_hit.pos[pack.positions]))
-        mask = np.asarray(pack.rows([ex.mask for ex in examples]), dtype=bool)
-        return run_layers(self.word_hit.layers, x, pack, mask, training, rng), pack, mask
+        return run_layers(self.word_hit.layers, x, pack, training, rng), pack
 
     def word_states(self, examples, training: bool = False, rng=None) -> Tensor:
         """Word-level states of every example, stacked in example order: (total words, d)."""
-        x, pack, _ = self._forward(examples, training, rng)
+        x, pack = self._forward(examples, training, rng)
         return pack.unpack_rows(x)
 
     def sentence_vectors(self, examples, training: bool = False, rng=None) -> Tensor:
-        """Each example's mean word state over its unmasked positions: (examples, d)."""
-        x, pack, mask = self._forward(examples, training, rng)
-        means = [mean_rows(h, m) for h, m in zip(group_blocks(x, pack.layout),
-                                                  group_blocks(mask, pack.layout))]
+        """Each example's mean word state: (examples, d)."""
+        x, pack = self._forward(examples, training, rng)
+        means = [mean_rows(h) for h in group_blocks(x, pack.layout)]
         return pack.unpack_sequences(means[0] if len(means) == 1 else concat_rows(means))
 
     def parameters(self):

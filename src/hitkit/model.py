@@ -95,10 +95,10 @@ class ClassificationModel(_TaskModel):
 
 
 class TokenModel(_TaskModel):
-    """One softmax per unpadded token: tags for labeling, vocabulary ids for MLM.
+    """One softmax per token: tags for labeling, vocabulary ids for MLM.
 
-    Each example's target holds one id per unpadded position; -1 leaves a
-    position out of the loss (unmasked tokens in MLM).
+    Each example's target holds one id per word; -1 leaves a position out of
+    the loss (unmasked tokens in MLM).
     """
 
     def __init__(self, encoder: HitEncoder, n_out: int, rng: np.random.Generator):
@@ -112,29 +112,23 @@ class TokenModel(_TaskModel):
         return [self.head_w, self.head_b]
 
     def token_logits(self, examples, training=False, rng=None) -> Tensor:
-        """Logits of every example's positions, padded ones included, stacked in example order."""
+        """Logits of every example's positions, stacked in example order."""
         h = self.encoder.word_states(examples, training, rng)
         return add_bias(matmul(h, self.head_w.tensor), self.head_b.tensor)
 
     def predict_probs(self, examples) -> list[np.ndarray]:
-        """Each example's (unpadded tokens, n_out) distributions, from one encoder call."""
+        """Each example's (tokens, n_out) distributions, from one encoder call."""
         with no_grad():
             probs = softmax(self.token_logits(examples), axis=-1).data
-        rows = np.split(probs, np.cumsum([ex.n_words for ex in examples])[:-1])
-        return [p[np.asarray(ex.mask, dtype=bool)] for p, ex in zip(rows, examples)]
+        return np.split(probs, np.cumsum([ex.n_words for ex in examples])[:-1])
 
     def loss_batch(self, examples, training=False, rng=None) -> Tensor:
-        targets = []
         for ex in examples:
-            keep = np.asarray(ex.mask, dtype=bool)
-            if len(ex.target) != keep.sum():
+            if len(ex.target) != ex.n_words:
                 raise ValueError(f"target length mismatch: {len(ex.target)} targets "
-                                 f"for {keep.sum()} tokens")
-            row = np.full(ex.n_words, -1, dtype=np.int64)
-            row[keep] = ex.target
-            targets.append(row)
-        return cross_entropy(self.token_logits(examples, training, rng), np.concatenate(targets),
-                             ignore_index=-1)
+                                 f"for {ex.n_words} tokens")
+        targets = np.concatenate([np.asarray(ex.target, dtype=np.int64) for ex in examples])
+        return cross_entropy(self.token_logits(examples, training, rng), targets, ignore_index=-1)
 
 
 class CrossAttention:
@@ -207,12 +201,12 @@ class Seq2SeqModel(_TaskModel):
         out.extend([self.out_w, self.out_b])
         return out
 
-    def decode_logits(self, targets, memory: Tensor, mem_masks, training=False, rng=None,
+    def decode_logits(self, targets, memory: Tensor, mem_lengths, training=False, rng=None,
                       inputs: list[list[np.ndarray]] | None = None) -> Tensor:
         """Logits of every position of every id list in `targets`, stacked in their order.
 
-        A position sees its sequence up to it and the memory rows its mask in `mem_masks`
-        marks; `memory` stacks the memories in that order (as `word_states` returns them).
+        A position sees its sequence up to it and all `mem_lengths[i]` rows of its memory;
+        `memory` stacks the memories in that order (as `word_states` returns them).
         Sequences run packed, grouped by (target length, memory length). With `inputs`, one
         sequence starts at t = len(inputs[0]): `inputs[i]` holds the rows layer i got at the
         t earlier positions; each layer appends its new rows and attends over all of them,
@@ -222,13 +216,13 @@ class Seq2SeqModel(_TaskModel):
         for ids in targets:
             if not 0 < len(ids) <= cap - t:
                 raise ShapeError(f"target of {len(ids)} ids at {t} is empty or past cap {cap}")
-        keys = [(len(ids), len(mask)) for ids, mask in zip(targets, mem_masks)]
+        keys = [(len(ids), n) for ids, n in zip(targets, mem_lengths)]
         pack, mem = Packing([n for n, _ in keys], keys), Packing([s for _, s in keys], keys)
         x = add(embedding_lookup(self.tgt_emb.tensor, pack.rows(targets)),
                 Tensor(self.pos[t + pack.positions]))
         causal = [np.repeat(np.tri(n, t + n, t, dtype=bool)[None], count, axis=0)
                   for count, n in pack.layout]
-        mem_allowed = mem.allowed(mem.rows(mem_masks), queries=pack)
+        mem_allowed = mem.allowed(queries=pack)
         memory = mem.pack_rows(memory)
         p = self.layers[0].dropout_rate if training and self.layers else 0.0
         drops = dropout_multipliers(rng, p, pack, len(self.layers), x.shape[1], 3)
@@ -244,7 +238,7 @@ class Seq2SeqModel(_TaskModel):
         """Teacher forcing: each example's target is the full [CLS] .. [EOS] id list."""
         states = self.encoder.word_states(examples, training, rng)
         logits = self.decode_logits([list(ex.target)[:-1] for ex in examples], states,
-                                    [ex.mask for ex in examples], training, rng)
+                                    [ex.n_words for ex in examples], training, rng)
         return cross_entropy(logits, [i for ex in examples for i in list(ex.target)[1:]])
 
     def greedy_decode(self, ex: EncodedExample, max_out: int | None = None,
@@ -263,7 +257,7 @@ class Seq2SeqModel(_TaskModel):
             out: list[int] = []
             probs: list[float] = []
             while len(out) < limit:
-                row = self.decode_logits([[token]], memory, [ex.mask], inputs=inputs).data[0]
+                row = self.decode_logits([[token]], memory, [ex.n_words], inputs=inputs).data[0]
                 nxt = int(np.argmax(row))
                 shifted = np.exp(row - row.max())
                 prob = float(shifted[nxt] / shifted.sum())
@@ -288,10 +282,6 @@ class ZslModel(_TaskModel):
         """One example's mean word state, (d,)."""
         return reshape(self.encoder.sentence_vectors([ex], training, rng),
                        (self.encoder.config.d_model,))
-
-    def score(self, ex_a: EncodedExample, ex_b: EncodedExample) -> float:
-        with no_grad():
-            return cosine_similarity(self.embed(ex_a), self.embed(ex_b)).item()
 
     def pair_loss(self, pairs, training=False, rng=None) -> Tensor:
         """Binary cross-entropy on sigmoid(cosine / temperature) against polarity.

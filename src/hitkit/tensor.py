@@ -418,26 +418,13 @@ def sum_all(x: Tensor) -> Tensor:
     return _emit(np.asarray(x.data.sum()), (x,), lambda dout: (np.full(shape, float(dout)),))
 
 
-def mean_rows(x: Tensor, mask=None) -> Tensor:
-    """Mean over the (unmasked) rows of a matrix, or of each matrix in a (..., n, d) stack.
-
-    `mask` has shape (..., n); masked rows are left out of the sum, whatever they hold.
-    """
+def mean_rows(x: Tensor) -> Tensor:
+    """Mean over the rows of a matrix, or of each matrix in a (..., n, d) stack."""
     if x.ndim < 2:
         raise ShapeError(f"mean_rows needs a matrix, got shape {x.shape}")
-    rows = x.shape[:-1]
-    m = np.ones(rows, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    if m.shape != rows:
-        raise ShapeError(f"mean_rows mask length {m.shape} does not match {rows[-1]} rows")
-    count = m.sum(axis=-1, keepdims=True)
-    if not count.all():
-        raise ValueError("mean_rows: every row is masked")
-    keep = m[..., None]
-
-    def bwd(dout):
-        return (np.where(keep, (dout / count)[..., None, :], 0.0),)
-
-    return _emit(np.where(keep, x.data, 0.0).sum(axis=-2) / count, (x,), bwd)
+    n = x.shape[-2]
+    return _emit(x.data.sum(axis=-2) / n, (x,),
+                 lambda dout: (np.repeat((dout / n)[..., None, :], n, axis=-2),))
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:

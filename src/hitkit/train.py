@@ -213,14 +213,10 @@ def _batches(order, batch_size):
 
 
 def eval_loss(model, items, batch_size: int = 32) -> float:
-    losses = []
-    weights = []
+    chunks = list(_batches(items, batch_size))
     with no_grad():
-        for i in range(0, len(items), batch_size):
-            chunk = items[i:i + batch_size]
-            losses.append(model.loss_batch(chunk, training=False).item())
-            weights.append(len(chunk))
-    return float(np.average(losses, weights=weights))
+        losses = [model.loss_batch(chunk, training=False).item() for chunk in chunks]
+    return float(np.average(losses, weights=[len(chunk) for chunk in chunks]))
 
 
 def train(model, train_items, val_items, config: TrainConfig,

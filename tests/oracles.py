@@ -105,7 +105,7 @@ def recompute_greedy_decode(model, ex, max_out):
         seq = [CLS_ID]
         out, probs = [], []
         while len(out) < max_out:
-            row = model.decode_logits([seq], memory, [ex.mask]).data[-1]
+            row = model.decode_logits([seq], memory, [ex.n_words]).data[-1]
             nxt = int(np.argmax(row))
             shifted = np.exp(row - row.max())
             prob = float(shifted[nxt] / shifted.sum())
@@ -119,10 +119,9 @@ def recompute_greedy_decode(model, ex, max_out):
     return out, probs
 
 
-def oracle_encoder_layer(layer, x, mask=None, training=False, rng=None, value_parts=None):
+def oracle_encoder_layer(layer, x, training=False, rng=None, value_parts=None):
     """One EncoderLayer over one sequence, dropout drawn after each sublayer."""
-    allowed = None if mask is None else [np.tile(np.asarray(mask, bool), (1, x.shape[0], 1))]
-    h = T.dropout(fame_forward(layer.fame, x, allowed, value_parts=value_parts), layer.dropout_rate,
+    h = T.dropout(fame_forward(layer.fame, x, value_parts=value_parts), layer.dropout_rate,
                   training, rng)
     (g1, b1), (g2, b2) = [(g.tensor, b.tensor) for g, b in layer.norms]
     y1 = T.layer_norm(T.add(x, h), g1, b1, layer.eps)
@@ -130,11 +129,11 @@ def oracle_encoder_layer(layer, x, mask=None, training=False, rng=None, value_pa
     return T.layer_norm(T.add(y1, f), g2, b2, layer.eps)
 
 
-def oracle_decoder_layer(layer, x, memory, mem_mask, training=False, rng=None):
+def oracle_decoder_layer(layer, x, memory, training=False, rng=None):
     """One DecoderLayer over one causal sequence, dropout drawn after each sublayer."""
     n = x.shape[0]
     causal = [np.tril(np.ones((n, n), dtype=bool))[None]]
-    mem_allowed = [np.tile(np.asarray(mem_mask, bool), (1, n, 1))]
+    mem_allowed = [np.ones((1, n, memory.shape[0]), dtype=bool)]
     (g1, b1), (g2, b2), (g3, b3) = [(g.tensor, b.tensor) for g, b in layer.norms]
     h = T.dropout(fame_forward(layer.fame, x, causal), layer.dropout_rate, training, rng)
     y1 = T.layer_norm(T.add(x, h), g1, b1, layer.eps)
@@ -182,7 +181,7 @@ def oracle_word_states(encoder, examples, training=False, rng=None):
         h_word = T.embedding_lookup(encoder.word_hit.emb.tensor, list(ex.word_ids))
         x = T.add(T.add(h_char, h_word), T.Tensor(encoder.word_hit.pos[:n]))
         for layer in encoder.word_hit.layers:
-            x = oracle_encoder_layer(layer, x, ex.mask, training, rng)
+            x = oracle_encoder_layer(layer, x, training, rng)
         states.append(x)
     return states
 
@@ -206,17 +205,14 @@ def oracle_loss(model, batch, training=False, rng=None):
     if isinstance(model, ClassificationModel):
         rows = []
         for ex, h in zip(examples, states):
-            s = T.mean_rows(h, ex.mask)
+            s = T.mean_rows(h)
             if model.use_tfidf:
                 s = T.concat_vec([s, T.Tensor(np.asarray(ex.features, dtype=np.float64))])
             rows.append(s)
         return T.cross_entropy(_head(T.stack_rows(rows), model.head_w, model.head_b),
                                [ex.target for ex in examples])
     if isinstance(model, TokenModel):
-        targets = []
-        for ex in examples:
-            pad = [-1] * (ex.n_words - len(ex.target))
-            targets.extend(list(ex.target) + pad)
+        targets = [t for ex in examples for t in ex.target]
         return T.cross_entropy(_head(T.concat_rows(states), model.head_w, model.head_b), targets,
                                ignore_index=-1)
     if isinstance(model, Seq2SeqModel):
@@ -226,12 +222,12 @@ def oracle_loss(model, batch, training=False, rng=None):
             x = T.add(T.embedding_lookup(model.tgt_emb.tensor, tgt[:-1]),
                       T.Tensor(model.pos[:len(tgt) - 1]))
             for layer in model.layers:
-                x = oracle_decoder_layer(layer, x, memory, ex.mask, training, rng)
+                x = oracle_decoder_layer(layer, x, memory, training, rng)
             blocks.append(x)
             targets.extend(tgt[1:])
         return T.cross_entropy(_head(T.concat_rows(blocks), model.out_w, model.out_b), targets)
     if isinstance(model, ZslModel):
-        pooled = [T.mean_rows(h, ex.mask) for ex, h in zip(examples, states)]
+        pooled = [T.mean_rows(h) for h in states]
         one = T.Tensor(1.0)
         total = None
         for i, (_, _, entail) in enumerate(batch):

@@ -23,15 +23,14 @@ from oracles import oracle_loss, oracle_word_states
 
 WORDS = ["a", "red", "cat", "blue", "dog", "green", "bird", "x", "banana", "to"]
 VOCAB = D.build_vocab([WORDS])
-# ragged sentences; three are padded with [PAD] rows, and words repeat across them
-SENTENCES = [(["red", "cat"], 0), (["a", "blue", "dog", "x"], 5), (["banana"], 0),
-             (["green", "bird", "to", "red"], 0), (["cat", "a"], 4), (["dog"], 3),
-             (["to", "x", "banana"], 0)]
+# ragged sentences; words repeat across them
+SENTENCES = [["red", "cat"], ["a", "blue", "dog", "x"], ["banana"], ["green", "bird", "to", "red"],
+             ["cat", "a"], ["dog"], ["to", "x", "banana"]]
 # OpenBLAS rounds a one-row product (gemv) differently from the same row inside a
 # larger product (gemm), so the packed path equals the oracle bit for bit only when
 # no word has one character and no sentence has one row; this batch has neither.
-NO_ONE_ROW = [(["red", "cat"], 0), (["blue", "dog"], 5), (["green", "bird", "to", "red"], 0),
-              (["cat"], 4), (["dog"], 3), (["to", "banana"], 0)]
+NO_ONE_ROW = [["red", "cat"], ["blue", "dog"], ["green", "bird", "to", "red"],
+              ["cat", "to", "dog"], ["dog", "bird"], ["to", "banana"]]
 SCORES = ["tanh", "softmax"]
 COMBINES = ["true_outer_projected", "hadamard"]
 KINDS = ["classification", "tagging", "mlm", "seq2seq", "zsl"]
@@ -44,9 +43,8 @@ def cfg(**kw):
     return TrainConfig(**base)
 
 
-def encode(tokens, pad_to=0, target=None):
-    return D.encode_example(tokens, VOCAB, target=target, max_len=12, max_word_len=8,
-                            pad_to=pad_to)
+def encode(tokens, target=None):
+    return D.encode_example(tokens, VOCAB, target=target, max_len=12, max_word_len=8)
 
 
 def copy_target(tokens):
@@ -54,32 +52,31 @@ def copy_target(tokens):
 
 
 def model_and_batch(kind, config, seed=0, sentences=SENTENCES):
-    """A model of `kind` and a ragged, partly padded batch with targets for its loss."""
+    """A model of `kind` and a ragged batch with targets for its loss."""
     init = seed_streams(seed)["init"]
     w, c = VOCAB.word_size, VOCAB.char_size
     rng = np.random.default_rng(seed + 100)
     if kind == "classification":
         model = build_classifier(config, w, c, 3, init)
-        batch = [encode(t, p, target=i % 3) for i, (t, p) in enumerate(sentences)]
+        batch = [encode(t, target=i % 3) for i, t in enumerate(sentences)]
     elif kind == "tagging":
         model = build_tagger(config, w, c, 3, init)
-        batch = [encode(t, p, target=[int(x) for x in rng.integers(0, 3, len(t))])
-                 for t, p in sentences]
+        batch = [encode(t, target=[int(x) for x in rng.integers(0, 3, len(t))]) for t in sentences]
     elif kind == "mlm":
         model = build_mlm(config, w, c, init)
         batch = []
-        for t, p in sentences:
-            ex = encode(t, p)
+        for t in sentences:
+            ex = encode(t)
             ex.target = [int(x) if keep else -1 for x, keep
                          in zip(rng.integers(5, w, len(t)), rng.random(len(t)) < 0.5)]
             ex.target[0] = ex.word_ids[0]
             batch.append(ex)
     elif kind == "seq2seq":
         model = build_seq2seq(config, w, c, init)
-        batch = [encode(t, p, target=copy_target(t)) for t, p in sentences]
+        batch = [encode(t, target=copy_target(t)) for t in sentences]
     else:
         model = build_zsl(config, w, c, init)
-        ex = [encode(t, p) for t, p in sentences]
+        ex = [encode(t) for t in sentences]
         batch = [(ex[i], ex[-1 - i], i % 2 == 0) for i in range(len(ex) // 2 + 1)]
     return model, batch
 
@@ -134,8 +131,6 @@ def test_word_states_match_per_example_oracle(score, combine):
 
 MODEL, _ = model_and_batch("classification", cfg(), seed=3)
 SEQ2SEQ, _ = model_and_batch("seq2seq", cfg(), seed=3)
-PAD_WORD = st.integers(0, VOCAB.word_size - 1)
-PAD_CHARS = st.lists(st.integers(0, VOCAB.char_size - 1), min_size=1, max_size=8)
 
 
 def sentence_vectors(batch):
@@ -151,35 +146,14 @@ def teacher_forced_loss(batch):
 @settings(max_examples=25, deadline=None)
 @given(st.permutations(range(len(SENTENCES))))
 def test_batch_order_does_not_change_results(order):
-    batch = [encode(t, p, target=copy_target(t)) for t, p in SENTENCES]
+    batch = [encode(t, target=copy_target(t)) for t in SENTENCES]
     base = sentence_vectors(batch)
     permuted = sentence_vectors([batch[i] for i in order])
     assert np.max(np.abs(permuted - base[list(order)])) < 1e-12
     assert abs(teacher_forced_loss([batch[i] for i in order]) - teacher_forced_loss(batch)) < 1e-12
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.data())
-def test_values_at_padded_positions_have_no_effect(data):
-    batch = [encode(t, p, target=copy_target(t)) for t, p in SENTENCES]
-    base = sentence_vectors(batch)
-    base_loss = teacher_forced_loss(batch)
-    with T.no_grad():
-        base_states = MODEL.encoder.word_states(batch).data
-    for ex in batch:
-        for i, real in enumerate(ex.mask):
-            if not real:
-                ex.word_ids[i] = data.draw(PAD_WORD)
-                ex.char_ids[i] = data.draw(PAD_CHARS)
-    keep = np.concatenate([ex.mask for ex in batch])
-    with T.no_grad():
-        states = MODEL.encoder.word_states(batch).data
-    assert np.max(np.abs(sentence_vectors(batch) - base)) < 1e-12
-    assert np.max(np.abs(states[keep] - base_states[keep])) < 1e-12
-    assert abs(teacher_forced_loss(batch) - base_loss) < 1e-12
-
-
-LABEL_PHRASES = [encode(["red", "bird"]), encode(["blue"]), encode(["banana", "to"], pad_to=3)]
+LABEL_PHRASES = [encode(["red", "bird"]), encode(["blue"]), encode(["banana", "to"])]
 ORDERS = {"ragged": list(range(len(SENTENCES))), "permuted": [4, 0, 6, 2, 5, 1, 3]}
 HEADS = {
     "classification": ("classification", lambda m, chunk: m.predict_probs(chunk)),
@@ -196,7 +170,7 @@ def test_inference_chunks_match_one_example_at_a_time(head, order):
     # two equal models, so that neither run reads the char memo the other filled
     chunk_model, batch = model_and_batch(kind, cfg(), seed=5)
     alone_model, _ = model_and_batch(kind, cfg(), seed=5)
-    batch = [encode(t, p) for t, p in SENTENCES] if kind == "zsl" else batch
+    batch = [encode(t) for t in SENTENCES] if kind == "zsl" else batch
     batch = [batch[i] for i in order]
     with T.no_grad():
         chunked = infer(lambda chunk: run(chunk_model, chunk), batch, batch_size=3)
@@ -212,29 +186,17 @@ def test_inference_chunks_match_one_example_at_a_time(head, order):
 def test_zero_shot_labels_are_far_enough_apart_that_rounding_cannot_flip_them():
     model, _ = model_and_batch("zsl", cfg(), seed=5)
     with T.no_grad():
-        texts = model.encoder.sentence_vectors([encode(t, p) for t, p in SENTENCES]).data
+        texts = model.encoder.sentence_vectors([encode(t) for t in SENTENCES]).data
         labels = model.encoder.sentence_vectors(LABEL_PHRASES).data
     unit = lambda v: v / np.linalg.norm(v, axis=1, keepdims=True)
     top2 = np.sort(unit(texts) @ unit(labels).T, axis=1)[:, -2:]
     assert np.min(top2[:, 1] - top2[:, 0]) > 1e-9
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.booleans(), min_size=2, max_size=6).filter(any),
-       st.sampled_from([np.nan, np.inf, -1e300, 0.0]))
-def test_mean_rows_ignores_values_at_masked_rows(mask, junk):
-    rows = np.random.default_rng(len(mask)).standard_normal((3, len(mask), 4))
-    noisy = rows.copy()
-    noisy[:, ~np.array(mask)] = junk
-    stack = np.broadcast_to(np.array(mask), (3, len(mask)))
-    assert np.array_equal(T.mean_rows(T.Tensor(rows), stack).data,
-                          T.mean_rows(T.Tensor(noisy), stack).data)
-
-
 # Words that share many (character, position) pairs: the first character layer's value rows
 # repeat within and across words, so most of them take the distinct-value path.
-SHARED = [(["aab", "aba", "baa", "abab"], 0), (["baa", "abab", "ab"], 5),
-          (["bab", "aab", "ba"], 0), (["abba", "aba"], 0)]
+SHARED = [["aab", "aba", "baa", "abab"], ["baa", "abab", "ab"], ["bab", "aab", "ba"],
+          ["abba", "aba"]]
 
 
 def aggregate_only(monkeypatch):

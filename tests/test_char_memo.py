@@ -35,7 +35,7 @@ def classifier(seed=0, **kw):
 
 def example(words, target=None):
     return D.EncodedExample([5 + k for k in words], [list(LEXICON[k]) for k in words],
-                            [True] * len(words), target=target)
+                            target=target)
 
 
 def stream(n, seed=0):

@@ -266,6 +266,33 @@ class TestMalformedInputs:
                     dst.writestr(info, src.read(info))
         self.assert_one_error_line(*self.run_embed(tmp_path, capsys, bad), str(bad), "labels.json")
 
+    @pytest.mark.parametrize("meta", [[1], {"format_version": 1, "config": {}, "params": 5},
+                                      {"format_version": 1, "config": {},
+                                       "params": [{"name": "head.w", "shape": ["2"]}]},
+                                      {"format_version": 1, "config": "task train_config",
+                                       "params": []}],
+                             ids=["list", "params-int", "shape-str", "config-str"])
+    def test_meta_that_is_malformed(self, tmp_path, capsys, meta):
+        import json
+        import zipfile
+        bad = tmp_path / "ckpt"
+        with zipfile.ZipFile(bad, "w") as zf:
+            zf.writestr("meta.json", json.dumps(meta))
+            zf.writestr("params/head.w", bytes(8))
+            zf.writestr("extras/vocab.tsv", "")
+        self.assert_one_error_line(*self.run_embed(tmp_path, capsys, bad), str(bad),
+                                   "malformed checkpoint", "meta.json")
+
+    @pytest.mark.parametrize("labels", ["5", '["O", 1]', '{"O": 0}'])
+    def test_labels_that_are_not_a_list_of_strings(self, tmp_path, trained_dir, capsys, labels):
+        import zipfile
+        bad = tmp_path / "ckpt"
+        with zipfile.ZipFile(trained_dir / "checkpoint") as src, zipfile.ZipFile(bad, "w") as dst:
+            for info in src.infolist():
+                dst.writestr(info, labels if info.filename == "extras/labels.json"
+                             else src.read(info))
+        self.assert_one_error_line(*self.run_embed(tmp_path, capsys, bad), str(bad), "labels.json")
+
     @staticmethod
     def resaved_checkpoint(tmp_path, trained_dir, edit):
         """The trained checkpoint saved again after `edit(params, config)` changed it."""

@@ -181,7 +181,6 @@ class TestEncodeExample:
         vocab = self.vocab()
         ex = D.encode_example([f"w{i}" for i in range(45)], vocab, max_len=40)
         assert ex.n_words == 40
-        assert all(ex.mask)
 
     def test_oov_word_keeps_char_ids(self):
         vocab = self.vocab()
@@ -200,12 +199,6 @@ class TestEncodeExample:
         tokens = ["alpha", "gamma", "beta"]
         ex = D.encode_example(tokens, vocab)
         assert vocab.decode(ex.word_ids) == tokens
-
-    def test_padding_marks_mask(self):
-        vocab = self.vocab()
-        ex = D.encode_example(["alpha"], vocab, pad_to=4)
-        assert ex.word_ids == [vocab.word_id("alpha"), D.PAD_ID, D.PAD_ID, D.PAD_ID]
-        assert ex.mask == [True, False, False, False]
 
     def test_empty_tokens_error(self):
         with pytest.raises(D.DataError):

@@ -32,10 +32,9 @@ def rand(shape, seed=0):
     return np.random.default_rng(seed).standard_normal(shape)
 
 
-def sentence(word_ids, char_rows, mask=None):
-    """One example for the batched encoder calls; every position unmasked by default."""
-    return EncodedExample(list(word_ids), [list(row) for row in char_rows],
-                          [True] * len(word_ids) if mask is None else list(mask))
+def sentence(word_ids, char_rows):
+    """One example for the batched encoder calls."""
+    return EncodedExample(list(word_ids), [list(row) for row in char_rows])
 
 
 class TestEncoderLayer:
@@ -185,17 +184,6 @@ class TestWordLevelForward:
         with pytest.raises(T.ShapeError):
             enc.word_states([sentence([5] * 41, [[6]] * 41)])
 
-    def test_padding_invariance(self):
-        enc = make_encoder(l_w=2, seed=26)
-        words = [5, 6, 7]
-        chars = [[5, 6], [7], [8, 9]]
-        plain = enc.word_states([sentence(words, chars)])
-        padded_words = words + [0, 0]
-        padded_chars = chars + [[0], [0]]
-        mask = [True, True, True, False, False]
-        padded = enc.word_states([sentence(padded_words, padded_chars, mask)])
-        assert np.max(np.abs(plain.data - padded.data[:3])) < 1e-6
-
 
 class TestSentenceEmbed:
     def test_single_word_sentence_is_word_representation(self):
@@ -212,10 +200,9 @@ class TestSentenceEmbed:
         enc = make_encoder(seed=30)
         words = [5, 6, 7, 8]
         chars = [[5], [6], [7], [8]]
-        mask = [True, True, False, True]
-        h = enc.word_states([sentence(words, chars, mask)])
-        expected = (h.data[0] + h.data[1] + h.data[3]) / 3
-        out = enc.sentence_vectors([sentence(words, chars, mask)])
+        h = enc.word_states([sentence(words, chars)])
+        expected = (h.data[0] + h.data[1] + h.data[2] + h.data[3]) / 4
+        out = enc.sentence_vectors([sentence(words, chars)])
         assert np.max(np.abs(out.data[0] - expected)) < 1e-10
 
     def test_gradient_through_whole_encoder(self):

@@ -382,14 +382,13 @@ class TestStructuralOps:
 
     def test_mean_rows_matches_loop_oracle(self):
         x = rand((5, 3), 40)
-        mask = [True, False, True, True, False]
-        out = T.mean_rows(T.Tensor(x), mask)
-        expected = (x[0] + x[2] + x[3]) / 3
+        out = T.mean_rows(T.Tensor(x))
+        expected = (x[0] + x[1] + x[2] + x[3] + x[4]) / 5
         assert np.max(np.abs(out.data - expected)) < 1e-12
 
     def test_mean_rows_gradient(self):
         x = T.Tensor(rand((4, 3), 41), requires_grad=True)
-        check_gradients(lambda: T.sum_all(T.tanh(T.mean_rows(x, [True, True, False, True]))), [x])
+        check_gradients(lambda: T.sum_all(T.tanh(T.mean_rows(x))), [x])
 
     def test_pairwise_and_opa_sums_gradient(self):
         q = T.Tensor(rand((3, 2), 42), requires_grad=True)
@@ -544,13 +543,12 @@ class TestBatchedOps:
 
     def test_batched_mean_rows_matches_slices_and_gradient(self):
         x = T.Tensor(rand((2, 4, 3), 69), requires_grad=True)
-        mask = np.array([[True, False, True, True], [False, True, False, False]])
-        out = T.mean_rows(x, mask).data
+        out = T.mean_rows(x).data
         for i in range(2):
-            assert np.array_equal(out[i], T.mean_rows(T.Tensor(x.data[i]), mask[i]).data)
-        check_gradients(lambda: T.sum_all(T.tanh(T.mean_rows(x, mask))), [x])
-        with pytest.raises(ValueError, match="masked"):
-            T.mean_rows(x, np.array([[True] * 4, [False] * 4]))
+            assert np.array_equal(out[i], T.mean_rows(T.Tensor(x.data[i])).data)
+        check_gradients(lambda: T.sum_all(T.tanh(T.mean_rows(x))), [x])
+        with pytest.raises(T.ShapeError, match="matrix"):
+            T.mean_rows(T.Tensor(np.zeros(3)))
 
 
 class TestOpaProject:
