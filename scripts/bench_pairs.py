@@ -11,7 +11,8 @@ from fresh directories, so neither sees the checkout's `__pycache__` or
 `.perfbench/` state.
 Odd pairs run the parent first and even pairs the change first, so a drift of
 the host's speed does not favour one side. It then prints, per end-to-end
-metric, each side's median and quartiles, how many pairs the change won, and
+metric, each side's median and quartiles, how many pairs the change won and a
+verdict against the metric's BENCHMARK.json bound (see `verdict`), and
 whether every run reported correct outputs. It only reads what run.py prints.
 It exits 1 if any run was incorrect or had failed units (run.py itself exits 0
 either way), 1 with one line on stderr if run.py fails, and 2 with one line on
@@ -96,18 +97,41 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def wins(metric: dict, parent: list[float], change: list[float]) -> int:
+    """How many pairs the change won on `metric`."""
+    higher = metric["better"] == "higher"
+    return sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+
+
+def verdict(metric: dict, parent: list[float], change: list[float]) -> str:
+    """The no-regression verdict on one end-to-end metric, against its bound.
+
+    'worse beyond bound' if the change's median is worse than the parent's by more than
+    bound times the parent's median; else 'unresolved' if the parent's IQR is more than
+    that much and the change did not win every pair, since such noise hides a regression
+    within it; else 'within bound'.
+    """
+    (p1, p2, p3), (_, c2, _) = quartiles(parent), quartiles(change)
+    tolerance = metric["bound"] * abs(p2)
+    if (p2 - c2 if metric["better"] == "higher" else c2 - p2) > tolerance:
+        return "worse beyond bound"
+    if p3 - p1 > tolerance and wins(metric, parent, change) < len(parent):
+        return "unresolved"
+    return "within bound"
+
+
 def report(metrics: list[dict], results: dict) -> bool:
     """Print the per-metric comparison; True if every run was correct with no failed unit."""
     n = len(results["parent"])
     for m in metrics:
-        name, higher = m["name"], m["better"] == "higher"
+        name = m["name"]
         sides = {side: [r["metrics"][name]["value"] for r in results[side]] for side in results}
-        wins = sum((c > p) if higher else (c < p) for p, c in zip(sides["parent"], sides["change"]))
         (p1, p2, p3), (c1, c2, c3) = quartiles(sides["parent"]), quartiles(sides["change"])
         change = (c2 - p2) / p2 if p2 else float("nan")
         print(f"{name:18s} parent {p2:10.4g} [{p1:.4g}, {p3:.4g}]  change {c2:10.4g} "
               f"[{c1:.4g}, {c3:.4g}]  median {change:+.1%}  parent IQR {p3 - p1:.4g}  "
-              f"change wins {wins}/{n} ({m['better']} is better)")
+              f"change wins {wins(m, sides['parent'], sides['change'])}/{n} "
+              f"({m['better']} is better)  {verdict(m, sides['parent'], sides['change'])}")
     correct = {side: all(r["correct"] is True and r["failed"] == 0 for r in runs)
                for side, runs in results.items()}
     print(f"all runs correct: parent {correct['parent']}, change {correct['change']}")

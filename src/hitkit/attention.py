@@ -22,7 +22,9 @@ from .tensor import (
     add,
     concat_rows,
     get_element,
+    group_blocks,
     matmul,
+    mul,
     opa_project,
     opa_sum_hadamard,
     opa_sum_project,
@@ -30,7 +32,6 @@ from .tensor import (
     reshape,
     scalar_mul,
     scale,
-    slice_rows,
     softmax,
     tanh,
     transpose,
@@ -87,87 +88,55 @@ class FameLayer:
         return float(a[0]), float(a[1])
 
 
-def group_blocks(x, layout) -> list:
-    """The (count, length, ...) block of each group of packed rows `x` (a Tensor or an array).
+def _groups(groups, x: Tensor, x_kv: Tensor) -> list:
+    """(count, L_q, L_kv) per group of packed rows; None is one sequence over every key.
 
-    `layout` lists (count, length) per group: the first count * length rows of `x`
-    hold `count` sequences of `length` rows each, the next rows the next group.
+    Group g stands for `count` sequences whose L_q query rows and L_kv key rows
+    follow those of the groups before it, in the rows of `x` and of `x_kv`.
     """
-    is_tensor = isinstance(x, Tensor)
-    blocks, start = [], 0
-    for count, length in layout:
-        stop = start + count * length
-        part = x
-        if (start, stop) != (0, x.shape[0]):
-            part = slice_rows(x, start, stop) if is_tensor else x[start:stop]
-        shape = (count, length) + tuple(x.shape[1:])
-        blocks.append(reshape(part, shape) if is_tensor else part.reshape(shape))
-        start = stop
-    if start != x.shape[0]:
-        raise ShapeError(f"layout {layout} covers {start} rows, not {x.shape[0]}")
-    return blocks
+    return [(1, x.shape[0], x_kv.shape[0])] if groups is None else list(groups)
 
 
-def _check_allowed(allowed, n_q: int, n_kv: int, caller: str) -> list:
-    """Allowed query/key pairs as a list of (count, L_q, L_kv) bool blocks, checked.
-
-    Block g stands for `count` sequences whose L_q query rows and L_kv key rows
-    follow those of the blocks before it, in the n_q rows of the queries and
-    the n_kv rows of the keys. None is one sequence that sees every key.
-    """
-    if allowed is None:
-        return [np.ones((1, n_q, n_kv), dtype=bool)]
-    blocks = [np.asarray(a, dtype=bool) for a in allowed]
-    shapes = [a.shape for a in blocks]
-    if (any(len(s) != 3 for s in shapes) or sum(c * lq for c, lq, _ in shapes) != n_q
-            or sum(c * lkv for c, _, lkv in shapes) != n_kv):
-        raise ShapeError(f"allowed blocks {shapes} do not cover {n_q} query and {n_kv} key rows")
-    if not all(a.any(axis=2).all() for a in blocks):
-        raise ValueError(f"{caller}: every position is masked")
-    return blocks
-
-
-def _group_rows(x: Tensor, blocks, axis: int) -> list[Tensor]:
-    """Per allowed block, its (count, length, d) rows of x; `axis` 1 for queries, 2 for keys."""
-    return group_blocks(x, [(b.shape[0], b.shape[axis]) for b in blocks])
+def _causal(lq: int, lkv: int) -> np.ndarray:
+    """The (L_q, L_kv) mask in which query i sees keys up to L_kv - L_q + i: the last
+    L_q positions of a sequence whose L_kv keys are the positions so far."""
+    return np.tri(lq, lkv, lkv - lq, dtype=bool)
 
 
 def multi_head_attention(wq: Parameter, wk: Parameter, wv: Parameter, wo: Parameter,
-                         n_heads: int, x_q: Tensor, x_kv: Tensor, allowed) -> Tensor:
+                         n_heads: int, x_q: Tensor, x_kv: Tensor, groups,
+                         causal: bool = False) -> Tensor:
     """Scaled dot-product attention over heads.
 
-    `allowed` is a list of (count, L_q, L_kv) blocks, one per group of packed
-    rows (see `_check_allowed`). Each group's heads run as one
-    (count, heads, L_q, L_kv) block.
+    `groups` lists (count, L_q, L_kv) per group of packed rows (see `_groups`); each
+    group's heads run as one (count, heads, L_q, L_kv) block. Every query sees every
+    key of its sequence, or, if `causal`, the keys `_causal` marks.
     """
     d = wq.data.shape[0]
     dh = d // n_heads
     q = matmul(x_q, wq.tensor)
     k = matmul(x_kv, wk.tensor)
     v = matmul(x_kv, wv.tensor)
+    q_leads, kv_leads = [g[:2] for g in groups], [g[::2] for g in groups]
     outs = []
-    for a, qg, kg, vg in zip(allowed, _group_rows(q, allowed, 1), _group_rows(k, allowed, 2),
-                             _group_rows(v, allowed, 2)):
-        count, lq, lkv = a.shape
+    for (count, lq, lkv), qg, kg, vg in zip(groups, group_blocks(q, q_leads),
+                                            group_blocks(k, kv_leads), group_blocks(v, kv_leads)):
         heads = lambda t, n, axes: transpose(reshape(t, (count, n, n_heads, dh)), axes)
         scores = scale(matmul(heads(qg, lq, (0, 2, 1, 3)), heads(kg, lkv, (0, 2, 3, 1))),
                        1.0 / np.sqrt(dh))
-        attn = softmax(scores, axis=-1,
-                       mask=np.broadcast_to(a[:, None], (count, n_heads, lq, lkv)))
-        z = matmul(attn, heads(vg, lkv, (0, 2, 1, 3)))
+        mask = np.broadcast_to(_causal(lq, lkv), scores.shape) if causal else None
+        z = matmul(softmax(scores, axis=-1, mask=mask), heads(vg, lkv, (0, 2, 1, 3)))
         outs.append(reshape(transpose(z, (0, 2, 1, 3)), (count * lq, d)))
     return matmul(outs[0] if len(outs) == 1 else concat_rows(outs), wo.tensor)
 
 
-def msa_forward(layer: FameLayer, x: Tensor, allowed=None, x_kv: Tensor | None = None) -> Tensor:
-    """Queries from `x`, keys/values from `x_kv` (default `x`), paired as `allowed` says.
-
-    `allowed` lists (count, L_q, L_kv) bool blocks over packed rows (see `_check_allowed`).
-    """
+def msa_forward(layer: FameLayer, x: Tensor, groups=None, x_kv: Tensor | None = None,
+                causal: bool = False) -> Tensor:
+    """Queries from `x`, keys/values from `x_kv` (default `x`), grouped as `groups` says
+    (see `_groups`); `causal` as multi_head_attention takes it."""
     x_kv = x if x_kv is None else x_kv
-    allowed = _check_allowed(allowed, x.shape[0], x_kv.shape[0], "msa_forward")
     return multi_head_attention(layer.wq_self, layer.wk_self, layer.wv_self, layer.wo_self,
-                                layer.config.n_heads, x, x_kv, allowed)
+                                layer.config.n_heads, x, x_kv, _groups(groups, x, x_kv), causal)
 
 
 class ProjectedValues(NamedTuple):
@@ -181,11 +150,13 @@ class ProjectedValues(NamedTuple):
     proj: np.ndarray
 
 
-def opa_forward(layer: FameLayer, x: Tensor, allowed=None, x_kv: Tensor | None = None,
-                value_parts=None) -> Tensor:
-    """Outer branch: q from `x`, k and v from `x_kv` (default `x`); `allowed` as in msa_forward.
+def opa_forward(layer: FameLayer, x: Tensor, groups=None, x_kv: Tensor | None = None,
+                value_parts=None, causal: bool = False) -> Tensor:
+    """Outer branch: q from `x`, k and v from `x_kv` (default `x`); `groups` and `causal`
+    as in msa_forward.
 
-    Each group's scores run as one (count, L_q, L_kv, d) block. In
+    Each group's scores run as one (count, L_q, L_kv, d) block; if `causal`, they are
+    multiplied by the group's mask before they aggregate. In
     true_outer_projected mode `opa_sum_project` aggregates and projects all
     packed rows in blocks of score features, so no (rows, d, d) aggregate is
     held; in hadamard mode every group's aggregate goes into one (rows, d)
@@ -197,7 +168,8 @@ def opa_forward(layer: FameLayer, x: Tensor, allowed=None, x_kv: Tensor | None =
     """
     x_kv = x if x_kv is None else x_kv
     d = x.shape[1]
-    blocks = _check_allowed(allowed, x.shape[0], x_kv.shape[0], "opa_forward")
+    groups = _groups(groups, x, x_kv)
+    q_leads, kv_leads = [g[:2] for g in groups], [g[::2] for g in groups]
     q = matmul(x, layer.wq_outer.tensor)
     k = matmul(x_kv, layer.wk_outer.tensor)
     projected = value_parts is not None and layer.config.opa_combine != "hadamard"
@@ -209,15 +181,19 @@ def opa_forward(layer: FameLayer, x: Tensor, allowed=None, x_kv: Tensor | None =
     else:
         v = matmul(x_kv, layer.wv_outer.tensor)
     scores = []
-    for qg, kg in zip(_group_rows(q, blocks, 1), _group_rows(k, blocks, 2)):
+    for (count, lq, lkv), qg, kg in zip(groups, group_blocks(q, q_leads),
+                                        group_blocks(k, kv_leads)):
         pair = scale(pairwise_hadamard(qg, kg), 1.0 / np.sqrt(d))
-        scores.append(tanh(pair) if layer.config.opa_score == "tanh" else softmax(pair, axis=-1))
+        s = tanh(pair) if layer.config.opa_score == "tanh" else softmax(pair, axis=-1)
+        if causal:
+            s = mul(s, Tensor(np.broadcast_to(_causal(lq, lkv)[:, :, None], s.shape)))
+        scores.append(s)
     if projected:
-        return opa_project(scores, v, blocks, layer.wo_outer.tensor, proj)
-    values = _group_rows(v, blocks, 2)
+        return opa_project(scores, v, layer.wo_outer.tensor, proj)
+    values = group_blocks(v, kv_leads)
     if layer.config.opa_combine == "hadamard":
-        return matmul(opa_sum_hadamard(scores, values, blocks), layer.wo_outer.tensor)
-    return opa_sum_project(scores, values, blocks, layer.wo_outer.tensor)
+        return matmul(opa_sum_hadamard(scores, values), layer.wo_outer.tensor)
+    return opa_sum_project(scores, values, layer.wo_outer.tensor)
 
 
 def fame_fuse(layer: FameLayer, z_self: Tensor, z_outer: Tensor) -> Tensor:
@@ -229,14 +205,14 @@ def fame_fuse(layer: FameLayer, z_self: Tensor, z_outer: Tensor) -> Tensor:
     return add(scalar_mul(a1, z_self), scalar_mul(a2, z_outer))
 
 
-def fame_forward(layer: FameLayer, x: Tensor, allowed=None, x_kv: Tensor | None = None,
-                 value_parts=None) -> Tensor:
+def fame_forward(layer: FameLayer, x: Tensor, groups=None, x_kv: Tensor | None = None,
+                 value_parts=None, causal: bool = False) -> Tensor:
     """Both branches over the same queries `x` and key/value rows `x_kv` (default `x`), fused.
 
-    The one attention entry point. `allowed` lists one (count, L_q, L_kv) bool
-    block per group of packed sequences (see `_check_allowed`): the encoders
-    pass groups of equal-length sequences, the decoder one causal sequence.
-    `value_parts` go to `opa_forward`.
+    The one attention entry point. `groups` lists (count, L_q, L_kv) per group of
+    packed sequences (see `_groups`): the encoders pass groups of equal-length
+    sequences, in which every row sees its whole sequence; the decoder passes
+    `causal`. `value_parts` go to `opa_forward`.
     """
-    return fame_fuse(layer, msa_forward(layer, x, allowed, x_kv),
-                     opa_forward(layer, x, allowed, x_kv, value_parts))
+    return fame_fuse(layer, msa_forward(layer, x, groups, x_kv, causal),
+                     opa_forward(layer, x, groups, x_kv, value_parts, causal))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,26 +58,37 @@ def _is_entry(entry) -> bool:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; a file that is not one raises ValueError naming `path`."""
-    try:
-        with zipfile.ZipFile(path, "r") as zf:
-            meta = json.loads(zf.read("meta.json").decode("utf-8"))
-            if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
-                raise ValueError("meta.json is not a JSON object with a config object")
-            if meta.get("format_version") != FORMAT_VERSION:
-                raise ValueError(f"unsupported checkpoint format version "
-                                 f"{meta.get('format_version')!r}")
-            if not (isinstance(meta.get("params"), list) and all(map(_is_entry, meta["params"]))):
-                raise ValueError("meta.json params is not a list of {name: str, shape: [int]}")
-            params = {}
-            for entry in meta["params"]:
-                raw = zf.read(f"params/{entry['name']}")
-                arr = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-                params[entry["name"]] = arr.reshape(entry["shape"])
-            extras = {}
-            for info in zf.infolist():
-                if info.filename.startswith("extras/"):
-                    extras[info.filename[len("extras/"):]] = zf.read(info).decode("utf-8")
-        return Checkpoint(config=meta["config"], params=params, extras=extras)
-    except (zipfile.BadZipFile, KeyError, ValueError) as exc:
-        raise ValueError(f"malformed checkpoint {path}: {exc}") from None
+    """Read a checkpoint; a file that is not one raises ValueError naming `path`.
+
+    A file that cannot be opened raises the OSError of `open`; whatever the zip reads
+    raise on a damaged archive (a bad header, an unknown compression method, a
+    corrupt deflate stream, a flag that says encrypted) names `path` as malformed.
+    """
+    with open(path, "rb") as fh:
+        try:
+            return _read_archive(fh)
+        except (zipfile.BadZipFile, KeyError, ValueError, EOFError, OSError, RuntimeError,
+                zlib.error) as exc:
+            raise ValueError(f"malformed checkpoint {path}: {exc}") from None
+
+
+def _read_archive(fh) -> Checkpoint:
+    with zipfile.ZipFile(fh, "r") as zf:
+        meta = json.loads(zf.read("meta.json").decode("utf-8"))
+        if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
+            raise ValueError("meta.json is not a JSON object with a config object")
+        if meta.get("format_version") != FORMAT_VERSION:
+            raise ValueError(f"unsupported checkpoint format version "
+                             f"{meta.get('format_version')!r}")
+        if not (isinstance(meta.get("params"), list) and all(map(_is_entry, meta["params"]))):
+            raise ValueError("meta.json params is not a list of {name: str, shape: [int]}")
+        params = {}
+        for entry in meta["params"]:
+            raw = zf.read(f"params/{entry['name']}")
+            arr = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+            params[entry["name"]] = arr.reshape(entry["shape"])
+        extras = {}
+        for info in zf.infolist():
+            if info.filename.startswith("extras/"):
+                extras[info.filename[len("extras/"):]] = zf.read(info).decode("utf-8")
+    return Checkpoint(config=meta["config"], params=params, extras=extras)

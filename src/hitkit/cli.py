@@ -258,6 +258,14 @@ def _read_checkpoint(checkpoint_path):
     return load_checkpoint(checkpoint_path)
 
 
+def _artefacts(checkpoint_path, extras: dict) -> Artefacts:
+    """The artefacts a checkpoint's extras hold; a malformed member names the checkpoint."""
+    try:
+        return Artefacts.from_extras(extras)
+    except ValueError as exc:
+        raise CliError(f"checkpoint {checkpoint_path} has malformed extras: {exc}") from None
+
+
 def _restore(checkpoint_path):
     """Rebuild the task model a checkpoint was saved from; it must hold every parameter, as shaped."""
     ckpt = _read_checkpoint(checkpoint_path)
@@ -270,10 +278,7 @@ def _restore(checkpoint_path):
     task = TASKS.get(name) if isinstance(name, str) else None
     if task is None:
         raise CliError(f"checkpoint has unknown task {name!r}")
-    try:
-        arts = Artefacts.from_extras(ckpt.extras)
-    except ValueError as exc:
-        raise CliError(f"checkpoint {checkpoint_path} has malformed extras: {exc}") from None
+    arts = _artefacts(checkpoint_path, ckpt.extras)
     if task.labeled and arts.labels is None:
         raise CliError(f"checkpoint {checkpoint_path} has no labels.json for its {name} head")
     model = task.build(cfg, arts, seed_streams(cfg.seed)["init"])
@@ -335,7 +340,7 @@ def cmd_train(args) -> int:
         if "vocab.tsv" not in pretrained.extras:
             raise CliError(f"checkpoint {args.init_from} has no vocab.tsv")
         # the pretrained embedding rows belong to the checkpoint's word and character ids
-        arts = replace(arts, vocab=D.Vocab.from_text(pretrained.extras["vocab.tsv"]))
+        arts = replace(arts, vocab=_artefacts(args.init_from, pretrained.extras).vocab)
     train_items = _encode(task, records, arts, cfg, args.train_file)
     val_items = _encode(task, val_records, arts, cfg,
                         args.val_file or f"{args.train_file} (validation split)")

@@ -86,17 +86,25 @@ class Vocab:
 
     @classmethod
     def from_text(cls, text: str) -> "Vocab":
-        word_to_id, char_to_id, word_freq = {}, {}, {}
-        for line in text.splitlines():
+        """The vocabulary `to_text` wrote; anything it could not have written raises DataError."""
+        maps = {"word": {}, "char": {}}
+        word_freq = {}
+        for n, line in enumerate(text.splitlines(), 1):
             if not line or line.startswith("#"):
                 continue
-            block, token, sid, sfreq = line.split("\t")
-            if block == "word":
-                word_to_id[token] = int(sid)
-                word_freq[token] = int(sfreq)
-            else:
-                char_to_id[token] = int(sid)
-        return cls(word_to_id, char_to_id, word_freq)
+            try:
+                block, token, sid, sfreq = line.split("\t")
+                maps[block][token], freq = int(sid), int(sfreq)
+                if block == "word":
+                    word_freq[token] = freq
+            except (ValueError, KeyError):
+                raise DataError(f"vocab.tsv line {n}: expected word or char, a token, an "
+                                f"integer id and an integer count, tab-separated, "
+                                f"got {line[:60]!r}") from None
+        for block, ids in maps.items():
+            if sorted(ids.values()) != list(range(len(ids))):
+                raise DataError(f"vocab.tsv {block} ids are not 0 to {len(ids) - 1}, each once")
+        return cls(maps["word"], maps["char"], word_freq)
 
 
 def build_vocab(corpus, min_freq: int = 1) -> Vocab:

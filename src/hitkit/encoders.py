@@ -13,7 +13,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .attention import FameConfig, FameLayer, ProjectedValues, fame_forward, group_blocks
+from .attention import FameConfig, FameLayer, ProjectedValues, fame_forward
 from .optim import Parameter, normal_init, xavier_uniform
 from .tensor import (
     ShapeError,
@@ -22,6 +22,7 @@ from .tensor import (
     add_bias,
     concat_rows,
     embedding_lookup,
+    group_blocks,
     is_recording,
     layer_norm,
     matmul,
@@ -89,11 +90,10 @@ class Packing:
         self.positions = np.concatenate([np.arange(self.lengths[i]) for i in self.order])
         self.in_order = self.order == sorted(self.order)
 
-    def allowed(self, queries=None) -> list:
-        """One (count, L_q, length) block per group (see `fame_forward`): every query row sees
-        every key of its own sequence. The query rows are the sequences' own, or those of
-        `queries`, a Packing of the same groups."""
-        return [np.ones((count, n, length), dtype=bool)
+    def groups(self, queries=None) -> list:
+        """(count, L_q, length) per group, as `fame_forward` takes them: the query rows are
+        the sequences' own, or those of `queries`, a Packing of the same groups."""
+        return [(count, n, length)
                 for (_, n), (count, length) in zip((queries or self).layout, self.layout)]
 
     def rows(self, per_sequence) -> list:
@@ -163,11 +163,11 @@ class EncoderLayer:
         self.dropout_rate = dropout_rate
         self.eps = eps
 
-    def forward(self, x: Tensor, allowed=None, drop=None, value_parts=None) -> Tensor:
-        """Rows x of one sequence, or packed sequences paired as `allowed` says (`fame_forward`).
+    def forward(self, x: Tensor, groups=None, drop=None, value_parts=None) -> Tensor:
+        """Rows x of one sequence, or packed sequences grouped as `groups` says (`fame_forward`).
         `drop` is this layer's (attention, FFN) pair from `dropout_multipliers`, None for no
         dropout; `value_parts` go to `fame_forward`."""
-        y = add_norm(self, 0, x, fame_forward(self.fame, x, allowed, value_parts=value_parts), drop)
+        y = add_norm(self, 0, x, fame_forward(self.fame, x, groups, value_parts=value_parts), drop)
         return add_norm(self, 1, y, self.ffn.forward(y), drop)
 
     def parameters(self):
@@ -178,15 +178,15 @@ def run_layers(layers, x: Tensor, packing: Packing, training: bool, rng,
                value_parts=None) -> Tensor:
     """A stack of encoder layers over packed rows; each row sees its whole sequence.
 
-    Dropout and the allowed blocks are made once for all layers. `value_parts` (see
+    Dropout and the groups are made once for all layers. `value_parts` (see
     `opa_forward`) write the rows of `x` as sums of table rows. Only the first layer
     gets them: the later layers' rows depend on whole sequences.
     """
     p = layers[0].dropout_rate if training and layers else 0.0
     drops = dropout_multipliers(rng, p, packing, len(layers), x.shape[1], 2)
-    allowed = packing.allowed()
+    groups = packing.groups()
     for layer, drop in zip(layers, drops):
-        x = layer.forward(x, allowed, drop, value_parts)
+        x = layer.forward(x, groups, drop, value_parts)
         value_parts = None
     return x
 

@@ -140,9 +140,9 @@ class CrossAttention:
         mk = lambda suffix: Parameter(f"{name}.{suffix}", xavier_uniform(rng, (d, d)))
         self.wq, self.wk, self.wv, self.wo = mk("wq"), mk("wk"), mk("wv"), mk("wo")
 
-    def forward(self, x_q: Tensor, memory: Tensor, allowed: list) -> Tensor:
+    def forward(self, x_q: Tensor, memory: Tensor, groups: list) -> Tensor:
         return multi_head_attention(self.wq, self.wk, self.wv, self.wo,
-                                    self.n_heads, x_q, memory, allowed)
+                                    self.n_heads, x_q, memory, groups)
 
     def parameters(self):
         return [self.wq, self.wk, self.wv, self.wo]
@@ -162,13 +162,14 @@ class DecoderLayer:
         self.dropout_rate = dropout_rate
         self.eps = eps
 
-    def forward(self, x: Tensor, self_allowed, memory: Tensor, mem_allowed, drop=None,
+    def forward(self, x: Tensor, self_groups, memory: Tensor, mem_groups, drop=None,
                 history: Tensor | None = None) -> Tensor:
-        """Rows `x` attend over `history` (default `x`), the inputs this layer has received,
-        and over `memory`, as the allowed blocks (see `fame_forward`) say. `drop` is this
-        layer's (self-attention, cross-attention, FFN) triple from `dropout_multipliers`."""
-        y = add_norm(self, 0, x, fame_forward(self.fame, x, self_allowed, x_kv=history), drop)
-        y = add_norm(self, 1, y, self.cross.forward(y, memory, mem_allowed), drop)
+        """Rows `x` attend causally over `history` (default `x`), the inputs this layer has
+        received, and over all of `memory`, grouped as `fame_forward` takes them. `drop` is
+        this layer's (self-attention, cross-attention, FFN) triple from `dropout_multipliers`."""
+        y = add_norm(self, 0, x, fame_forward(self.fame, x, self_groups, history, causal=True),
+                     drop)
+        y = add_norm(self, 1, y, self.cross.forward(y, memory, mem_groups), drop)
         return add_norm(self, 2, y, self.ffn.forward(y), drop)
 
     def parameters(self):
@@ -220,9 +221,8 @@ class Seq2SeqModel(_TaskModel):
         pack, mem = Packing([n for n, _ in keys], keys), Packing([s for _, s in keys], keys)
         x = add(embedding_lookup(self.tgt_emb.tensor, pack.rows(targets)),
                 Tensor(self.pos[t + pack.positions]))
-        causal = [np.repeat(np.tri(n, t + n, t, dtype=bool)[None], count, axis=0)
-                  for count, n in pack.layout]
-        mem_allowed = mem.allowed(queries=pack)
+        self_groups = [(count, n, t + n) for count, n in pack.layout]
+        mem_groups = mem.groups(queries=pack)
         memory = mem.pack_rows(memory)
         p = self.layers[0].dropout_rate if training and self.layers else 0.0
         drops = dropout_multipliers(rng, p, pack, len(self.layers), x.shape[1], 3)
@@ -231,7 +231,7 @@ class Seq2SeqModel(_TaskModel):
             if inputs is not None:
                 inputs[i].extend(x.data)
                 history = Tensor(np.stack(inputs[i]))
-            x = layer.forward(x, causal, memory, mem_allowed, drop, history)
+            x = layer.forward(x, self_groups, memory, mem_groups, drop, history)
         return add_bias(matmul(pack.unpack_rows(x), self.out_w.tensor), self.out_b.tensor)
 
     def loss_batch(self, examples, training=False, rng=None) -> Tensor:

@@ -533,87 +533,87 @@ def pairwise_hadamard(q: Tensor, k: Tensor) -> Tensor:
     return _emit(qd[..., :, None, :] * kd[..., None, :, :], (q, k), bwd)
 
 
-def _opa_operands(name: str, s: Tensor, v: Tensor, allowed, outer: bool):
-    a = np.asarray(allowed, dtype=np.float64)
-    ok = (s.ndim >= 3 and v.ndim == s.ndim - 1 and a.shape == s.shape[:-1]
-          and v.shape[:-1] == s.shape[:-3] + s.shape[-2:-1]
-          and (outer or v.shape[-1] == s.shape[-1]))
-    if not ok:
-        raise ShapeError(f"{name} shape mismatch: scores {s.shape}, values {v.shape}")
-    return a, s.data, v.data
+def group_blocks(x, leads) -> list:
+    """Packed rows `x` (a Tensor or an array) split into one block per group.
 
-
-def _opa_groups(name: str, s, v, allowed, outer: bool):
-    """One block, or lists of per-group blocks, as (packed, scores, values, groups, tail).
-
-    `groups` holds each group's (allowed, scores, values) arrays and `tail` the
-    width shared by every group: (d, e) for the outer sums, (d,) for hadamard.
+    Each lead tuple takes the next prod(lead) rows of `x` as a lead + x.shape[1:]
+    block, a view when `x` is an array: (count, length) is a group of `count`
+    sequences of `length` rows each.
     """
-    packed = isinstance(s, (list, tuple))
-    ss, vs, masks = (list(s), list(v), list(allowed)) if packed else ([s], [v], [allowed])
-    if not len(ss) == len(vs) == len(masks) > 0:
-        raise ShapeError(f"{name} needs equal-length non-empty lists, got "
-                         f"{len(ss)} scores, {len(vs)} values, {len(masks)} masks")
-    groups = [_opa_operands(name, *block, outer) for block in zip(ss, vs, masks)]
-    tails = {(sd.shape[-1], vd.shape[-1]) if outer else (sd.shape[-1],) for _, sd, vd in groups}
+    sizes = [math.prod(lead) for lead in leads]
+    if sum(sizes) != x.shape[0]:
+        raise ShapeError(f"groups {list(leads)} of {sum(sizes)} rows do not cover {x.shape[0]}")
+    is_tensor = isinstance(x, Tensor)
+    blocks, start = [], 0
+    for lead, size in zip(leads, sizes):
+        part = x
+        if size != x.shape[0]:
+            part = slice_rows(x, start, start + size) if is_tensor else x[start:start + size]
+        shape = tuple(lead) + tuple(x.shape[1:])
+        blocks.append(reshape(part, shape) if is_tensor else part.reshape(shape))
+        start += size
+    return blocks
+
+
+def _opa_groups(name: str, s, v, outer: bool):
+    """Lists of per-group (count, n, m, d) scores and (count, m, e) values, checked.
+
+    Returns each group's (scores, values) arrays, their (count, n) lead axes and
+    the width shared by every group: (d, e) for the outer sums, (d,) for hadamard.
+    """
+    ss, vs = list(s), list(v)
+    if not len(ss) == len(vs) > 0 or any(
+            t.ndim != 4 or u.ndim != 3 or u.shape[:2] != t.shape[::2]
+            or not (outer or u.shape[-1] == t.shape[-1]) for t, u in zip(ss, vs)):
+        raise ShapeError(f"{name} shape mismatch: scores {[t.shape for t in ss]}, "
+                         f"values {[u.shape for u in vs]}")
+    tails = {(t.shape[-1], u.shape[-1]) if outer else (t.shape[-1],) for t, u in zip(ss, vs)}
     if len(tails) != 1:
         raise ShapeError(f"{name} groups differ in width: {sorted(tails)}")
-    return packed, ss, vs, groups, tails.pop()
+    groups = [(t.data, u.data) for t, u in zip(ss, vs)]
+    return ss, vs, groups, [t.shape[:2] for t in ss], tails.pop()
 
 
-def _group_views(arr: np.ndarray, leads) -> list:
-    """Each group's rows of `arr` (rows, ...), reshaped to that group's lead axes."""
-    views, start = [], 0
-    for lead in leads:
-        stop = start + math.prod(lead)
-        views.append(arr[start:stop].reshape(lead + arr.shape[1:]))
-        start = stop
-    return views
+def _opa_sum(name: str, s, v, outer: bool, forward, backward) -> Tensor:
+    """The two OPA sums over lists of per-group blocks, as one (rows, ...) array.
 
-
-def _opa_sum(name: str, s, v, allowed, outer: bool, forward, backward) -> Tensor:
-    """The two OPA sums over one block, or over lists of per-group blocks.
-
-    `forward(a, sd, vd, out)` writes one group's aggregate into `out` and
-    `backward(a, sd, vd, dout)` returns its (ds, dv). Each group writes into
+    `forward(sd, vd, out)` writes one group's aggregate into `out` and
+    `backward(sd, vd, dout)` returns its (ds, dv). Each group writes into
     a reshaped slice of one preallocated (rows, ...) array, so no per-group
     result is kept and then concatenated.
     """
-    packed, ss, vs, groups, tail = _opa_groups(name, s, v, allowed, outer)
-    leads = [t.shape[:-2] for t in ss]
+    ss, vs, groups, leads, tail = _opa_groups(name, s, v, outer)
     out = np.empty((sum(map(math.prod, leads)),) + tail)
-    for group, view in zip(groups, _group_views(out, leads)):
+    for group, view in zip(groups, group_blocks(out, leads)):
         forward(*group, view)
 
     def bwd(dout):
-        grads = [backward(*group, g)
-                 for group, g in zip(groups, _group_views(dout.reshape((-1,) + tail), leads))]
+        grads = [backward(*group, g) for group, g in zip(groups, group_blocks(dout, leads))]
         return tuple(ds for ds, _ in grads) + tuple(dv for _, dv in grads)
 
-    return _emit(out if packed else out.reshape(leads[0] + tail), tuple(ss) + tuple(vs), bwd)
+    return _emit(out, tuple(ss) + tuple(vs), bwd)
 
 
 # per query row i the outer sums are matrix products over j, so they run as batched matmuls
-def _outer_forward(a, sd, vd, out):
-    np.matmul(np.swapaxes(sd * a[..., None], -1, -2), vd[..., None, :, :], out=out)
+def _outer_forward(sd, vd, out):
+    np.matmul(np.swapaxes(sd, -1, -2), vd[..., None, :, :], out=out)
 
 
-def _outer_backward(a, sd, vd, dout):
-    ds = np.swapaxes(dout @ np.swapaxes(vd[..., None, :, :], -1, -2), -1, -2) * a[..., None]
+def _outer_backward(sd, vd, dout):
+    ds = np.swapaxes(dout @ np.swapaxes(vd[..., None, :, :], -1, -2), -1, -2)
     n, m, d = sd.shape[-3:]
-    by_key = np.swapaxes(sd * a[..., None], -3, -2).reshape(sd.shape[:-3] + (m, n * d))
+    by_key = np.swapaxes(sd, -3, -2).reshape(sd.shape[:-3] + (m, n * d))
     return ds, by_key @ dout.reshape(dout.shape[:-3] + (n * d, dout.shape[-1]))
 
 
-def opa_sum_outer(s, v, allowed) -> Tensor:
-    """out[..., i] = sum over allowed j of s[..., i, j, :] (outer) v[..., j], a matrix per query.
+def opa_sum_outer(s, v) -> Tensor:
+    """out[c, i] = sum over j of s[c, i, j, :] (outer) v[c, j], a matrix per query.
 
-    s is (..., n, m, d), v is (..., m, e) and allowed is (..., n, m), with matching leading axes.
-    s, v and allowed may also be equal-length lists of such blocks, one per group of
-    sequences; the result is then one (rows, d, e) array: each group's (..., n, d, e)
-    result flattened to rows, in list order.
+    s and v are equal-length lists of (count, n, m, d) scores and (count, m, e) values,
+    one per group of sequences. The result is one (rows, d, e) array: each group's
+    (count, n, d, e) result flattened to rows, in list order.
     """
-    return _opa_sum("opa_sum_outer", s, v, allowed, True, _outer_forward, _outer_backward)
+    return _opa_sum("opa_sum_outer", s, v, True, _outer_forward, _outer_backward)
 
 
 # aggregate bytes per feature block of opa_sum_project: 16 of the 128 features of a
@@ -621,10 +621,10 @@ def opa_sum_outer(s, v, allowed) -> Tensor:
 OPA_BLOCK_BYTES = 4 << 20
 
 
-def opa_sum_project(s, v, allowed, w: Tensor) -> Tensor:
-    """reshape(opa_sum_outer(s, v, allowed), (rows, d * e)) @ w, never holding the aggregate.
+def opa_sum_project(s, v, w: Tensor) -> Tensor:
+    """reshape(opa_sum_outer(s, v), (rows, d * e)) @ w, never holding the aggregate.
 
-    s, v and allowed are as opa_sum_outer takes them, and w is (d * e, c). The score
+    s and v are as opa_sum_outer takes them, and w is (d * e, c). The score
     features run in blocks a0:a1 of at most OPA_BLOCK_BYTES of aggregate (at least one
     feature): each block's (rows, a1 - a0, e) aggregate meets rows a0 * e:a1 * e of w,
     is added into the (rows, c) output and is dropped. Backward makes each block's
@@ -632,10 +632,9 @@ def opa_sum_project(s, v, allowed, w: Tensor) -> Tensor:
     block's ds[..., a0:a1] and its share of dv. One query row, or any aggregate under the
     budget, is one block: the same products as opa_sum_outer followed by a matmul.
     """
-    _, ss, vs, groups, (d, e) = _opa_groups("opa_sum_project", s, v, allowed, True)
+    ss, vs, groups, leads, (d, e) = _opa_groups("opa_sum_project", s, v, True)
     if w.ndim != 2 or w.shape[0] != d * e:
         raise ShapeError(f"opa_sum_project weight {w.shape} does not take {d}x{e} aggregates")
-    leads = [t.shape[:-2] for t in ss]
     rows, wd = sum(map(math.prod, leads)), w.data
     width = min(d, max(1, OPA_BLOCK_BYTES // (rows * e * 8)))
     spans = [(a0, min(a0 + width, d)) for a0 in range(0, d, width)]
@@ -643,8 +642,8 @@ def opa_sum_project(s, v, allowed, w: Tensor) -> Tensor:
     def aggregate(a0, a1, buf):
         """The (rows, (a1 - a0) * e) aggregate of score features a0:a1, written into `buf`."""
         agg = buf[:rows * (a1 - a0) * e].reshape(rows, a1 - a0, e)
-        for (a, sd, vd), view in zip(groups, _group_views(agg, leads)):
-            _outer_forward(a, sd[..., a0:a1], vd, view)
+        for (sd, vd), view in zip(groups, group_blocks(agg, leads)):
+            _outer_forward(sd[..., a0:a1], vd, view)
         return agg.reshape(rows, -1)
 
     buf = np.empty(rows * width * e)
@@ -654,14 +653,14 @@ def opa_sum_project(s, v, allowed, w: Tensor) -> Tensor:
 
     def bwd(dout):
         buf = np.empty(rows * width * e)
-        ds = [np.empty(sd.shape) for _, sd, _ in groups]
-        dv = [np.zeros(vd.shape) for _, _, vd in groups]
+        ds = [np.empty(sd.shape) for sd, _ in groups]
+        dv = [np.zeros(vd.shape) for _, vd in groups]
         dw = np.empty(wd.shape)
         for a0, a1 in spans:
             np.matmul(aggregate(a0, a1, buf).T, dout, out=dw[a0 * e:a1 * e])
             dagg = (dout @ wd[a0 * e:a1 * e].T).reshape(rows, a1 - a0, e)
-            for (a, sd, vd), g, ds_g, dv_g in zip(groups, _group_views(dagg, leads), ds, dv):
-                ds_part, dv_part = _outer_backward(a, sd[..., a0:a1], vd, g)
+            for (sd, vd), g, ds_g, dv_g in zip(groups, group_blocks(dagg, leads), ds, dv):
+                ds_part, dv_part = _outer_backward(sd[..., a0:a1], vd, g)
                 ds_g[..., a0:a1] = ds_part
                 dv_g += dv_part
         return tuple(ds) + tuple(dv) + (dw,)
@@ -669,21 +668,21 @@ def opa_sum_project(s, v, allowed, w: Tensor) -> Tensor:
     return _emit(out, tuple(ss) + tuple(vs) + (w,), bwd)
 
 
-def _hadamard_forward(a, sd, vd, out):
-    np.einsum("...ij,...ijd,...jd->...id", a, sd, vd, out=out)
+def _hadamard_forward(sd, vd, out):
+    np.einsum("...ijd,...jd->...id", sd, vd, out=out)
 
 
-def _hadamard_backward(a, sd, vd, dout):
-    return (np.einsum("...ij,...id,...jd->...ijd", a, dout, vd),
-            np.einsum("...ij,...ijd,...id->...jd", a, sd, dout))
+def _hadamard_backward(sd, vd, dout):
+    return (np.einsum("...id,...jd->...ijd", dout, vd),
+            np.einsum("...ijd,...id->...jd", sd, dout))
 
 
-def opa_sum_hadamard(s, v, allowed) -> Tensor:
-    """out[..., i] = sum over allowed j of s[..., i, j, :] * v[..., j].
+def opa_sum_hadamard(s, v) -> Tensor:
+    """out[c, i] = sum over j of s[c, i, j, :] * v[c, j].
 
-    Shapes as opa_sum_outer with e == d; lists of groups give one (rows, d) array.
+    Lists of groups as opa_sum_outer takes them, with e == d; the result is one (rows, d) array.
     """
-    return _opa_sum("opa_sum_hadamard", s, v, allowed, False, _hadamard_forward, _hadamard_backward)
+    return _opa_sum("opa_sum_hadamard", s, v, False, _hadamard_forward, _hadamard_backward)
 
 
 def project_rows(table: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -698,15 +697,15 @@ def project_rows(table: np.ndarray, w: np.ndarray) -> np.ndarray:
     return proj
 
 
-def opa_project(s, parts, allowed, w: Tensor, proj=None) -> Tensor:
-    """reshape(opa_sum_outer(s, v, allowed), (rows, d * e)) @ w, where v sums table rows.
+def opa_project(s, parts, w: Tensor, proj=None) -> Tensor:
+    """reshape(opa_sum_outer(s, v), (rows, d * e)) @ w, where v sums table rows.
 
-    s and allowed are lists of (count, n, m, d) score and (count, n, m) mask blocks,
-    one per group, as opa_sum_outer takes them. `parts` lists (table, ids): value row j,
-    in the order opa_sum_outer flattens them, is the sum over parts of table[ids[j]].
+    s is a list of (count, n, m, d) score blocks, one per group, as opa_sum_outer takes
+    them. `parts` lists (table, ids): value row j, in the order opa_sum_outer flattens
+    them, is the sum over parts of table[ids[j]].
     The projection P(v)[a] = sum_b v[b] w[a * e + b] is linear in v, so every table row
     is projected once (`project_rows`), each distinct combination u of ids gets P_u as
-    the sum of its rows' projections, and out_i is the sum over allowed j of
+    the sum of its rows' projections, and out_i is the sum over j of
     s_ij @ P_u(j). So the d * e * c work scales with the table rows, and neither v nor
     the (rows, d, e) aggregate is made. The gradient goes to s, to every table and to w.
 
@@ -714,12 +713,10 @@ def opa_project(s, parts, allowed, w: Tensor, proj=None) -> Tensor:
     its rows that `ids` reach are read, so it may be a cache whose other rows are
     unfilled. It is for inference: no graph is made, and one that would be raises.
     """
-    ss, masks = list(s), [np.asarray(a, dtype=np.float64) for a in allowed]
+    ss = list(s)
     d = ss[0].shape[-1] if ss else 0
-    if not ss or len(ss) != len(masks) or any(
-            t.ndim != 4 or t.shape[-1] != d or a.shape != t.shape[:-1] for t, a in zip(ss, masks)):
-        raise ShapeError(f"opa_project shape mismatch: scores {[t.shape for t in ss]}, "
-                         f"masks {[a.shape for a in masks]}")
+    if not ss or any(t.ndim != 4 or t.shape[-1] != d for t in ss):
+        raise ShapeError(f"opa_project shape mismatch: scores {[t.shape for t in ss]}")
     tables = [table for table, _ in parts]
     widths = {table.shape[1:] for table in tables}
     if len(widths) != 1 or len(next(iter(widths))) != 1:
@@ -727,7 +724,7 @@ def opa_project(s, parts, allowed, w: Tensor, proj=None) -> Tensor:
     (e,) = widths.pop()
     if w.ndim != 2 or w.shape[0] != d * e:
         raise ShapeError(f"opa_project weight {w.shape} does not take {d}x{e} aggregates")
-    n_keys = sum(a.shape[0] * a.shape[2] for a in masks)
+    n_keys = sum(t.shape[0] * t.shape[2] for t in ss)
     ids = [np.asarray(i, dtype=np.int64) for _, i in parts]
     if any(i.shape != (n_keys,) for i in ids):
         raise ShapeError(f"opa_project needs {n_keys} value ids per table, "
@@ -738,21 +735,19 @@ def opa_project(s, parts, allowed, w: Tensor, proj=None) -> Tensor:
     # each distinct value's rows in the tables stacked into one
     starts = np.cumsum([0] + sizes[:-1])
     combos = np.stack([start + i[first] for start, i in zip(starts, ids)], axis=1)
-    # every allowed (query, key) pair: its query row and its key's distinct value
-    keeps, pair_q, pair_u = [], [], []
+    # every (query, key) pair, in score order: its query row and its key's distinct value
+    pair_q, pair_u = [], []
     q0 = v0 = 0
-    for a in masks:
-        count, n, m = a.shape
-        keep = np.flatnonzero(a)
-        query, key = np.divmod(keep, m)
-        keeps.append(keep)
+    for t in ss:
+        count, n, m = t.shape[:3]
+        query, key = np.divmod(np.arange(count * n * m), m)
         pair_q.append(q0 + query)
         pair_u.append(uid[v0 + query // n * m + key])
         q0, v0 = q0 + count * n, v0 + count * m
     pair_u = np.concatenate(pair_u)
     order = np.argsort(pair_u, kind="stable")  # pairs in value order
     rank = np.argsort(order)
-    sp = np.concatenate([sd.data.reshape(-1, d)[k] for k, sd in zip(keeps, ss)])[order]
+    sp = np.concatenate([sd.data.reshape(-1, d) for sd in ss])[order]
     qp = np.concatenate(pair_q)[order]
     bounds = np.concatenate([[0], np.cumsum(np.bincount(pair_u, minlength=len(first)))])
     segs = [(u, lo, hi) for u, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo]
@@ -776,13 +771,8 @@ def opa_project(s, parts, allowed, w: Tensor, proj=None) -> Tensor:
         np.matmul(sp[lo:hi], value_proj(u), out=terms[lo:hi])
 
     def by_group(rows):
-        """Per-pair rows, in value order, as one zero-filled (count, n, m, width) block per group."""
-        p0 = 0
-        for keep, a in zip(keeps, masks):
-            full = np.zeros((a.size, rows.shape[1]))
-            full[keep] = rows[rank[p0:p0 + len(keep)]]
-            p0 += len(keep)
-            yield full.reshape(a.shape + (-1,))
+        """Per-pair rows, in value order, as one (count, n, m, width) block per group."""
+        return group_blocks(rows[rank], [t.shape[:3] for t in ss])
 
     out = np.concatenate([t.sum(axis=-2).reshape(-1, w3.shape[2]) for t in by_group(terms)])
 

@@ -21,10 +21,9 @@ from hitkit.model import ClassificationModel, Seq2SeqModel, TokenModel, ZslModel
 from hitkit.tensor import no_grad
 
 
-def msa_oracle(x, wq, wk, wv, wo, n_heads, key_mask=None):
+def msa_oracle(x, wq, wk, wv, wo, n_heads):
     n, d = x.shape
     dh = d // n_heads
-    key_mask = [True] * n if key_mask is None else list(key_mask)
     q = x @ wq
     k = x @ wk
     v = x @ wv
@@ -35,8 +34,6 @@ def msa_oracle(x, wq, wk, wv, wo, n_heads, key_mask=None):
         for i in range(n):
             scored = []
             for j in range(n):
-                if not key_mask[j]:
-                    continue
                 s = sum(qh[i][a] * kh[j][a] for a in range(dh)) / math.sqrt(dh)
                 scored.append((j, s))
             mx = max(s for _, s in scored)
@@ -47,9 +44,8 @@ def msa_oracle(x, wq, wk, wv, wo, n_heads, key_mask=None):
     return z @ wo
 
 
-def opa_oracle(x, wq, wk, wv, wo, opa_score, opa_combine, key_mask=None):
+def opa_oracle(x, wq, wk, wv, wo, opa_score, opa_combine):
     n, d = x.shape
-    key_mask = [True] * n if key_mask is None else list(key_mask)
     q = x @ wq
     k = x @ wk
     v = x @ wv
@@ -57,8 +53,6 @@ def opa_oracle(x, wq, wk, wv, wo, opa_score, opa_combine, key_mask=None):
     for i in range(n):
         acc = np.zeros((d, d)) if opa_combine == "true_outer_projected" else np.zeros(d)
         for j in range(n):
-            if not key_mask[j]:
-                continue
             raw = (q[i] * k[j]) / math.sqrt(d)
             if opa_score == "tanh":
                 s = np.tanh(raw)
@@ -76,12 +70,12 @@ def opa_oracle(x, wq, wk, wv, wo, opa_score, opa_combine, key_mask=None):
     return out
 
 
-def fame_oracle(x, layer_arrays, n_heads, opa_score, opa_combine, key_mask=None):
+def fame_oracle(x, layer_arrays, n_heads, opa_score, opa_combine):
     la = layer_arrays
     z_self = msa_oracle(x, la["wq_self"], la["wk_self"], la["wv_self"], la["wo_self"],
-                        n_heads, key_mask)
+                        n_heads)
     z_outer = opa_oracle(x, la["wq_outer"], la["wk_outer"], la["wv_outer"], la["wo_outer"],
-                         opa_score, opa_combine, key_mask)
+                         opa_score, opa_combine)
     logits = la["fusion_logits"]
     e = np.exp(logits - logits.max())
     a = e / e.sum()
@@ -131,13 +125,11 @@ def oracle_encoder_layer(layer, x, training=False, rng=None, value_parts=None):
 
 def oracle_decoder_layer(layer, x, memory, training=False, rng=None):
     """One DecoderLayer over one causal sequence, dropout drawn after each sublayer."""
-    n = x.shape[0]
-    causal = [np.tril(np.ones((n, n), dtype=bool))[None]]
-    mem_allowed = [np.ones((1, n, memory.shape[0]), dtype=bool)]
+    mem_groups = [(1, x.shape[0], memory.shape[0])]
     (g1, b1), (g2, b2), (g3, b3) = [(g.tensor, b.tensor) for g, b in layer.norms]
-    h = T.dropout(fame_forward(layer.fame, x, causal), layer.dropout_rate, training, rng)
+    h = T.dropout(fame_forward(layer.fame, x, causal=True), layer.dropout_rate, training, rng)
     y1 = T.layer_norm(T.add(x, h), g1, b1, layer.eps)
-    c = T.dropout(layer.cross.forward(y1, memory, mem_allowed), layer.dropout_rate, training, rng)
+    c = T.dropout(layer.cross.forward(y1, memory, mem_groups), layer.dropout_rate, training, rng)
     y2 = T.layer_norm(T.add(y1, c), g2, b2, layer.eps)
     f = T.dropout(layer.ffn.forward(y2), layer.dropout_rate, training, rng)
     return T.layer_norm(T.add(y2, f), g3, b3, layer.eps)

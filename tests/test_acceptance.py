@@ -140,7 +140,8 @@ def test_a1_gradient_integrity():
             [T.slice_cols(x, 0, 1), T.slice_cols(x, 1, 4)]))), [x]),
         "stack_rows": (lambda: T.sum_all(T.tanh(T.stack_rows([v1, v2]))), [v1, v2]),
         "pairwise_opa": (lambda: T.sum_all(T.tanh(T.opa_sum_outer(
-            T.tanh(T.pairwise_hadamard(x, y)), x, np.ones((3, 3), bool)))), [x, y]),
+            [T.tanh(T.pairwise_hadamard(T.reshape(x, (1, 3, 4)), T.reshape(y, (1, 3, 4))))],
+            [T.reshape(x, (1, 3, 4))]))), [x, y]),
         "gate": (lambda: T.sum_all(T.scalar_mul(T.get_element(T.softmax(v1), 0), x)), [v1, x]),
         "cosine": (lambda: T.cosine_similarity(v1, v2), [v1, v2]),
     }

@@ -30,9 +30,27 @@ def rand(shape, seed=0):
     return np.random.default_rng(seed).standard_normal(shape)
 
 
-def key_mask(mask, n_q):
-    """The allowed blocks of one sequence whose n_q query rows see the keys `mask` marks."""
-    return [np.tile(np.asarray(mask, dtype=bool), (1, n_q, 1))]
+def causal_case(seed):
+    """Two groups of sequences whose L_q query rows are the last L_q of their L_kv key rows,
+    as the decoder sends them when it resumes: (groups, queries, keys, per-sequence
+    (key rows, packed query slice))."""
+    groups = [(1, 2, 5), (2, 3, 4)]
+    kv = rand((13, 4), seed)
+    seqs, q0, k0 = [], 0, 0
+    for count, lq, lkv in groups:
+        for _ in range(count):
+            seqs.append((kv[k0:k0 + lkv], slice(q0, q0 + lq)))
+            q0, k0 = q0 + lq, k0 + lkv
+    x = np.concatenate([keys[len(keys) - (q.stop - q.start):] for keys, q in seqs])
+    return groups, x, kv, seqs
+
+
+def assert_prefix_rows(out, seqs, oracle):
+    """Each query row equals `oracle` on its sequence's keys up to its own position."""
+    for keys, q in seqs:
+        for row in range(q.start, q.stop):
+            pos = len(keys) - q.stop + row
+            assert np.max(np.abs(out[row] - oracle(keys[:pos + 1])[pos])) < 1e-10
 
 
 class TestMsa:
@@ -59,44 +77,25 @@ class TestMsa:
         expected = msa_oracle(x, la["wq_self"], la["wk_self"], la["wv_self"], la["wo_self"], 1)
         assert np.max(np.abs(out.data - expected)) < 1e-10
 
-    def test_masked_oracle_equivalence(self):
-        layer = make_layer(d=4, heads=2, seed=7)
-        x = rand((4, 4), 8)
-        mask = [True, False, True, True]
-        out = msa_forward(layer, T.Tensor(x), key_mask(mask, 4))
-        la = layer_arrays(layer)
-        expected = msa_oracle(x, la["wq_self"], la["wk_self"], la["wv_self"], la["wo_self"],
-                              2, mask)
-        assert np.max(np.abs(out.data - expected)) < 1e-10
-
-    def test_all_masked_errors(self):
-        layer = make_layer()
-        with pytest.raises(ValueError, match="masked"):
-            msa_forward(layer, T.Tensor(rand((2, 4))), key_mask([False, False], 2))
-
     def test_causal_mask_matches_prefix_oracle(self):
         layer = make_layer(d=4, heads=2, seed=50)
-        x = rand((4, 4), 51)
-        causal = np.tril(np.ones((4, 4), dtype=bool))
-        out = msa_forward(layer, T.Tensor(x), [causal[None]])
+        groups, x, kv, seqs = causal_case(51)
+        out = msa_forward(layer, T.Tensor(x), groups, T.Tensor(kv), causal=True)
         la = layer_arrays(layer)
-        for i in range(4):
-            # query i over keys 0..i equals the full oracle on the prefix
-            row = msa_oracle(x[:i + 1], la["wq_self"], la["wk_self"], la["wv_self"],
-                             la["wo_self"], 2)[i]
-            assert np.max(np.abs(out.data[i] - row)) < 1e-10
+        assert_prefix_rows(out.data, seqs, lambda keys: msa_oracle(
+            keys, la["wq_self"], la["wk_self"], la["wv_self"], la["wo_self"], 2))
 
     def test_permuting_key_value_rows_leaves_outputs_unchanged(self):
         layer = make_layer(d=4, heads=2, seed=11)
         x_q = rand((3, 4), 12)
         x_kv = rand((5, 4), 13)
         perm = [4, 2, 0, 3, 1]
-        allowed = [np.ones((1, 3, 5), dtype=bool)]
+        groups = [(1, 3, 5)]
         base = multi_head_attention(layer.wq_self, layer.wk_self, layer.wv_self,
-                                    layer.wo_self, 2, T.Tensor(x_q), T.Tensor(x_kv), allowed)
+                                    layer.wo_self, 2, T.Tensor(x_q), T.Tensor(x_kv), groups)
         permuted = multi_head_attention(layer.wq_self, layer.wk_self, layer.wv_self,
                                         layer.wo_self, 2, T.Tensor(x_q),
-                                        T.Tensor(x_kv[perm]), allowed)
+                                        T.Tensor(x_kv[perm]), groups)
         assert np.max(np.abs(base.data - permuted.data)) < 1e-8
 
 
@@ -135,41 +134,33 @@ class TestOpa:
     def test_all_configs_match_oracle(self, score, combine):
         layer = make_layer(d=4, score=score, combine=combine, seed=18)
         x = rand((3, 4), 19)
-        mask = [True, True, False]
         la = layer_arrays(layer)
         expected = opa_oracle(x, la["wq_outer"], la["wk_outer"], la["wv_outer"],
-                              la["wo_outer"], score, combine, mask)
-        out = opa_forward(layer, T.Tensor(x), key_mask(mask, 3))
+                              la["wo_outer"], score, combine)
+        out = opa_forward(layer, T.Tensor(x))
         assert np.max(np.abs(out.data - expected)) < 1e-10
 
     def test_causal_mask_matches_prefix_oracle(self):
         layer = make_layer(d=4, heads=2, seed=52)
-        x = rand((4, 4), 53)
-        causal = np.tril(np.ones((4, 4), dtype=bool))
-        out = opa_forward(layer, T.Tensor(x), [causal[None]])
+        groups, x, kv, seqs = causal_case(53)
+        out = opa_forward(layer, T.Tensor(x), groups, T.Tensor(kv), causal=True)
         la = layer_arrays(layer)
-        for i in range(4):
-            row = opa_oracle(x[:i + 1], la["wq_outer"], la["wk_outer"], la["wv_outer"],
-                             la["wo_outer"], "tanh", "true_outer_projected")[i]
-            assert np.max(np.abs(out.data[i] - row)) < 1e-10
-
-    def test_all_masked_errors(self):
-        layer = make_layer()
-        with pytest.raises(ValueError, match="masked"):
-            opa_forward(layer, T.Tensor(rand((2, 4))), key_mask([False, False], 2))
+        assert_prefix_rows(out.data, seqs, lambda keys: opa_oracle(
+            keys, la["wq_outer"], la["wk_outer"], la["wv_outer"], la["wo_outer"],
+            "tanh", "true_outer_projected"))
 
     def test_a_recorded_word_layer_keeps_no_aggregate_for_backward(self, monkeypatch):
         d, lengths = 64, (4, 4, 3, 2, 2, 1)
         layer = make_layer(d=d, heads=4, seed=20)
         rows = sum(lengths)
         x = T.Tensor(rand((rows, d), 21), requires_grad=True)
-        blocks = [np.ones((1, n, n), dtype=bool) for n in lengths]
+        groups = [(1, n, n) for n in lengths]
         monkeypatch.setattr(T, "OPA_BLOCK_BYTES", 4 * rows * d * 8)  # 4 features per block
         aggregate = rows * d * d * 8
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = opa_forward(layer, x, blocks)
+            out = opa_forward(layer, x, groups)
             alive = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -297,62 +288,50 @@ class TestFameForward:
         check_gradients(loss, leaves)
 
 
-class TestAllowedBlocks:
+class TestPackedGroups:
     """Packed groups whose query length differs from their key length."""
 
-    # two sequences of one query over three keys, then one of one query over five keys
-    BLOCKS = [np.array([[[True, False, True]], [[True, True, True]]]),
-              np.array([[[False, True, True, False, True]]])]
+    # two sequences of two queries over three keys, then one of one query over five keys
+    GROUPS = [(2, 2, 3), (1, 1, 5)]
 
     def per_sequence(self):
-        """Each sequence's (query rows, key rows, allowed block) within the packed rows."""
+        """Each sequence's (query rows, key rows, group of one) within the packed rows."""
         q0 = k0 = 0
-        for a in self.BLOCKS:
-            count, lq, lkv = a.shape
-            for c in range(count):
-                yield slice(q0, q0 + lq), slice(k0, k0 + lkv), a[c:c + 1]
+        for count, lq, lkv in self.GROUPS:
+            for _ in range(count):
+                yield slice(q0, q0 + lq), slice(k0, k0 + lkv), (1, lq, lkv)
                 q0, k0 = q0 + lq, k0 + lkv
 
+    @pytest.mark.parametrize("causal", [False, True])
     @pytest.mark.parametrize("score", ["tanh", "softmax"])
     @pytest.mark.parametrize("combine", ["true_outer_projected", "hadamard"])
-    def test_packed_groups_match_per_sequence_calls(self, score, combine):
+    def test_packed_groups_match_per_sequence_calls(self, score, combine, causal):
         layer = make_layer(d=4, heads=2, score=score, combine=combine, seed=60)
         layer.fusion_logits.assign(rand((2,), 61))
-        x, kv = rand((3, 4), 62), rand((11, 4), 63)
-        packed = fame_forward(layer, T.Tensor(x), self.BLOCKS, x_kv=T.Tensor(kv)).data
-        for q, k, a in self.per_sequence():
-            alone = fame_forward(layer, T.Tensor(x[q]), [a], x_kv=T.Tensor(kv[k])).data
+        x, kv = rand((5, 4), 62), rand((11, 4), 63)
+        packed = fame_forward(layer, T.Tensor(x), self.GROUPS, T.Tensor(kv), causal=causal).data
+        for q, k, group in self.per_sequence():
+            alone = fame_forward(layer, T.Tensor(x[q]), [group], T.Tensor(kv[k]),
+                                 causal=causal).data
             assert np.max(np.abs(packed[q] - alone)) < 1e-12
 
+    @pytest.mark.parametrize("causal", [False, True])
     @pytest.mark.parametrize("combine", ["true_outer_projected", "hadamard"])
-    def test_packed_groups_gradients_match_finite_differences(self, combine):
+    def test_packed_groups_gradients_match_finite_differences(self, combine, causal):
         layer = make_layer(d=4, heads=2, combine=combine, seed=64)
-        x = T.Tensor(rand((3, 4), 65), requires_grad=True)
+        x = T.Tensor(rand((5, 4), 65), requires_grad=True)
         kv = T.Tensor(rand((11, 4), 66), requires_grad=True)
-        w = T.Tensor(rand((3, 4), 67))
+        w = T.Tensor(rand((5, 4), 67))
         leaves = [x, kv] + [p.tensor for p in layer.parameters()]
 
         def loss():
-            return T.sum_all(T.mul(fame_forward(layer, x, self.BLOCKS, x_kv=kv), w))
+            return T.sum_all(T.mul(fame_forward(layer, x, self.GROUPS, kv, causal=causal), w))
 
         check_gradients(loss, leaves)
 
-    @pytest.mark.parametrize("n_q,n_kv", [(2, 11), (3, 10), (4, 12)])
-    def test_blocks_that_do_not_cover_the_rows_raise(self, n_q, n_kv):
+    @pytest.mark.parametrize("n_q,n_kv", [(4, 11), (5, 10), (6, 12)])
+    def test_groups_that_do_not_cover_the_rows_raise(self, n_q, n_kv):
         layer = make_layer(seed=68)
         with pytest.raises(T.ShapeError, match="do not cover"):
-            fame_forward(layer, T.Tensor(rand((n_q, 4))), self.BLOCKS,
+            fame_forward(layer, T.Tensor(rand((n_q, 4))), self.GROUPS,
                          x_kv=T.Tensor(rand((n_kv, 4))))
-
-    def test_blocks_of_the_wrong_rank_raise(self):
-        layer = make_layer(seed=69)
-        with pytest.raises(T.ShapeError, match="do not cover"):
-            fame_forward(layer, T.Tensor(rand((3, 4))), [np.ones((3, 3), dtype=bool)])
-
-    @pytest.mark.parametrize("branch", [msa_forward, opa_forward])
-    def test_a_query_row_without_keys_raises(self, branch):
-        layer = make_layer(seed=70)
-        blocks = [self.BLOCKS[0], self.BLOCKS[1].copy()]
-        blocks[1][0, 0] = False
-        with pytest.raises(ValueError, match="every position is masked"):
-            branch(layer, T.Tensor(rand((3, 4))), blocks, x_kv=T.Tensor(rand((11, 4))))

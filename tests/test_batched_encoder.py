@@ -201,15 +201,15 @@ SHARED = [["aab", "aba", "baa", "abab"], ["baa", "abab", "ab"], ["bab", "aab", "
 
 def aggregate_only(monkeypatch):
     """Make every OPA layer make the (rows, d, d) aggregate, as before value-first projection."""
-    def project(s, parts, allowed, w, proj=None):
+    def project(s, parts, w, proj=None):
         (table, ids), *rest = parts
         v = T.embedding_lookup(table, ids)
         for table, ids in rest:
             v = T.add(v, T.embedding_lookup(table, ids))
-        values = A.group_blocks(v, [(t.shape[0], t.shape[2]) for t in s])
+        values = T.group_blocks(v, [(t.shape[0], t.shape[2]) for t in s])
         rows = sum(t.shape[0] * t.shape[1] for t in s)
         d = s[0].shape[-1]
-        return T.matmul(T.reshape(T.opa_sum_outer(s, values, allowed), (rows, d * d)), w)
+        return T.matmul(T.reshape(T.opa_sum_outer(s, values), (rows, d * d)), w)
 
     monkeypatch.setattr(A, "opa_project", project)
 
@@ -269,9 +269,9 @@ def test_the_first_char_layer_projects_each_character_and_position_once(monkeypa
     tables = []
     real = A.opa_project
 
-    def spy(s, parts, allowed, w, proj=None):
+    def spy(s, parts, w, proj=None):
         tables.append([table.shape[0] for table, _ in parts])
-        return real(s, parts, allowed, w, proj)
+        return real(s, parts, w, proj)
 
     monkeypatch.setattr(A, "opa_project", spy)
     model, batch = model_and_batch("classification", cfg(l_c=2, l_w=2), sentences=SHARED)

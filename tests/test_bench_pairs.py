@@ -81,6 +81,29 @@ def test_exit_status_reflects_every_run(monkeypatch, capsys, any_parent, bad, co
     assert "all runs correct" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("parent, change, higher_verdict, lower_verdict", [
+    ([10, 10, 10, 10], [7, 7, 7, 7], "worse beyond bound", "within bound"),
+    ([10, 10, 10, 10], [13, 13, 13, 13], "within bound", "worse beyond bound"),
+    ([6, 10, 14, 18], [7, 9, 15, 17], "unresolved", "unresolved"),
+    ([6, 10, 14, 18], [6.5, 10.5, 14.5, 18.5], "within bound", "unresolved"),
+], ids=["30pct-less", "30pct-more", "noisy-mixed", "noisy-higher-every-pair"])
+def test_each_metric_gets_a_verdict_against_its_bound(monkeypatch, capsys, any_parent, parent,
+                                                      change, higher_verdict, lower_verdict):
+    # every metric of a side reads the same value, so throughput (higher is better) and
+    # latency (lower is better) see the same numbers from opposite sides; every bound is 0.25
+    # or less, and the noisy parent's IQR is 6 around a median of 12
+    def run(checkout, workload, seed, seconds):
+        values = parent if checkout.name == "parent" else change
+        return fake_result(throughput=values[seed - 1])
+
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "run", run)
+    assert bench_pairs.main(["--parent", "HEAD", "--workload", "embed", "--seeds", "1-4"]) == 0
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+    assert lines["throughput_per_s"].endswith(higher_verdict)
+    assert lines["latency_ms_p50"].endswith(lower_verdict)
+
+
 def test_no_run_uses_the_checkout_itself(monkeypatch, capsys, any_parent):
     exported, checkouts = {}, []
 

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hitkit import data as D
+from hitkit.checkpoint import load_checkpoint, save_checkpoint
 from hitkit.cli import _encode_generation, _generation_pairs, main
 from hitkit.model import Seq2SeqModel
 from hitkit.train import TrainConfig
@@ -18,6 +23,28 @@ def write_cfg(tmp_path, **kw):
     path = tmp_path / "run.cfg"
     path.write_text(TrainConfig(**base).to_text(), encoding="utf-8")
     return str(path)
+
+
+def small_checkpoint(path, deflated=False) -> bytes:
+    """Write an untrained d_model 8 mlm checkpoint that `embed` reads, and return its bytes.
+
+    With `deflated`, every member is ZIP_DEFLATED, as a zip tool that recompressed it
+    would leave it.
+    """
+    import zipfile
+    from hitkit.train import build_mlm, seed_streams
+    cfg = TrainConfig(d_model=8, n_heads=2, l_c=1, l_w=1, max_len=12, max_word_len=8)
+    vocab = D.build_vocab([["hello", "good", "day"]])
+    model = build_mlm(cfg, vocab.word_size, vocab.char_size, seed_streams(0)["init"])
+    save_checkpoint(path, model.parameter_arrays(), {"task": "mlm", "train_config": cfg.to_dict()},
+                    {"vocab.tsv": vocab.to_text()})
+    if deflated:
+        with zipfile.ZipFile(path) as zf:
+            members = [(info, zf.read(info)) for info in zf.infolist()]
+        with zipfile.ZipFile(path, "w") as zf:
+            for info, data in members:
+                zf.writestr(info, data, compress_type=zipfile.ZIP_DEFLATED)
+    return path.read_bytes()
 
 
 def write_classification(tmp_path, name="train.jsonl", n=14):
@@ -283,6 +310,33 @@ class TestMalformedInputs:
         self.assert_one_error_line(*self.run_embed(tmp_path, capsys, bad), str(bad),
                                    "malformed checkpoint", "meta.json")
 
+    def test_vocabulary_line_that_is_malformed(self, tmp_path, capsys):
+        bad = tmp_path / "ckpt"
+        small_checkpoint(bad)
+        ck = load_checkpoint(bad)
+        save_checkpoint(bad, ck.params, ck.config,
+                        {"vocab.tsv": ck.extras["vocab.tsv"] + "word\tcat\t99\n"})
+        lines = ck.extras["vocab.tsv"].count("\n") + 1
+        self.assert_one_error_line(*self.run_embed(tmp_path, capsys, bad), str(bad),
+                                   f"vocab.tsv line {lines}: expected")
+
+    # one byte of the archive, given its central directory's offset, and the bits set in it:
+    # each made the zip reads raise other than BadZipFile, and escape `main` or lose the path
+    @pytest.mark.parametrize("deflated,at,bits", [
+        (True, lambda cd: 39, 0x06),  # meta.json's first deflated byte: block type 11, zlib.error
+        (False, lambda cd: 29, 0xFF),  # the local header's extra length: data past the end, EOFError
+        (False, lambda cd: cd + 10, 0xFF),  # an unknown compression method, NotImplementedError
+        (False, lambda cd: cd + 8, 0x01),  # the encrypted flag, RuntimeError
+        (False, lambda cd: -5, 0xFF),  # a directory offset before the file start, OSError
+    ], ids=["deflate-block-type", "extra-length", "compression-method", "encrypted", "offset"])
+    def test_damaged_zip_structure(self, tmp_path, capsys, deflated, at, bits):
+        bad = tmp_path / "ckpt"
+        data = bytearray(small_checkpoint(bad, deflated))
+        data[at(int.from_bytes(data[-6:-2], "little"))] |= bits
+        bad.write_bytes(bytes(data))
+        self.assert_one_error_line(*self.run_embed(tmp_path, capsys, bad),
+                                   f"malformed checkpoint {bad}")
+
     @pytest.mark.parametrize("labels", ["5", '["O", 1]', '{"O": 0}'])
     def test_labels_that_are_not_a_list_of_strings(self, tmp_path, trained_dir, capsys, labels):
         import zipfile
@@ -405,15 +459,17 @@ class TestMalformedInputs:
         self.assert_one_error_line(code, capsys.readouterr().err, "--neg-per-pos", n)
         assert not (tmp_path / "z").exists()
 
-    @pytest.mark.parametrize("saved,needle", [(False, "checkpoint not found"),
-                                              (True, "has no vocab.tsv")],
-                             ids=["missing", "no-vocab"])
-    def test_init_from_a_checkpoint_without_a_vocabulary(self, tmp_path, capsys, saved, needle):
+    @pytest.mark.parametrize("extras,needle", [
+        (None, "checkpoint not found"),
+        ({}, "has no vocab.tsv"),
+        ({"vocab.tsv": "word\t[PAD]\n"}, "vocab.tsv line 1: expected word or char"),
+        ({"vocab.tsv": "word\t[PAD]\tzero\t0\n"}, "vocab.tsv line 1: expected word or char"),
+    ], ids=["missing", "no-vocab", "two-fields", "non-integer-id"])
+    def test_init_from_a_checkpoint_without_a_vocabulary(self, tmp_path, capsys, extras, needle):
         import numpy as np
-        from hitkit.checkpoint import save_checkpoint
         bad = tmp_path / "ckpt"
-        if saved:
-            save_checkpoint(bad, {"word_hit.word_emb": np.zeros((2, 8))}, {"task": "mlm"})
+        if extras is not None:
+            save_checkpoint(bad, {"word_hit.word_emb": np.zeros((2, 8))}, {"task": "mlm"}, extras)
         code = main(["train", "--task", "classification", "--train-file",
                      write_classification(tmp_path), "--init-from", str(bad),
                      "--out-dir", str(tmp_path / "o")])
@@ -438,6 +494,40 @@ class TestMalformedInputs:
         code = main(["train", "--task", "classification", "--train-file",
                      write_classification(tmp_path), "--out-dir", str(tmp_path / "o")])
         self.assert_one_error_line(code, capsys.readouterr().err, "HITKIT_SEED", "'abc'")
+
+
+@pytest.fixture(scope="module")
+def small_archives(tmp_path_factory):
+    """The bytes of `small_checkpoint`, stored and deflated."""
+    d = tmp_path_factory.mktemp("archives")
+    return {deflated: small_checkpoint(d / f"ckpt-{deflated}", deflated)
+            for deflated in (False, True)}
+
+
+@given(deflated=st.booleans(), truncate=st.booleans(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_damaged_checkpoint_loads_or_names_itself(tmp_path_factory, small_archives, deflated,
+                                                    truncate, data):
+    raw = small_archives[deflated]
+    at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+    if truncate:
+        damaged = raw[:at]
+    else:
+        damaged = bytearray(raw)
+        damaged[at] ^= data.draw(st.integers(1, 255), label="bits")
+    d = tmp_path_factory.mktemp("damaged")
+    bad, texts = d / "ckpt", d / "texts.txt"
+    bad.write_bytes(bytes(damaged))
+    texts.write_text("hello good day\n")
+    try:
+        load_checkpoint(bad)
+    except ValueError as exc:
+        assert f"malformed checkpoint {bad}" in str(exc)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["embed", "--checkpoint", str(bad), "--input", str(texts),
+                     "--out-dir", str(d / "emb")])
+    assert code in (0, 1) and len(err.getvalue().splitlines()) <= 1, err.getvalue()
 
 
 class TestEvaluate:

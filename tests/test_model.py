@@ -261,12 +261,10 @@ class TestSeq2Seq:
         x = T.Tensor(np.random.default_rng(31).standard_normal((3, 4)), requires_grad=True)
         memory = T.Tensor(np.random.default_rng(32).standard_normal((2, 4)), requires_grad=True)
         probe = T.Tensor(np.random.default_rng(33).standard_normal((3, 4)))
-        causal = [np.tril(np.ones((3, 3), dtype=bool))[None]]
-        mem_allowed = [np.ones((1, 3, 2), dtype=bool)]
         leaves = [x, memory] + [p.tensor for p in layer.parameters()]
 
         def loss():
-            return T.sum_all(T.mul(layer.forward(x, causal, memory, mem_allowed), probe))
+            return T.sum_all(T.mul(layer.forward(x, [(1, 3, 3)], memory, [(1, 3, 2)]), probe))
 
         check_gradients(loss, leaves)
 

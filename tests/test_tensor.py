@@ -391,18 +391,17 @@ class TestStructuralOps:
         check_gradients(lambda: T.sum_all(T.tanh(T.mean_rows(x))), [x])
 
     def test_pairwise_and_opa_sums_gradient(self):
-        q = T.Tensor(rand((3, 2), 42), requires_grad=True)
-        k = T.Tensor(rand((3, 2), 43), requires_grad=True)
-        v = T.Tensor(rand((3, 2), 44), requires_grad=True)
-        allowed = np.array([[True, True, False]] * 3)
+        q = T.Tensor(rand((1, 3, 2), 42), requires_grad=True)
+        k = T.Tensor(rand((1, 3, 2), 43), requires_grad=True)
+        v = T.Tensor(rand((1, 3, 2), 44), requires_grad=True)
 
         def loss_outer():
             s = T.tanh(T.pairwise_hadamard(q, k))
-            return T.sum_all(T.tanh(T.opa_sum_outer(s, v, allowed)))
+            return T.sum_all(T.tanh(T.opa_sum_outer([s], [v])))
 
         def loss_had():
             s = T.tanh(T.pairwise_hadamard(q, k))
-            return T.sum_all(T.tanh(T.opa_sum_hadamard(s, v, allowed)))
+            return T.sum_all(T.tanh(T.opa_sum_hadamard([s], [v])))
 
         check_gradients(loss_outer, [q, k, v])
         check_gradients(loss_had, [q, k, v])
@@ -474,72 +473,61 @@ class TestBatchedOps:
         q = T.Tensor(rand((2, 3, 2), 66), requires_grad=True)
         k = T.Tensor(rand((2, 4, 2), 67), requires_grad=True)
         v = T.Tensor(rand((2, 4, 2), 68), requires_grad=True)
-        allowed = np.array([[[True, True, False, True]] * 3, [[True, False, True, True]] * 3])
         for op in (T.opa_sum_outer, T.opa_sum_hadamard):
-            out = op(T.tanh(T.pairwise_hadamard(q, k)), v, allowed).data
+            out = op([T.tanh(T.pairwise_hadamard(q, k))], [v]).data
             for i in range(2):
-                s = T.tanh(T.pairwise_hadamard(T.Tensor(q.data[i]), T.Tensor(k.data[i])))
-                want = op(s, T.Tensor(v.data[i]), allowed[i]).data
-                assert np.max(np.abs(out[i] - want)) < 1e-12
+                s = T.tanh(T.pairwise_hadamard(T.Tensor(q.data[i:i + 1]),
+                                               T.Tensor(k.data[i:i + 1])))
+                want = op([s], [T.Tensor(v.data[i:i + 1])]).data
+                assert np.max(np.abs(out[3 * i:3 * i + 3] - want)) < 1e-12
             check_gradients(
-                lambda: T.sum_all(T.tanh(op(T.tanh(T.pairwise_hadamard(q, k)), v, allowed))),
+                lambda: T.sum_all(T.tanh(op([T.tanh(T.pairwise_hadamard(q, k))], [v]))),
                 [q, k, v])
 
     def test_batched_pairwise_rejects_unmatched_batch_axes(self):
         with pytest.raises(T.ShapeError):
             T.pairwise_hadamard(T.Tensor(np.ones((2, 3, 2))), T.Tensor(np.ones((3, 3, 2))))
         with pytest.raises(T.ShapeError):
-            T.opa_sum_outer(T.Tensor(np.ones((2, 3, 4, 2))), T.Tensor(np.ones((2, 3, 2))),
-                            np.ones((2, 3, 4)))
+            T.opa_sum_outer([T.Tensor(np.ones((2, 3, 4, 2)))], [T.Tensor(np.ones((2, 3, 2)))])
 
     @staticmethod
     def ragged_groups(width=2, seed=70):
         """Three groups of (count, length) sequences: per group a query, key and value block."""
         rng = np.random.default_rng(seed)
-        groups = []
-        for count, length in ((2, 3), (1, 1), (3, 2)):
-            q, k, v = (T.Tensor(rng.standard_normal((count, length, width)), requires_grad=True)
-                       for _ in range(3))
-            allowed = rng.random((count, length, length)) < 0.7
-            allowed[..., 0] = True
-            groups.append((q, k, v, allowed))
-        return groups
+        return [tuple(T.Tensor(rng.standard_normal((count, length, width)), requires_grad=True)
+                      for _ in range(3)) for count, length in ((2, 3), (1, 1), (3, 2))]
 
     @pytest.mark.parametrize("op", [T.opa_sum_outer, T.opa_sum_hadamard])
     def test_group_list_stacks_single_block_results(self, op):
         groups = self.ragged_groups()
-        scores = [T.tanh(T.pairwise_hadamard(q, k)) for q, k, _, _ in groups]
-        packed = op(scores, [v for _, _, v, _ in groups], [a for *_, a in groups]).data
-        singles = [op(s, v, a).data for s, (_, _, v, a) in zip(scores, groups)]
-        want = np.concatenate([r.reshape((-1,) + r.shape[2:]) for r in singles])
+        scores = [T.tanh(T.pairwise_hadamard(q, k)) for q, k, _ in groups]
+        packed = op(scores, [v for _, _, v in groups]).data
+        want = np.concatenate([op([s], [v]).data for s, (_, _, v) in zip(scores, groups)])
         assert packed.shape == want.shape and np.array_equal(packed, want)
 
     @pytest.mark.parametrize("op", [T.opa_sum_outer, T.opa_sum_hadamard])
     def test_group_list_gradient(self, op):
         groups = self.ragged_groups()
-        leaves = [t for q, k, v, _ in groups for t in (q, k, v)]
+        leaves = [t for group in groups for t in group]
 
         def loss():
-            scores = [T.tanh(T.pairwise_hadamard(q, k)) for q, k, _, _ in groups]
-            return T.sum_all(T.tanh(op(scores, [v for _, _, v, _ in groups],
-                                       [a for *_, a in groups])))
+            scores = [T.tanh(T.pairwise_hadamard(q, k)) for q, k, _ in groups]
+            return T.sum_all(T.tanh(op(scores, [v for _, _, v in groups])))
 
         check_gradients(loss, leaves)
 
     @pytest.mark.parametrize("op", [T.opa_sum_outer, T.opa_sum_hadamard])
     def test_group_list_rejects_mismatches(self, op):
         groups = self.ragged_groups()
-        scores = [T.tanh(T.pairwise_hadamard(q, k)) for q, k, _, _ in groups]
-        values = [v for _, _, v, _ in groups]
-        masks = [a for *_, a in groups]
-        with pytest.raises(T.ShapeError, match="equal-length"):
-            op(scores, values[:2], masks)
-        with pytest.raises(T.ShapeError, match="equal-length"):
-            op(scores, values, masks[1:])
+        scores = [T.tanh(T.pairwise_hadamard(q, k)) for q, k, _ in groups]
+        values = [v for _, _, v in groups]
+        with pytest.raises(T.ShapeError, match="mismatch"):
+            op(scores, values[:2])
+        with pytest.raises(T.ShapeError, match="mismatch"):
+            op(scores, values[::-1])
         wide = self.ragged_groups(width=3)[0]
         with pytest.raises(T.ShapeError, match="width"):
-            op(scores + [T.tanh(T.pairwise_hadamard(wide[0], wide[1]))], values + [wide[2]],
-               masks + [wide[3]])
+            op(scores + [T.tanh(T.pairwise_hadamard(wide[0], wide[1]))], values + [wide[2]])
 
     def test_batched_mean_rows_matches_slices_and_gradient(self):
         x = T.Tensor(rand((2, 4, 3), 69), requires_grad=True)
@@ -562,48 +550,39 @@ class TestOpaProject:
 
     @classmethod
     def operands(cls, seed=80, d=2, e=3, c=2, sizes=SIZES):
-        """Score and mask blocks per group (some pairs masked), tables and a weight; all leaves."""
+        """Score blocks per group, tables and a weight; all leaves."""
         rng = np.random.default_rng(seed)
-        scores, masks = [], []
-        for count, length in cls.LAYOUT:
-            scores.append(T.Tensor(rng.standard_normal((count, length, length, d)), requires_grad=True))
-            allowed = rng.random((count, length, length)) < 0.6
-            allowed[..., 0] = True
-            masks.append(allowed)
+        scores = [T.Tensor(rng.standard_normal((count, length, length, d)), requires_grad=True)
+                  for count, length in cls.LAYOUT]
         tables = [T.Tensor(rng.standard_normal((n, e)), requires_grad=True) for n in sizes]
         w = T.Tensor(rng.standard_normal((d * e, c)), requires_grad=True)
-        return scores, tables, masks, w
+        return scores, tables, w
 
     @classmethod
-    def aggregate(cls, scores, parts, masks, w):
+    def aggregate(cls, scores, parts, w):
         """The aggregate path, on value rows built as the summed table rows."""
         v = T.embedding_lookup(*parts[0])
         for table, ids in parts[1:]:
             v = T.add(v, T.embedding_lookup(table, ids))
-        values, start = [], 0
-        for count, length in cls.LAYOUT:
-            stop = start + count * length
-            values.append(T.reshape(T.slice_rows(v, start, stop), (count, length, v.shape[1])))
-            start = stop
         d, e = scores[0].shape[-1], v.shape[1]
-        return T.matmul(T.reshape(T.opa_sum_outer(scores, values, masks), (start, d * e)), w)
+        agg = T.opa_sum_outer(scores, T.group_blocks(v, cls.LAYOUT))
+        return T.matmul(T.reshape(agg, (v.shape[0], d * e)), w)
 
-    def test_gradient_with_repeated_ids_and_masked_pairs(self):
-        scores, tables, masks, w = self.operands()
-        assert not all(m.all() for m in masks)
+    def test_gradient_with_repeated_ids(self):
+        scores, tables, w = self.operands()
         parts = list(zip(tables, self.IDS))
-        check_gradients(lambda: T.sum_all(T.tanh(T.opa_project(scores, parts, masks, w))),
+        check_gradients(lambda: T.sum_all(T.tanh(T.opa_project(scores, parts, w))),
                         scores + tables + [w])
 
     @pytest.mark.parametrize("sizes, ids", [(SIZES, IDS), ((13,), (np.arange(13),))],
                              ids=["two_tables_repeated_ids", "one_table_distinct_ids"])
     def test_matches_the_aggregate_of_the_summed_rows(self, sizes, ids):
-        scores, tables, masks, w = self.operands(seed=81, sizes=sizes)
+        scores, tables, w = self.operands(seed=81, sizes=sizes)
         parts = list(zip(tables, ids))
         leaves = scores + tables + [w]
         grads = []
-        for build in (lambda: T.opa_project(scores, parts, masks, w),
-                      lambda: self.aggregate(scores, parts, masks, w)):
+        for build in (lambda: T.opa_project(scores, parts, w),
+                      lambda: self.aggregate(scores, parts, w)):
             for leaf in leaves:
                 leaf.grad = None
             out = build()
@@ -616,33 +595,33 @@ class TestOpaProject:
             assert np.max(np.abs(g - h)) < 1e-12
 
     def test_a_given_projection_is_read_only_where_ids_reach(self):
-        scores, tables, masks, w = self.operands(seed=82, sizes=(7, 3))
+        scores, tables, w = self.operands(seed=82, sizes=(7, 3))
         parts = list(zip(tables, self.IDS))
         proj = T.project_rows(np.concatenate([t.data for t in tables]), w.data)
         proj[[3, 5, 6]] = np.nan  # rows of the first table that no id reaches
         with T.no_grad():
-            want = T.opa_project(scores, parts, masks, w).data
-            got = T.opa_project(scores, parts, masks, w, proj).data
+            want = T.opa_project(scores, parts, w).data
+            got = T.opa_project(scores, parts, w, proj).data
         assert np.array_equal(got, want)
         with pytest.raises(ValueError, match="no_grad"):
-            T.opa_project(scores, parts, masks, w, proj)
+            T.opa_project(scores, parts, w, proj)
 
     @pytest.mark.parametrize("ids", [np.arange(12), np.arange(14), np.zeros((13, 1))])
     def test_rejects_ids_of_the_wrong_length(self, ids):
-        scores, tables, masks, w = self.operands(sizes=(5, 14))
+        scores, tables, w = self.operands(sizes=(5, 14))
         with pytest.raises(T.ShapeError, match="value ids"):
-            T.opa_project(scores, [(tables[0], self.IDS[0]), (tables[1], ids)], masks, w)
+            T.opa_project(scores, [(tables[0], self.IDS[0]), (tables[1], ids)], w)
 
     def test_rejects_a_weight_of_the_wrong_height(self):
-        scores, tables, masks, _ = self.operands()
+        scores, tables, _ = self.operands()
         with pytest.raises(T.ShapeError, match="weight"):
-            T.opa_project(scores, list(zip(tables, self.IDS)), masks, T.Tensor(np.ones((5, 2))))
+            T.opa_project(scores, list(zip(tables, self.IDS)), T.Tensor(np.ones((5, 2))))
 
     def test_rejects_tables_of_different_widths(self):
-        scores, tables, masks, w = self.operands()
+        scores, tables, w = self.operands()
         narrow = T.Tensor(np.ones((3, 2)))
         with pytest.raises(T.ShapeError, match="width"):
-            T.opa_project(scores, [(tables[0], self.IDS[0]), (narrow, self.IDS[1])], masks, w)
+            T.opa_project(scores, [(tables[0], self.IDS[0]), (narrow, self.IDS[1])], w)
 
 
 class TestOpaSumProject:
@@ -653,19 +632,15 @@ class TestOpaSumProject:
 
     @classmethod
     def operands(cls, seed=90):
-        """Score, value and mask blocks per group (some pairs masked) and a weight; all leaves."""
+        """Score and value blocks per group and a weight; all leaves."""
         rng = np.random.default_rng(seed)
-        scores, values, masks = [], [], []
+        scores, values = [], []
         for count, length in cls.LAYOUT:
             scores.append(T.Tensor(rng.standard_normal((count, length, length, cls.D)),
                                    requires_grad=True))
             values.append(T.Tensor(rng.standard_normal((count, length, cls.E)), requires_grad=True))
-            allowed = rng.random((count, length, length)) < 0.6
-            allowed[..., 0] = True
-            masks.append(allowed)
-        assert not all(m.all() for m in masks)
         w = T.Tensor(rng.standard_normal((cls.D * cls.E, cls.C)), requires_grad=True)
-        return scores, values, masks, w
+        return scores, values, w
 
     @classmethod
     def blocks_of(cls, monkeypatch, width):
@@ -684,19 +659,19 @@ class TestOpaSumProject:
     @pytest.mark.parametrize("width, spans", [(3, [3, 3, 2]), (1, [1] * 8), (8, [8])],
                              ids=["uneven", "one_feature", "one_block"])
     def test_matches_the_aggregate_then_matmul(self, monkeypatch, width, spans):
-        scores, values, masks, w = self.operands()
+        scores, values, w = self.operands()
         leaves = scores + values + [w]
         want, want_grads = self.run(lambda: T.matmul(
-            T.reshape(T.opa_sum_outer(scores, values, masks), (13, self.D * self.E)), w), leaves)
+            T.reshape(T.opa_sum_outer(scores, values), (13, self.D * self.E)), w), leaves)
         self.blocks_of(monkeypatch, width)
         real, seen = T._outer_forward, []
 
-        def spy(a, sd, vd, out):
+        def spy(sd, vd, out):
             seen.append(sd.shape[-1])
-            real(a, sd, vd, out)
+            real(sd, vd, out)
 
         monkeypatch.setattr(T, "_outer_forward", spy)
-        got, got_grads = self.run(lambda: T.opa_sum_project(scores, values, masks, w), leaves)
+        got, got_grads = self.run(lambda: T.opa_sum_project(scores, values, w), leaves)
         # forward, then backward, make each block's aggregate group by group
         assert seen == [b for b in spans for _ in self.LAYOUT] * 2
         assert got.shape == want.shape == (13, self.C)
@@ -706,21 +681,19 @@ class TestOpaSumProject:
 
     def test_gradient_in_uneven_blocks(self, monkeypatch):
         self.blocks_of(monkeypatch, 3)
-        scores, values, masks, w = self.operands(seed=91)
-        check_gradients(lambda: T.sum_all(T.tanh(T.opa_sum_project(scores, values, masks, w))),
+        scores, values, w = self.operands(seed=91)
+        check_gradients(lambda: T.sum_all(T.tanh(T.opa_sum_project(scores, values, w))),
                         scores + values + [w])
 
     def test_rejects_mismatched_lists_and_widths(self):
-        scores, values, masks, w = self.operands()
-        with pytest.raises(T.ShapeError, match="equal-length"):
-            T.opa_sum_project(scores, values[:2], masks, w)
-        with pytest.raises(T.ShapeError, match="equal-length"):
-            T.opa_sum_project(scores, values, masks[1:], w)
+        scores, values, w = self.operands()
+        with pytest.raises(T.ShapeError, match="mismatch"):
+            T.opa_sum_project(scores, values[:2], w)
         narrow = T.Tensor(np.ones((2, 3, self.E + 1)))
         with pytest.raises(T.ShapeError, match="width"):
-            T.opa_sum_project(scores, [narrow] + values[1:], masks, w)
+            T.opa_sum_project(scores, [narrow] + values[1:], w)
         with pytest.raises(T.ShapeError, match="weight"):
-            T.opa_sum_project(scores, values, masks, T.Tensor(np.ones((self.D * self.E - 1, 2))))
+            T.opa_sum_project(scores, values, T.Tensor(np.ones((self.D * self.E - 1, 2))))
 
 
 class TestInvariants:
