@@ -26,6 +26,7 @@ from .tensor import (
     matmul,
     mul,
     opa_project,
+    opa_project_keys,
     opa_sum_hadamard,
     opa_sum_project,
     pairwise_hadamard,
@@ -143,7 +144,9 @@ class ProjectedValues(NamedTuple):
     """Value tables already multiplied by `wv_outer`, with their rows' `wo_outer` blocks.
 
     `parts` lists (table, ids) as `value_parts` does, and `proj` is what `opa_project`
-    takes as its `proj`. An inference cache passes this as `value_parts`.
+    takes as its `proj`. An inference cache passes this as `value_parts`. With `parts`
+    None, `proj[j]` is key j's whole block, as `opa_project_keys` takes it: a decoder
+    state's, for one sequence.
     """
 
     parts: list
@@ -164,7 +167,8 @@ def opa_forward(layer: FameLayer, x: Tensor, groups=None, x_kv: Tensor | None = 
     `value_parts` is a list of (table, ids) whose `table[ids]` rows sum to `x_kv`.
     With them, in true_outer_projected mode, each table is multiplied by
     `wv_outer` and `opa_project` projects each table row once instead of making
-    the aggregate. As `ProjectedValues`, they come with both products made.
+    the aggregate. As `ProjectedValues`, they come with both products made, or with
+    each key's block summed.
     """
     x_kv = x if x_kv is None else x_kv
     d = x.shape[1]
@@ -188,6 +192,8 @@ def opa_forward(layer: FameLayer, x: Tensor, groups=None, x_kv: Tensor | None = 
         if causal:
             s = mul(s, Tensor(np.broadcast_to(_causal(lq, lkv)[:, :, None], s.shape)))
         scores.append(s)
+    if projected and v is None:
+        return opa_project_keys(scores[0], proj)
     if projected:
         return opa_project(scores, v, layer.wo_outer.tensor, proj)
     values = group_blocks(v, kv_leads)

@@ -232,40 +232,68 @@ class Versions:
         return moved
 
 
-class OpaTableCache:
-    """The first char layer's OPA projections at inference, one block per character and position.
+OPA_CACHE_ROWS = 512  # an OpaTableCache's bound: 64 MB of (d, d) blocks at d_model 128
 
-    That layer's value rows are char_emb[c] @ wv_outer + pos[p] @ wv_outer. Row r of the
-    stacked table (every character id, then every position) keeps its value and that
-    value's (d, d) block through wo_outer (`tensor.project_rows`), made the first time a
-    call needs row r. So it holds at most (char vocab + max_word_len) * d * d floats. It
-    forgets every row when a tensor version of char_emb, wv_outer or wo_outer moves.
+
+class OpaTableCache:
+    """A first layer's OPA projections at inference, one block per table row.
+
+    That layer's value rows are emb[i] @ wv_outer + pos[p] @ wv_outer. Row r of the
+    stacked table (every id of `emb`, then every position) gets its value and that
+    value's (d, d) block through wo_outer (`tensor.project_rows`) the first time a call
+    needs it, by one product per row, so a block's bits do not depend on which rows were
+    filled with it. Rows are stored in the order they were filled, at most OPA_CACHE_ROWS,
+    so the memory touched grows with the rows filled, not with the table. It forgets
+    every row when a call's rows do not fit, and when a tensor version of emb, wv_outer
+    or wo_outer moves.
     """
 
     def __init__(self, emb: Parameter, pos: np.ndarray, fame: FameLayer):
         self.emb, self.pos, self.fame = emb, pos, fame
         self.versions = Versions([emb, fame.wv_outer, fame.wo_outer])
-        self.filled = np.zeros(len(emb.data) + len(pos), dtype=bool)
+        self.slots = np.full(len(emb.data) + len(pos), -1)  # each row's place, -1 if unfilled
+        self.n_filled = 0
         self.values = self.blocks = None
 
-    def value_parts(self, chars, positions) -> ProjectedValues:
-        """The first layer's value parts for the rows char_emb[chars] + pos[positions]."""
-        if self.versions.moved():
-            self.filled[:] = False
-        n_chars = len(self.emb.data)
-        rows = np.unique(np.concatenate([chars, n_chars + positions]))
-        missing = rows[~self.filled[rows]]
-        if missing.size:
-            if self.blocks is None:
-                d = self.pos.shape[1]
-                self.values = np.zeros((len(self.filled), d))
-                self.blocks = np.zeros((len(self.filled), d, d))
-            v = np.concatenate([self.emb.data, self.pos])[missing] @ self.fame.wv_outer.data
-            self.values[missing] = v
-            self.blocks[missing] = project_rows(v, self.fame.wo_outer.data)
-            self.filled[missing] = True
-        return ProjectedValues([(Tensor(self.values[:n_chars]), chars),
-                                (Tensor(self.values[n_chars:]), positions)], self.blocks)
+    def _slots(self, rows: np.ndarray):
+        """The places of table rows `rows`, filling those missing; None if they cannot fit."""
+        if self.blocks is None:
+            # made at the first call rather than at set-up, which kept 4 MB off the peak RSS
+            # of the `embed` benchmark; zeroed pages are touched only as places are filled
+            n, d = min(OPA_CACHE_ROWS, len(self.slots)), self.pos.shape[1]
+            self.values, self.blocks = np.zeros((n, d)), np.zeros((n, d, d))
+        needed = np.unique(rows)
+        if len(needed) > len(self.blocks):
+            return None
+        if (self.versions.moved()
+                or self.n_filled + np.count_nonzero(self.slots[needed] < 0) > len(self.blocks)):
+            self.slots[:], self.n_filled = -1, 0
+        n_ids, wv, wo = len(self.emb.data), self.fame.wv_outer.data, self.fame.wo_outer.data
+        for r in needed[self.slots[needed] < 0]:
+            row = self.emb.data[r] if r < n_ids else self.pos[r - n_ids]
+            v = row[None] @ wv
+            self.values[self.n_filled] = v[0]
+            self.blocks[self.n_filled] = project_rows(v, wo)[0]
+            self.slots[r] = self.n_filled
+            self.n_filled += 1
+        return self.slots[rows]
+
+    def value_parts(self, ids, positions) -> ProjectedValues | None:
+        """The first layer's value parts for the rows emb[ids] + pos[positions], or None
+        if the call has more distinct ids and positions than the cache holds."""
+        slots = self._slots(np.concatenate([ids, len(self.emb.data) + positions]))
+        if slots is None:
+            return None
+        values = Tensor(self.values)
+        return ProjectedValues([(values, slots[:len(ids)]), (values, slots[len(ids):])],
+                               self.blocks)
+
+    def value_blocks(self, ids, positions, out: np.ndarray) -> None:
+        """Write the block of each value row emb[ids[k]] + pos[positions[k]] into out[k]."""
+        n_ids = len(self.emb.data)
+        for k, (i, p) in enumerate(zip(ids, positions)):
+            a, b = self._slots(np.array([i, n_ids + p]))
+            np.add(self.blocks[a], self.blocks[b], out=out[k])
 
 
 class CharHit:
@@ -304,9 +332,10 @@ class CharHit:
         x = add(embedding_lookup(self.emb.tensor, chars), Tensor(self.pos[pack.positions]))
         # a first-layer row is char_emb[c] + pos[p] (dropout comes after attention), and the
         # OPA projection is linear in the value: it projects each character and position once
+        parts = None
         if self.opa_cache is not None and not (training or is_recording()):
             parts = self.opa_cache.value_parts(chars, pack.positions)
-        else:
+        if parts is None:
             distinct, char_ids = np.unique(chars, return_inverse=True)
             parts = [(embedding_lookup(self.emb.tensor, distinct), char_ids),
                      (Tensor(self.pos[:max(pack.lengths)]), pack.positions)]

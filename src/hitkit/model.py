@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .attention import FameConfig, FameLayer, fame_forward, multi_head_attention
+from .attention import (FameConfig, FameLayer, ProjectedValues, fame_forward,
+                        multi_head_attention)
 from .data import CLS_ID, EOS_ID, EncodedExample
-from .encoders import (FeedForward, HitEncoder, Packing, add_norm, dropout_multipliers,
-                       positional_table)
+from .encoders import (FeedForward, HitEncoder, OpaTableCache, Packing, add_norm,
+                       dropout_multipliers, positional_table)
 from .optim import Parameter, normal_init, xavier_uniform
 from .tensor import (
     ShapeError,
@@ -163,12 +164,13 @@ class DecoderLayer:
         self.eps = eps
 
     def forward(self, x: Tensor, self_groups, memory: Tensor, mem_groups, drop=None,
-                history: Tensor | None = None) -> Tensor:
+                history: Tensor | None = None, value_parts=None) -> Tensor:
         """Rows `x` attend causally over `history` (default `x`), the inputs this layer has
         received, and over all of `memory`, grouped as `fame_forward` takes them. `drop` is
-        this layer's (self-attention, cross-attention, FFN) triple from `dropout_multipliers`."""
-        y = add_norm(self, 0, x, fame_forward(self.fame, x, self_groups, history, causal=True),
-                     drop)
+        this layer's (self-attention, cross-attention, FFN) triple from `dropout_multipliers`;
+        `value_parts` go to `fame_forward`."""
+        y = add_norm(self, 0, x, fame_forward(self.fame, x, self_groups, history, value_parts,
+                                              causal=True), drop)
         y = add_norm(self, 1, y, self.cross.forward(y, memory, mem_groups), drop)
         return add_norm(self, 2, y, self.ffn.forward(y), drop)
 
@@ -177,8 +179,30 @@ class DecoderLayer:
                 + [p for n in self.norms for p in n])
 
 
+class DecoderState:
+    """One sequence decoded so far, for `Seq2SeqModel.decode_logits(..., state=)`.
+
+    `inputs[i, :t]` holds the rows that layer i got at the t positions so far, its keys.
+    In true_outer_projected mode `blocks[j]` is the first layer's value block of position
+    j through wo_outer, the model's cached block of its token plus that of j, so that
+    layer's outer branch never reads wo_outer once a token's block is cached. `memory`
+    is the one source's word states.
+    """
+
+    def __init__(self, model: Seq2SeqModel, memory: Tensor):
+        cap, d = model.encoder.config.max_len, model.encoder.config.d_model
+        self.t = 0
+        self.memory = memory
+        self.inputs = np.empty((len(model.layers), cap, d))
+        self.blocks = None if model.opa_cache is None else np.empty((cap, d, d))
+
+
 class Seq2SeqModel(_TaskModel):
-    """Hierarchical encoder feeding a causal decoder; greedy decoding only."""
+    """Hierarchical encoder feeding a causal decoder; greedy decoding only.
+
+    At inference, its first layer's value blocks come from an `OpaTableCache` over
+    `tgt_emb` and the positions, through a `DecoderState`.
+    """
 
     def __init__(self, encoder: HitEncoder, target_vocab_size: int, l_dec: int,
                  rng: np.random.Generator, dropout_rate: float = 0.0, d_ff: int = 0,
@@ -194,6 +218,9 @@ class Seq2SeqModel(_TaskModel):
         self.out_w = Parameter("decoder.out_w", xavier_uniform(rng, (d, target_vocab_size)))
         self.out_b = Parameter("decoder.out_b", np.zeros(target_vocab_size))
         self.pos = positional_table(config.max_len, d)
+        self.opa_cache = (OpaTableCache(self.tgt_emb, self.pos, self.layers[0].fame)
+                          if self.layers and config.opa_combine == "true_outer_projected"
+                          else None)
 
     def head_parameters(self):
         out = [self.tgt_emb]
@@ -202,21 +229,27 @@ class Seq2SeqModel(_TaskModel):
         out.extend([self.out_w, self.out_b])
         return out
 
-    def decode_logits(self, targets, memory: Tensor, mem_lengths, training=False, rng=None,
-                      inputs: list[list[np.ndarray]] | None = None) -> Tensor:
+    def decode_logits(self, targets, memory: Tensor | None = None, mem_lengths=None,
+                      training=False, rng=None, state: DecoderState | None = None) -> Tensor:
         """Logits of every position of every id list in `targets`, stacked in their order.
 
         A position sees its sequence up to it and all `mem_lengths[i]` rows of its memory;
         `memory` stacks the memories in that order (as `word_states` returns them).
-        Sequences run packed, grouped by (target length, memory length). With `inputs`, one
-        sequence starts at t = len(inputs[0]): `inputs[i]` holds the rows layer i got at the
-        t earlier positions; each layer appends its new rows and attends over all of them,
-        as constants, so no graph is kept across calls.
+        Sequences run packed, grouped by (target length, memory length). With `state`,
+        `targets` holds one sequence that continues the state's at t = state.t, over the
+        state's memory: each layer writes its new rows into the state and attends over
+        all of them, as constants, so no graph is kept across calls. The first layer then
+        takes its value blocks from the state; that product makes no graph and raises if
+        a graph is recorded.
         """
-        t, cap = 0 if inputs is None else len(inputs[0]), self.encoder.config.max_len
+        t, cap = 0 if state is None else state.t, self.encoder.config.max_len
         for ids in targets:
             if not 0 < len(ids) <= cap - t:
                 raise ShapeError(f"target of {len(ids)} ids at {t} is empty or past cap {cap}")
+        if state is not None:
+            if len(targets) != 1:
+                raise ShapeError(f"a decoder state continues one sequence, got {len(targets)}")
+            memory, mem_lengths = state.memory, [state.memory.shape[0]]
         keys = [(len(ids), n) for ids, n in zip(targets, mem_lengths)]
         pack, mem = Packing([n for n, _ in keys], keys), Packing([s for _, s in keys], keys)
         x = add(embedding_lookup(self.tgt_emb.tensor, pack.rows(targets)),
@@ -226,12 +259,19 @@ class Seq2SeqModel(_TaskModel):
         memory = mem.pack_rows(memory)
         p = self.layers[0].dropout_rate if training and self.layers else 0.0
         drops = dropout_multipliers(rng, p, pack, len(self.layers), x.shape[1], 3)
+        end = t + pack.n_rows
+        if state is not None and state.blocks is not None:
+            self.opa_cache.value_blocks(targets[0], range(t, end), state.blocks[t:end])
         for i, (layer, drop) in enumerate(zip(self.layers, drops)):
-            history = None
-            if inputs is not None:
-                inputs[i].extend(x.data)
-                history = Tensor(np.stack(inputs[i]))
-            x = layer.forward(x, self_groups, memory, mem_groups, drop, history)
+            history = parts = None
+            if state is not None:
+                state.inputs[i, t:end] = x.data
+                history = Tensor(state.inputs[i, :end])
+                if i == 0 and state.blocks is not None:
+                    parts = ProjectedValues(None, state.blocks[:end])
+            x = layer.forward(x, self_groups, memory, mem_groups, drop, history, parts)
+        if state is not None:
+            state.t = end
         return add_bias(matmul(pack.unpack_rows(x), self.out_w.tensor), self.out_b.tensor)
 
     def loss_batch(self, examples, training=False, rng=None) -> Tensor:
@@ -245,19 +285,18 @@ class Seq2SeqModel(_TaskModel):
                       return_probs: bool = False):
         """Argmax continuation from [CLS]; returns the ids between [CLS] and [EOS].
 
-        Incremental: each step runs `decode_logits` on the newest position only,
-        so a step costs time linear in the prefix length.
+        Incremental: each step runs `decode_logits` on the newest position only, with
+        one `DecoderState`, so a step costs time linear in the prefix length.
         """
         # the decoder takes max_len positions: [CLS] and at most max_len - 1 generated ids
         limit = min(self.max_out if max_out is None else max_out, self.encoder.config.max_len - 1)
         with no_grad():
-            memory = self.encoder.word_states([ex])
-            inputs: list[list[np.ndarray]] = [[] for _ in self.layers]
+            state = DecoderState(self, self.encoder.word_states([ex]))
             token = CLS_ID
             out: list[int] = []
             probs: list[float] = []
             while len(out) < limit:
-                row = self.decode_logits([[token]], memory, [ex.n_words], inputs=inputs).data[0]
+                row = self.decode_logits([[token]], state=state).data[0]
                 nxt = int(np.argmax(row))
                 shifted = np.exp(row - row.max())
                 prob = float(shifted[nxt] / shifted.sum())

@@ -64,25 +64,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 _recording: bool = True
 _seq = itertools.count()
@@ -709,7 +690,8 @@ def opa_project(s, parts, w: Tensor, proj=None) -> Tensor:
     s_ij @ P_u(j). So the d * e * c work scales with the table rows, and neither v nor
     the (rows, d, e) aggregate is made. The gradient goes to s, to every table and to w.
 
-    `proj`, if given, stands for `project_rows` of the tables stacked in order. Only
+    `proj`, if given, holds the blocks that every part's ids index: the tables are then
+    one table, as an inference cache keeps its rows in the order it filled them. Only
     its rows that `ids` reach are read, so it may be a cache whose other rows are
     unfilled. It is for inference: no graph is made, and one that would be raises.
     """
@@ -732,9 +714,10 @@ def opa_project(s, parts, w: Tensor, proj=None) -> Tensor:
     sizes = [table.shape[0] for table in tables]
     _, first, uid = np.unique(np.ravel_multi_index(ids, sizes), return_index=True,
                               return_inverse=True)
-    # each distinct value's rows in the tables stacked into one
+    # each distinct value's rows in the tables stacked into one, or in `proj`'s one table
     starts = np.cumsum([0] + sizes[:-1])
-    combos = np.stack([start + i[first] for start, i in zip(starts, ids)], axis=1)
+    combos = np.stack([i[first] + (start if proj is None else 0)
+                       for start, i in zip(starts, ids)], axis=1)
     # every (query, key) pair, in score order: its query row and its key's distinct value
     pair_q, pair_u = [], []
     q0 = v0 = 0
@@ -791,6 +774,23 @@ def opa_project(s, parts, w: Tensor, proj=None) -> Tensor:
         return tuple(by_group(ds)) + tuple(np.split(dtable, starts[1:])) + (dw,)
 
     return _emit(out, tuple(ss) + tuple(tables) + (w,), bwd)
+
+
+def opa_project_keys(s: Tensor, blocks: np.ndarray) -> Tensor:
+    """opa_project of one sequence whose key j's value has the projected block blocks[j].
+
+    s is the (1, n, m, d) scores and blocks a C-contiguous (m, d, c) array, so out_i, the
+    sum over j of s[0, i, j] @ blocks[j], is one (n, m * d) @ (m * d, c) product that
+    reads each block once and never the (d * d, c) weight. It is for inference: no graph
+    is made, and one that would be raises.
+    """
+    if s.ndim != 4 or s.shape[0] != 1 or blocks.shape[:2] != s.shape[2:]:
+        raise ShapeError(f"opa_project_keys shape mismatch: scores {s.shape}, "
+                         f"blocks {blocks.shape}")
+    if _recording and s.requires_grad:
+        raise ValueError("opa_project_keys makes no graph; run it under no_grad")
+    n, m, d = s.shape[1:]
+    return _emit(s.data.reshape(n, m * d) @ blocks.reshape(m * d, -1), (s,), None)
 
 
 def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:

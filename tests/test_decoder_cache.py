@@ -1,0 +1,175 @@
+"""The decoder's first-layer OPA cache and the decoder state of greedy decoding.
+
+At inference `greedy_decode` runs each step through a `DecoderState`, whose
+first-layer value blocks come from the model's `OpaTableCache` over the target
+embedding and the positions. `decode_logits` over each whole prefix
+(`recompute_greedy_decode`) is the cache-free reference. The blocks come from
+other products than the aggregate path's, so logits are compared to 1e-12 and
+probabilities to 1e-9, as the other greedy-decoding oracles are; one request
+decoded on a warm cache and on a cold one must agree bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hitkit import data as D
+from hitkit import encoders as E
+from hitkit import optim as O
+from hitkit import tensor as T
+from hitkit.model import DecoderState
+from hitkit.train import TrainConfig, build_seq2seq, seed_streams
+
+from oracles import recompute_greedy_decode
+
+WORDS = [f"w{i}" for i in range(25)]
+VOCAB = D.build_vocab([WORDS[i:i + 5] for i in range(0, len(WORDS), 5)])
+MAX_LEN = 12
+
+
+def seq2seq(seed=0, **kw):
+    base = dict(d_model=8, n_heads=2, l_c=1, l_w=1, l_dec=2, dropout=0.0, max_len=MAX_LEN,
+                max_word_len=8)
+    base.update(kw)
+    model = build_seq2seq(TrainConfig(**base), VOCAB.word_size, VOCAB.char_size,
+                          seed_streams(seed)["init"])
+    bias = np.zeros(VOCAB.word_size)
+    # every request runs to the length cap; a logit of -1e4 would have an ulp of 1.8e-12,
+    # past the 1e-12 that the logits are compared to
+    bias[D.EOS_ID] = -30.0
+    model.out_b.assign(bias)
+    return model
+
+
+def source(words):
+    return D.encode_example(["[CLS]"] + list(words) + ["[EOS]"], VOCAB, max_len=MAX_LEN,
+                            max_word_len=8)
+
+
+def assert_matches_oracle(model, src):
+    ids, probs = model.greedy_decode(src, return_probs=True)
+    want_ids, want_probs = recompute_greedy_decode(model, src, model.max_out)
+    assert ids == want_ids
+    assert np.max(np.abs(np.subtract(probs, want_probs)), initial=0.0) < 1e-9
+    return ids, probs
+
+
+def filled_rows(model):
+    return set(np.flatnonzero(model.opa_cache.slots >= 0))
+
+
+SOURCES = [source(WORDS[i:i + 3]) for i in range(0, 12, 3)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 1000), score=st.sampled_from(["tanh", "softmax"]),
+       combine=st.sampled_from(["true_outer_projected", "hadamard"]), data=st.data())
+def test_incremental_logits_match_and_a_warm_cache_decodes_as_a_cold_one(seed, score, combine,
+                                                                         data):
+    rng = np.random.default_rng(seed)
+    src = source([WORDS[int(i)] for i in rng.integers(0, len(WORDS),
+                                                      data.draw(st.integers(1, MAX_LEN - 2)))])
+    length = data.draw(st.integers(1, MAX_LEN))
+    seq = [D.CLS_ID] + [int(t) for t in rng.integers(0, VOCAB.word_size, length - 1)]
+    cuts = sorted(data.draw(st.sets(st.integers(1, length - 1), max_size=4))
+                  if length > 1 else [])
+    warm = seq2seq(seed, opa_score=score, opa_combine=combine)
+    cold = seq2seq(seed, opa_score=score, opa_combine=combine)
+    with T.no_grad():
+        memory = warm.encoder.word_states([src])
+        full = warm.decode_logits([seq], memory, [src.n_words]).data
+        state = DecoderState(warm, memory)
+        bounds = [0] + cuts + [length]
+        chunks = [warm.decode_logits([seq[lo:hi]], state=state).data
+                  for lo, hi in zip(bounds[:-1], bounds[1:])]
+    assert np.max(np.abs(np.concatenate(chunks) - full)) < 1e-12
+    # `warm` has cached the blocks of `seq`'s tokens and positions; `cold` has none
+    got = warm.greedy_decode(src, return_probs=True)
+    want = cold.greedy_decode(src, return_probs=True)
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+
+
+def assign(p):
+    p.assign(p.data * 1.5 + 0.1)
+
+
+def adam(p):
+    p.tensor.grad = np.random.default_rng(7).standard_normal(p.data.shape)
+    O.adam_step([p], 0.1)
+
+
+def load(p, model):
+    model.load_arrays({p.name: p.data * 1.5 + 0.1})
+
+
+PARAMS = {"tgt_emb": lambda m: m.tgt_emb,
+          "wv_outer": lambda m: m.layers[0].fame.wv_outer,
+          "wo_outer": lambda m: m.layers[0].fame.wo_outer}
+
+
+@pytest.mark.parametrize("param", sorted(PARAMS))
+@pytest.mark.parametrize("change", ["assign", "adam_step", "load_arrays"])
+def test_no_stale_block_after_a_parameter_change(param, change):
+    model = seq2seq(seed=3)
+    src = SOURCES[0]
+    before = assert_matches_oracle(model, src)
+    p = PARAMS[param](model)
+    {"assign": assign, "adam_step": adam, "load_arrays": lambda p: load(p, model)}[change](p)
+    after = assert_matches_oracle(model, src)
+    assert np.max(np.abs(np.subtract(after[1], before[1]))) > 1e-6 or after[0] != before[0]
+
+
+def test_loss_batch_neither_reads_nor_fills_the_cache():
+    model = seq2seq(seed=4, dropout=0.2)
+    batch = [source(WORDS[i:i + 3]) for i in range(0, 9, 3)]
+    for ex, shift in zip(batch, range(3)):
+        ex.target = [D.CLS_ID] + [5 + (shift + k) % 20 for k in range(4)] + [D.EOS_ID]
+
+    def losses():
+        training = lambda: model.loss_batch(batch, training=True, rng=np.random.default_rng(5))
+        out = [model.loss_batch(batch).item(), training().item()]  # each records a graph
+        with T.no_grad():
+            out.append(training().item())
+        return out
+
+    before = losses()
+    assert not filled_rows(model)
+    model.greedy_decode(SOURCES[1])
+    filled = filled_rows(model)
+    model.opa_cache.blocks[:] = np.nan  # a block read from here would show
+    assert losses() == before
+    assert filled_rows(model) == filled
+
+
+def test_two_models_share_no_store():
+    first, second = seq2seq(seed=0), seq2seq(seed=1)
+    assert_matches_oracle(first, SOURCES[2])
+    assert filled_rows(first) and not filled_rows(second)
+    assert_matches_oracle(second, SOURCES[2])
+    assert not np.shares_memory(first.opa_cache.blocks, second.opa_cache.blocks)
+
+
+def test_hadamard_decoders_have_no_cache():
+    model = seq2seq(seed=5, opa_combine="hadamard")
+    assert model.opa_cache is None
+    assert_matches_oracle(model, SOURCES[3])
+
+
+def test_the_store_keeps_at_most_its_row_cap(monkeypatch):
+    cap = 16
+    monkeypatch.setattr(E, "OPA_CACHE_ROWS", cap)
+    model = seq2seq(seed=6)
+    assert VOCAB.word_size > cap
+    cache, emitted = model.opa_cache, set()
+    for k in range(20):
+        bias = np.zeros(VOCAB.word_size)
+        bias[D.EOS_ID], bias[5 + k] = -30.0, 3.0  # each request leans to another token
+        model.out_b.assign(bias)
+        ids, _ = assert_matches_oracle(model, source(WORDS[k:k + 2]))
+        emitted.update(ids)
+        slots = cache.slots[cache.slots >= 0]
+        assert len(cache.blocks) == cap and cache.n_filled <= cap
+        assert sorted(slots.tolist()) == list(range(cache.n_filled))  # filled contiguously
+    assert len(emitted) > cap

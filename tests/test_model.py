@@ -3,6 +3,7 @@ import pytest
 
 from hitkit import data as D
 from hitkit import tensor as T
+from hitkit.model import DecoderState
 from hitkit.train import (
     TrainConfig,
     build_classifier,
@@ -201,35 +202,48 @@ class TestSeq2Seq:
         assert ids == want_ids
         assert np.max(np.abs(np.subtract(probs, want_probs))) < 1e-9
 
+    @pytest.mark.parametrize("score", ["tanh", "softmax"])
     @pytest.mark.parametrize("combine", ["true_outer_projected", "hadamard"])
-    def test_step_logits_match_decode_logits_at_every_prefix(self, vocab, combine):
-        cfg = tiny_cfg(l_dec=2, opa_combine=combine)
+    def test_step_logits_match_decode_logits_at_every_prefix(self, vocab, score, combine):
+        cfg = tiny_cfg(l_dec=2, opa_score=score, opa_combine=combine)
         model = build_seq2seq(cfg, vocab.word_size, vocab.char_size, seed_streams(24)["init"])
         src = self.source(vocab)
         seq = [D.CLS_ID] + [int(t) for t in np.random.default_rng(25).integers(
             0, vocab.word_size, cfg.max_len - 1)]
         with T.no_grad():
             memory = model.encoder.word_states([src])
-            inputs = [[] for _ in model.layers]
+            state = DecoderState(model, memory)
             for t, token in enumerate(seq):
-                step = model.decode_logits([[token]], memory, [src.n_words], inputs=inputs).data[0]
+                step = model.decode_logits([[token]], state=state).data[0]
                 full = model.decode_logits([seq[:t + 1]], memory, [src.n_words]).data[t]
                 assert np.max(np.abs(step - full)) < 1e-12
 
-    def test_chunks_after_a_prefix_match_decode_logits(self, vocab):
-        model = build_seq2seq(tiny_cfg(l_dec=2), vocab.word_size, vocab.char_size,
-                              seed_streams(26)["init"])
+    @pytest.mark.parametrize("score", ["tanh", "softmax"])
+    @pytest.mark.parametrize("combine", ["true_outer_projected", "hadamard"])
+    def test_chunks_after_a_prefix_match_decode_logits(self, vocab, score, combine):
+        model = build_seq2seq(tiny_cfg(l_dec=2, opa_score=score, opa_combine=combine),
+                              vocab.word_size, vocab.char_size, seed_streams(26)["init"])
         src = self.source(vocab)
         seq = [D.CLS_ID] + [int(t) for t in np.random.default_rng(27).integers(
             0, vocab.word_size, 8)]
         with T.no_grad():
             memory = model.encoder.word_states([src])
             full = model.decode_logits([seq], memory, [src.n_words]).data
-            inputs = [[] for _ in model.layers]
-            chunks = [model.decode_logits([seq[lo:hi]], memory, [src.n_words], inputs=inputs).data
+            state = DecoderState(model, memory)
+            chunks = [model.decode_logits([seq[lo:hi]], state=state).data
                       for lo, hi in [(0, 3), (3, 4), (4, 9)]]
-        assert [len(rows) for rows in inputs] == [9, 9]
+        assert state.t == 9
         assert np.max(np.abs(np.concatenate(chunks) - full)) < 1e-12
+
+    def test_a_state_step_under_a_graph_or_of_two_sequences_raises(self, vocab):
+        model = self.make(vocab, seed=28)
+        src = self.source(vocab)
+        with T.no_grad():
+            state = DecoderState(model, model.encoder.word_states([src]))
+        with pytest.raises(ValueError, match="no_grad"):
+            model.decode_logits([[D.CLS_ID]], state=state)
+        with T.no_grad(), pytest.raises(T.ShapeError, match="one sequence"):
+            model.decode_logits([[D.CLS_ID], [D.CLS_ID]], state=state)
 
     def test_teacher_forcing_loss_runs_and_is_finite(self, vocab):
         model = self.make(vocab, seed=12)

@@ -9,6 +9,7 @@ uncached path's, so results are compared to 1e-12, not bit for bit.
 import numpy as np
 import pytest
 
+from hitkit import encoders as E
 from hitkit import optim as O
 from hitkit import tensor as T
 
@@ -37,7 +38,7 @@ def char_vectors(char_hit, words, **kw):
 
 
 def filled_rows(char_hit):
-    return set(np.flatnonzero(char_hit.opa_cache.filled))
+    return set(np.flatnonzero(char_hit.opa_cache.slots >= 0))
 
 
 def test_cached_char_vectors_match_a_cache_free_encoding():
@@ -60,12 +61,30 @@ def test_cached_encoder_outputs_match_a_cache_free_encoder(method):
 
 def test_only_the_ids_seen_are_filled():
     char_hit = classifier().encoder.char_hit
-    assert not char_hit.opa_cache.filled.any()
+    assert not filled_rows(char_hit)
     words = [[5, 7, 5], [9, 7]]
     char_vectors(char_hit, words)
     assert filled_rows(char_hit) == {5, 7, 9, N_CHARS + 0, N_CHARS + 1, N_CHARS + 2}
     char_vectors(char_hit, [[6]])
     assert filled_rows(char_hit) == {5, 6, 7, 9, N_CHARS + 0, N_CHARS + 1, N_CHARS + 2}
+    # stored in fill order: a call's new rows take the next places, in row order
+    slots = char_hit.opa_cache.slots
+    assert slots[[5, 7, 9, N_CHARS, N_CHARS + 1, N_CHARS + 2, 6]].tolist() == list(range(7))
+
+
+def test_rows_past_the_cap_run_uncached_or_refill_the_cache(monkeypatch):
+    monkeypatch.setattr(E, "OPA_CACHE_ROWS", 6)
+    char_hit = classifier().encoder.char_hit
+    fits = [[5, 7, 5], [9, 7]]  # 3 characters and 3 positions
+    assert_close(char_vectors(char_hit, fits), char_hit.forward(fits).data)
+    assert filled_rows(char_hit) == {5, 7, 9, N_CHARS + 0, N_CHARS + 1, N_CHARS + 2}
+    wide = [[5, 6, 7, 8], [9, 10]]  # 6 characters and 4 positions: more than the cache holds
+    assert_close(char_vectors(char_hit, wide), char_hit.forward(wide).data)
+    assert filled_rows(char_hit) == {5, 7, 9, N_CHARS + 0, N_CHARS + 1, N_CHARS + 2}
+    # 2 new rows do not fit beside 6: every row is forgotten and the call's rows refilled
+    assert_close(char_vectors(char_hit, [[6]]), char_hit.forward([[6]]).data)
+    assert filled_rows(char_hit) == {6, N_CHARS + 0}
+    assert char_hit.opa_cache.slots[[6, N_CHARS]].tolist() == [0, 1]
 
 
 def assign_wo_outer(model, examples):
@@ -103,7 +122,7 @@ def test_training_and_recording_calls_neither_read_nor_fill_the_cache():
         return out
 
     before = run()
-    assert not char_hit.opa_cache.filled.any()
+    assert not filled_rows(char_hit)
     char_vectors(char_hit, words)
     filled = filled_rows(char_hit)
     char_hit.opa_cache.blocks[:] = np.nan  # a block read from here would show
@@ -116,7 +135,7 @@ def test_two_encoders_share_nothing():
     first, second = classifier(seed=0).encoder.char_hit, classifier(seed=1).encoder.char_hit
     words = word_batches(1)[0]
     char_vectors(first, words)
-    assert filled_rows(first) and not second.opa_cache.filled.any()
+    assert filled_rows(first) and not filled_rows(second)
     assert_close(char_vectors(second, words), second.forward(words).data)
     assert not np.shares_memory(first.opa_cache.blocks, second.opa_cache.blocks)
 

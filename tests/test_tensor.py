@@ -597,14 +597,33 @@ class TestOpaProject:
     def test_a_given_projection_is_read_only_where_ids_reach(self):
         scores, tables, w = self.operands(seed=82, sizes=(7, 3))
         parts = list(zip(tables, self.IDS))
-        proj = T.project_rows(np.concatenate([t.data for t in tables]), w.data)
+        # with a projection, every part's ids index its one table: here both tables stacked
+        one = T.Tensor(np.concatenate([t.data for t in tables]))
+        shared = [(one, self.IDS[0]), (one, 7 + self.IDS[1])]
+        proj = T.project_rows(one.data, w.data)
         proj[[3, 5, 6]] = np.nan  # rows of the first table that no id reaches
         with T.no_grad():
             want = T.opa_project(scores, parts, w).data
-            got = T.opa_project(scores, parts, w, proj).data
+            got = T.opa_project(scores, shared, w, proj).data
         assert np.array_equal(got, want)
         with pytest.raises(ValueError, match="no_grad"):
-            T.opa_project(scores, parts, w, proj)
+            T.opa_project(scores, shared, w, proj)
+
+    def test_blocks_per_key_match_opa_project(self):
+        rng = np.random.default_rng(83)
+        d, e, c, n, m = 2, 3, 2, 3, 4
+        scores = T.Tensor(rng.standard_normal((1, n, m, d)), requires_grad=True)
+        table = T.Tensor(rng.standard_normal((m, e)))
+        w = T.Tensor(rng.standard_normal((d * e, c)), requires_grad=True)
+        blocks = T.project_rows(table.data, w.data)
+        with T.no_grad():
+            want = T.opa_project([scores], [(table, np.arange(m))], w).data
+            got = T.opa_project_keys(scores, blocks).data
+        assert np.max(np.abs(got - want)) < 1e-12
+        with pytest.raises(ValueError, match="no_grad"):
+            T.opa_project_keys(scores, blocks)
+        with T.no_grad(), pytest.raises(T.ShapeError, match="mismatch"):
+            T.opa_project_keys(scores, blocks[1:])
 
     @pytest.mark.parametrize("ids", [np.arange(12), np.arange(14), np.zeros((13, 1))])
     def test_rejects_ids_of_the_wrong_length(self, ids):
@@ -704,7 +723,3 @@ class TestInvariants:
     def test_no_implicit_broadcast(self):
         with pytest.raises(T.ShapeError):
             T.add(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros(3)))
-
-    def test_scalar_times_tensor_allowed(self):
-        x = T.Tensor([1.0, 2.0])
-        assert np.allclose((2.0 * x).data, [2.0, 4.0])
