@@ -100,44 +100,99 @@ def _groups(groups, x: Tensor, x_kv: Tensor) -> list:
 
 def _causal(lq: int, lkv: int) -> np.ndarray:
     """The (L_q, L_kv) mask in which query i sees keys up to L_kv - L_q + i: the last
-    L_q positions of a sequence whose L_kv keys are the positions so far."""
+    L_q positions of a sequence whose L_kv keys are the positions so far. One query row
+    sees every key, so a one-row group needs no mask."""
     return np.tri(lq, lkv, lkv - lq, dtype=bool)
 
 
+class KeptRows:
+    """One projection of a sequence's key-side rows, kept by a decoder state as they arrive.
+
+    `array` holds the product of position p's row at index p of axis `axis`, preallocated
+    for every position, in the layout that attention reads: (heads, dh, cap) keys and
+    (heads, cap, dh) values for multi_head_attention, (cap, d) for opa_forward.
+    `by_position` is the same memory with the positions first.
+    """
+
+    def __init__(self, shape, axis: int):
+        self.array, self.axis = np.empty(shape), axis
+        self.by_position = np.moveaxis(self.array, axis, 0)
+
+    @classmethod
+    def heads(cls, n_heads: int, d: int, cap: int) -> tuple:
+        """Keys and values as multi_head_attention reads them."""
+        return cls((n_heads, d // n_heads, cap), 2), cls((n_heads, cap, d // n_heads), 1)
+
+    def write(self, rows: Tensor, stop: int) -> None:
+        """Put the (n, d) product rows at positions stop - n:stop."""
+        n = rows.shape[0]
+        self.by_position[stop - n:stop] = rows.data.reshape((n,) + self.by_position.shape[1:])
+
+    def read(self, stop: int) -> Tensor:
+        """Positions :stop, as the block of a group of one sequence."""
+        return Tensor(self.array[(slice(None),) * self.axis + (slice(stop),)][None])
+
+
+def keep(kept, x_kv: Tensor, weights, stop: int) -> None:
+    """Write the products of `x_kv`, a sequence's rows at positions stop - n:stop, with
+    each weight into its `KeptRows` of `kept` (None keeps none)."""
+    for rows, w in zip(kept, weights):
+        if rows is not None:
+            rows.write(matmul(x_kv, w.tensor), stop)
+
+
+def _kept_blocks(kept, x_kv: Tensor | None, weights, groups) -> list:
+    """A decoder state's key-side blocks for its one group, one list per weight.
+
+    `x_kv` holds the sequence's newest rows, or is None if it has none: `keep` writes
+    their products, and each kept projection is read at the group's L_kv positions.
+    """
+    ((_, _, stop),) = groups
+    if x_kv is not None:
+        keep(kept, x_kv, weights, stop)
+    return [None if rows is None else [rows.read(stop)] for rows in kept]
+
+
 def multi_head_attention(wq: Parameter, wk: Parameter, wv: Parameter, wo: Parameter,
-                         n_heads: int, x_q: Tensor, x_kv: Tensor, groups,
-                         causal: bool = False) -> Tensor:
+                         n_heads: int, x_q: Tensor, x_kv: Tensor | None, groups,
+                         causal: bool = False, kept=None) -> Tensor:
     """Scaled dot-product attention over heads.
 
     `groups` lists (count, L_q, L_kv) per group of packed rows (see `_groups`); each
     group's heads run as one (count, heads, L_q, L_kv) block. Every query sees every
-    key of its sequence, or, if `causal`, the keys `_causal` marks.
+    key of its sequence, or, if `causal`, the keys `_causal` marks. The keys and values
+    are the products of the rows `x_kv` or, with `kept`, a decoder state's pair of
+    `KeptRows` for one sequence, read as `_kept_blocks` reads them.
     """
     d = wq.data.shape[0]
     dh = d // n_heads
+    heads = lambda t, count, n, axes: transpose(reshape(t, (count, n, n_heads, dh)), axes)
     q = matmul(x_q, wq.tensor)
-    k = matmul(x_kv, wk.tensor)
-    v = matmul(x_kv, wv.tensor)
-    q_leads, kv_leads = [g[:2] for g in groups], [g[::2] for g in groups]
+    if kept is None:
+        kv_leads = [g[::2] for g in groups]
+        split = lambda w, axes: [heads(b, count, n, axes) for (count, n), b
+                                 in zip(kv_leads, group_blocks(matmul(x_kv, w.tensor), kv_leads))]
+        keys, values = split(wk, (0, 2, 3, 1)), split(wv, (0, 2, 1, 3))
+    else:
+        keys, values = _kept_blocks(kept, x_kv, (wk, wv), groups)
     outs = []
-    for (count, lq, lkv), qg, kg, vg in zip(groups, group_blocks(q, q_leads),
-                                            group_blocks(k, kv_leads), group_blocks(v, kv_leads)):
-        heads = lambda t, n, axes: transpose(reshape(t, (count, n, n_heads, dh)), axes)
-        scores = scale(matmul(heads(qg, lq, (0, 2, 1, 3)), heads(kg, lkv, (0, 2, 3, 1))),
-                       1.0 / np.sqrt(dh))
-        mask = np.broadcast_to(_causal(lq, lkv), scores.shape) if causal else None
-        z = matmul(softmax(scores, axis=-1, mask=mask), heads(vg, lkv, (0, 2, 1, 3)))
+    for (count, lq, lkv), qg, kg, vg in zip(groups, group_blocks(q, [g[:2] for g in groups]),
+                                            keys, values):
+        scores = scale(matmul(heads(qg, count, lq, (0, 2, 1, 3)), kg), 1.0 / np.sqrt(dh))
+        mask = np.broadcast_to(_causal(lq, lkv), scores.shape) if causal and lq > 1 else None
+        z = matmul(softmax(scores, axis=-1, mask=mask), vg)
         outs.append(reshape(transpose(z, (0, 2, 1, 3)), (count * lq, d)))
     return matmul(outs[0] if len(outs) == 1 else concat_rows(outs), wo.tensor)
 
 
 def msa_forward(layer: FameLayer, x: Tensor, groups=None, x_kv: Tensor | None = None,
-                causal: bool = False) -> Tensor:
+                causal: bool = False, kept=None) -> Tensor:
     """Queries from `x`, keys/values from `x_kv` (default `x`), grouped as `groups` says
-    (see `_groups`); `causal` as multi_head_attention takes it."""
+    (see `_groups`); `causal` and `kept` as multi_head_attention takes them."""
     x_kv = x if x_kv is None else x_kv
     return multi_head_attention(layer.wq_self, layer.wk_self, layer.wv_self, layer.wo_self,
-                                layer.config.n_heads, x, x_kv, _groups(groups, x, x_kv), causal)
+                                layer.config.n_heads, x, x_kv, _groups(groups, x, x_kv), causal,
+                                kept)
 
 
 class ProjectedValues(NamedTuple):
@@ -154,9 +209,9 @@ class ProjectedValues(NamedTuple):
 
 
 def opa_forward(layer: FameLayer, x: Tensor, groups=None, x_kv: Tensor | None = None,
-                value_parts=None, causal: bool = False) -> Tensor:
-    """Outer branch: q from `x`, k and v from `x_kv` (default `x`); `groups` and `causal`
-    as in msa_forward.
+                value_parts=None, causal: bool = False, kept=None) -> Tensor:
+    """Outer branch: q from `x`, k and v from `x_kv` (default `x`); `groups`, `causal` and
+    `kept` as in msa_forward.
 
     Each group's scores run as one (count, L_q, L_kv, d) block; if `causal`, they are
     multiplied by the group's mask before they aggregate. In
@@ -168,35 +223,36 @@ def opa_forward(layer: FameLayer, x: Tensor, groups=None, x_kv: Tensor | None = 
     With them, in true_outer_projected mode, each table is multiplied by
     `wv_outer` and `opa_project` projects each table row once instead of making
     the aggregate. As `ProjectedValues`, they come with both products made, or with
-    each key's block summed.
+    each key's block summed, which a decoder state passes with `kept` values of None.
     """
     x_kv = x if x_kv is None else x_kv
     d = x.shape[1]
     groups = _groups(groups, x, x_kv)
-    q_leads, kv_leads = [g[:2] for g in groups], [g[::2] for g in groups]
+    kv_leads = [g[::2] for g in groups]
     q = matmul(x, layer.wq_outer.tensor)
-    k = matmul(x_kv, layer.wk_outer.tensor)
     projected = value_parts is not None and layer.config.opa_combine != "hadamard"
-    proj = None
-    if projected and isinstance(value_parts, ProjectedValues):
-        v, proj = value_parts
-    elif projected:
-        v = [(matmul(table, layer.wv_outer.tensor), ids) for table, ids in value_parts]
+    proj = value_parts.proj if isinstance(value_parts, ProjectedValues) else None
+    if kept is not None:
+        keys, values = _kept_blocks(kept, x_kv, (layer.wk_outer, layer.wv_outer), groups)
     else:
-        v = matmul(x_kv, layer.wv_outer.tensor)
+        keys = group_blocks(matmul(x_kv, layer.wk_outer.tensor), kv_leads)
+        if projected and proj is not None:
+            values = value_parts.parts
+        elif projected:
+            values = [(matmul(table, layer.wv_outer.tensor), ids) for table, ids in value_parts]
+        else:
+            values = group_blocks(matmul(x_kv, layer.wv_outer.tensor), kv_leads)
     scores = []
-    for (count, lq, lkv), qg, kg in zip(groups, group_blocks(q, q_leads),
-                                        group_blocks(k, kv_leads)):
+    for (count, lq, lkv), qg, kg in zip(groups, group_blocks(q, [g[:2] for g in groups]), keys):
         pair = scale(pairwise_hadamard(qg, kg), 1.0 / np.sqrt(d))
         s = tanh(pair) if layer.config.opa_score == "tanh" else softmax(pair, axis=-1)
-        if causal:
+        if causal and lq > 1:
             s = mul(s, Tensor(np.broadcast_to(_causal(lq, lkv)[:, :, None], s.shape)))
         scores.append(s)
-    if projected and v is None:
+    if projected and values is None:
         return opa_project_keys(scores[0], proj)
     if projected:
-        return opa_project(scores, v, layer.wo_outer.tensor, proj)
-    values = group_blocks(v, kv_leads)
+        return opa_project(scores, values, layer.wo_outer.tensor, proj)
     if layer.config.opa_combine == "hadamard":
         return matmul(opa_sum_hadamard(scores, values), layer.wo_outer.tensor)
     return opa_sum_project(scores, values, layer.wo_outer.tensor)
@@ -212,13 +268,15 @@ def fame_fuse(layer: FameLayer, z_self: Tensor, z_outer: Tensor) -> Tensor:
 
 
 def fame_forward(layer: FameLayer, x: Tensor, groups=None, x_kv: Tensor | None = None,
-                 value_parts=None, causal: bool = False) -> Tensor:
+                 value_parts=None, causal: bool = False, kept=None) -> Tensor:
     """Both branches over the same queries `x` and key/value rows `x_kv` (default `x`), fused.
 
     The one attention entry point. `groups` lists (count, L_q, L_kv) per group of
     packed sequences (see `_groups`): the encoders pass groups of equal-length
     sequences, in which every row sees its whole sequence; the decoder passes
-    `causal`. `value_parts` go to `opa_forward`.
+    `causal`. `value_parts` go to `opa_forward`. `kept`, a decoder state's (self, outer)
+    pair of kept keys and values for one sequence, gives each branch its part.
     """
-    return fame_fuse(layer, msa_forward(layer, x, groups, x_kv, causal),
-                     opa_forward(layer, x, groups, x_kv, value_parts, causal))
+    kept_self, kept_outer = (None, None) if kept is None else kept
+    return fame_fuse(layer, msa_forward(layer, x, groups, x_kv, causal, kept_self),
+                     opa_forward(layer, x, groups, x_kv, value_parts, causal, kept_outer))

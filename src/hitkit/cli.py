@@ -273,7 +273,10 @@ def _restore(checkpoint_path):
                + [key for key in ("vocab.tsv",) if key not in ckpt.extras])
     if missing:
         raise CliError(f"checkpoint {checkpoint_path} has no {', '.join(missing)}")
-    cfg = TrainConfig.from_dict(ckpt.config["train_config"])
+    try:
+        cfg = TrainConfig.from_dict(ckpt.config["train_config"])
+    except ValueError as exc:
+        raise CliError(f"checkpoint {checkpoint_path} has a malformed train_config: {exc}") from None
     name = ckpt.config["task"]
     task = TASKS.get(name) if isinstance(name, str) else None
     if task is None:

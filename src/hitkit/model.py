@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .attention import (FameConfig, FameLayer, ProjectedValues, fame_forward,
+from .attention import (FameConfig, FameLayer, KeptRows, ProjectedValues, fame_forward, keep,
                         multi_head_attention)
 from .data import CLS_ID, EOS_ID, EncodedExample
 from .encoders import (FeedForward, HitEncoder, OpaTableCache, Packing, add_norm,
@@ -26,6 +26,7 @@ from .tensor import (
     cosine_similarity,
     cross_entropy,
     embedding_lookup,
+    is_recording,
     log,
     matmul,
     no_grad,
@@ -141,9 +142,10 @@ class CrossAttention:
         mk = lambda suffix: Parameter(f"{name}.{suffix}", xavier_uniform(rng, (d, d)))
         self.wq, self.wk, self.wv, self.wo = mk("wq"), mk("wk"), mk("wv"), mk("wo")
 
-    def forward(self, x_q: Tensor, memory: Tensor, groups: list) -> Tensor:
+    def forward(self, x_q: Tensor, memory: Tensor | None, groups: list, kept=None) -> Tensor:
+        """`kept`, a decoder state's keys and values of one memory, stands for `memory`."""
         return multi_head_attention(self.wq, self.wk, self.wv, self.wo,
-                                    self.n_heads, x_q, memory, groups)
+                                    self.n_heads, x_q, memory, groups, kept=kept)
 
     def parameters(self):
         return [self.wq, self.wk, self.wv, self.wo]
@@ -163,15 +165,17 @@ class DecoderLayer:
         self.dropout_rate = dropout_rate
         self.eps = eps
 
-    def forward(self, x: Tensor, self_groups, memory: Tensor, mem_groups, drop=None,
-                history: Tensor | None = None, value_parts=None) -> Tensor:
-        """Rows `x` attend causally over `history` (default `x`), the inputs this layer has
-        received, and over all of `memory`, grouped as `fame_forward` takes them. `drop` is
-        this layer's (self-attention, cross-attention, FFN) triple from `dropout_multipliers`;
-        `value_parts` go to `fame_forward`."""
-        y = add_norm(self, 0, x, fame_forward(self.fame, x, self_groups, history, value_parts,
-                                              causal=True), drop)
-        y = add_norm(self, 1, y, self.cross.forward(y, memory, mem_groups), drop)
+    def forward(self, x: Tensor, self_groups, memory: Tensor | None, mem_groups, drop=None,
+                kept=None, value_parts=None) -> Tensor:
+        """Rows `x` attend causally over their sequences so far and over all of `memory`,
+        grouped as `fame_forward` takes them. `drop` is this layer's (self-attention,
+        cross-attention, FFN) triple from `dropout_multipliers`; `value_parts` go to
+        `fame_forward`. `kept` is a decoder state's keys and values for this layer: those
+        of the earlier positions, as `fame_forward` takes them, and those of the memory."""
+        kept_fame, kept_cross = (None, None) if kept is None else kept
+        y = add_norm(self, 0, x, fame_forward(self.fame, x, self_groups, None, value_parts,
+                                              True, kept_fame), drop)
+        y = add_norm(self, 1, y, self.cross.forward(y, memory, mem_groups, kept_cross), drop)
         return add_norm(self, 2, y, self.ffn.forward(y), drop)
 
     def parameters(self):
@@ -182,19 +186,32 @@ class DecoderLayer:
 class DecoderState:
     """One sequence decoded so far, for `Seq2SeqModel.decode_logits(..., state=)`.
 
-    `inputs[i, :t]` holds the rows that layer i got at the t positions so far, its keys.
-    In true_outer_projected mode `blocks[j]` is the first layer's value block of position
-    j through wo_outer, the model's cached block of its token plus that of j, so that
-    layer's outer branch never reads wo_outer once a token's block is cached. `memory`
-    is the one source's word states.
+    `layers[i]` holds the keys and values that layer i's attention reads, as pairs of
+    `KeptRows`: ((self, outer), cross). The self and outer ones are preallocated for
+    max_len positions, of which the first t are filled; self-attention's are split into
+    heads, (heads, dh, max_len) keys and (heads, max_len, dh) values, and the outer
+    branch's are (max_len, d) each. A step projects only its new rows into them. The
+    cross-attention ones are the memory's (the one source's word states), projected
+    once here. In
+    true_outer_projected mode `blocks[j]` is the first layer's value block of position j
+    through wo_outer, the model's cached block of its token plus that of j, so that
+    layer's outer branch keeps no values and never reads wo_outer once a token's block
+    is cached.
     """
 
     def __init__(self, model: Seq2SeqModel, memory: Tensor):
-        cap, d = model.encoder.config.max_len, model.encoder.config.d_model
+        config = model.encoder.config
+        cap, d, n_heads = config.max_len, config.d_model, config.n_heads
         self.t = 0
-        self.memory = memory
-        self.inputs = np.empty((len(model.layers), cap, d))
+        self.n_memory = n = memory.shape[0]
         self.blocks = None if model.opa_cache is None else np.empty((cap, d, d))
+        self.layers = []
+        for i, layer in enumerate(model.layers):
+            cross = KeptRows.heads(n_heads, d, n)
+            keep(cross, memory, (layer.cross.wk, layer.cross.wv), n)
+            values = None if i == 0 and self.blocks is not None else KeptRows((cap, d), 0)
+            outer = (KeptRows((cap, d), 0), values)
+            self.layers.append(((KeptRows.heads(n_heads, d, cap), outer), cross))
 
 
 class Seq2SeqModel(_TaskModel):
@@ -237,10 +254,10 @@ class Seq2SeqModel(_TaskModel):
         `memory` stacks the memories in that order (as `word_states` returns them).
         Sequences run packed, grouped by (target length, memory length). With `state`,
         `targets` holds one sequence that continues the state's at t = state.t, over the
-        state's memory: each layer writes its new rows into the state and attends over
-        all of them, as constants, so no graph is kept across calls. The first layer then
-        takes its value blocks from the state; that product makes no graph and raises if
-        a graph is recorded.
+        state's memory: each layer projects only its new rows, writes their keys and
+        values into the state and attends over all of the state's, as constants, so no
+        graph is kept across calls; the memory's keys and values are read as the state
+        made them. A step makes no graph: it raises if one is recorded.
         """
         t, cap = 0 if state is None else state.t, self.encoder.config.max_len
         for ids in targets:
@@ -249,27 +266,28 @@ class Seq2SeqModel(_TaskModel):
         if state is not None:
             if len(targets) != 1:
                 raise ShapeError(f"a decoder state continues one sequence, got {len(targets)}")
-            memory, mem_lengths = state.memory, [state.memory.shape[0]]
+            if is_recording():
+                raise ValueError("a decoder state step makes no graph; run it under no_grad")
+            mem_lengths = [state.n_memory]
         keys = [(len(ids), n) for ids, n in zip(targets, mem_lengths)]
         pack, mem = Packing([n for n, _ in keys], keys), Packing([s for _, s in keys], keys)
         x = add(embedding_lookup(self.tgt_emb.tensor, pack.rows(targets)),
                 Tensor(self.pos[t + pack.positions]))
         self_groups = [(count, n, t + n) for count, n in pack.layout]
         mem_groups = mem.groups(queries=pack)
-        memory = mem.pack_rows(memory)
+        memory = None if state is not None else mem.pack_rows(memory)
         p = self.layers[0].dropout_rate if training and self.layers else 0.0
         drops = dropout_multipliers(rng, p, pack, len(self.layers), x.shape[1], 3)
         end = t + pack.n_rows
         if state is not None and state.blocks is not None:
             self.opa_cache.value_blocks(targets[0], range(t, end), state.blocks[t:end])
         for i, (layer, drop) in enumerate(zip(self.layers, drops)):
-            history = parts = None
+            kept = parts = None
             if state is not None:
-                state.inputs[i, t:end] = x.data
-                history = Tensor(state.inputs[i, :end])
+                kept = state.layers[i]
                 if i == 0 and state.blocks is not None:
                     parts = ProjectedValues(None, state.blocks[:end])
-            x = layer.forward(x, self_groups, memory, mem_groups, drop, history, parts)
+            x = layer.forward(x, self_groups, memory, mem_groups, drop, kept, parts)
         if state is not None:
             state.t = end
         return add_bias(matmul(pack.unpack_rows(x), self.out_w.tensor), self.out_b.tensor)
@@ -286,7 +304,8 @@ class Seq2SeqModel(_TaskModel):
         """Argmax continuation from [CLS]; returns the ids between [CLS] and [EOS].
 
         Incremental: each step runs `decode_logits` on the newest position only, with
-        one `DecoderState`, so a step costs time linear in the prefix length.
+        one `DecoderState`, so a step projects only that position's row and costs time
+        linear in the prefix length; the memory is projected once per call.
         """
         # the decoder takes max_len positions: [CLS] and at most max_len - 1 generated ids
         limit = min(self.max_out if max_out is None else max_out, self.encoder.config.max_len - 1)

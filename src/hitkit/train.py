@@ -66,10 +66,13 @@ class TrainConfig:
                 raise ValueError(f"config field {f.name} must be finite, got {value}")
         positive = ["lr", "epochs", "batch_size", "plateau_patience", "early_stop_patience",
                     "d_model", "l_c", "l_w", "l_dec", "n_heads", "max_len", "max_word_len",
-                    "zsl_temperature"]
+                    "zsl_temperature", "adam_eps", "layer_norm_eps"]
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name} must be positive, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"config field {name} must be in [0, 1), got {getattr(self, name)}")
         if not 0.0 < self.plateau_factor < 1.0:
             raise ValueError(f"plateau_factor must be in (0, 1), got {self.plateau_factor}")
         if not 0.0 <= self.dropout < 1.0:

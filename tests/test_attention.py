@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hitkit import attention as A
 from hitkit import tensor as T
 from hitkit.attention import (
     FameConfig,
@@ -335,3 +336,24 @@ class TestPackedGroups:
         with pytest.raises(T.ShapeError, match="do not cover"):
             fame_forward(layer, T.Tensor(rand((n_q, 4))), self.GROUPS,
                          x_kv=T.Tensor(rand((n_kv, 4))))
+
+
+class TestOneRowCausalGroups:
+    """Each greedy step is a one-row causal query, whose mask would be all ones."""
+
+    GROUPS = [(2, 1, 3), (1, 1, 5)]
+
+    @pytest.mark.parametrize("score", ["tanh", "softmax"])
+    @pytest.mark.parametrize("combine", ["true_outer_projected", "hadamard"])
+    def test_a_one_row_group_skips_its_mask(self, monkeypatch, score, combine):
+        layer = make_layer(d=4, heads=2, score=score, combine=combine, seed=70)
+        x, kv = T.Tensor(rand((3, 4), 71)), T.Tensor(rand((11, 4), 72))
+        free = [f(layer, x, self.GROUPS, kv) for f in (msa_forward, opa_forward)]
+
+        def no_mask(lq, lkv):
+            raise AssertionError(f"a ({lq}, {lkv}) mask was built")
+
+        monkeypatch.setattr(A, "_causal", no_mask)
+        causal = [f(layer, x, self.GROUPS, kv, causal=True) for f in (msa_forward, opa_forward)]
+        for got, want in zip(causal, free):
+            assert np.array_equal(got.data, want.data)

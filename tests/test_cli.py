@@ -370,10 +370,15 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("edit,needle", [
         (lambda config: config.update({"train_config": [1]}), "train config must be an object"),
         (lambda config: config["train_config"].update({"d_model": None}), "config key 'd_model'"),
-    ], ids=["list", "null-field"])
+        (lambda config: config["train_config"].update({"beta1": 1.0}),
+         "beta1 must be in [0, 1), got 1.0"),
+        (lambda config: config["train_config"].update({"adam_eps": 0.0}),
+         "adam_eps must be positive, got 0.0"),
+    ], ids=["list", "null-field", "beta1-one", "zero-adam-eps"])
     def test_train_config_that_is_malformed(self, tmp_path, trained_dir, capsys, edit, needle):
         bad = self.resaved_checkpoint(tmp_path, trained_dir, lambda params, config: edit(config))
-        self.assert_one_error_line(*self.run_embed(tmp_path, capsys, bad), needle)
+        self.assert_one_error_line(*self.run_embed(tmp_path, capsys, bad), str(bad),
+                                   "malformed train_config", needle)
 
     @pytest.mark.parametrize("task,record,needle", [
         ("labeling", {"tokens": [1, 2], "tags": ["O", "O"]}, "tokens must be strings, got 1"),
@@ -479,7 +484,12 @@ class TestMalformedInputs:
         ("pretrain-zsl", "zsl_temperature=0", "zsl_temperature must be positive, got 0.0"),
         ("train", "lr=nan", "lr must be finite, got nan"),
         ("train", "clip_norm=inf", "clip_norm must be finite, got inf"),
-    ], ids=["zero-temperature", "nan-lr", "inf-clip-norm"])
+        ("train", "beta1=1.5", "beta1 must be in [0, 1), got 1.5"),
+        ("train", "beta2=1", "beta2 must be in [0, 1), got 1.0"),
+        ("train", "adam_eps=0", "adam_eps must be positive, got 0.0"),
+        ("train", "layer_norm_eps=-1e-5", "layer_norm_eps must be positive, got -1e-05"),
+    ], ids=["zero-temperature", "nan-lr", "inf-clip-norm", "beta1-above-one", "beta2-one",
+            "zero-adam-eps", "negative-layer-norm-eps"])
     def test_config_value_out_of_range(self, tmp_path, capsys, command, line, needle):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"d_model=8\nn_heads=2\nepochs=1\n{line}\n")

@@ -6,7 +6,9 @@ embedding and the positions. `decode_logits` over each whole prefix
 (`recompute_greedy_decode`) is the cache-free reference. The blocks come from
 other products than the aggregate path's, so logits are compared to 1e-12 and
 probabilities to 1e-9, as the other greedy-decoding oracles are; one request
-decoded on a warm cache and on a cold one must agree bit for bit.
+decoded on a warm cache and on a cold one must agree bit for bit. The state keeps
+every layer's keys and values, so a step projects only its new rows and a request
+its memory once; two states on one model share nothing but the model's cache.
 """
 
 import numpy as np
@@ -14,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hitkit import attention as A
 from hitkit import data as D
 from hitkit import encoders as E
+from hitkit import model as M
 from hitkit import optim as O
 from hitkit import tensor as T
 from hitkit.model import DecoderState
@@ -173,3 +177,99 @@ def test_the_store_keeps_at_most_its_row_cap(monkeypatch):
         assert len(cache.blocks) == cap and cache.n_filled <= cap
         assert sorted(slots.tolist()) == list(range(cache.n_filled))  # filled contiguously
     assert len(emitted) > cap
+
+
+MODES = [(score, combine) for score in ("tanh", "softmax")
+         for combine in ("true_outer_projected", "hadamard")]
+
+
+def spy_products(monkeypatch):
+    """Record (right operand, left rows) of every `tensor.matmul`, at each module's binding."""
+    calls, real = [], T.matmul
+
+    def spy(a, b):
+        calls.append((b, a.shape[0]))
+        return real(a, b)
+
+    for module in (A, E, M):
+        monkeypatch.setattr(module, "matmul", spy)
+    return calls
+
+
+def named(calls, params):
+    """The calls whose right operand is one of `params`, as (name, rows)."""
+    names = {id(p.tensor): p.name for p in params}
+    return [(names[id(b)], rows) for b, rows in calls if id(b) in names]
+
+
+@pytest.mark.parametrize("score,combine", MODES)
+def test_a_greedy_step_projects_only_its_new_rows(monkeypatch, score, combine):
+    model = seq2seq(seed=8, opa_score=score, opa_combine=combine)
+    cross = [p for layer in model.layers for p in (layer.cross.wk, layer.cross.wv)]
+    own = [p for layer in model.layers for p in (layer.fame.wk_self, layer.fame.wv_self,
+                                                  layer.fame.wk_outer, layer.fame.wv_outer)]
+    # the first layer's outer values come from cached blocks, unless in hadamard mode
+    kept = [p for p in own if combine == "hadamard" or p is not model.layers[0].fame.wv_outer]
+    src = source(WORDS[:4])
+    calls = spy_products(monkeypatch)
+    with T.no_grad():
+        memory = model.encoder.word_states([src])
+        del calls[:]
+        state = DecoderState(model, memory)
+        assert sorted(named(calls, cross)) == sorted((p.name, src.n_words) for p in cross)
+        assert not named(calls, own)
+        for chunk in ([D.CLS_ID], [5], [6, 7, 8], [9]):
+            del calls[:]
+            model.decode_logits([chunk], state=state)
+            assert not named(calls, cross)
+            assert sorted(named(calls, own)) == sorted((p.name, len(chunk)) for p in kept)
+    # a whole request projects its memory once, and one row per step
+    del calls[:]
+    ids = model.greedy_decode(src)
+    assert len(ids) == MAX_LEN - 1
+    assert sorted(named(calls, cross)) == sorted((p.name, src.n_words) for p in cross)
+    assert sorted(named(calls, own)) == sorted([(p.name, 1) for p in kept] * len(ids))
+
+
+def decode_in_turn(model, sources):
+    """Greedy ids and each step's logits for every source, one step of each in turn, each
+    with its own DecoderState; the probabilities as greedy_decode computes them."""
+    limit = min(model.max_out, MAX_LEN - 1)
+    with T.no_grad():
+        states = [DecoderState(model, model.encoder.word_states([src])) for src in sources]
+        tokens = [D.CLS_ID] * len(sources)
+        out = [([], [], []) for _ in sources]
+        for _ in range(limit):
+            for k, state in enumerate(states):
+                row = model.decode_logits([[tokens[k]]], state=state).data[0]
+                nxt = int(np.argmax(row))
+                shifted = np.exp(row - row.max())
+                ids, probs, rows = out[k]
+                ids.append(nxt)
+                probs.append(float(shifted[nxt] / shifted.sum()))
+                rows.append(row)
+                tokens[k] = nxt
+    return states, out
+
+
+def state_arrays(state):
+    arrays = [rows.array for fame, cross in state.layers for pair in (*fame, cross)
+              for rows in pair if rows is not None]
+    return arrays + ([] if state.blocks is None else [state.blocks])
+
+
+@pytest.mark.parametrize("score,combine", MODES)
+def test_interleaved_states_decode_as_solo_ones(score, combine):
+    model = seq2seq(seed=9, opa_score=score, opa_combine=combine)
+    sources = [source(WORDS[:2]), source(WORDS[4:10])]
+    states, together = decode_in_turn(model, sources)
+    for src, got in zip(sources, together):
+        _, (alone,) = decode_in_turn(model, [src])
+        assert got[0] == alone[0]
+        assert np.array_equal(got[1], alone[1])
+        assert np.array_equal(got[2], alone[2])
+        ids, probs = model.greedy_decode(src, return_probs=True)
+        assert ids == alone[0]
+        assert np.array_equal(probs, alone[1])
+    assert not any(np.shares_memory(a, b) for a in state_arrays(states[0])
+                   for b in state_arrays(states[1]))

@@ -236,14 +236,16 @@ class TestSeq2Seq:
         assert np.max(np.abs(np.concatenate(chunks) - full)) < 1e-12
 
     def test_a_state_step_under_a_graph_or_of_two_sequences_raises(self, vocab):
-        model = self.make(vocab, seed=28)
         src = self.source(vocab)
-        with T.no_grad():
-            state = DecoderState(model, model.encoder.word_states([src]))
-        with pytest.raises(ValueError, match="no_grad"):
-            model.decode_logits([[D.CLS_ID]], state=state)
-        with T.no_grad(), pytest.raises(T.ShapeError, match="one sequence"):
-            model.decode_logits([[D.CLS_ID], [D.CLS_ID]], state=state)
+        for combine in ("true_outer_projected", "hadamard"):
+            model = build_seq2seq(tiny_cfg(opa_combine=combine), vocab.word_size,
+                                  vocab.char_size, seed_streams(28)["init"])
+            with T.no_grad():
+                state = DecoderState(model, model.encoder.word_states([src]))
+            with pytest.raises(ValueError, match="no_grad"):
+                model.decode_logits([[D.CLS_ID]], state=state)
+            with T.no_grad(), pytest.raises(T.ShapeError, match="one sequence"):
+                model.decode_logits([[D.CLS_ID], [D.CLS_ID]], state=state)
 
     def test_teacher_forcing_loss_runs_and_is_finite(self, vocab):
         model = self.make(vocab, seed=12)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,13 +44,15 @@ def valid_configs():
     positive = st.integers(1, 10**6)
     real = st.floats(-1e6, 1e6, allow_nan=False)
     unit_open = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    above_zero = st.floats(0.0, 1e6, exclude_min=True)
 
     @st.composite
     def build(draw):
         n_heads = draw(st.integers(1, 16))
         fields = dict(
-            lr=draw(st.floats(1e-12, 10.0)), beta1=draw(real), beta2=draw(real),
-            adam_eps=draw(real), epochs=draw(positive), batch_size=draw(positive),
+            lr=draw(st.floats(1e-12, 10.0)), beta1=draw(unit), beta2=draw(unit),
+            adam_eps=draw(above_zero), epochs=draw(positive), batch_size=draw(positive),
             dropout=draw(st.floats(0.0, 1.0, exclude_max=True)),
             plateau_patience=draw(positive), plateau_factor=draw(unit_open),
             early_stop_patience=draw(positive), d_model=n_heads * draw(st.integers(1, 64)),
@@ -57,7 +60,7 @@ def valid_configs():
             l_dec=draw(positive), n_heads=n_heads, opa_score=draw(st.sampled_from(OPA_SCORES)),
             opa_combine=draw(st.sampled_from(OPA_COMBINES)), seed=draw(st.integers(0, 2**63)),
             use_tfidf=draw(st.booleans()), max_len=draw(positive), max_word_len=draw(positive),
-            clip_norm=draw(real), layer_norm_eps=draw(real),
+            clip_norm=draw(real), layer_norm_eps=draw(above_zero),
             zsl_temperature=draw(st.floats(0.0, 1e6, exclude_min=True)),
             lowercase=draw(st.booleans()), min_freq=draw(st.integers(0, 10**6)))
         assert set(fields) == {f.name for f in dataclasses.fields(TrainConfig)}
@@ -122,6 +125,22 @@ class TestConfig:
             TrainConfig(plateau_factor=1.5)
         with pytest.raises(ValueError, match="positive"):
             TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("field,value,needle", [
+        ("beta1", 1.0, "beta1 must be in [0, 1), got 1.0"),
+        ("beta1", 1.5, "beta1 must be in [0, 1), got 1.5"),
+        ("beta1", -0.1, "beta1 must be in [0, 1), got -0.1"),
+        ("beta2", 1.0, "beta2 must be in [0, 1), got 1.0"),
+        ("adam_eps", 0.0, "adam_eps must be positive, got 0.0"),
+        ("adam_eps", -1e-8, "adam_eps must be positive, got -1e-08"),
+        ("layer_norm_eps", 0, "layer_norm_eps must be positive, got 0.0"),
+        ("layer_norm_eps", "-1e-5", "layer_norm_eps must be positive, got -1e-05"),
+    ])
+    def test_adam_and_layer_norm_settings_out_of_range(self, field, value, needle):
+        """Each value would corrupt training: nan from 0/0 or from beta1 = 1, or a silent
+        divergence; the error names the field."""
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            TrainConfig.from_dict({field: value})
 
     def test_fingerprint_tracks_content(self):
         assert TrainConfig().fingerprint() == TrainConfig().fingerprint()
