@@ -12,8 +12,9 @@ from fresh directories, so neither sees the checkout's `__pycache__` or
 Odd pairs run the parent first and even pairs the change first, so a drift of
 the host's speed does not favour one side. It then prints, per end-to-end
 metric, each side's median and quartiles, how many pairs the change won and a
-verdict against the metric's BENCHMARK.json bound (see `verdict`), and
-whether every run reported correct outputs. It only reads what run.py prints.
+verdict against the metric's BENCHMARK.json bound (see `verdict`), whether
+every run reported correct outputs, and each side's count of non-blank lines
+under `src/`. It only reads what run.py prints.
 It exits 1 if any run was incorrect or had failed units (run.py itself exits 0
 either way), 1 with one line on stderr if run.py fails, and 2 with one line on
 stderr for a malformed --seeds, a --seconds that is not positive or an unknown
@@ -90,6 +91,12 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def src_lines(checkout: Path) -> int:
+    """The non-blank lines of the Python files under `checkout`/src."""
+    return sum(1 for path in (checkout / "src").rglob("*.py")
+               for line in path.read_text().splitlines() if line.strip())
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) == 1:
         return values[0], values[0], values[0]
@@ -108,14 +115,16 @@ def verdict(metric: dict, parent: list[float], change: list[float]) -> str:
 
     'worse beyond bound' if the change's median is worse than the parent's by more than
     bound times the parent's median; else 'unresolved' if the parent's IQR is more than
-    that much and the change did not win every pair, since such noise hides a regression
-    within it; else 'within bound'.
+    that much and some run of the change does not beat every run of the parent, since
+    such noise hides a regression within it; else 'within bound'.
     """
     (p1, p2, p3), (_, c2, _) = quartiles(parent), quartiles(change)
     tolerance = metric["bound"] * abs(p2)
-    if (p2 - c2 if metric["better"] == "higher" else c2 - p2) > tolerance:
+    higher = metric["better"] == "higher"
+    if (p2 - c2 if higher else c2 - p2) > tolerance:
         return "worse beyond bound"
-    if p3 - p1 > tolerance and wins(metric, parent, change) < len(parent):
+    dominates = min(change) > max(parent) if higher else max(change) < min(parent)
+    if p3 - p1 > tolerance and not dominates:
         return "unresolved"
     return "within bound"
 
@@ -167,6 +176,7 @@ def main(argv=None) -> int:
             for checkout, rev in ((parent, args.parent), (change, None)):
                 checkout.mkdir()
                 export(rev, checkout)
+            lines = {"parent": src_lines(parent), "change": src_lines(change)}
             order = [("parent", parent), ("change", change)]
             for k, seed in enumerate(seeds):
                 for side, checkout in order if k % 2 == 0 else order[::-1]:
@@ -182,6 +192,7 @@ def main(argv=None) -> int:
         signal.signal(signal.SIGTERM, previous)
     print(f"workload {args.workload}, parent {args.parent}, seeds {args.seeds}, "
           f"{args.seconds:g} s per run, {len(seeds)} pairs")
+    print(f"src/ non-blank lines: parent {lines['parent']}, change {lines['change']}")
     return 0 if report(bench["end_to_end"], results) else 1
 
 

@@ -89,20 +89,20 @@ class FameLayer:
         return float(a[0]), float(a[1])
 
 
-def _groups(groups, x: Tensor, x_kv: Tensor) -> list:
-    """(count, L_q, L_kv) per group of packed rows; None is one sequence over every key.
+def _groups(groups, x: Tensor) -> list:
+    """(count, L_q, L_kv) per group of packed rows; None is one sequence of the rows of `x`.
 
     Group g stands for `count` sequences whose L_q query rows and L_kv key rows
-    follow those of the groups before it, in the rows of `x` and of `x_kv`.
+    follow those of the groups before it.
     """
-    return [(1, x.shape[0], x_kv.shape[0])] if groups is None else list(groups)
+    return [(1, x.shape[0], x.shape[0])] if groups is None else list(groups)
 
 
-def _causal(lq: int, lkv: int) -> np.ndarray:
-    """The (L_q, L_kv) mask in which query i sees keys up to L_kv - L_q + i: the last
-    L_q positions of a sequence whose L_kv keys are the positions so far. One query row
-    sees every key, so a one-row group needs no mask."""
-    return np.tri(lq, lkv, lkv - lq, dtype=bool)
+def _causal(n: int) -> np.ndarray:
+    """The (n, n) mask in which position i sees positions up to i. A causal group is a
+    whole sequence, or one new row over a decoder state, which sees every key and so
+    needs no mask."""
+    return np.tri(n, dtype=bool)
 
 
 class KeptRows:
@@ -133,23 +133,24 @@ class KeptRows:
         return Tensor(self.array[(slice(None),) * self.axis + (slice(stop),)][None])
 
 
-def keep(kept, x_kv: Tensor, weights, stop: int) -> None:
-    """Write the products of `x_kv`, a sequence's rows at positions stop - n:stop, with
+def keep(kept, x: Tensor, weights, stop: int) -> None:
+    """Write the products of `x`, a sequence's rows at positions stop - n:stop, with
     each weight into its `KeptRows` of `kept` (None keeps none)."""
     for rows, w in zip(kept, weights):
         if rows is not None:
-            rows.write(matmul(x_kv, w.tensor), stop)
+            rows.write(matmul(x, w.tensor), stop)
 
 
-def _kept_blocks(kept, x_kv: Tensor | None, weights, groups) -> list:
+def _kept_blocks(kept, new: Tensor | None, weights, groups) -> list:
     """A decoder state's key-side blocks for its one group, one list per weight.
 
-    `x_kv` holds the sequence's newest rows, or is None if it has none: `keep` writes
-    their products, and each kept projection is read at the group's L_kv positions.
+    `new` is the step's new row, or None for the memory, whose products the state
+    made: `keep` writes its products, and each kept projection is read at the group's
+    L_kv positions.
     """
     ((_, _, stop),) = groups
-    if x_kv is not None:
-        keep(kept, x_kv, weights, stop)
+    if new is not None:
+        keep(kept, new, weights, stop)
     return [None if rows is None else [rows.read(stop)] for rows in kept]
 
 
@@ -179,39 +180,36 @@ def multi_head_attention(wq: Parameter, wk: Parameter, wv: Parameter, wo: Parame
     for (count, lq, lkv), qg, kg, vg in zip(groups, group_blocks(q, [g[:2] for g in groups]),
                                             keys, values):
         scores = scale(matmul(heads(qg, count, lq, (0, 2, 1, 3)), kg), 1.0 / np.sqrt(dh))
-        mask = np.broadcast_to(_causal(lq, lkv), scores.shape) if causal and lq > 1 else None
+        mask = np.broadcast_to(_causal(lq), scores.shape) if causal and lq > 1 else None
         z = matmul(softmax(scores, axis=-1, mask=mask), vg)
         outs.append(reshape(transpose(z, (0, 2, 1, 3)), (count * lq, d)))
     return matmul(outs[0] if len(outs) == 1 else concat_rows(outs), wo.tensor)
 
 
-def msa_forward(layer: FameLayer, x: Tensor, groups=None, x_kv: Tensor | None = None,
-                causal: bool = False, kept=None) -> Tensor:
-    """Queries from `x`, keys/values from `x_kv` (default `x`), grouped as `groups` says
-    (see `_groups`); `causal` and `kept` as multi_head_attention takes them."""
-    x_kv = x if x_kv is None else x_kv
+def msa_forward(layer: FameLayer, x: Tensor, groups=None, causal: bool = False,
+                kept=None) -> Tensor:
+    """Self-attention of the rows `x`, grouped as `groups` says (see `_groups`); `causal`
+    and `kept` as multi_head_attention takes them."""
     return multi_head_attention(layer.wq_self, layer.wk_self, layer.wv_self, layer.wo_self,
-                                layer.config.n_heads, x, x_kv, _groups(groups, x, x_kv), causal,
-                                kept)
+                                layer.config.n_heads, x, x, _groups(groups, x), causal, kept)
 
 
 class ProjectedValues(NamedTuple):
-    """Value tables already multiplied by `wv_outer`, with their rows' `wo_outer` blocks.
+    """Value rows already projected through `wv_outer` and `wo_outer`, as blocks.
 
-    `parts` lists (table, ids) as `value_parts` does, and `proj` is what `opa_project`
-    takes as its `proj`. An inference cache passes this as `value_parts`. With `parts`
-    None, `proj[j]` is key j's whole block, as `opa_project_keys` takes it: a decoder
-    state's, for one sequence.
+    `ids` lists one id array per part, as `value_parts` does, each indexing the blocks
+    `proj`, and goes to `opa_project` with them: an inference cache passes this as
+    `value_parts`. With `ids` None, `proj[j]` is key j's whole block, as
+    `opa_project_keys` takes it: a decoder state's, for one sequence.
     """
 
-    parts: list
+    ids: list | None
     proj: np.ndarray
 
 
-def opa_forward(layer: FameLayer, x: Tensor, groups=None, x_kv: Tensor | None = None,
-                value_parts=None, causal: bool = False, kept=None) -> Tensor:
-    """Outer branch: q from `x`, k and v from `x_kv` (default `x`); `groups`, `causal` and
-    `kept` as in msa_forward.
+def opa_forward(layer: FameLayer, x: Tensor, groups=None, value_parts=None,
+                causal: bool = False, kept=None) -> Tensor:
+    """Outer branch of the rows `x`; `groups`, `causal` and `kept` as in msa_forward.
 
     Each group's scores run as one (count, L_q, L_kv, d) block; if `causal`, they are
     multiplied by the group's mask before they aggregate. In
@@ -219,35 +217,34 @@ def opa_forward(layer: FameLayer, x: Tensor, groups=None, x_kv: Tensor | None = 
     packed rows in blocks of score features, so no (rows, d, d) aggregate is
     held; in hadamard mode every group's aggregate goes into one (rows, d)
     array, projected once.
-    `value_parts` is a list of (table, ids) whose `table[ids]` rows sum to `x_kv`.
+    `value_parts` is a list of (table, ids) whose `table[ids]` rows sum to `x`.
     With them, in true_outer_projected mode, each table is multiplied by
     `wv_outer` and `opa_project` projects each table row once instead of making
     the aggregate. As `ProjectedValues`, they come with both products made, or with
     each key's block summed, which a decoder state passes with `kept` values of None.
     """
-    x_kv = x if x_kv is None else x_kv
     d = x.shape[1]
-    groups = _groups(groups, x, x_kv)
+    groups = _groups(groups, x)
     kv_leads = [g[::2] for g in groups]
     q = matmul(x, layer.wq_outer.tensor)
     projected = value_parts is not None and layer.config.opa_combine != "hadamard"
     proj = value_parts.proj if isinstance(value_parts, ProjectedValues) else None
     if kept is not None:
-        keys, values = _kept_blocks(kept, x_kv, (layer.wk_outer, layer.wv_outer), groups)
+        keys, values = _kept_blocks(kept, x, (layer.wk_outer, layer.wv_outer), groups)
     else:
-        keys = group_blocks(matmul(x_kv, layer.wk_outer.tensor), kv_leads)
+        keys = group_blocks(matmul(x, layer.wk_outer.tensor), kv_leads)
         if projected and proj is not None:
-            values = value_parts.parts
+            values = value_parts.ids
         elif projected:
             values = [(matmul(table, layer.wv_outer.tensor), ids) for table, ids in value_parts]
         else:
-            values = group_blocks(matmul(x_kv, layer.wv_outer.tensor), kv_leads)
+            values = group_blocks(matmul(x, layer.wv_outer.tensor), kv_leads)
     scores = []
     for (count, lq, lkv), qg, kg in zip(groups, group_blocks(q, [g[:2] for g in groups]), keys):
         pair = scale(pairwise_hadamard(qg, kg), 1.0 / np.sqrt(d))
         s = tanh(pair) if layer.config.opa_score == "tanh" else softmax(pair, axis=-1)
         if causal and lq > 1:
-            s = mul(s, Tensor(np.broadcast_to(_causal(lq, lkv)[:, :, None], s.shape)))
+            s = mul(s, Tensor(np.broadcast_to(_causal(lq)[:, :, None], s.shape)))
         scores.append(s)
     if projected and values is None:
         return opa_project_keys(scores[0], proj)
@@ -267,16 +264,17 @@ def fame_fuse(layer: FameLayer, z_self: Tensor, z_outer: Tensor) -> Tensor:
     return add(scalar_mul(a1, z_self), scalar_mul(a2, z_outer))
 
 
-def fame_forward(layer: FameLayer, x: Tensor, groups=None, x_kv: Tensor | None = None,
-                 value_parts=None, causal: bool = False, kept=None) -> Tensor:
-    """Both branches over the same queries `x` and key/value rows `x_kv` (default `x`), fused.
+def fame_forward(layer: FameLayer, x: Tensor, groups=None, value_parts=None,
+                 causal: bool = False, kept=None) -> Tensor:
+    """Both branches over the rows `x`, fused.
 
     The one attention entry point. `groups` lists (count, L_q, L_kv) per group of
     packed sequences (see `_groups`): the encoders pass groups of equal-length
     sequences, in which every row sees its whole sequence; the decoder passes
     `causal`. `value_parts` go to `opa_forward`. `kept`, a decoder state's (self, outer)
-    pair of kept keys and values for one sequence, gives each branch its part.
+    pair of kept keys and values for one sequence, gives each branch its part; `x` is
+    then the step's one new row, and its group is (1, 1, positions so far).
     """
     kept_self, kept_outer = (None, None) if kept is None else kept
-    return fame_fuse(layer, msa_forward(layer, x, groups, x_kv, causal, kept_self),
-                     opa_forward(layer, x, groups, x_kv, value_parts, causal, kept_outer))
+    return fame_fuse(layer, msa_forward(layer, x, groups, causal, kept_self),
+                     opa_forward(layer, x, groups, value_parts, causal, kept_outer))

@@ -135,12 +135,7 @@ def flatten_dialog(turns, j: int, max_len: int = 40, lowercase: bool = True):
     Returns (input tokens, target tokens). History is token-truncated from
     the left so the input never exceeds max_len.
     """
-    norm = []
-    for turn in turns:
-        if isinstance(turn, dict):
-            norm.append((turn["speaker"], turn["text"]))
-        else:
-            norm.append((turn[0], turn[1]))
+    norm = [(turn["speaker"], turn["text"]) for turn in turns]
     bot_positions = [i for i, (spk, _) in enumerate(norm) if spk == "bot"]
     if not 1 <= j <= len(bot_positions):
         raise DataError(f"dialog has {len(bot_positions)} bot turns, cannot take turn {j}")
@@ -285,7 +280,7 @@ def split_dataset(records, ratio: float = 0.9, seed: int = 0):
 def dialog_to_generation(record, max_len: int = 40, lowercase: bool = True):
     """One (source tokens, target tokens) pair per bot turn."""
     turns = record["turns"]
-    n_bot = sum(1 for t in turns if (t["speaker"] if isinstance(t, dict) else t[0]) == "bot")
+    n_bot = sum(1 for t in turns if t["speaker"] == "bot")
     return [flatten_dialog(turns, j, max_len, lowercase) for j in range(1, n_bot + 1)]
 
 

@@ -239,10 +239,10 @@ class OpaTableCache:
     """A first layer's OPA projections at inference, one block per table row.
 
     That layer's value rows are emb[i] @ wv_outer + pos[p] @ wv_outer. Row r of the
-    stacked table (every id of `emb`, then every position) gets its value and that
-    value's (d, d) block through wo_outer (`tensor.project_rows`) the first time a call
-    needs it, by one product per row, so a block's bits do not depend on which rows were
-    filled with it. Rows are stored in the order they were filled, at most OPA_CACHE_ROWS,
+    stacked table (every id of `emb`, then every position) gets the (d, d) block of its
+    value through wo_outer (`tensor.project_rows`) the first time a call needs it, by
+    one product per row, so a block's bits do not depend on which rows were filled with
+    it. Rows are stored in the order they were filled, at most OPA_CACHE_ROWS,
     so the memory touched grows with the rows filled, not with the table. It forgets
     every row when a call's rows do not fit, and when a tensor version of emb, wv_outer
     or wo_outer moves.
@@ -253,7 +253,7 @@ class OpaTableCache:
         self.versions = Versions([emb, fame.wv_outer, fame.wo_outer])
         self.slots = np.full(len(emb.data) + len(pos), -1)  # each row's place, -1 if unfilled
         self.n_filled = 0
-        self.values = self.blocks = None
+        self.blocks = None
 
     def _slots(self, rows: np.ndarray):
         """The places of table rows `rows`, filling those missing; None if they cannot fit."""
@@ -261,7 +261,7 @@ class OpaTableCache:
             # made at the first call rather than at set-up, which kept 4 MB off the peak RSS
             # of the `embed` benchmark; zeroed pages are touched only as places are filled
             n, d = min(OPA_CACHE_ROWS, len(self.slots)), self.pos.shape[1]
-            self.values, self.blocks = np.zeros((n, d)), np.zeros((n, d, d))
+            self.blocks = np.zeros((n, d, d))
         needed = np.unique(rows)
         if len(needed) > len(self.blocks):
             return None
@@ -271,9 +271,7 @@ class OpaTableCache:
         n_ids, wv, wo = len(self.emb.data), self.fame.wv_outer.data, self.fame.wo_outer.data
         for r in needed[self.slots[needed] < 0]:
             row = self.emb.data[r] if r < n_ids else self.pos[r - n_ids]
-            v = row[None] @ wv
-            self.values[self.n_filled] = v[0]
-            self.blocks[self.n_filled] = project_rows(v, wo)[0]
+            self.blocks[self.n_filled] = project_rows(row[None] @ wv, wo)[0]
             self.slots[r] = self.n_filled
             self.n_filled += 1
         return self.slots[rows]
@@ -284,16 +282,12 @@ class OpaTableCache:
         slots = self._slots(np.concatenate([ids, len(self.emb.data) + positions]))
         if slots is None:
             return None
-        values = Tensor(self.values)
-        return ProjectedValues([(values, slots[:len(ids)]), (values, slots[len(ids):])],
-                               self.blocks)
+        return ProjectedValues([slots[:len(ids)], slots[len(ids):]], self.blocks)
 
-    def value_blocks(self, ids, positions, out: np.ndarray) -> None:
-        """Write the block of each value row emb[ids[k]] + pos[positions[k]] into out[k]."""
-        n_ids = len(self.emb.data)
-        for k, (i, p) in enumerate(zip(ids, positions)):
-            a, b = self._slots(np.array([i, n_ids + p]))
-            np.add(self.blocks[a], self.blocks[b], out=out[k])
+    def value_block(self, i: int, p: int, out: np.ndarray) -> None:
+        """Write the block of the value row emb[i] + pos[p] into out."""
+        a, b = self._slots(np.array([i, len(self.emb.data) + p]))
+        np.add(self.blocks[a], self.blocks[b], out=out)
 
 
 class CharHit:

@@ -173,8 +173,8 @@ class DecoderLayer:
         `fame_forward`. `kept` is a decoder state's keys and values for this layer: those
         of the earlier positions, as `fame_forward` takes them, and those of the memory."""
         kept_fame, kept_cross = (None, None) if kept is None else kept
-        y = add_norm(self, 0, x, fame_forward(self.fame, x, self_groups, None, value_parts,
-                                              True, kept_fame), drop)
+        y = add_norm(self, 0, x, fame_forward(self.fame, x, self_groups, value_parts, True,
+                                              kept_fame), drop)
         y = add_norm(self, 1, y, self.cross.forward(y, memory, mem_groups, kept_cross), drop)
         return add_norm(self, 2, y, self.ffn.forward(y), drop)
 
@@ -184,19 +184,18 @@ class DecoderLayer:
 
 
 class DecoderState:
-    """One sequence decoded so far, for `Seq2SeqModel.decode_logits(..., state=)`.
+    """One sequence decoded so far, for `Seq2SeqModel.decode_logits([[token]], state=)`.
 
     `layers[i]` holds the keys and values that layer i's attention reads, as pairs of
     `KeptRows`: ((self, outer), cross). The self and outer ones are preallocated for
     max_len positions, of which the first t are filled; self-attention's are split into
     heads, (heads, dh, max_len) keys and (heads, max_len, dh) values, and the outer
-    branch's are (max_len, d) each. A step projects only its new rows into them. The
+    branch's are (max_len, d) each. A step projects only its one new row into them. The
     cross-attention ones are the memory's (the one source's word states), projected
-    once here. In
-    true_outer_projected mode `blocks[j]` is the first layer's value block of position j
-    through wo_outer, the model's cached block of its token plus that of j, so that
-    layer's outer branch keeps no values and never reads wo_outer once a token's block
-    is cached.
+    once here. In true_outer_projected mode `blocks[j]` is the first layer's value block
+    of position j through wo_outer, the model's cached block of its token plus that of
+    j, so that layer's outer branch keeps no values and never reads wo_outer once a
+    token's block is cached.
     """
 
     def __init__(self, model: Seq2SeqModel, memory: Tensor):
@@ -253,44 +252,51 @@ class Seq2SeqModel(_TaskModel):
         A position sees its sequence up to it and all `mem_lengths[i]` rows of its memory;
         `memory` stacks the memories in that order (as `word_states` returns them).
         Sequences run packed, grouped by (target length, memory length). With `state`,
-        `targets` holds one sequence that continues the state's at t = state.t, over the
-        state's memory: each layer projects only its new rows, writes their keys and
-        values into the state and attends over all of the state's, as constants, so no
-        graph is kept across calls; the memory's keys and values are read as the state
-        made them. A step makes no graph: it raises if one is recorded.
+        `targets` is [[token]], the one id that continues the state's sequence at
+        position state.t, over the state's memory (`_step`).
         """
-        t, cap = 0 if state is None else state.t, self.encoder.config.max_len
-        for ids in targets:
-            if not 0 < len(ids) <= cap - t:
-                raise ShapeError(f"target of {len(ids)} ids at {t} is empty or past cap {cap}")
         if state is not None:
-            if len(targets) != 1:
-                raise ShapeError(f"a decoder state continues one sequence, got {len(targets)}")
-            if is_recording():
-                raise ValueError("a decoder state step makes no graph; run it under no_grad")
-            mem_lengths = [state.n_memory]
+            return self._step(targets, state)
+        cap = self.encoder.config.max_len
+        for ids in targets:
+            if not 0 < len(ids) <= cap:
+                raise ShapeError(f"target of {len(ids)} ids is empty or past cap {cap}")
         keys = [(len(ids), n) for ids, n in zip(targets, mem_lengths)]
         pack, mem = Packing([n for n, _ in keys], keys), Packing([s for _, s in keys], keys)
         x = add(embedding_lookup(self.tgt_emb.tensor, pack.rows(targets)),
-                Tensor(self.pos[t + pack.positions]))
-        self_groups = [(count, n, t + n) for count, n in pack.layout]
-        mem_groups = mem.groups(queries=pack)
-        memory = None if state is not None else mem.pack_rows(memory)
+                Tensor(self.pos[pack.positions]))
+        self_groups, mem_groups = pack.groups(), mem.groups(queries=pack)
+        memory = mem.pack_rows(memory)
         p = self.layers[0].dropout_rate if training and self.layers else 0.0
         drops = dropout_multipliers(rng, p, pack, len(self.layers), x.shape[1], 3)
-        end = t + pack.n_rows
-        if state is not None and state.blocks is not None:
-            self.opa_cache.value_blocks(targets[0], range(t, end), state.blocks[t:end])
-        for i, (layer, drop) in enumerate(zip(self.layers, drops)):
-            kept = parts = None
-            if state is not None:
-                kept = state.layers[i]
-                if i == 0 and state.blocks is not None:
-                    parts = ProjectedValues(None, state.blocks[:end])
-            x = layer.forward(x, self_groups, memory, mem_groups, drop, kept, parts)
-        if state is not None:
-            state.t = end
+        for layer, drop in zip(self.layers, drops):
+            x = layer.forward(x, self_groups, memory, mem_groups, drop)
         return add_bias(matmul(pack.unpack_rows(x), self.out_w.tensor), self.out_b.tensor)
+
+    def _step(self, targets, state: DecoderState) -> Tensor:
+        """The (1, vocabulary) logits of one token at position state.t. Each layer projects
+        only its new row, writes its keys and values into the state and attends over all
+        of the state's, as constants, so no graph is kept across steps; the memory's keys
+        and values are read as the state made them. A step makes no graph: it raises if
+        one is recorded."""
+        t, cap = state.t, self.encoder.config.max_len
+        if len(targets) != 1 or len(targets[0]) != 1 or t >= cap:
+            raise ShapeError(f"a decoder state step takes one id of one sequence at a "
+                             f"position below cap {cap}, got {targets} at {t}")
+        if is_recording():
+            raise ValueError("a decoder state step makes no graph; run it under no_grad")
+        ((token,),) = targets
+        x = add(embedding_lookup(self.tgt_emb.tensor, [token]), Tensor(self.pos[t:t + 1]))
+        parts = None
+        if state.blocks is not None:
+            self.opa_cache.value_block(token, t, state.blocks[t])
+            parts = ProjectedValues(None, state.blocks[:t + 1])
+        for layer, kept in zip(self.layers, state.layers):
+            x = layer.forward(x, [(1, 1, t + 1)], None, [(1, 1, state.n_memory)], None, kept,
+                              parts)
+            parts = None
+        state.t = t + 1
+        return add_bias(matmul(x, self.out_w.tensor), self.out_b.tensor)
 
     def loss_batch(self, examples, training=False, rng=None) -> Tensor:
         """Teacher forcing: each example's target is the full [CLS] .. [EOS] id list."""

@@ -220,7 +220,7 @@ def transpose(x: Tensor, axes) -> Tensor:
     axes = tuple(int(a) for a in axes)
     if sorted(axes) != list(range(x.ndim)):
         raise ShapeError(f"transpose axes {axes} invalid for shape {x.shape}")
-    inverse = tuple(np.argsort(axes))
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
     return _emit(np.ascontiguousarray(x.data.transpose(axes)), (x,),
                  lambda dout: (dout.transpose(inverse),))
 
@@ -304,9 +304,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match last dim {d}")
     xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
+    mu = xd.sum(axis=-1, keepdims=True) / d
     xc = xd - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     y = xhat * gamma.data + beta.data
@@ -316,8 +316,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         dbeta = dout.sum(axis=lead) if lead else dout.copy()
         dgamma = (dout * xhat).sum(axis=lead) if lead else dout * xhat
         dxhat = dout * gamma.data
-        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        dx = inv * (dxhat - dxhat.sum(axis=-1, keepdims=True) / d
+                    - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / d)
         return (dx, dgamma, dbeta)
 
     return _emit(y, (x, gamma, beta), bwd)
@@ -690,28 +690,34 @@ def opa_project(s, parts, w: Tensor, proj=None) -> Tensor:
     s_ij @ P_u(j). So the d * e * c work scales with the table rows, and neither v nor
     the (rows, d, e) aggregate is made. The gradient goes to s, to every table and to w.
 
-    `proj`, if given, holds the blocks that every part's ids index: the tables are then
-    one table, as an inference cache keeps its rows in the order it filled them. Only
-    its rows that `ids` reach are read, so it may be a cache whose other rows are
-    unfilled. It is for inference: no graph is made, and one that would be raises.
+    `proj`, if given, holds the blocks that `project_rows` made of the table rows through
+    `w`, and `parts` lists the ids alone, each indexing `proj`, as an inference cache
+    keeps its rows in the order it filled them. Only its rows that the ids reach are
+    read, so it may be a cache whose other rows are unfilled. It is for inference: no
+    graph is made, and one that would be raises.
     """
     ss = list(s)
     d = ss[0].shape[-1] if ss else 0
     if not ss or any(t.ndim != 4 or t.shape[-1] != d for t in ss):
         raise ShapeError(f"opa_project shape mismatch: scores {[t.shape for t in ss]}")
-    tables = [table for table, _ in parts]
-    widths = {table.shape[1:] for table in tables}
-    if len(widths) != 1 or len(next(iter(widths))) != 1:
-        raise ShapeError(f"opa_project tables differ in width: {[t.shape for t in tables]}")
-    (e,) = widths.pop()
-    if w.ndim != 2 or w.shape[0] != d * e:
-        raise ShapeError(f"opa_project weight {w.shape} does not take {d}x{e} aggregates")
+    if proj is None:
+        tables, ids = [table for table, _ in parts], [i for _, i in parts]
+        widths = {table.shape[1:] for table in tables}
+        if len(widths) != 1 or len(next(iter(widths))) != 1:
+            raise ShapeError(f"opa_project tables differ in width: {[t.shape for t in tables]}")
+        (e,) = widths.pop()
+        if w.ndim != 2 or w.shape[0] != d * e:
+            raise ShapeError(f"opa_project weight {w.shape} does not take {d}x{e} aggregates")
+        sizes = [table.shape[0] for table in tables]
+    else:
+        if _recording and any(t.requires_grad for t in ss + [w]):
+            raise ValueError("opa_project: a given projection makes no graph; run it under no_grad")
+        tables, ids, sizes = [], list(parts), [len(proj)] * len(parts)
     n_keys = sum(t.shape[0] * t.shape[2] for t in ss)
-    ids = [np.asarray(i, dtype=np.int64) for _, i in parts]
+    ids = [np.asarray(i, dtype=np.int64) for i in ids]
     if any(i.shape != (n_keys,) for i in ids):
         raise ShapeError(f"opa_project needs {n_keys} value ids per table, "
                          f"got shapes {[i.shape for i in ids]}")
-    sizes = [table.shape[0] for table in tables]
     _, first, uid = np.unique(np.ravel_multi_index(ids, sizes), return_index=True,
                               return_inverse=True)
     # each distinct value's rows in the tables stacked into one, or in `proj`'s one table
@@ -734,13 +740,10 @@ def opa_project(s, parts, w: Tensor, proj=None) -> Tensor:
     qp = np.concatenate(pair_q)[order]
     bounds = np.concatenate([[0], np.cumsum(np.bincount(pair_u, minlength=len(first)))])
     segs = [(u, lo, hi) for u, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo]
-    w3 = w.data.reshape(d, e, -1)
     if proj is None:
         table = np.concatenate([t.data for t in tables])
         proj = project_rows(table, w.data)
-    elif _recording and any(t.requires_grad for t in ss + tables + [w]):
-        raise ValueError("opa_project: a given projection makes no graph; run it under no_grad")
-    buf = np.empty(w3.shape[::2])
+    buf = np.empty(proj.shape[1:])
 
     def value_proj(u):
         """P_u, the sum of its table rows' projections, in one buffer that stays in cache."""
@@ -749,7 +752,7 @@ def opa_project(s, parts, w: Tensor, proj=None) -> Tensor:
             np.add(buf, proj[row], out=buf)
         return buf
 
-    terms = np.empty((len(order), w3.shape[2]))
+    terms = np.empty((len(order), buf.shape[1]))
     for u, lo, hi in segs:
         np.matmul(sp[lo:hi], value_proj(u), out=terms[lo:hi])
 
@@ -757,7 +760,7 @@ def opa_project(s, parts, w: Tensor, proj=None) -> Tensor:
         """Per-pair rows, in value order, as one (count, n, m, width) block per group."""
         return group_blocks(rows[rank], [t.shape[:3] for t in ss])
 
-    out = np.concatenate([t.sum(axis=-2).reshape(-1, w3.shape[2]) for t in by_group(terms)])
+    out = np.concatenate([t.sum(axis=-2).reshape(-1, buf.shape[1]) for t in by_group(terms)])
 
     def bwd(dout):
         dterms = dout[qp]
@@ -769,6 +772,7 @@ def opa_project(s, parts, w: Tensor, proj=None) -> Tensor:
             np.matmul(sp[lo:hi].T, dterms[lo:hi], out=dproj)
             for row in combos[u]:
                 drows[row] += dproj
+        w3 = w.data.reshape(d, e, -1)
         dtable = sum(drows[:, a] @ w3[a].T for a in range(d))
         dw = np.matmul(table.T[None], drows.transpose(1, 0, 2)).reshape(w.shape)
         return tuple(by_group(ds)) + tuple(np.split(dtable, starts[1:])) + (dw,)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hitkit import attention as A
 from hitkit import tensor as T
 from hitkit.attention import (
     FameConfig,
@@ -32,26 +31,19 @@ def rand(shape, seed=0):
 
 
 def causal_case(seed):
-    """Two groups of sequences whose L_q query rows are the last L_q of their L_kv key rows,
-    as the decoder sends them when it resumes: (groups, queries, keys, per-sequence
-    (key rows, packed query slice))."""
-    groups = [(1, 2, 5), (2, 3, 4)]
-    kv = rand((13, 4), seed)
-    seqs, q0, k0 = [], 0, 0
-    for count, lq, lkv in groups:
-        for _ in range(count):
-            seqs.append((kv[k0:k0 + lkv], slice(q0, q0 + lq)))
-            q0, k0 = q0 + lq, k0 + lkv
-    x = np.concatenate([keys[len(keys) - (q.stop - q.start):] for keys, q in seqs])
-    return groups, x, kv, seqs
+    """Two groups of whole sequences, as the decoder sends them under teacher forcing:
+    (groups, rows, each sequence's slice of the rows)."""
+    groups = [(1, 5, 5), (2, 4, 4)]
+    bounds = [0, 5, 9, 13]
+    return groups, rand((13, 4), seed), [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def assert_prefix_rows(out, seqs, oracle):
-    """Each query row equals `oracle` on its sequence's keys up to its own position."""
-    for keys, q in seqs:
-        for row in range(q.start, q.stop):
-            pos = len(keys) - q.stop + row
-            assert np.max(np.abs(out[row] - oracle(keys[:pos + 1])[pos])) < 1e-10
+def assert_prefix_rows(out, x, seqs, oracle):
+    """Each row equals `oracle` on its sequence's rows up to its own position."""
+    for seq in seqs:
+        rows = x[seq]
+        for pos in range(len(rows)):
+            assert np.max(np.abs(out[seq.start + pos] - oracle(rows[:pos + 1])[pos])) < 1e-10
 
 
 class TestMsa:
@@ -80,10 +72,10 @@ class TestMsa:
 
     def test_causal_mask_matches_prefix_oracle(self):
         layer = make_layer(d=4, heads=2, seed=50)
-        groups, x, kv, seqs = causal_case(51)
-        out = msa_forward(layer, T.Tensor(x), groups, T.Tensor(kv), causal=True)
+        groups, x, seqs = causal_case(51)
+        out = msa_forward(layer, T.Tensor(x), groups, causal=True)
         la = layer_arrays(layer)
-        assert_prefix_rows(out.data, seqs, lambda keys: msa_oracle(
+        assert_prefix_rows(out.data, x, seqs, lambda keys: msa_oracle(
             keys, la["wq_self"], la["wk_self"], la["wv_self"], la["wo_self"], 2))
 
     def test_permuting_key_value_rows_leaves_outputs_unchanged(self):
@@ -143,10 +135,10 @@ class TestOpa:
 
     def test_causal_mask_matches_prefix_oracle(self):
         layer = make_layer(d=4, heads=2, seed=52)
-        groups, x, kv, seqs = causal_case(53)
-        out = opa_forward(layer, T.Tensor(x), groups, T.Tensor(kv), causal=True)
+        groups, x, seqs = causal_case(53)
+        out = opa_forward(layer, T.Tensor(x), groups, causal=True)
         la = layer_arrays(layer)
-        assert_prefix_rows(out.data, seqs, lambda keys: opa_oracle(
+        assert_prefix_rows(out.data, x, seqs, lambda keys: opa_oracle(
             keys, la["wq_outer"], la["wk_outer"], la["wv_outer"], la["wo_outer"],
             "tanh", "true_outer_projected"))
 
@@ -263,45 +255,21 @@ class TestFameForward:
 
         check_gradients(loss, leaves)
 
-    @pytest.mark.parametrize("score", ["tanh", "softmax"])
-    @pytest.mark.parametrize("combine", ["true_outer_projected", "hadamard"])
-    def test_separate_key_rows_match_oracle_rows(self, score, combine):
-        # queries x[1:] over all rows of x equal the oracle's rows 1.. on x itself
-        layer = make_layer(d=4, heads=2, score=score, combine=combine, seed=42)
-        layer.fusion_logits.assign(rand((2,), 43))
-        x = rand((4, 4), 44)
-        out = fame_forward(layer, T.Tensor(x[1:]), x_kv=T.Tensor(x))
-        expected = fame_oracle(x, layer_arrays(layer), 2, score, combine)[1:]
-        assert np.max(np.abs(out.data - expected)) < 1e-10
-
-    @pytest.mark.parametrize("score", ["tanh", "softmax"])
-    @pytest.mark.parametrize("combine", ["true_outer_projected", "hadamard"])
-    def test_key_value_input_gradients_match_finite_differences(self, score, combine):
-        layer = make_layer(d=4, heads=2, score=score, combine=combine, seed=45)
-        x = T.Tensor(rand((2, 4), 46), requires_grad=True)
-        kv = T.Tensor(rand((3, 4), 47), requires_grad=True)
-        w = T.Tensor(rand((2, 4), 48))
-        leaves = [x, kv] + [p.tensor for p in layer.parameters()]
-
-        def loss():
-            return T.sum_all(T.mul(fame_forward(layer, x, x_kv=kv), w))
-
-        check_gradients(loss, leaves)
-
 
 class TestPackedGroups:
-    """Packed groups whose query length differs from their key length."""
+    """Packed groups of whole sequences, as the encoders and the teacher-forced decoder
+    send them, against one call per sequence."""
 
-    # two sequences of two queries over three keys, then one of one query over five keys
-    GROUPS = [(2, 2, 3), (1, 1, 5)]
+    # two sequences of three rows, then one of five
+    GROUPS = [(2, 3, 3), (1, 5, 5)]
 
     def per_sequence(self):
-        """Each sequence's (query rows, key rows, group of one) within the packed rows."""
-        q0 = k0 = 0
-        for count, lq, lkv in self.GROUPS:
+        """Each sequence's slice of the packed rows, with its group of one."""
+        start = 0
+        for count, n, _ in self.GROUPS:
             for _ in range(count):
-                yield slice(q0, q0 + lq), slice(k0, k0 + lkv), (1, lq, lkv)
-                q0, k0 = q0 + lq, k0 + lkv
+                yield slice(start, start + n), [(1, n, n)]
+                start += n
 
     @pytest.mark.parametrize("causal", [False, True])
     @pytest.mark.parametrize("score", ["tanh", "softmax"])
@@ -309,51 +277,70 @@ class TestPackedGroups:
     def test_packed_groups_match_per_sequence_calls(self, score, combine, causal):
         layer = make_layer(d=4, heads=2, score=score, combine=combine, seed=60)
         layer.fusion_logits.assign(rand((2,), 61))
-        x, kv = rand((5, 4), 62), rand((11, 4), 63)
-        packed = fame_forward(layer, T.Tensor(x), self.GROUPS, T.Tensor(kv), causal=causal).data
-        for q, k, group in self.per_sequence():
-            alone = fame_forward(layer, T.Tensor(x[q]), [group], T.Tensor(kv[k]),
-                                 causal=causal).data
-            assert np.max(np.abs(packed[q] - alone)) < 1e-12
+        x = rand((11, 4), 62)
+        packed = fame_forward(layer, T.Tensor(x), self.GROUPS, causal=causal).data
+        for rows, group in self.per_sequence():
+            alone = fame_forward(layer, T.Tensor(x[rows]), group, causal=causal).data
+            assert np.max(np.abs(packed[rows] - alone)) < 1e-12
 
     @pytest.mark.parametrize("causal", [False, True])
     @pytest.mark.parametrize("combine", ["true_outer_projected", "hadamard"])
     def test_packed_groups_gradients_match_finite_differences(self, combine, causal):
         layer = make_layer(d=4, heads=2, combine=combine, seed=64)
-        x = T.Tensor(rand((5, 4), 65), requires_grad=True)
-        kv = T.Tensor(rand((11, 4), 66), requires_grad=True)
-        w = T.Tensor(rand((5, 4), 67))
-        leaves = [x, kv] + [p.tensor for p in layer.parameters()]
+        x = T.Tensor(rand((11, 4), 65), requires_grad=True)
+        w = T.Tensor(rand((11, 4), 67))
+        leaves = [x] + [p.tensor for p in layer.parameters()]
 
         def loss():
-            return T.sum_all(T.mul(fame_forward(layer, x, self.GROUPS, kv, causal=causal), w))
+            return T.sum_all(T.mul(fame_forward(layer, x, self.GROUPS, causal=causal), w))
 
         check_gradients(loss, leaves)
 
-    @pytest.mark.parametrize("n_q,n_kv", [(4, 11), (5, 10), (6, 12)])
-    def test_groups_that_do_not_cover_the_rows_raise(self, n_q, n_kv):
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_groups_that_do_not_cover_the_rows_raise(self, n):
         layer = make_layer(seed=68)
         with pytest.raises(T.ShapeError, match="do not cover"):
-            fame_forward(layer, T.Tensor(rand((n_q, 4))), self.GROUPS,
-                         x_kv=T.Tensor(rand((n_kv, 4))))
+            fame_forward(layer, T.Tensor(rand((n, 4))), self.GROUPS)
 
 
-class TestOneRowCausalGroups:
-    """Each greedy step is a one-row causal query, whose mask would be all ones."""
+class TestCrossGroups:
+    """Packed groups whose query length differs from their key length, as cross-attention
+    sends them: multi_head_attention reads the keys and values from separate rows."""
 
-    GROUPS = [(2, 1, 3), (1, 1, 5)]
+    # two sequences of two queries over three keys, then one of one query over five keys
+    GROUPS = [(2, 2, 3), (1, 1, 5)]
 
-    @pytest.mark.parametrize("score", ["tanh", "softmax"])
-    @pytest.mark.parametrize("combine", ["true_outer_projected", "hadamard"])
-    def test_a_one_row_group_skips_its_mask(self, monkeypatch, score, combine):
-        layer = make_layer(d=4, heads=2, score=score, combine=combine, seed=70)
-        x, kv = T.Tensor(rand((3, 4), 71)), T.Tensor(rand((11, 4), 72))
-        free = [f(layer, x, self.GROUPS, kv) for f in (msa_forward, opa_forward)]
+    def attend(self, layer, x_q, x_kv, groups):
+        return multi_head_attention(layer.wq_self, layer.wk_self, layer.wv_self, layer.wo_self,
+                                    2, x_q, x_kv, groups)
 
-        def no_mask(lq, lkv):
-            raise AssertionError(f"a ({lq}, {lkv}) mask was built")
+    def per_sequence(self):
+        """Each sequence's (query rows, key rows, group of one) within the packed rows."""
+        q0 = k0 = 0
+        for count, lq, lkv in self.GROUPS:
+            for _ in range(count):
+                yield slice(q0, q0 + lq), slice(k0, k0 + lkv), [(1, lq, lkv)]
+                q0, k0 = q0 + lq, k0 + lkv
 
-        monkeypatch.setattr(A, "_causal", no_mask)
-        causal = [f(layer, x, self.GROUPS, kv, causal=True) for f in (msa_forward, opa_forward)]
-        for got, want in zip(causal, free):
-            assert np.array_equal(got.data, want.data)
+    def test_packed_groups_match_per_sequence_calls(self):
+        layer = make_layer(d=4, heads=2, seed=80)
+        x, kv = rand((5, 4), 81), rand((11, 4), 82)
+        packed = self.attend(layer, T.Tensor(x), T.Tensor(kv), self.GROUPS).data
+        for q, k, group in self.per_sequence():
+            alone = self.attend(layer, T.Tensor(x[q]), T.Tensor(kv[k]), group).data
+            assert np.max(np.abs(packed[q] - alone)) < 1e-12
+
+    def test_packed_groups_gradients_match_finite_differences(self):
+        layer = make_layer(d=4, heads=2, seed=84)
+        x = T.Tensor(rand((5, 4), 85), requires_grad=True)
+        kv = T.Tensor(rand((11, 4), 86), requires_grad=True)
+        w = T.Tensor(rand((5, 4), 87))
+        leaves = [x, kv] + [p.tensor for p in layer.parameters()[:4]]  # the self branch's
+        check_gradients(lambda: T.sum_all(T.mul(self.attend(layer, x, kv, self.GROUPS), w)),
+                        leaves)
+
+    @pytest.mark.parametrize("n_q,n_kv", [(4, 11), (5, 10), (6, 12)])
+    def test_groups_that_do_not_cover_the_rows_raise(self, n_q, n_kv):
+        layer = make_layer(seed=88)
+        with pytest.raises(T.ShapeError, match="do not cover"):
+            self.attend(layer, T.Tensor(rand((n_q, 4))), T.Tensor(rand((n_kv, 4))), self.GROUPS)

@@ -283,3 +283,99 @@ def test_the_first_char_layer_projects_each_character_and_position_once(monkeypa
     # one call, from the first of the two char layers: a row per character and per position
     assert tables == [[len(chars), longest]]
     assert len(chars) + longest < len(pairs)
+
+
+# Batch invariance over drawn batches: one-word and max_len-word sentences, words of 1 to
+# max_word_len characters, known and unknown words, repeated words and whole sentences.
+MAX_LEN, MAX_WORD_LEN = cfg().max_len, cfg().max_word_len
+LETTERS = "abcdegnort"
+drawn_words = st.one_of(
+    st.sampled_from(WORDS),
+    st.integers(1, MAX_WORD_LEN).flatmap(lambda n: st.text(LETTERS, min_size=n, max_size=n)),
+    st.sampled_from(["a" * MAX_WORD_LEN, "b"]))
+drawn_sentences = st.one_of(st.just(1), st.just(MAX_LEN), st.integers(1, MAX_LEN)).flatmap(
+    lambda n: st.lists(drawn_words, min_size=n, max_size=n))
+
+
+@st.composite
+def drawn_batches(draw):
+    """A ragged batch, some of its sentences repeated, and a permutation of it."""
+    sentences = draw(st.lists(drawn_sentences, min_size=1, max_size=4))
+    sentences += [sentences[i] for i in draw(st.lists(st.integers(0, len(sentences) - 1),
+                                                      max_size=2))]
+    return sentences, draw(st.permutations(range(len(sentences))))
+
+
+def seq2seq_example(tokens):
+    ex = encode(tokens)
+    ex.target = [D.CLS_ID] + ex.word_ids[:MAX_LEN - 1] + [D.EOS_ID]
+    return ex
+
+
+def batch_models(score, combine):
+    config = cfg(opa_score=score, opa_combine=combine)
+    return {kind: model_and_batch(kind, config, seed=11)[0]
+            for kind in ("classification", "tagging", "seq2seq", "zsl")}
+
+
+BATCH_MODELS = {(score, combine): batch_models(score, combine)
+                for score in SCORES for combine in COMBINES}
+
+
+def assert_rows_close(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.shape(g) == np.shape(w)
+        assert np.max(np.abs(np.subtract(g, w))) < 1e-12
+
+
+def loss_with_grads(model, batch):
+    loss = model.loss_batch(batch)
+    return loss.item(), grads_of(model, loss)
+
+
+@pytest.mark.parametrize("score", SCORES)
+@pytest.mark.parametrize("combine", COMBINES)
+@settings(max_examples=8, deadline=None)
+@given(drawn=drawn_batches())
+def test_a_drawn_batch_matches_its_examples_alone_and_in_any_order(score, combine, drawn):
+    sentences, order = drawn
+    models = BATCH_MODELS[score, combine]
+    batch = [encode(t) for t in sentences]
+    heads = {
+        "classification": lambda b: models["classification"].predict_probs(b),
+        "labeling": lambda b: models["tagging"].predict_probs(b),
+        "embed": lambda b: models["zsl"].encoder.sentence_vectors(b).data,
+    }
+    with T.no_grad():
+        for run in heads.values():
+            together = run(batch)
+            assert_rows_close(together, [run([ex])[0] for ex in batch])
+            assert_rows_close(run([batch[i] for i in order]), [together[i] for i in order])
+        zsl = models["zsl"]
+        labels = zsl.classify(batch, LABEL_PHRASES)
+        units = heads["embed"](batch + LABEL_PHRASES)
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        cosines = np.sort(units[:len(batch)] @ units[len(batch):].T, axis=1)
+        # an argmax may flip only between labels whose cosines are within rounding
+        clear = cosines[:, -1] - cosines[:, -2] > 1e-9
+        alone = [zsl.classify([ex], LABEL_PHRASES)[0] for ex in batch]
+        permuted = zsl.classify([batch[i] for i in order], LABEL_PHRASES)
+        for i, k in enumerate(order):
+            assert not clear[k] or permuted[i] == labels[k] == alone[k]
+    # the teacher-forced loss is a mean over target tokens, so the batch's loss and
+    # gradients are the per-example ones weighted by each example's token count
+    seq2seq = models["seq2seq"]
+    examples = [seq2seq_example(t) for t in sentences]
+    got = loss_with_grads(seq2seq, examples)
+    weights = np.array([len(ex.target) - 1 for ex in examples], dtype=np.float64)
+    weights /= weights.sum()
+    each = [loss_with_grads(seq2seq, [ex]) for ex in examples]
+    want = (sum(w * loss for w, (loss, _) in zip(weights, each)),
+            {name: sum(w * grads[name] for w, (_, grads) in zip(weights, each))
+             for name in got[1]})
+    for other in (want, loss_with_grads(seq2seq, [examples[i] for i in order])):
+        assert abs(got[0] - other[0]) < 1e-12
+        for name, g in got[1].items():
+            scale = max(1.0, float(np.max(np.abs(g))))
+            assert np.max(np.abs(other[1][name] - g)) < 1e-12 * scale, name

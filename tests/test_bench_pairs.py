@@ -85,8 +85,11 @@ def test_exit_status_reflects_every_run(monkeypatch, capsys, any_parent, bad, co
     ([10, 10, 10, 10], [7, 7, 7, 7], "worse beyond bound", "within bound"),
     ([10, 10, 10, 10], [13, 13, 13, 13], "within bound", "worse beyond bound"),
     ([6, 10, 14, 18], [7, 9, 15, 17], "unresolved", "unresolved"),
-    ([6, 10, 14, 18], [6.5, 10.5, 14.5, 18.5], "within bound", "unresolved"),
-], ids=["30pct-less", "30pct-more", "noisy-mixed", "noisy-higher-every-pair"])
+    ([6, 10, 14, 18], [6.5, 10.5, 14.5, 18.5], "unresolved", "unresolved"),
+    ([6, 10, 14, 18], [19, 20, 21, 22], "within bound", "worse beyond bound"),
+    ([6, 10, 14, 18], [1, 2, 3, 5], "worse beyond bound", "within bound"),
+], ids=["30pct-less", "30pct-more", "noisy-mixed", "noisy-higher-every-pair",
+        "noisy-above-every-run", "noisy-below-every-run"])
 def test_each_metric_gets_a_verdict_against_its_bound(monkeypatch, capsys, any_parent, parent,
                                                       change, higher_verdict, lower_verdict):
     # every metric of a side reads the same value, so throughput (higher is better) and
@@ -102,6 +105,19 @@ def test_each_metric_gets_a_verdict_against_its_bound(monkeypatch, capsys, any_p
     lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
     assert lines["throughput_per_s"].endswith(higher_verdict)
     assert lines["latency_ms_p50"].endswith(lower_verdict)
+
+
+def test_each_side_reports_its_src_line_count(monkeypatch, capsys, any_parent):
+    def export(rev, dest):
+        (dest / "src" / "pkg").mkdir(parents=True)
+        lines = ["a = 1", "", "b = 2", "   "] if rev else ["a = 1", "b = 2", "c = 3"]
+        (dest / "src" / "pkg" / "m.py").write_text("\n".join(lines) + "\n")
+        (dest / "src" / "notes.txt").write_text("not counted\n")
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run", lambda *args: fake_result())
+    assert bench_pairs.main(["--parent", "HEAD", "--workload", "embed", "--seeds", "1"]) == 0
+    assert "src/ non-blank lines: parent 2, change 3" in capsys.readouterr().out.splitlines()
 
 
 def test_no_run_uses_the_checkout_itself(monkeypatch, capsys, any_parent):

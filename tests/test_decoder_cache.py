@@ -76,18 +76,14 @@ def test_incremental_logits_match_and_a_warm_cache_decodes_as_a_cold_one(seed, s
                                                       data.draw(st.integers(1, MAX_LEN - 2)))])
     length = data.draw(st.integers(1, MAX_LEN))
     seq = [D.CLS_ID] + [int(t) for t in rng.integers(0, VOCAB.word_size, length - 1)]
-    cuts = sorted(data.draw(st.sets(st.integers(1, length - 1), max_size=4))
-                  if length > 1 else [])
     warm = seq2seq(seed, opa_score=score, opa_combine=combine)
     cold = seq2seq(seed, opa_score=score, opa_combine=combine)
     with T.no_grad():
         memory = warm.encoder.word_states([src])
         full = warm.decode_logits([seq], memory, [src.n_words]).data
         state = DecoderState(warm, memory)
-        bounds = [0] + cuts + [length]
-        chunks = [warm.decode_logits([seq[lo:hi]], state=state).data
-                  for lo, hi in zip(bounds[:-1], bounds[1:])]
-    assert np.max(np.abs(np.concatenate(chunks) - full)) < 1e-12
+        steps = [warm.decode_logits([[token]], state=state).data for token in seq]
+    assert np.max(np.abs(np.concatenate(steps) - full)) < 1e-12
     # `warm` has cached the blocks of `seq`'s tokens and positions; `cold` has none
     got = warm.greedy_decode(src, return_probs=True)
     want = cold.greedy_decode(src, return_probs=True)
@@ -218,17 +214,37 @@ def test_a_greedy_step_projects_only_its_new_rows(monkeypatch, score, combine):
         state = DecoderState(model, memory)
         assert sorted(named(calls, cross)) == sorted((p.name, src.n_words) for p in cross)
         assert not named(calls, own)
-        for chunk in ([D.CLS_ID], [5], [6, 7, 8], [9]):
+        for token in (D.CLS_ID, 5, 6, 9):
             del calls[:]
-            model.decode_logits([chunk], state=state)
+            model.decode_logits([[token]], state=state)
             assert not named(calls, cross)
-            assert sorted(named(calls, own)) == sorted((p.name, len(chunk)) for p in kept)
+            assert sorted(named(calls, own)) == sorted((p.name, 1) for p in kept)
     # a whole request projects its memory once, and one row per step
     del calls[:]
     ids = model.greedy_decode(src)
     assert len(ids) == MAX_LEN - 1
     assert sorted(named(calls, cross)) == sorted((p.name, src.n_words) for p in cross)
     assert sorted(named(calls, own)) == sorted([(p.name, 1) for p in kept] * len(ids))
+
+
+@pytest.mark.parametrize("score,combine", MODES)
+def test_a_greedy_step_packs_nothing_and_masks_nothing(monkeypatch, score, combine):
+    model = seq2seq(seed=10, opa_score=score, opa_combine=combine)
+    src = source(WORDS[2:6])
+    want = model.greedy_decode(src, return_probs=True)
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"a step called {name}")
+        return call
+
+    # no Packing means no memory groups either: `Packing.groups` makes them
+    monkeypatch.setattr(M, "Packing", refuse("Packing"))
+    monkeypatch.setattr(M, "dropout_multipliers", refuse("dropout_multipliers"))
+    monkeypatch.setattr(A, "_causal", refuse("_causal"))
+    got = model.greedy_decode(src, return_probs=True)
+    assert len(got[0]) == MAX_LEN - 1
+    assert got == want
 
 
 def decode_in_turn(model, sources):

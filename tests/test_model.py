@@ -218,23 +218,6 @@ class TestSeq2Seq:
                 full = model.decode_logits([seq[:t + 1]], memory, [src.n_words]).data[t]
                 assert np.max(np.abs(step - full)) < 1e-12
 
-    @pytest.mark.parametrize("score", ["tanh", "softmax"])
-    @pytest.mark.parametrize("combine", ["true_outer_projected", "hadamard"])
-    def test_chunks_after_a_prefix_match_decode_logits(self, vocab, score, combine):
-        model = build_seq2seq(tiny_cfg(l_dec=2, opa_score=score, opa_combine=combine),
-                              vocab.word_size, vocab.char_size, seed_streams(26)["init"])
-        src = self.source(vocab)
-        seq = [D.CLS_ID] + [int(t) for t in np.random.default_rng(27).integers(
-            0, vocab.word_size, 8)]
-        with T.no_grad():
-            memory = model.encoder.word_states([src])
-            full = model.decode_logits([seq], memory, [src.n_words]).data
-            state = DecoderState(model, memory)
-            chunks = [model.decode_logits([seq[lo:hi]], state=state).data
-                      for lo, hi in [(0, 3), (3, 4), (4, 9)]]
-        assert state.t == 9
-        assert np.max(np.abs(np.concatenate(chunks) - full)) < 1e-12
-
     def test_a_state_step_under_a_graph_or_of_two_sequences_raises(self, vocab):
         src = self.source(vocab)
         for combine in ("true_outer_projected", "hadamard"):
@@ -246,6 +229,21 @@ class TestSeq2Seq:
                 model.decode_logits([[D.CLS_ID]], state=state)
             with T.no_grad(), pytest.raises(T.ShapeError, match="one sequence"):
                 model.decode_logits([[D.CLS_ID], [D.CLS_ID]], state=state)
+
+    @pytest.mark.parametrize("targets", [[[D.CLS_ID, 5]], [[]], []],
+                             ids=["two_ids", "no_id", "no_sequence"])
+    def test_a_state_step_takes_one_id_of_one_sequence(self, vocab, targets):
+        cfg = tiny_cfg()
+        model = build_seq2seq(cfg, vocab.word_size, vocab.char_size, seed_streams(29)["init"])
+        with T.no_grad():
+            state = DecoderState(model, model.encoder.word_states([self.source(vocab)]))
+            with pytest.raises(T.ShapeError, match="one id of one sequence"):
+                model.decode_logits(targets, state=state)
+            assert state.t == 0
+            for _ in range(cfg.max_len):
+                model.decode_logits([[5]], state=state)
+            with pytest.raises(T.ShapeError, match=rf"\[\[5\]\] at {cfg.max_len}$"):
+                model.decode_logits([[5]], state=state)
 
     def test_teacher_forcing_loss_runs_and_is_finite(self, vocab):
         model = self.make(vocab, seed=12)

@@ -597,17 +597,19 @@ class TestOpaProject:
     def test_a_given_projection_is_read_only_where_ids_reach(self):
         scores, tables, w = self.operands(seed=82, sizes=(7, 3))
         parts = list(zip(tables, self.IDS))
-        # with a projection, every part's ids index its one table: here both tables stacked
-        one = T.Tensor(np.concatenate([t.data for t in tables]))
-        shared = [(one, self.IDS[0]), (one, 7 + self.IDS[1])]
-        proj = T.project_rows(one.data, w.data)
+        # with a projection, the parts are ids alone, each indexing the projection of one
+        # table: here both tables stacked
+        proj = T.project_rows(np.concatenate([t.data for t in tables]), w.data)
         proj[[3, 5, 6]] = np.nan  # rows of the first table that no id reaches
+        ids = [self.IDS[0], 7 + self.IDS[1]]
         with T.no_grad():
             want = T.opa_project(scores, parts, w).data
-            got = T.opa_project(scores, shared, w, proj).data
+            got = T.opa_project(scores, ids, w, proj).data
         assert np.array_equal(got, want)
         with pytest.raises(ValueError, match="no_grad"):
-            T.opa_project(scores, shared, w, proj)
+            T.opa_project(scores, ids, w, proj)
+        with T.no_grad(), pytest.raises(T.ShapeError, match="value ids"):
+            T.opa_project(scores, [self.IDS[0][1:]], w, proj)
 
     def test_blocks_per_key_match_opa_project(self):
         rng = np.random.default_rng(83)
