@@ -26,7 +26,6 @@ from .tensor import (
     matmul,
     mul,
     opa_project,
-    opa_project_keys,
     opa_sum_hadamard,
     opa_sum_project,
     pairwise_hadamard,
@@ -99,83 +98,29 @@ def _groups(groups, x: Tensor) -> list:
 
 
 def _causal(n: int) -> np.ndarray:
-    """The (n, n) mask in which position i sees positions up to i. A causal group is a
-    whole sequence, or one new row over a decoder state, which sees every key and so
-    needs no mask."""
+    """The (n, n) mask in which position i sees positions up to i; a causal group is a
+    whole sequence."""
     return np.tri(n, dtype=bool)
 
 
-class KeptRows:
-    """One projection of a sequence's key-side rows, kept by a decoder state as they arrive.
-
-    `array` holds the product of position p's row at index p of axis `axis`, preallocated
-    for every position, in the layout that attention reads: (heads, dh, cap) keys and
-    (heads, cap, dh) values for multi_head_attention, (cap, d) for opa_forward.
-    `by_position` is the same memory with the positions first.
-    """
-
-    def __init__(self, shape, axis: int):
-        self.array, self.axis = np.empty(shape), axis
-        self.by_position = np.moveaxis(self.array, axis, 0)
-
-    @classmethod
-    def heads(cls, n_heads: int, d: int, cap: int) -> tuple:
-        """Keys and values as multi_head_attention reads them."""
-        return cls((n_heads, d // n_heads, cap), 2), cls((n_heads, cap, d // n_heads), 1)
-
-    def write(self, rows: Tensor, stop: int) -> None:
-        """Put the (n, d) product rows at positions stop - n:stop."""
-        n = rows.shape[0]
-        self.by_position[stop - n:stop] = rows.data.reshape((n,) + self.by_position.shape[1:])
-
-    def read(self, stop: int) -> Tensor:
-        """Positions :stop, as the block of a group of one sequence."""
-        return Tensor(self.array[(slice(None),) * self.axis + (slice(stop),)][None])
-
-
-def keep(kept, x: Tensor, weights, stop: int) -> None:
-    """Write the products of `x`, a sequence's rows at positions stop - n:stop, with
-    each weight into its `KeptRows` of `kept` (None keeps none)."""
-    for rows, w in zip(kept, weights):
-        if rows is not None:
-            rows.write(matmul(x, w.tensor), stop)
-
-
-def _kept_blocks(kept, new: Tensor | None, weights, groups) -> list:
-    """A decoder state's key-side blocks for its one group, one list per weight.
-
-    `new` is the step's new row, or None for the memory, whose products the state
-    made: `keep` writes its products, and each kept projection is read at the group's
-    L_kv positions.
-    """
-    ((_, _, stop),) = groups
-    if new is not None:
-        keep(kept, new, weights, stop)
-    return [None if rows is None else [rows.read(stop)] for rows in kept]
-
-
 def multi_head_attention(wq: Parameter, wk: Parameter, wv: Parameter, wo: Parameter,
-                         n_heads: int, x_q: Tensor, x_kv: Tensor | None, groups,
-                         causal: bool = False, kept=None) -> Tensor:
+                         n_heads: int, x_q: Tensor, x_kv: Tensor, groups,
+                         causal: bool = False) -> Tensor:
     """Scaled dot-product attention over heads.
 
     `groups` lists (count, L_q, L_kv) per group of packed rows (see `_groups`); each
     group's heads run as one (count, heads, L_q, L_kv) block. Every query sees every
     key of its sequence, or, if `causal`, the keys `_causal` marks. The keys and values
-    are the products of the rows `x_kv` or, with `kept`, a decoder state's pair of
-    `KeptRows` for one sequence, read as `_kept_blocks` reads them.
+    are the products of the rows `x_kv`.
     """
     d = wq.data.shape[0]
     dh = d // n_heads
     heads = lambda t, count, n, axes: transpose(reshape(t, (count, n, n_heads, dh)), axes)
     q = matmul(x_q, wq.tensor)
-    if kept is None:
-        kv_leads = [g[::2] for g in groups]
-        split = lambda w, axes: [heads(b, count, n, axes) for (count, n), b
-                                 in zip(kv_leads, group_blocks(matmul(x_kv, w.tensor), kv_leads))]
-        keys, values = split(wk, (0, 2, 3, 1)), split(wv, (0, 2, 1, 3))
-    else:
-        keys, values = _kept_blocks(kept, x_kv, (wk, wv), groups)
+    kv_leads = [g[::2] for g in groups]
+    split = lambda w, axes: [heads(b, count, n, axes) for (count, n), b
+                             in zip(kv_leads, group_blocks(matmul(x_kv, w.tensor), kv_leads))]
+    keys, values = split(wk, (0, 2, 3, 1)), split(wv, (0, 2, 1, 3))
     outs = []
     for (count, lq, lkv), qg, kg, vg in zip(groups, group_blocks(q, [g[:2] for g in groups]),
                                             keys, values):
@@ -186,12 +131,11 @@ def multi_head_attention(wq: Parameter, wk: Parameter, wv: Parameter, wo: Parame
     return matmul(outs[0] if len(outs) == 1 else concat_rows(outs), wo.tensor)
 
 
-def msa_forward(layer: FameLayer, x: Tensor, groups=None, causal: bool = False,
-                kept=None) -> Tensor:
+def msa_forward(layer: FameLayer, x: Tensor, groups=None, causal: bool = False) -> Tensor:
     """Self-attention of the rows `x`, grouped as `groups` says (see `_groups`); `causal`
-    and `kept` as multi_head_attention takes them."""
+    as multi_head_attention takes it."""
     return multi_head_attention(layer.wq_self, layer.wk_self, layer.wv_self, layer.wo_self,
-                                layer.config.n_heads, x, x, _groups(groups, x), causal, kept)
+                                layer.config.n_heads, x, x, _groups(groups, x), causal)
 
 
 class ProjectedValues(NamedTuple):
@@ -199,17 +143,16 @@ class ProjectedValues(NamedTuple):
 
     `ids` lists one id array per part, as `value_parts` does, each indexing the blocks
     `proj`, and goes to `opa_project` with them: an inference cache passes this as
-    `value_parts`. With `ids` None, `proj[j]` is key j's whole block, as
-    `opa_project_keys` takes it: a decoder state's, for one sequence.
+    `value_parts`.
     """
 
-    ids: list | None
+    ids: list
     proj: np.ndarray
 
 
 def opa_forward(layer: FameLayer, x: Tensor, groups=None, value_parts=None,
-                causal: bool = False, kept=None) -> Tensor:
-    """Outer branch of the rows `x`; `groups`, `causal` and `kept` as in msa_forward.
+                causal: bool = False) -> Tensor:
+    """Outer branch of the rows `x`; `groups` and `causal` as in msa_forward.
 
     Each group's scores run as one (count, L_q, L_kv, d) block; if `causal`, they are
     multiplied by the group's mask before they aggregate. In
@@ -220,8 +163,7 @@ def opa_forward(layer: FameLayer, x: Tensor, groups=None, value_parts=None,
     `value_parts` is a list of (table, ids) whose `table[ids]` rows sum to `x`.
     With them, in true_outer_projected mode, each table is multiplied by
     `wv_outer` and `opa_project` projects each table row once instead of making
-    the aggregate. As `ProjectedValues`, they come with both products made, or with
-    each key's block summed, which a decoder state passes with `kept` values of None.
+    the aggregate. As `ProjectedValues`, they come with both products made.
     """
     d = x.shape[1]
     groups = _groups(groups, x)
@@ -229,16 +171,13 @@ def opa_forward(layer: FameLayer, x: Tensor, groups=None, value_parts=None,
     q = matmul(x, layer.wq_outer.tensor)
     projected = value_parts is not None and layer.config.opa_combine != "hadamard"
     proj = value_parts.proj if isinstance(value_parts, ProjectedValues) else None
-    if kept is not None:
-        keys, values = _kept_blocks(kept, x, (layer.wk_outer, layer.wv_outer), groups)
+    keys = group_blocks(matmul(x, layer.wk_outer.tensor), kv_leads)
+    if projected and proj is not None:
+        values = value_parts.ids
+    elif projected:
+        values = [(matmul(table, layer.wv_outer.tensor), ids) for table, ids in value_parts]
     else:
-        keys = group_blocks(matmul(x, layer.wk_outer.tensor), kv_leads)
-        if projected and proj is not None:
-            values = value_parts.ids
-        elif projected:
-            values = [(matmul(table, layer.wv_outer.tensor), ids) for table, ids in value_parts]
-        else:
-            values = group_blocks(matmul(x, layer.wv_outer.tensor), kv_leads)
+        values = group_blocks(matmul(x, layer.wv_outer.tensor), kv_leads)
     scores = []
     for (count, lq, lkv), qg, kg in zip(groups, group_blocks(q, [g[:2] for g in groups]), keys):
         pair = scale(pairwise_hadamard(qg, kg), 1.0 / np.sqrt(d))
@@ -246,8 +185,6 @@ def opa_forward(layer: FameLayer, x: Tensor, groups=None, value_parts=None,
         if causal and lq > 1:
             s = mul(s, Tensor(np.broadcast_to(_causal(lq)[:, :, None], s.shape)))
         scores.append(s)
-    if projected and values is None:
-        return opa_project_keys(scores[0], proj)
     if projected:
         return opa_project(scores, values, layer.wo_outer.tensor, proj)
     if layer.config.opa_combine == "hadamard":
@@ -265,16 +202,13 @@ def fame_fuse(layer: FameLayer, z_self: Tensor, z_outer: Tensor) -> Tensor:
 
 
 def fame_forward(layer: FameLayer, x: Tensor, groups=None, value_parts=None,
-                 causal: bool = False, kept=None) -> Tensor:
+                 causal: bool = False) -> Tensor:
     """Both branches over the rows `x`, fused.
 
     The one attention entry point. `groups` lists (count, L_q, L_kv) per group of
     packed sequences (see `_groups`): the encoders pass groups of equal-length
     sequences, in which every row sees its whole sequence; the decoder passes
-    `causal`. `value_parts` go to `opa_forward`. `kept`, a decoder state's (self, outer)
-    pair of kept keys and values for one sequence, gives each branch its part; `x` is
-    then the step's one new row, and its group is (1, 1, positions so far).
+    `causal`. `value_parts` go to `opa_forward`.
     """
-    kept_self, kept_outer = (None, None) if kept is None else kept
-    return fame_fuse(layer, msa_forward(layer, x, groups, causal, kept_self),
-                     opa_forward(layer, x, groups, value_parts, causal, kept_outer))
+    return fame_fuse(layer, msa_forward(layer, x, groups, causal),
+                     opa_forward(layer, x, groups, value_parts, causal))

@@ -9,10 +9,11 @@ compares sentence embeddings by cosine.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .attention import (FameConfig, FameLayer, KeptRows, ProjectedValues, fame_forward, keep,
-                        multi_head_attention)
+from .attention import FameConfig, FameLayer, fame_forward, multi_head_attention
 from .data import CLS_ID, EOS_ID, EncodedExample
 from .encoders import (FeedForward, HitEncoder, OpaTableCache, Packing, add_norm,
                        dropout_multipliers, positional_table)
@@ -20,6 +21,10 @@ from .optim import Parameter, normal_init, xavier_uniform
 from .tensor import (
     ShapeError,
     Tensor,
+    _hadamard_forward,
+    _layer_norm,
+    _outer_forward,
+    _softmax,
     add,
     add_bias,
     concat_cols,
@@ -142,10 +147,9 @@ class CrossAttention:
         mk = lambda suffix: Parameter(f"{name}.{suffix}", xavier_uniform(rng, (d, d)))
         self.wq, self.wk, self.wv, self.wo = mk("wq"), mk("wk"), mk("wv"), mk("wo")
 
-    def forward(self, x_q: Tensor, memory: Tensor | None, groups: list, kept=None) -> Tensor:
-        """`kept`, a decoder state's keys and values of one memory, stands for `memory`."""
+    def forward(self, x_q: Tensor, memory: Tensor, groups: list) -> Tensor:
         return multi_head_attention(self.wq, self.wk, self.wv, self.wo,
-                                    self.n_heads, x_q, memory, groups, kept=kept)
+                                    self.n_heads, x_q, memory, groups)
 
     def parameters(self):
         return [self.wq, self.wk, self.wv, self.wo]
@@ -165,52 +169,110 @@ class DecoderLayer:
         self.dropout_rate = dropout_rate
         self.eps = eps
 
-    def forward(self, x: Tensor, self_groups, memory: Tensor | None, mem_groups, drop=None,
-                kept=None, value_parts=None) -> Tensor:
+    def forward(self, x: Tensor, self_groups, memory: Tensor, mem_groups, drop=None) -> Tensor:
         """Rows `x` attend causally over their sequences so far and over all of `memory`,
         grouped as `fame_forward` takes them. `drop` is this layer's (self-attention,
-        cross-attention, FFN) triple from `dropout_multipliers`; `value_parts` go to
-        `fame_forward`. `kept` is a decoder state's keys and values for this layer: those
-        of the earlier positions, as `fame_forward` takes them, and those of the memory."""
-        kept_fame, kept_cross = (None, None) if kept is None else kept
-        y = add_norm(self, 0, x, fame_forward(self.fame, x, self_groups, value_parts, True,
-                                              kept_fame), drop)
-        y = add_norm(self, 1, y, self.cross.forward(y, memory, mem_groups, kept_cross), drop)
+        cross-attention, FFN) triple from `dropout_multipliers`."""
+        y = add_norm(self, 0, x, fame_forward(self.fame, x, self_groups, causal=True), drop)
+        y = add_norm(self, 1, y, self.cross.forward(y, memory, mem_groups), drop)
         return add_norm(self, 2, y, self.ffn.forward(y), drop)
+
+    def step(self, x: np.ndarray, arrays: StepArrays, t: int, blocks) -> np.ndarray:
+        """`forward` of one row `x` at position t, on arrays: its (1, d) output.
+
+        It reads each parameter's current values and does `forward`'s arithmetic, in its
+        order, without dropout. The row's keys and values go to position t of `arrays`, and
+        it attends over positions :t + 1 and over the whole memory. `blocks`, if given, are
+        the outer values of positions :t + 1 through wo_outer, one (d, d) block each.
+        """
+        fame, stop, d = self.fame, t + 1, x.shape[1]
+        heads = fame.config.n_heads
+        arrays.self_keys[:, :, t] = (x @ fame.wk_self.data).reshape(heads, -1)
+        arrays.self_values[:, t] = (x @ fame.wv_self.data).reshape(heads, -1)
+        z_self = _attend(x, fame.wq_self, fame.wo_self, arrays.self_keys[:, :, :stop],
+                         arrays.self_values[:, :stop])
+        arrays.outer_keys[t] = x @ fame.wk_outer.data
+        # the (1, 1, t + 1, d) score block of opa_forward's one group, as the OPA sums take it
+        q = (x @ fame.wq_outer.data).reshape(1, 1, 1, d)
+        pair = q * arrays.outer_keys[None, None, :stop] * (1.0 / np.sqrt(d))
+        s = np.tanh(pair) if fame.config.opa_score == "tanh" else _softmax(pair, 3)
+        if blocks is not None:
+            z_outer = s.reshape(1, -1) @ blocks.reshape(stop * d, -1)
+        else:
+            arrays.outer_values[t] = x @ fame.wv_outer.data
+            values = arrays.outer_values[None, :stop]
+            if fame.config.opa_combine == "hadamard":
+                agg = np.empty((1, 1, d))
+                _hadamard_forward(s, values, agg)
+            else:
+                agg = np.empty((1, 1, d, d))
+                _outer_forward(s, values, agg)
+            z_outer = agg.reshape(1, -1) @ fame.wo_outer.data
+        alphas = _softmax(fame.fusion_logits.data, 0)
+        y = self._norm(0, x, z_self * alphas[0] + z_outer * alphas[1])
+        y = self._norm(1, y, _attend(y, self.cross.wq, self.cross.wo, arrays.cross_keys,
+                                     arrays.cross_values))
+        h = y @ self.ffn.w1.data + self.ffn.b1.data
+        h = np.where(h > 0, h, 0.0) @ self.ffn.w2.data + self.ffn.b2.data
+        return self._norm(2, y, h)
+
+    def _norm(self, i: int, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """`add_norm` of sublayer i without dropout, on arrays."""
+        gamma, beta = self.norms[i]
+        return _layer_norm(x + h, gamma.data, beta.data, self.eps)[0]
 
     def parameters(self):
         return (self.fame.parameters() + self.cross.parameters() + self.ffn.parameters()
                 + [p for n in self.norms for p in n])
 
 
+def _attend(x: np.ndarray, wq: Parameter, wo: Parameter, keys: np.ndarray,
+            values: np.ndarray) -> np.ndarray:
+    """`multi_head_attention` of one row `x` on arrays, over keys (heads, dh, m) and values
+    (heads, m, dh) already projected: its (1, d) output."""
+    heads, dh = keys.shape[:2]
+    scores = ((x @ wq.data).reshape(1, heads, 1, dh) @ keys[None]) * (1.0 / np.sqrt(dh))
+    return (_softmax(scores, 3) @ values[None]).reshape(1, -1) @ wo.data
+
+
+class StepArrays(NamedTuple):
+    """One decoder layer's keys and values in a `DecoderState`, laid out as its step reads
+    them: self-attention's split into heads, the outer branch's one row per position
+    (values None where the state's blocks stand for them), and the memory's."""
+
+    self_keys: np.ndarray  # (heads, dh, max_len)
+    self_values: np.ndarray  # (heads, max_len, dh)
+    outer_keys: np.ndarray  # (max_len, d)
+    outer_values: np.ndarray | None  # (max_len, d)
+    cross_keys: np.ndarray  # (heads, dh, memory rows)
+    cross_values: np.ndarray  # (heads, memory rows, dh)
+
+
 class DecoderState:
     """One sequence decoded so far, for `Seq2SeqModel.decode_logits([[token]], state=)`.
 
-    `layers[i]` holds the keys and values that layer i's attention reads, as pairs of
-    `KeptRows`: ((self, outer), cross). The self and outer ones are preallocated for
-    max_len positions, of which the first t are filled; self-attention's are split into
-    heads, (heads, dh, max_len) keys and (heads, max_len, dh) values, and the outer
-    branch's are (max_len, d) each. A step projects only its one new row into them. The
-    cross-attention ones are the memory's (the one source's word states), projected
-    once here. In true_outer_projected mode `blocks[j]` is the first layer's value block
-    of position j through wo_outer, the model's cached block of its token plus that of
-    j, so that layer's outer branch keeps no values and never reads wo_outer once a
-    token's block is cached.
+    `layers[i]` holds layer i's `StepArrays`. The self-attention and outer ones are
+    preallocated for max_len positions, of which the first t are filled: a step writes
+    only its own position. The cross-attention ones are the memory's (the one source's
+    word states), projected once here. In true_outer_projected mode `blocks[j]` is the
+    first layer's value block of position j through wo_outer, the model's cached block
+    of its token plus that of j, so that layer's outer branch keeps no values and never
+    reads wo_outer once a token's block is cached.
     """
 
     def __init__(self, model: Seq2SeqModel, memory: Tensor):
         config = model.encoder.config
-        cap, d, n_heads = config.max_len, config.d_model, config.n_heads
+        cap, d, heads = config.max_len, config.d_model, config.n_heads
+        dh, n = d // heads, memory.shape[0]
         self.t = 0
-        self.n_memory = n = memory.shape[0]
         self.blocks = None if model.opa_cache is None else np.empty((cap, d, d))
-        self.layers = []
-        for i, layer in enumerate(model.layers):
-            cross = KeptRows.heads(n_heads, d, n)
-            keep(cross, memory, (layer.cross.wk, layer.cross.wv), n)
-            values = None if i == 0 and self.blocks is not None else KeptRows((cap, d), 0)
-            outer = (KeptRows((cap, d), 0), values)
-            self.layers.append(((KeptRows.heads(n_heads, d, cap), outer), cross))
+        split = lambda w, axes: np.ascontiguousarray(
+            (memory.data @ w.data).reshape(n, heads, dh).transpose(axes))
+        self.layers = [
+            StepArrays(np.empty((heads, dh, cap)), np.empty((heads, cap, dh)), np.empty((cap, d)),
+                       None if i == 0 and self.blocks is not None else np.empty((cap, d)),
+                       split(layer.cross.wk, (1, 2, 0)), split(layer.cross.wv, (1, 0, 2)))
+            for i, layer in enumerate(model.layers)]
 
 
 class Seq2SeqModel(_TaskModel):
@@ -274,11 +336,10 @@ class Seq2SeqModel(_TaskModel):
         return add_bias(matmul(pack.unpack_rows(x), self.out_w.tensor), self.out_b.tensor)
 
     def _step(self, targets, state: DecoderState) -> Tensor:
-        """The (1, vocabulary) logits of one token at position state.t. Each layer projects
-        only its new row, writes its keys and values into the state and attends over all
-        of the state's, as constants, so no graph is kept across steps; the memory's keys
-        and values are read as the state made them. A step makes no graph: it raises if
-        one is recorded."""
+        """The (1, vocabulary) logits of one token at position state.t. Each layer's `step`
+        runs on arrays, projects only the new row and writes its keys and values into the
+        state; the memory's keys and values are read as the state made them. A step makes
+        no graph: it raises if one is recorded."""
         t, cap = state.t, self.encoder.config.max_len
         if len(targets) != 1 or len(targets[0]) != 1 or t >= cap:
             raise ShapeError(f"a decoder state step takes one id of one sequence at a "
@@ -286,17 +347,19 @@ class Seq2SeqModel(_TaskModel):
         if is_recording():
             raise ValueError("a decoder state step makes no graph; run it under no_grad")
         ((token,),) = targets
-        x = add(embedding_lookup(self.tgt_emb.tensor, [token]), Tensor(self.pos[t:t + 1]))
-        parts = None
+        vocab = len(self.tgt_emb.data)
+        if not 0 <= token < vocab:
+            raise ValueError(f"embedding id {token} out of range for table of size {vocab}")
+        x = self.tgt_emb.data[[token]] + self.pos[t:t + 1]
+        blocks = None
         if state.blocks is not None:
             self.opa_cache.value_block(token, t, state.blocks[t])
-            parts = ProjectedValues(None, state.blocks[:t + 1])
-        for layer, kept in zip(self.layers, state.layers):
-            x = layer.forward(x, [(1, 1, t + 1)], None, [(1, 1, state.n_memory)], None, kept,
-                              parts)
-            parts = None
+            blocks = state.blocks[:t + 1]
+        for layer, arrays in zip(self.layers, state.layers):
+            x = layer.step(x, arrays, t, blocks)
+            blocks = None
         state.t = t + 1
-        return add_bias(matmul(x, self.out_w.tensor), self.out_b.tensor)
+        return Tensor(x @ self.out_w.data + self.out_b.data)
 
     def loss_batch(self, examples, training=False, rng=None) -> Tensor:
         """Teacher forcing: each example's target is the full [CLS] .. [EOS] id list."""

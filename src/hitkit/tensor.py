@@ -266,6 +266,12 @@ def sqrt(x: Tensor) -> Tensor:
     return _emit(y, (x,), lambda dout: (dout * 0.5 / y,))
 
 
+def _softmax(xd: np.ndarray, axis: int) -> np.ndarray:
+    """The softmax of the array `xd` along `axis`, shifted by its maximum."""
+    e = np.exp(xd - xd.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(x: Tensor, axis: int = -1, mask=None) -> Tensor:
     """Stable softmax along one axis; masked-out entries get probability zero."""
     ax = axis if axis >= 0 else x.ndim + axis
@@ -278,12 +284,8 @@ def softmax(x: Tensor, axis: int = -1, mask=None) -> Tensor:
             raise ShapeError(f"softmax mask shape {m.shape} does not match {xd.shape}")
         if not m.any(axis=ax).all():
             raise ValueError("softmax: a slice has every position masked")
-        xm = np.where(m, xd, -np.inf)
-    else:
-        xm = xd
-    shifted = xm - xm.max(axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=ax, keepdims=True)
+        xd = np.where(m, xd, -np.inf)
+    y = _softmax(xd, ax)
 
     def bwd(dout):
         inner = (dout * y).sum(axis=ax, keepdims=True)
@@ -299,17 +301,21 @@ def outer_product(u: Tensor, v: Tensor) -> Tensor:
     return _emit(np.outer(ud, vd), (u, v), lambda dout: (dout @ vd, dout.T @ ud))
 
 
+def _layer_norm(xd: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
+    """Layer norm of the array `xd` over its last axis: (y, xhat, 1 / std)."""
+    d = xd.shape[-1]
+    xc = xd - xd.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
+    xhat = xc * inv
+    return xhat * gamma + beta, xhat, inv
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match last dim {d}")
     xd = x.data
-    mu = xd.sum(axis=-1, keepdims=True) / d
-    xc = xd - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    y = xhat * gamma.data + beta.data
+    y, xhat, inv = _layer_norm(xd, gamma.data, beta.data, eps)
     lead = tuple(range(xd.ndim - 1))
 
     def bwd(dout):
@@ -778,23 +784,6 @@ def opa_project(s, parts, w: Tensor, proj=None) -> Tensor:
         return tuple(by_group(ds)) + tuple(np.split(dtable, starts[1:])) + (dw,)
 
     return _emit(out, tuple(ss) + tuple(tables) + (w,), bwd)
-
-
-def opa_project_keys(s: Tensor, blocks: np.ndarray) -> Tensor:
-    """opa_project of one sequence whose key j's value has the projected block blocks[j].
-
-    s is the (1, n, m, d) scores and blocks a C-contiguous (m, d, c) array, so out_i, the
-    sum over j of s[0, i, j] @ blocks[j], is one (n, m * d) @ (m * d, c) product that
-    reads each block once and never the (d * d, c) weight. It is for inference: no graph
-    is made, and one that would be raises.
-    """
-    if s.ndim != 4 or s.shape[0] != 1 or blocks.shape[:2] != s.shape[2:]:
-        raise ShapeError(f"opa_project_keys shape mismatch: scores {s.shape}, "
-                         f"blocks {blocks.shape}")
-    if _recording and s.requires_grad:
-        raise ValueError("opa_project_keys makes no graph; run it under no_grad")
-    n, m, d = s.shape[1:]
-    return _emit(s.data.reshape(n, m * d) @ blocks.reshape(m * d, -1), (s,), None)
 
 
 def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:

@@ -91,22 +91,35 @@ def test_incremental_logits_match_and_a_warm_cache_decodes_as_a_cold_one(seed, s
     assert np.array_equal(got[1], want[1])
 
 
+# each change moves a parameter's entries unequally: the fusion gate's softmax ignores a
+# shift of all its logits, and the layer norms one of a whole row
+def moved(p):
+    return p.data * 1.5 + np.random.default_rng(7).uniform(0.1, 0.3, p.data.shape)
+
+
 def assign(p):
-    p.assign(p.data * 1.5 + 0.1)
+    p.assign(moved(p))
 
 
 def adam(p):
-    p.tensor.grad = np.random.default_rng(7).standard_normal(p.data.shape)
+    g = np.random.default_rng(7).standard_normal(p.data.shape)
+    p.tensor.grad = g - g.mean()
     O.adam_step([p], 0.1)
 
 
 def load(p, model):
-    model.load_arrays({p.name: p.data * 1.5 + 0.1})
+    model.load_arrays({p.name: moved(p)})
 
 
 PARAMS = {"tgt_emb": lambda m: m.tgt_emb,
           "wv_outer": lambda m: m.layers[0].fame.wv_outer,
-          "wo_outer": lambda m: m.layers[0].fame.wo_outer}
+          "wo_outer": lambda m: m.layers[0].fame.wo_outer,
+          "layer1.wo_outer": lambda m: m.layers[1].fame.wo_outer,
+          "layer1.cross.wq": lambda m: m.layers[1].cross.wq,
+          "layer1.ffn.w1": lambda m: m.layers[1].ffn.w1,
+          "layer1.norm1.gamma": lambda m: m.layers[1].norms[0][0],
+          "layer1.fusion_logits": lambda m: m.layers[1].fame.fusion_logits,
+          "out_w": lambda m: m.out_w}
 
 
 @pytest.mark.parametrize("param", sorted(PARAMS))
@@ -179,52 +192,51 @@ MODES = [(score, combine) for score in ("tanh", "softmax")
          for combine in ("true_outer_projected", "hadamard")]
 
 
-def spy_products(monkeypatch):
-    """Record (right operand, left rows) of every `tensor.matmul`, at each module's binding."""
-    calls, real = [], T.matmul
-
-    def spy(a, b):
-        calls.append((b, a.shape[0]))
-        return real(a, b)
-
-    for module in (A, E, M):
-        monkeypatch.setattr(module, "matmul", spy)
-    return calls
-
-
-def named(calls, params):
-    """The calls whose right operand is one of `params`, as (name, rows)."""
-    names = {id(p.tensor): p.name for p in params}
-    return [(names[id(b)], rows) for b, rows in calls if id(b) in names]
+def by_position(state):
+    """Every array of `state` that a step writes, its position axis first."""
+    arrays = [a for layer in state.layers for a in (np.moveaxis(layer.self_keys, 2, 0),
+                                                    np.moveaxis(layer.self_values, 1, 0),
+                                                    layer.outer_keys, layer.outer_values)]
+    return [a for a in arrays + [state.blocks] if a is not None]
 
 
 @pytest.mark.parametrize("score,combine", MODES)
 def test_a_greedy_step_projects_only_its_new_rows(monkeypatch, score, combine):
     model = seq2seq(seed=8, opa_score=score, opa_combine=combine)
-    cross = [p for layer in model.layers for p in (layer.cross.wk, layer.cross.wv)]
-    own = [p for layer in model.layers for p in (layer.fame.wk_self, layer.fame.wv_self,
-                                                  layer.fame.wk_outer, layer.fame.wv_outer)]
-    # the first layer's outer values come from cached blocks, unless in hadamard mode
-    kept = [p for p in own if combine == "hadamard" or p is not model.layers[0].fame.wv_outer]
     src = source(WORDS[:4])
-    calls = spy_products(monkeypatch)
     with T.no_grad():
         memory = model.encoder.word_states([src])
-        del calls[:]
         state = DecoderState(model, memory)
-        assert sorted(named(calls, cross)) == sorted((p.name, src.n_words) for p in cross)
-        assert not named(calls, own)
-        for token in (D.CLS_ID, 5, 6, 9):
-            del calls[:]
+    # the memory's keys and values are its products, made with the state; read-only, a
+    # step that wrote them would raise
+    for layer, arrays in zip(model.layers, state.layers):
+        for w, rows in ((layer.cross.wk, np.moveaxis(arrays.cross_keys, 2, 0)),
+                        (layer.cross.wv, np.moveaxis(arrays.cross_values, 1, 0))):
+            assert np.array_equal(rows.reshape(src.n_words, -1), memory.data @ w.data)
+        arrays.cross_keys.flags.writeable = arrays.cross_values.flags.writeable = False
+    written = by_position(state)
+    assert len(written) == 4 * len(model.layers)
+    for a in written:
+        a.fill(np.nan)
+    for t, token in enumerate((D.CLS_ID, 5, 6, 9)):
+        before = [a.copy() for a in written]
+        with T.no_grad():
             model.decode_logits([[token]], state=state)
-            assert not named(calls, cross)
-            assert sorted(named(calls, own)) == sorted((p.name, 1) for p in kept)
-    # a whole request projects its memory once, and one row per step
-    del calls[:]
+        for a, b in zip(written, before):
+            assert np.array_equal(a[:t], b[:t])
+            assert not np.isnan(a[t]).any()
+            assert np.isnan(a[t + 1:]).all()
+    # a whole request makes one state, so it projects its memory once
+    made = []
+
+    def make(*args):
+        made.append(DecoderState(*args))
+        return made[-1]
+
+    monkeypatch.setattr(M, "DecoderState", make)
     ids = model.greedy_decode(src)
     assert len(ids) == MAX_LEN - 1
-    assert sorted(named(calls, cross)) == sorted((p.name, src.n_words) for p in cross)
-    assert sorted(named(calls, own)) == sorted([(p.name, 1) for p in kept] * len(ids))
+    assert len(made) == 1 and made[0].t == len(ids)
 
 
 @pytest.mark.parametrize("score,combine", MODES)
@@ -269,8 +281,7 @@ def decode_in_turn(model, sources):
 
 
 def state_arrays(state):
-    arrays = [rows.array for fame, cross in state.layers for pair in (*fame, cross)
-              for rows in pair if rows is not None]
+    arrays = [a for layer in state.layers for a in layer if a is not None]
     return arrays + ([] if state.blocks is None else [state.blocks])
 
 

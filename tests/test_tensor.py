@@ -611,22 +611,6 @@ class TestOpaProject:
         with T.no_grad(), pytest.raises(T.ShapeError, match="value ids"):
             T.opa_project(scores, [self.IDS[0][1:]], w, proj)
 
-    def test_blocks_per_key_match_opa_project(self):
-        rng = np.random.default_rng(83)
-        d, e, c, n, m = 2, 3, 2, 3, 4
-        scores = T.Tensor(rng.standard_normal((1, n, m, d)), requires_grad=True)
-        table = T.Tensor(rng.standard_normal((m, e)))
-        w = T.Tensor(rng.standard_normal((d * e, c)), requires_grad=True)
-        blocks = T.project_rows(table.data, w.data)
-        with T.no_grad():
-            want = T.opa_project([scores], [(table, np.arange(m))], w).data
-            got = T.opa_project_keys(scores, blocks).data
-        assert np.max(np.abs(got - want)) < 1e-12
-        with pytest.raises(ValueError, match="no_grad"):
-            T.opa_project_keys(scores, blocks)
-        with T.no_grad(), pytest.raises(T.ShapeError, match="mismatch"):
-            T.opa_project_keys(scores, blocks[1:])
-
     @pytest.mark.parametrize("ids", [np.arange(12), np.arange(14), np.zeros((13, 1))])
     def test_rejects_ids_of_the_wrong_length(self, ids):
         scores, tables, w = self.operands(sizes=(5, 14))
