@@ -218,18 +218,52 @@ class HierPool:
         return [self.proj_w, self.proj_b, self.context]
 
 
-class Versions:
-    """The tensor versions of `params` that a cache's contents were computed under."""
+class RowCache:
+    """A bounded table of inference rows keyed by any hashable key.
 
-    def __init__(self, params):
+    `slots(keys, compute)` gives each key's row of `table`; `compute(missed)` returns
+    the rows of the distinct keys it lacks, in first-seen order. Rows are stored in
+    fill order in one zeroed (capacity, ...) table made at the first fill, so the
+    memory touched grows with the rows filled. When it is full, the least recently
+    used key goes first. The cache empties itself when the tensor version of any of
+    `params` moved since its last call.
+    """
+
+    def __init__(self, params, capacity: int):
         self.params = list(params)
-        self.seen = None
+        self.capacity = capacity
+        self.versions = None
+        self.index: OrderedDict = OrderedDict()  # key -> table row, least recent first
+        self.table = None
 
-    def moved(self) -> bool:
-        """Whether any version moved since the last call (or this is the first), then note them."""
-        now = [p.tensor.version for p in self.params]
-        moved, self.seen = now != self.seen, now
-        return moved
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def slots(self, keys, compute) -> np.ndarray | None:
+        """The table row of each of `keys`, filling those missing; None if the call has
+        more distinct keys than the table holds (then nothing is read or filled)."""
+        versions = [p.tensor.version for p in self.params]
+        if versions != self.versions:
+            self.index.clear()
+            self.versions = versions
+        distinct = dict.fromkeys(keys)
+        if len(distinct) > self.capacity:
+            return None
+        missed = [k for k in distinct if k not in self.index]
+        for k in distinct:
+            if k in self.index:
+                self.index.move_to_end(k)
+        if missed:
+            rows = compute(missed)
+            if self.table is None:
+                self.table = np.zeros((self.capacity,) + np.shape(rows[0]))
+            for k, row in zip(missed, rows):
+                # this call's hits were moved to the end, so no eviction reaches its keys
+                full = len(self.index) == self.capacity
+                slot = self.index.popitem(last=False)[1] if full else len(self.index)
+                self.index[k] = slot
+                self.table[slot] = row
+        return np.array([self.index[k] for k in keys], dtype=np.int64)
 
 
 OPA_CACHE_ROWS = 512  # an OpaTableCache's bound: 64 MB of (d, d) blocks at d_model 128
@@ -240,54 +274,35 @@ class OpaTableCache:
 
     That layer's value rows are emb[i] @ wv_outer + pos[p] @ wv_outer. Row r of the
     stacked table (every id of `emb`, then every position) gets the (d, d) block of its
-    value through wo_outer (`tensor.project_rows`) the first time a call needs it, by
-    one product per row, so a block's bits do not depend on which rows were filled with
-    it. Rows are stored in the order they were filled, at most OPA_CACHE_ROWS,
-    so the memory touched grows with the rows filled, not with the table. It forgets
-    every row when a call's rows do not fit, and when a tensor version of emb, wv_outer
-    or wo_outer moves.
+    value through wo_outer (`tensor.project_rows`) in a `RowCache` of at most
+    OPA_CACHE_ROWS blocks, by one product per row, so a block's bits do not depend on
+    which rows were filled with it. The cache empties when a tensor version of emb,
+    wv_outer or wo_outer moves.
     """
 
     def __init__(self, emb: Parameter, pos: np.ndarray, fame: FameLayer):
         self.emb, self.pos, self.fame = emb, pos, fame
-        self.versions = Versions([emb, fame.wv_outer, fame.wo_outer])
-        self.slots = np.full(len(emb.data) + len(pos), -1)  # each row's place, -1 if unfilled
-        self.n_filled = 0
-        self.blocks = None
+        self.rows = RowCache([emb, fame.wv_outer, fame.wo_outer],
+                             min(OPA_CACHE_ROWS, len(emb.data) + len(pos)))
 
-    def _slots(self, rows: np.ndarray):
-        """The places of table rows `rows`, filling those missing; None if they cannot fit."""
-        if self.blocks is None:
-            # made at the first call rather than at set-up, which kept 4 MB off the peak RSS
-            # of the `embed` benchmark; zeroed pages are touched only as places are filled
-            n, d = min(OPA_CACHE_ROWS, len(self.slots)), self.pos.shape[1]
-            self.blocks = np.zeros((n, d, d))
-        needed = np.unique(rows)
-        if len(needed) > len(self.blocks):
-            return None
-        if (self.versions.moved()
-                or self.n_filled + np.count_nonzero(self.slots[needed] < 0) > len(self.blocks)):
-            self.slots[:], self.n_filled = -1, 0
+    def _project(self, rows) -> list:
         n_ids, wv, wo = len(self.emb.data), self.fame.wv_outer.data, self.fame.wo_outer.data
-        for r in needed[self.slots[needed] < 0]:
-            row = self.emb.data[r] if r < n_ids else self.pos[r - n_ids]
-            self.blocks[self.n_filled] = project_rows(row[None] @ wv, wo)[0]
-            self.slots[r] = self.n_filled
-            self.n_filled += 1
-        return self.slots[rows]
+        return [project_rows((self.emb.data[r] if r < n_ids else self.pos[r - n_ids])[None] @ wv,
+                             wo)[0] for r in rows]
 
     def value_parts(self, ids, positions) -> ProjectedValues | None:
         """The first layer's value parts for the rows emb[ids] + pos[positions], or None
         if the call has more distinct ids and positions than the cache holds."""
-        slots = self._slots(np.concatenate([ids, len(self.emb.data) + positions]))
+        slots = self.rows.slots(np.concatenate([ids, len(self.emb.data) + positions]).tolist(),
+                                self._project)
         if slots is None:
             return None
-        return ProjectedValues([slots[:len(ids)], slots[len(ids):]], self.blocks)
+        return ProjectedValues([slots[:len(ids)], slots[len(ids):]], self.rows.table)
 
     def value_block(self, i: int, p: int, out: np.ndarray) -> None:
         """Write the block of the value row emb[i] + pos[p] into out."""
-        a, b = self._slots(np.array([i, len(self.emb.data) + p]))
-        np.add(self.blocks[a], self.blocks[b], out=out)
+        a, b = self.rows.slots([i, len(self.emb.data) + p], self._project)
+        np.add(self.rows.table[a], self.rows.table[b], out=out)
 
 
 class CharHit:
@@ -351,52 +366,6 @@ class CharHit:
 MEMO_ROWS = 8192  # the char-vector memo's bound: 8 MB of float64 rows at d_model 128
 
 
-class CharMemo:
-    """Bounded LRU memo from a word's character-id tuple to its pooled character vector.
-
-    The rows are copies in one (capacity, d) table made on the first fill, so the
-    memo never holds more than capacity * d floats. Each lookup first compares
-    the tensor versions of `params` with those its rows were computed under, and
-    empties itself if any moved.
-    """
-
-    def __init__(self, params, capacity: int = MEMO_ROWS):
-        self.versions = Versions(params)
-        self.capacity = capacity
-        self.slots: OrderedDict[tuple, int] = OrderedDict()  # word -> table row, least recent first
-        self.table = None
-
-    def __len__(self) -> int:
-        return len(self.slots)
-
-    def vectors(self, words, encode) -> np.ndarray:
-        """Rows for the distinct `words`, (len(words), d); `encode(missed)` computes the missed ones."""
-        if self.versions.moved():
-            self.slots.clear()
-        found = [self.slots.get(w) for w in words]
-        hit = [i for i, slot in enumerate(found) if slot is not None]
-        missed = [i for i, slot in enumerate(found) if slot is None]
-        # with no words at all, encode rejects them as it does without the memo
-        fresh = encode([words[i] for i in missed]) if missed or not words else None
-        if self.table is None:
-            self.table = np.empty((self.capacity, fresh.shape[1]))
-        out = np.empty((len(words), self.table.shape[1]))
-        out[hit] = self.table[[found[i] for i in hit]]
-        for i in hit:
-            self.slots.move_to_end(words[i])
-        if missed:
-            out[missed] = fresh
-            for i, row in zip(missed, fresh):
-                # filled after the hits are read, so an eviction cannot reach this call's rows
-                if len(self.slots) < self.capacity:
-                    slot = len(self.slots)
-                else:
-                    slot = self.slots.popitem(last=False)[1]
-                self.slots[words[i]] = slot
-                self.table[slot] = row
-        return out
-
-
 class WordHit:
     """Word-level encoder stack with sinusoidal positions."""
 
@@ -426,8 +395,9 @@ class HitEncoder:
     per sentence in batch order (each per layer, attention before FFN).
 
     At inference (not training, and no graph recorded) the character vectors
-    come through a `CharMemo` of this encoder's own, so only words it has not
-    seen since the char encoder's parameters last changed are encoded.
+    come through this encoder's own `RowCache`, keyed by character-id tuples, so
+    only words unseen since the char encoder's parameters last changed are encoded;
+    a call with more distinct words than it holds encodes all of them without it.
     """
 
     def __init__(self, word_vocab_size: int, char_vocab_size: int, config: FameConfig,
@@ -437,7 +407,7 @@ class HitEncoder:
         self.char_hit = CharHit(char_vocab_size, config, l_c, d_ff, dropout_rate,
                                 max_word_len, rng, eps)
         self.word_hit = WordHit(word_vocab_size, config, l_w, d_ff, dropout_rate, rng, eps)
-        self.memo = CharMemo(self.char_hit.parameters())
+        self.memo = RowCache(self.char_hit.parameters(), MEMO_ROWS)
 
     def _forward(self, examples, training: bool, rng):
         """Packed word states of `examples` and their Packing."""
@@ -453,11 +423,11 @@ class HitEncoder:
                 raise ShapeError(f"{len(ex.char_ids)} character rows do not match {n} positions")
             for seq in ex.char_ids:
                 index.setdefault(tuple(seq), len(index))
-        if training or is_recording():
-            char_vecs = self.char_hit.forward(list(index), training, rng)
-        else:
-            char_vecs = Tensor(self.memo.vectors(list(index),
-                                                 lambda missed: self.char_hit.forward(missed).data))
+        words, slots = list(index), None
+        if words and not (training or is_recording()):
+            slots = self.memo.slots(words, lambda missed: self.char_hit.forward(missed).data)
+        char_vecs = (self.char_hit.forward(words, training, rng) if slots is None
+                     else Tensor(self.memo.table[slots]))
         pack = Packing([len(ex.word_ids) for ex in examples])
         char_rows = [[index[tuple(seq)] for seq in ex.char_ids] for ex in examples]
         h_char = embedding_lookup(char_vecs, pack.rows(char_rows))

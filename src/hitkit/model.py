@@ -283,13 +283,11 @@ class Seq2SeqModel(_TaskModel):
     """
 
     def __init__(self, encoder: HitEncoder, target_vocab_size: int, l_dec: int,
-                 rng: np.random.Generator, dropout_rate: float = 0.0, d_ff: int = 0,
-                 max_out: int = 40):
+                 rng: np.random.Generator, dropout_rate: float = 0.0, d_ff: int = 0):
         self.encoder = encoder
         config = encoder.config
         d = config.d_model
         self.target_vocab_size = target_vocab_size
-        self.max_out = max_out
         self.tgt_emb = Parameter("decoder.tgt_emb", normal_init(rng, (target_vocab_size, d)))
         self.layers = [DecoderLayer(config, d_ff or 4 * d, dropout_rate, rng, f"decoder.layer{i}")
                        for i in range(l_dec)]
@@ -377,7 +375,8 @@ class Seq2SeqModel(_TaskModel):
         linear in the prefix length; the memory is projected once per call.
         """
         # the decoder takes max_len positions: [CLS] and at most max_len - 1 generated ids
-        limit = min(self.max_out if max_out is None else max_out, self.encoder.config.max_len - 1)
+        most = self.encoder.config.max_len - 1
+        limit = most if max_out is None else min(max_out, most)
         with no_grad():
             state = DecoderState(self, self.encoder.word_states([ex]))
             token = CLS_ID

@@ -11,6 +11,7 @@ broadcast is scalar * tensor.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import heapq
 import itertools
 import math
@@ -65,25 +66,24 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-_recording: bool = True
+# per thread (and per asyncio task): a no_grad block in one leaves graphs in another alone
+_recording = contextvars.ContextVar("recording", default=True)
 _seq = itertools.count()
 
 
 def is_recording() -> bool:
     """Whether ops make graph nodes now, that is, outside every `no_grad` block."""
-    return _recording
+    return _recording.get()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Make no graph inside the block (inference / finite differences)."""
-    global _recording
-    prev = _recording
-    _recording = False
+    """Make no graph inside the block (inference / finite differences) in this thread."""
+    token = _recording.set(False)
     try:
         yield
     finally:
-        _recording = prev
+        _recording.reset(token)
 
 
 def _emit(out_data, inputs, backward_fn) -> Tensor:
@@ -91,7 +91,7 @@ def _emit(out_data, inputs, backward_fn) -> Tensor:
     out.data = out_data
     out.grad = None
     out.version = 0
-    out.requires_grad = _recording and any(t.requires_grad for t in inputs)
+    out.requires_grad = _recording.get() and any(t.requires_grad for t in inputs)
     out.node = (next(_seq), inputs, backward_fn) if out.requires_grad else None
     return out
 
@@ -716,7 +716,7 @@ def opa_project(s, parts, w: Tensor, proj=None) -> Tensor:
             raise ShapeError(f"opa_project weight {w.shape} does not take {d}x{e} aggregates")
         sizes = [table.shape[0] for table in tables]
     else:
-        if _recording and any(t.requires_grad for t in ss + [w]):
+        if is_recording() and any(t.requires_grad for t in ss + [w]):
             raise ValueError("opa_project: a given projection makes no graph; run it under no_grad")
         tables, ids, sizes = [], list(parts), [len(proj)] * len(parts)
     n_keys = sum(t.shape[0] * t.shape[2] for t in ss)

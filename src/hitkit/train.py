@@ -163,8 +163,7 @@ def build_tagger(cfg, word_size, char_size, n_tags, rng):
 
 def build_seq2seq(cfg, word_size, char_size, rng):
     enc = build_encoder(cfg, word_size, char_size, rng)
-    return Seq2SeqModel(enc, word_size, cfg.l_dec, rng,
-                        dropout_rate=cfg.dropout, d_ff=cfg.ffn_dim, max_out=cfg.max_len)
+    return Seq2SeqModel(enc, word_size, cfg.l_dec, rng, dropout_rate=cfg.dropout, d_ff=cfg.ffn_dim)
 
 
 def build_mlm(cfg, word_size, char_size, rng):

@@ -2,16 +2,17 @@
 
 A memo-free reference is the same call with a graph recorded, which bypasses the
 memo. A word's char vector differs by up to ~2e-15 between packings, so results
-are compared to 1e-12, not bit for bit.
+are compared to 1e-12, not bit for bit. The memo's storage and eviction are
+`RowCache`'s, tested in test_row_cache.py.
 """
 
 import numpy as np
 import pytest
 
 from hitkit import data as D
+from hitkit import encoders as E
 from hitkit import optim as O
 from hitkit import tensor as T
-from hitkit.encoders import CharMemo
 from hitkit.train import TrainConfig, build_classifier, seed_streams, train
 
 TOL = 1e-12
@@ -139,23 +140,20 @@ def test_training_and_recording_calls_neither_read_nor_fill_the_memo():
     assert len(enc.memo) == filled
 
 
-def test_capacity_bounds_the_memo_and_evicts_the_least_recently_used():
+def test_a_call_past_the_memo_rows_encodes_all_its_words_without_it(monkeypatch):
+    twin = classifier().encoder  # a cold memo of the default size encodes a call in one block
+    monkeypatch.setattr(E, "MEMO_ROWS", 4)
     enc = classifier().encoder
-    enc.memo = CharMemo(enc.char_hit.parameters(), capacity=4)
     for k in range(6):
         memoised(enc.sentence_vectors, [example([k])])
     assert len(enc.memo) == 4
-    assert LEXICON[0] not in enc.memo.slots and LEXICON[1] not in enc.memo.slots
-    memoised(enc.sentence_vectors, [example([2])])  # now the most recently used
-    memoised(enc.sentence_vectors, [example([6])])
-    assert LEXICON[2] in enc.memo.slots and LEXICON[3] not in enc.memo.slots
-    assert len(enc.memo) == 4
     evicted = example([0, 3])
     assert_close(memoised(enc.sentence_vectors, [evicted]), enc.sentence_vectors([evicted]).data)
-    # one call with more distinct words than the memo holds
+    held = list(enc.memo.index)
+    # ten distinct words, four of them held: all ten run as one memo-free block
     wide = example(list(range(10)))
-    assert_close(memoised(enc.word_states, [wide]), enc.word_states([wide]).data)
-    assert len(enc.memo) == 4
+    assert np.array_equal(memoised(enc.word_states, [wide]), memoised(twin.word_states, [wide]))
+    assert list(enc.memo.index) == held
 
 
 def test_two_encoders_do_not_share_entries():

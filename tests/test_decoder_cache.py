@@ -2,7 +2,8 @@
 
 At inference `greedy_decode` runs each step through a `DecoderState`, whose
 first-layer value blocks come from the model's `OpaTableCache` over the target
-embedding and the positions. `decode_logits` over each whole prefix
+embedding and the positions, whose storage and eviction are `RowCache`'s
+(test_row_cache.py). `decode_logits` over each whole prefix
 (`recompute_greedy_decode`) is the cache-free reference. The blocks come from
 other products than the aggregate path's, so logits are compared to 1e-12 and
 probabilities to 1e-9, as the other greedy-decoding oracles are; one request
@@ -53,14 +54,14 @@ def source(words):
 
 def assert_matches_oracle(model, src):
     ids, probs = model.greedy_decode(src, return_probs=True)
-    want_ids, want_probs = recompute_greedy_decode(model, src, model.max_out)
+    want_ids, want_probs = recompute_greedy_decode(model, src, MAX_LEN - 1)
     assert ids == want_ids
     assert np.max(np.abs(np.subtract(probs, want_probs)), initial=0.0) < 1e-9
     return ids, probs
 
 
 def filled_rows(model):
-    return set(np.flatnonzero(model.opa_cache.slots >= 0))
+    return set(model.opa_cache.rows.index)
 
 
 SOURCES = [source(WORDS[i:i + 3]) for i in range(0, 12, 3)]
@@ -151,7 +152,7 @@ def test_loss_batch_neither_reads_nor_fills_the_cache():
     assert not filled_rows(model)
     model.greedy_decode(SOURCES[1])
     filled = filled_rows(model)
-    model.opa_cache.blocks[:] = np.nan  # a block read from here would show
+    model.opa_cache.rows.table[:] = np.nan  # a block read from here would show
     assert losses() == before
     assert filled_rows(model) == filled
 
@@ -161,7 +162,7 @@ def test_two_models_share_no_store():
     assert_matches_oracle(first, SOURCES[2])
     assert filled_rows(first) and not filled_rows(second)
     assert_matches_oracle(second, SOURCES[2])
-    assert not np.shares_memory(first.opa_cache.blocks, second.opa_cache.blocks)
+    assert not np.shares_memory(first.opa_cache.rows.table, second.opa_cache.rows.table)
 
 
 def test_hadamard_decoders_have_no_cache():
@@ -175,16 +176,14 @@ def test_the_store_keeps_at_most_its_row_cap(monkeypatch):
     monkeypatch.setattr(E, "OPA_CACHE_ROWS", cap)
     model = seq2seq(seed=6)
     assert VOCAB.word_size > cap
-    cache, emitted = model.opa_cache, set()
+    cache, emitted = model.opa_cache.rows, set()
     for k in range(20):
         bias = np.zeros(VOCAB.word_size)
         bias[D.EOS_ID], bias[5 + k] = -30.0, 3.0  # each request leans to another token
         model.out_b.assign(bias)
         ids, _ = assert_matches_oracle(model, source(WORDS[k:k + 2]))
         emitted.update(ids)
-        slots = cache.slots[cache.slots >= 0]
-        assert len(cache.blocks) == cap and cache.n_filled <= cap
-        assert sorted(slots.tolist()) == list(range(cache.n_filled))  # filled contiguously
+        assert len(cache.table) == cap and len(cache) <= cap
     assert len(emitted) > cap
 
 
@@ -262,7 +261,7 @@ def test_a_greedy_step_packs_nothing_and_masks_nothing(monkeypatch, score, combi
 def decode_in_turn(model, sources):
     """Greedy ids and each step's logits for every source, one step of each in turn, each
     with its own DecoderState; the probabilities as greedy_decode computes them."""
-    limit = min(model.max_out, MAX_LEN - 1)
+    limit = MAX_LEN - 1
     with T.no_grad():
         states = [DecoderState(model, model.encoder.word_states([src])) for src in sources]
         tokens = [D.CLS_ID] * len(sources)

@@ -185,7 +185,7 @@ class TestSeq2Seq:
         for tokens in (["[CLS]", "red", "cat", "[EOS]"], ["[CLS]", "blue", "[EOS]"]):
             src = encode(tokens, vocab)
             ids, probs = model.greedy_decode(src, return_probs=True)
-            want_ids, want_probs = recompute_greedy_decode(model, src, model.max_out)
+            want_ids, want_probs = recompute_greedy_decode(model, src, cfg.max_len - 1)
             assert ids == want_ids
             assert np.max(np.abs(np.subtract(probs, want_probs)), initial=0.0) < 1e-9
 

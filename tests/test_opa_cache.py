@@ -3,7 +3,8 @@
 At inference (not training, no graph recorded) `CharHit` takes that layer's
 value blocks from its `OpaTableCache`. A cache-free reference is the same call
 with a graph recorded. The blocks come from other GEMM shapes than the
-uncached path's, so results are compared to 1e-12, not bit for bit.
+uncached path's, so results are compared to 1e-12, not bit for bit. The cache's
+storage and eviction are `RowCache`'s, tested in test_row_cache.py.
 """
 
 import numpy as np
@@ -38,7 +39,7 @@ def char_vectors(char_hit, words, **kw):
 
 
 def filled_rows(char_hit):
-    return set(np.flatnonzero(char_hit.opa_cache.slots >= 0))
+    return set(char_hit.opa_cache.rows.index)
 
 
 def test_cached_char_vectors_match_a_cache_free_encoding():
@@ -67,12 +68,9 @@ def test_only_the_ids_seen_are_filled():
     assert filled_rows(char_hit) == {5, 7, 9, N_CHARS + 0, N_CHARS + 1, N_CHARS + 2}
     char_vectors(char_hit, [[6]])
     assert filled_rows(char_hit) == {5, 6, 7, 9, N_CHARS + 0, N_CHARS + 1, N_CHARS + 2}
-    # stored in fill order: a call's new rows take the next places, in row order
-    slots = char_hit.opa_cache.slots
-    assert slots[[5, 7, 9, N_CHARS, N_CHARS + 1, N_CHARS + 2, 6]].tolist() == list(range(7))
 
 
-def test_rows_past_the_cap_run_uncached_or_refill_the_cache(monkeypatch):
+def test_rows_past_the_cap_run_uncached_or_evict_the_least_recently_used(monkeypatch):
     monkeypatch.setattr(E, "OPA_CACHE_ROWS", 6)
     char_hit = classifier().encoder.char_hit
     fits = [[5, 7, 5], [9, 7]]  # 3 characters and 3 positions
@@ -81,10 +79,11 @@ def test_rows_past_the_cap_run_uncached_or_refill_the_cache(monkeypatch):
     wide = [[5, 6, 7, 8], [9, 10]]  # 6 characters and 4 positions: more than the cache holds
     assert_close(char_vectors(char_hit, wide), char_hit.forward(wide).data)
     assert filled_rows(char_hit) == {5, 7, 9, N_CHARS + 0, N_CHARS + 1, N_CHARS + 2}
-    # 2 new rows do not fit beside 6: every row is forgotten and the call's rows refilled
+    # one new row beside 6 takes the place of the least recently used: character 9, since
+    # the packing runs the shorter word first
     assert_close(char_vectors(char_hit, [[6]]), char_hit.forward([[6]]).data)
-    assert filled_rows(char_hit) == {6, N_CHARS + 0}
-    assert char_hit.opa_cache.slots[[6, N_CHARS]].tolist() == [0, 1]
+    assert filled_rows(char_hit) == {5, 6, 7, N_CHARS + 0, N_CHARS + 1, N_CHARS + 2}
+    assert_close(char_vectors(char_hit, fits), char_hit.forward(fits).data)
 
 
 def assign_wo_outer(model, examples):
@@ -125,7 +124,7 @@ def test_training_and_recording_calls_neither_read_nor_fill_the_cache():
     assert not filled_rows(char_hit)
     char_vectors(char_hit, words)
     filled = filled_rows(char_hit)
-    char_hit.opa_cache.blocks[:] = np.nan  # a block read from here would show
+    char_hit.opa_cache.rows.table[:] = np.nan  # a block read from here would show
     for again, first in zip(run(), before):
         assert np.array_equal(again, first)
     assert filled_rows(char_hit) == filled
@@ -137,7 +136,7 @@ def test_two_encoders_share_nothing():
     char_vectors(first, words)
     assert filled_rows(first) and not filled_rows(second)
     assert_close(char_vectors(second, words), second.forward(words).data)
-    assert not np.shares_memory(first.opa_cache.blocks, second.opa_cache.blocks)
+    assert not np.shares_memory(first.opa_cache.rows.table, second.opa_cache.rows.table)
 
 
 def test_inference_between_training_steps_leaves_the_parameters_bitwise_equal():

@@ -1,4 +1,5 @@
 import math
+import threading
 import weakref
 
 import numpy as np
@@ -331,6 +332,28 @@ class TestBackward:
         assert alive[0]() is None
         T.backward(loss())
         assert np.array_equal(x.grad, clean[0]) and np.array_equal(w.grad, clean[1])
+
+    def test_no_grad_in_another_thread_leaves_this_threads_graph_alone(self):
+        entered, release = threading.Event(), threading.Event()
+
+        def hold_no_grad():
+            with T.no_grad():
+                entered.set()
+                release.wait(timeout=30)
+
+        other = threading.Thread(target=hold_no_grad)
+        other.start()
+        try:
+            assert entered.wait(timeout=30)
+            assert T.is_recording()
+            x = T.Tensor(rand((3, 2), 46), requires_grad=True)
+            T.backward(T.sum_all(T.tanh(x)))
+        finally:
+            release.set()
+            other.join(timeout=30)
+        assert not other.is_alive()
+        assert np.allclose(x.grad, 1.0 - np.tanh(x.data) ** 2, rtol=0.0, atol=1e-15)
+        assert T.is_recording()
 
 
 class TestDropout:
