@@ -19,6 +19,7 @@ import numpy as np
 
 FORMAT_VERSION = 1
 _FIXED_DATE = (1980, 1, 1, 0, 0, 0)
+_CHUNK = 1 << 16  # float32 values per write (256 KB): no member is converted whole
 
 
 @dataclass
@@ -45,7 +46,11 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: dict, extras: d
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
         zf.writestr(_member("meta.json"), json.dumps(meta, sort_keys=True, indent=1))
         for n in names:
-            zf.writestr(_member(f"params/{n}"), np.ascontiguousarray(params[n], dtype="<f4").tobytes())
+            flat, info = np.ravel(params[n]), _member(f"params/{n}")
+            info.file_size = 4 * flat.size  # as writestr sets it: the header and zip64 choice match
+            with zf.open(info, "w") as dest:
+                for lo in range(0, flat.size, _CHUNK):
+                    dest.write(flat[lo:lo + _CHUNK].astype("<f4"))
         for key in sorted(extras or {}):
             zf.writestr(_member(f"extras/{key}"), extras[key])
 
@@ -59,6 +64,8 @@ def _is_entry(entry) -> bool:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a file that is not one raises ValueError naming `path`.
+
+    Each parameter is the read-only float32 array over its member's bytes.
 
     A file that cannot be opened raises the OSError of `open`; whatever the zip reads
     raise on a damaged archive (a bad header, an unknown compression method, a
@@ -85,8 +92,7 @@ def _read_archive(fh) -> Checkpoint:
         params = {}
         for entry in meta["params"]:
             raw = zf.read(f"params/{entry['name']}")
-            arr = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-            params[entry["name"]] = arr.reshape(entry["shape"])
+            params[entry["name"]] = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"])
         extras = {}
         for info in zf.infolist():
             if info.filename.startswith("extras/"):

@@ -203,7 +203,7 @@ def _generation_pairs(records, cfg, dialog: bool):
 class Task:
     """How the CLI runs one checkpoint task; pretraining tasks set only `build`."""
 
-    build: Callable  # (cfg, artefacts, rng) -> model
+    build: Callable  # (cfg, artefacts, rng) -> model; with rng None its values are unfilled
     labeled: bool = False  # the head has one output per name in artefacts.labels
     records: Callable | None = None  # (loaded records, cfg, dialog) -> the task's records
     fit: Callable | None = None  # (task records, cfg) -> Artefacts
@@ -284,7 +284,7 @@ def _restore(checkpoint_path):
     arts = _artefacts(checkpoint_path, ckpt.extras)
     if task.labeled and arts.labels is None:
         raise CliError(f"checkpoint {checkpoint_path} has no labels.json for its {name} head")
-    model = task.build(cfg, arts, seed_streams(cfg.seed)["init"])
+    model = task.build(cfg, arts, None)  # unfilled: load_arrays sets every value, once all fit
     expected = model.named_parameters()
     problems = ([f"no {key}" for key in expected if key not in ckpt.params]
                 + [f"unexpected {key}" for key in ckpt.params if key not in expected]

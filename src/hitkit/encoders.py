@@ -275,9 +275,10 @@ class OpaTableCache:
     That layer's value rows are emb[i] @ wv_outer + pos[p] @ wv_outer. Row r of the
     stacked table (every id of `emb`, then every position) gets the (d, d) block of its
     value through wo_outer (`tensor.project_rows`) in a `RowCache` of at most
-    OPA_CACHE_ROWS blocks, by one product per row, so a block's bits do not depend on
-    which rows were filled with it. The cache empties when a tensor version of emb,
-    wv_outer or wo_outer moves.
+    OPA_CACHE_ROWS blocks. A call's missing rows are filled in one product, padded to at
+    least 2 rows: from 2 rows on, BLAS gives a row the same bits whatever its batch
+    mates (`test_opa_cache.py` pins this), so a warm cache serves a cold one's bytes.
+    The cache empties when a tensor version of emb, wv_outer or wo_outer moves.
     """
 
     def __init__(self, emb: Parameter, pos: np.ndarray, fame: FameLayer):
@@ -285,10 +286,11 @@ class OpaTableCache:
         self.rows = RowCache([emb, fame.wv_outer, fame.wo_outer],
                              min(OPA_CACHE_ROWS, len(emb.data) + len(pos)))
 
-    def _project(self, rows) -> list:
-        n_ids, wv, wo = len(self.emb.data), self.fame.wv_outer.data, self.fame.wo_outer.data
-        return [project_rows((self.emb.data[r] if r < n_ids else self.pos[r - n_ids])[None] @ wv,
-                             wo)[0] for r in rows]
+    def _project(self, rows) -> np.ndarray:
+        n_ids = len(self.emb.data)
+        v = np.array([self.emb.data[r] if r < n_ids else self.pos[r - n_ids]
+                      for r in (rows if len(rows) > 1 else rows * 2)])
+        return project_rows(v @ self.fame.wv_outer.data, self.fame.wo_outer.data)[:len(rows)]
 
     def value_parts(self, ids, positions) -> ProjectedValues | None:
         """The first layer's value parts for the rows emb[ids] + pos[positions], or None

@@ -36,15 +36,16 @@ class Parameter:
         return self.tensor.grad
 
     def assign(self, values) -> None:
-        """Set the values to a C-ordered copy of `values`, which later in-place updates leave untouched.
+        """Cast `values` into this parameter's own float64 buffer, in place like `adam_step`.
 
-        Bumps the tensor's version, like `adam_step`: code that writes `data` in
-        place must do the same, or caches of results computed from it go stale.
+        A restore so holds the float32 checkpoint and the model, no third copy; `values`
+        is copied, never aliased. Bumps the tensor's version, like `adam_step`: code that
+        writes `data` in place must do the same, or caches computed from it go stale.
         """
-        arr = np.array(values, dtype=np.float64, order="C")
-        if arr.shape != self.tensor.data.shape:
-            raise ValueError(f"parameter '{self.name}' shape {self.tensor.data.shape} cannot take {arr.shape}")
-        self.tensor.data = arr
+        values = np.asarray(values)
+        if values.shape != self.tensor.data.shape:
+            raise ValueError(f"parameter '{self.name}' shape {self.tensor.data.shape} cannot take {values.shape}")
+        np.copyto(self.tensor.data, values)
         self.tensor.version += 1
 
     def freeze(self) -> None:
@@ -134,13 +135,16 @@ def clip_gradients(params, max_norm: float) -> float:
     return norm
 
 
-def xavier_uniform(rng: np.random.Generator, shape) -> np.ndarray:
+def xavier_uniform(rng: np.random.Generator | None, shape) -> np.ndarray:
+    """Uniform Glorot draws; unfilled (`np.empty`) without an rng, for a model that a
+    checkpoint fills next."""
     shape = tuple(shape)
-    fan_in = shape[0] if len(shape) > 1 else shape[0]
-    fan_out = shape[-1]
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    if rng is None:
+        return np.empty(shape)
+    limit = np.sqrt(6.0 / (shape[0] + shape[-1]))
     return rng.uniform(-limit, limit, size=shape)
 
 
-def normal_init(rng: np.random.Generator, shape, std: float = 0.1) -> np.ndarray:
-    return rng.normal(0.0, std, size=tuple(shape))
+def normal_init(rng: np.random.Generator | None, shape, std: float = 0.1) -> np.ndarray:
+    """Normal draws; unfilled (`np.empty`) without an rng, as `xavier_uniform`."""
+    return np.empty(tuple(shape)) if rng is None else rng.normal(0.0, std, size=tuple(shape))

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -624,6 +625,54 @@ class TestGenerationPipeline:
                      "--input", str(src), "--out-dir", str(tmp_path / "g")])
         assert code != 0
         assert "generation" in capsys.readouterr().err
+
+
+class TestRestore:
+    """`_restore` builds the model unfilled and takes every value from the checkpoint."""
+
+    @staticmethod
+    def drawn_tasks():
+        """The CLI's tasks, each building with the seeded random draw that a restore overwrites."""
+        from dataclasses import replace
+
+        from hitkit import cli
+        from hitkit.train import seed_streams
+        return {name: replace(task, build=lambda cfg, arts, rng, build=task.build:
+                              build(cfg, arts, seed_streams(cfg.seed)["init"]))
+                for name, task in cli.TASKS.items()}
+
+    def test_parameters_are_the_checkpoints_float32_values(self, trained_dir):
+        from hitkit import cli
+        model, cfg, name, arts = cli._restore(trained_dir / "checkpoint")
+        drawn = self.drawn_tasks()[name].build(cfg, arts, None)
+        ckpt = load_checkpoint(trained_dir / "checkpoint")
+        drawn.load_arrays(ckpt.params)
+        assert set(model.named_parameters()) == set(ckpt.params)
+        for key, p in model.named_parameters().items():
+            assert np.array_equal(p.data, ckpt.params[key].astype(np.float64)), key
+            assert np.array_equal(p.data, drawn.named_parameters()[key].data), key
+
+    def test_embed_and_generate_write_the_bytes_of_a_drawn_restore(self, tmp_path, trained_dir,
+                                                                   monkeypatch):
+        from hitkit import cli
+        gen = tmp_path / "gen_run"
+        assert main(["train", "--task", "generation", "--train-file", write_generation(tmp_path),
+                     "--config", write_cfg(tmp_path, epochs=2), "--out-dir", str(gen)]) == 0
+        texts = tmp_path / "texts.txt"
+        texts.write_text("hello good day\nt0 t1 t2\nt3\n")
+
+        def run(tag):
+            out = tmp_path / tag
+            assert main(["embed", "--checkpoint", str(trained_dir / "checkpoint"),
+                         "--input", str(texts), "--out-dir", str(out / "emb")]) == 0
+            assert main(["generate", "--checkpoint", str(gen / "checkpoint"),
+                         "--input", str(texts), "--out-dir", str(out / "gen")]) == 0
+            return [(out / "emb" / "embeddings.jsonl").read_bytes(),
+                    (out / "gen" / "generated.txt").read_bytes()]
+
+        unfilled = run("unfilled")
+        monkeypatch.setattr(cli, "TASKS", self.drawn_tasks())
+        assert unfilled == run("drawn")
 
 
 class TestPretrainCommands:

@@ -13,6 +13,7 @@ import pytest
 from hitkit import encoders as E
 from hitkit import optim as O
 from hitkit import tensor as T
+from hitkit.attention import FameConfig, FameLayer
 
 from test_char_memo import (
     LEXICON,
@@ -84,6 +85,22 @@ def test_rows_past_the_cap_run_uncached_or_evict_the_least_recently_used(monkeyp
     assert_close(char_vectors(char_hit, [[6]]), char_hit.forward([[6]]).data)
     assert filled_rows(char_hit) == {5, 6, 7, N_CHARS + 0, N_CHARS + 1, N_CHARS + 2}
     assert_close(char_vectors(char_hit, fits), char_hit.forward(fits).data)
+
+
+@pytest.mark.parametrize("d_model", [16, 128])
+def test_a_rows_block_has_the_same_bits_at_every_fill_size(d_model):
+    """A call's missing rows are filled in one product. A BLAS that gave a row other bits
+    beside other rows would make a warm cache's outputs differ from a cold one's: here it
+    fails loudly instead."""
+    rng = np.random.default_rng(d_model)
+    emb = O.Parameter("emb", rng.standard_normal((40, d_model)))
+    cache = E.OpaTableCache(emb, E.positional_table(30, d_model), FameLayer(FameConfig(d_model), rng))
+    n_rows = len(emb.data) + 30
+    solo = [cache._project([r])[0] for r in range(n_rows)]  # padded to 2 rows
+    for m in range(2, 65):
+        rows = rng.choice(n_rows, m, replace=False).tolist()  # random mates and positions
+        for r, block in zip(rows, cache._project(rows)):
+            assert np.array_equal(block, solo[r]), (m, r)
 
 
 def assign_wo_outer(model, examples):

@@ -149,6 +149,26 @@ class TestAdam:
         assert np.array_equal(run(), run())
 
 
+class TestAssign:
+    def test_writes_the_parameters_own_buffer(self):
+        p = make_param(np.zeros((3, 4)))
+        buffer, version = p.data, p.tensor.version
+        values = np.random.default_rng(16).standard_normal((3, 4)).astype(np.float32)
+        p.assign(values)
+        assert p.data is buffer and p.data.dtype == np.float64
+        assert p.tensor.version == version + 1
+        assert np.array_equal(p.data, values.astype(np.float64))  # the exact float32 values
+        assert not np.shares_memory(p.data, values)
+
+    def test_a_wrong_shape_raises_and_writes_nothing(self):
+        p = make_param(np.ones((2, 3)), name="head.w")
+        version = p.tensor.version
+        for values in (np.zeros((3, 2)), np.zeros(3), np.zeros((1, 3))):  # (1, 3) would broadcast
+            with pytest.raises(ValueError, match="head.w"):
+                p.assign(values)
+        assert np.array_equal(p.data, np.ones((2, 3))) and p.tensor.version == version
+
+
 class TestClipping:
     def test_norm_and_scaling(self):
         p1 = make_param([3.0])
