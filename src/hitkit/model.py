@@ -385,12 +385,12 @@ class Seq2SeqModel(_TaskModel):
             while len(out) < limit:
                 row = self.decode_logits([[token]], state=state).data[0]
                 nxt = int(np.argmax(row))
-                shifted = np.exp(row - row.max())
-                prob = float(shifted[nxt] / shifted.sum())
                 if nxt == EOS_ID:
                     break
                 out.append(nxt)
-                probs.append(prob)
+                if return_probs:
+                    shifted = np.exp(row - row.max())
+                    probs.append(float(shifted[nxt] / shifted.sum()))
                 token = nxt
         if return_probs:
             return out, probs

@@ -1,7 +1,10 @@
 """Dense tensors with reverse-mode autograd.
 
 Every differentiable operation run while a gradient is needed gives its output
-a node: a creation number, its inputs and its backward rule. ``backward(loss)``
+a node: a creation number, its parents and its backward rule. A parent is an
+input's node, or the input itself when it is a requires_grad leaf. No node
+holds a tensor that is not a leaf, so an intermediate's array lives only as long
+as the forward code keeps its tensor or some rule keeps the array. ``backward(loss)``
 runs the nodes reachable from the loss, latest first, and accumulates gradients
 on requires_grad leaves. A graph lives only as long as its tensors do. Shapes
 are strict: binary pointwise ops demand identical shapes, and the only implicit
@@ -27,7 +30,9 @@ class ShapeError(ValueError):
 class Tensor:
     """A dense float64 array plus an optional gradient buffer.
 
-    `node` is (seq, inputs, backward_fn) while an op output awaits backward, else None.
+    `node` is the `_Node` of an op output made while recording, else None. Once
+    `backward` has run that node, it is empty, and the tensor is a leaf in any graph
+    made after.
     `version` counts writes to a leaf's values: whatever replaces `data` or writes
     into it (`Parameter.assign`, `adam_step`) adds one, so a cache of results
     computed from the values can tell that they moved.
@@ -86,13 +91,32 @@ def no_grad():
         _recording.reset(token)
 
 
-def _emit(out_data, inputs, backward_fn) -> Tensor:
+class _Node:
+    """An op output's creation number, its parents (see `_parent`, one per input) and
+    `rule(dout)`, which returns one gradient or None per input. `backward` empties it."""
+
+    __slots__ = ("seq", "parents", "rule")
+
+    def __init__(self, seq, parents, rule):
+        self.seq, self.parents, self.rule = seq, parents, rule
+
+
+def _parent(t: Tensor):
+    """What a node made from `t` links to: t's node until it has run, else t if it
+    needs a gradient, else None."""
+    node = t.node
+    if node is not None and node.rule is not None:
+        return node
+    return t if t.requires_grad else None
+
+
+def _emit(out_data, inputs, rule) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
     out.version = 0
     out.requires_grad = _recording.get() and any(t.requires_grad for t in inputs)
-    out.node = (next(_seq), inputs, backward_fn) if out.requires_grad else None
+    out.node = _Node(next(_seq), tuple(map(_parent, inputs)), rule) if out.requires_grad else None
     return out
 
 
@@ -103,55 +127,61 @@ _Rows = namedtuple("_Rows", "shape start stop rows")
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every requires_grad leaf of the loss's graph.
 
-    Nodes run latest first, so each runs after all of its consumers. Each node is
-    dropped from its tensor as its rule runs, so the intermediates it holds are
-    freed before the gradients of earlier (often larger) nodes are allocated.
-    Gradients are summed in place only into arrays that backward allocated: a
-    rule may hand one array to several inputs (`add`, views of `dout` from the
-    `concat_*` ops), so an array a rule returned is never written. A `_Rows`
-    gradient is added into one full-size buffer. A leaf gets its gradient array
-    itself, copied only if its base array is shared with another leaf's gradient,
-    so every leaf owns its array and may scale it in place.
+    Nodes run latest first, so each runs after all of its consumers. A node is
+    emptied as its rule runs, and the rule, with the arrays it captured, is dropped
+    before its gradients are summed, so those arrays are freed before the gradients
+    of earlier (often larger) nodes are allocated. A node that an earlier backward
+    has already run passes nothing on. Gradients are summed in place only into
+    arrays that backward allocated: a rule may hand one array to several inputs
+    (`add`, views of `dout` from the `concat_*` ops), so an array a rule returned is
+    never written. A `_Rows` gradient is added into one full-size buffer. A leaf
+    gets its gradient array itself, copied only if its base array is shared with
+    another leaf's gradient, so every leaf owns its array and may scale it in place.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    owned = {id(loss)}
-    heap = [] if loss.node is None else [(-loss.node[0], loss)]  # latest node on top
-    leaves = [loss] if loss.node is None else []
+    start = _parent(loss) or loss  # the loss's node, or the loss itself as a leaf
+    grads: dict = {start: np.ones_like(loss.data)}  # node or leaf -> its gradient so far
+    owned = {start}
+    heap = [(-start.seq, start)] if isinstance(start, _Node) else []  # latest node on top
+    leaves = [] if heap else [start]
     while heap:
-        _, out = heapq.heappop(heap)
-        (_, inputs, backward_fn), out.node = out.node, None
-        for tensor, g in zip(inputs, backward_fn(grads.pop(id(out)))):
-            if g is None or not tensor.requires_grad:
+        _, node = heapq.heappop(heap)
+        parents, rule, dout = node.parents, node.rule, grads.pop(node)
+        node.parents = node.rule = None
+        if rule is None:  # run by an earlier backward of a graph that shares it
+            continue
+        outs = rule(dout)
+        del rule, dout  # the rule's captured arrays go before its gradients are summed
+        for parent, g in zip(parents, outs):
+            if g is None or parent is None:
                 continue
-            key = id(tensor)
-            held = grads.get(key)
-            if held is None and tensor.node is None:
-                leaves.append(tensor)
+            held = grads.get(parent)
+            if held is None and isinstance(parent, Tensor):
+                leaves.append(parent)
             elif held is None:
-                heapq.heappush(heap, (-tensor.node[0], tensor))
+                heapq.heappush(heap, (-parent.seq, parent))
             if isinstance(g, _Rows):
                 if held is None:
-                    grads[key] = held = np.zeros(g.shape)
+                    grads[parent] = held = np.zeros(g.shape)
                     held[g.start:g.stop] = g.rows
                 else:
-                    if key not in owned:
-                        grads[key] = held = held.copy()
+                    if parent not in owned:
+                        grads[parent] = held = held.copy()
                     held[g.start:g.stop] += g.rows
-                owned.add(key)
+                owned.add(parent)
             elif held is None:
-                grads[key] = g
-            elif key in owned:
+                grads[parent] = g
+            elif parent in owned:
                 held += g
             else:
-                grads[key] = np.asarray(held + g)  # a 0-d sum is a scalar, not an array
-                owned.add(key)
+                grads[parent] = np.asarray(held + g)  # a 0-d sum is a scalar, not an array
+                owned.add(parent)
     base = lambda g: id(g if g.base is None else g.base)
-    shared = Counter(base(grads[id(t)]) for t in leaves if id(t) not in owned)
+    shared = Counter(base(grads[t]) for t in leaves if t not in owned)
     for tensor in leaves:
-        g = grads[id(tensor)]
-        if id(tensor) not in owned and shared[base(g)] > 1:
+        g = grads[tensor]
+        if tensor not in owned and shared[base(g)] > 1:
             g = g.copy()
         tensor.grad = g if tensor.grad is None else tensor.grad + g
 
@@ -175,8 +205,12 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    ad, bd = a.data, b.data
-    return _emit(ad * bd, (a, b), lambda dout: (dout * bd, dout * ad))
+    # each operand's array is kept only for the other's gradient: a dropout or causal
+    # mask needs none, so the tensor it multiplies is not kept alive by this node
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
+    return _emit(a.data * b.data, (a, b), lambda dout: (
+        None if bd is None else dout * bd, None if ad is None else dout * ad))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -762,9 +796,11 @@ def opa_project(s, parts, w: Tensor, proj=None) -> Tensor:
     for u, lo, hi in segs:
         np.matmul(sp[lo:hi], value_proj(u), out=terms[lo:hi])
 
+    leads = [t.shape[:3] for t in ss]  # shapes, so that the rule keeps no score tensor
+
     def by_group(rows):
         """Per-pair rows, in value order, as one (count, n, m, width) block per group."""
-        return group_blocks(rows[rank], [t.shape[:3] for t in ss])
+        return group_blocks(rows[rank], leads)
 
     out = np.concatenate([t.sum(axis=-2).reshape(-1, buf.shape[1]) for t in by_group(terms)])
 
@@ -778,10 +814,12 @@ def opa_project(s, parts, w: Tensor, proj=None) -> Tensor:
             np.matmul(sp[lo:hi].T, dterms[lo:hi], out=dproj)
             for row in combos[u]:
                 drows[row] += dproj
+        dss = tuple(by_group(ds))
+        del dterms, ds  # the value-ordered pair arrays go before dtable and dw are made
         w3 = w.data.reshape(d, e, -1)
         dtable = sum(drows[:, a] @ w3[a].T for a in range(d))
         dw = np.matmul(table.T[None], drows.transpose(1, 0, 2)).reshape(w.shape)
-        return tuple(by_group(ds)) + tuple(np.split(dtable, starts[1:])) + (dw,)
+        return dss + tuple(np.split(dtable, starts[1:])) + (dw,)
 
     return _emit(out, tuple(ss) + tuple(tables) + (w,), bwd)
 

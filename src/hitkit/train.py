@@ -196,7 +196,7 @@ class TrainResult:
     history: list[EpochStats]
     best_epoch: int
     best_val_loss: float
-    best_params: dict[str, np.ndarray]
+    best_params: dict[str, np.ndarray]  # float32: the values a checkpoint of them stores
     stopped_early: bool = False
     hook_stopped: bool = False
 
@@ -221,6 +221,11 @@ def eval_loss(model, items, batch_size: int = 32) -> float:
     return float(np.average(losses, weights=[len(chunk) for chunk in chunks]))
 
 
+def _snapshot(model) -> dict[str, np.ndarray]:
+    """The parameters as float32, the values `save_checkpoint` writes, at half the bytes."""
+    return {p.name: p.data.astype(np.float32) for p in model.parameters()}
+
+
 def train(model, train_items, val_items, config: TrainConfig,
           val_loss_fn=None, epoch_hook=None) -> TrainResult:
     """Mini-batch Adam with plateau LR decay and early stopping on validation loss.
@@ -240,7 +245,7 @@ def train(model, train_items, val_items, config: TrainConfig,
     lr = config.lr
     best_val = math.inf
     best_epoch = 0
-    best_params = model.parameter_arrays()
+    best_params = _snapshot(model)
     plateau_wait = 0
     since_best = 0
     history: list[EpochStats] = []
@@ -273,7 +278,7 @@ def train(model, train_items, val_items, config: TrainConfig,
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_params = model.parameter_arrays()
+            best_params = _snapshot(model)
             plateau_wait = 0
             since_best = 0
         else:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hitkit import tensor as T
 
-from helpers import check_gradients
+from helpers import FD_RTOL, check_gradients, numeric_grad
 
 
 def rand(shape, seed=0):
@@ -354,6 +354,108 @@ class TestBackward:
         assert not other.is_alive()
         assert np.allclose(x.grad, 1.0 - np.tanh(x.data) ** 2, rtol=0.0, atol=1e-15)
         assert T.is_recording()
+
+
+class TestGraphKeepsWhatBackwardReads:
+    """A node links to nodes and leaves, so an array no rule reads is freed with its tensor."""
+
+    @staticmethod
+    def freed_then_gradients(build, leaves):
+        """build(watch) makes a loss, passing watch() the arrays no rule may keep.
+
+        They must be gone before backward, and the gradients must still match central
+        differences.
+        """
+        watched = []
+        loss = build(lambda arr: watched.append(weakref.ref(arr)))
+        assert watched and all(ref() is None for ref in watched)
+        T.backward(loss)
+        for leaf in leaves:
+            numeric = numeric_grad(lambda: build(lambda arr: None), leaf)
+            rel = np.linalg.norm(leaf.grad - numeric) / max(np.linalg.norm(numeric), 1e-12)
+            assert rel < FD_RTOL
+
+    def test_pairwise_products_under_tanh_are_freed(self):
+        q = T.Tensor(rand((2, 3, 4), 60), requires_grad=True)
+        k = T.Tensor(rand((2, 5, 4), 61), requires_grad=True)
+        probe = T.Tensor(rand((2, 3, 5, 4), 62))
+
+        def build(watch):
+            pairs = T.pairwise_hadamard(q, k)
+            watch(pairs.data)
+            return T.sum_all(T.mul(T.tanh(T.scale(pairs, 0.5)), probe))
+
+        self.freed_then_gradients(build, [q, k])
+
+    def test_a_residual_sum_under_layer_norm_is_freed(self):
+        x = T.Tensor(rand((3, 6), 63), requires_grad=True)
+        w = T.Tensor(rand((6, 6), 64), requires_grad=True)
+        gamma = T.Tensor(1.0 + 0.1 * rand((6,), 65), requires_grad=True)
+        beta = T.Tensor(rand((6,), 66), requires_grad=True)
+        probe = T.Tensor(rand((3, 6), 67))
+
+        def build(watch):
+            residual = T.add(x, T.matmul(x, w))
+            watch(residual.data)
+            return T.sum_all(T.mul(T.layer_norm(residual, gamma, beta), probe))
+
+        self.freed_then_gradients(build, [x, w, gamma, beta])
+
+    def test_the_input_of_a_dropout_mask_is_freed(self):
+        a = T.Tensor(rand((4, 5), 68), requires_grad=True)
+        b = T.Tensor(rand((4, 5), 69), requires_grad=True)
+        keep = (np.random.default_rng(70).random((4, 5)) >= 0.3) / 0.7
+        probe = T.Tensor(rand((4, 5), 71))
+
+        def build(watch):
+            h = T.add(a, b)
+            watch(h.data)
+            return T.sum_all(T.mul(T.tanh(T.mul(h, T.Tensor(keep))), probe))
+
+        self.freed_then_gradients(build, [a, b])
+
+    def test_backward_frees_every_captured_array_while_the_loss_lives(self):
+        x = T.Tensor(rand((3, 4), 72), requires_grad=True)
+        w = T.Tensor(rand((4, 5), 73), requires_grad=True)
+        h = T.tanh(T.matmul(x, w))  # tanh's rule reads its output
+        s = T.softmax(T.mul(h, h))  # so do mul's and softmax's
+        captured = [weakref.ref(h.data), weakref.ref(s.data)]
+        loss = T.sum_all(T.mul(s, T.Tensor(rand((3, 5), 74))))
+        del h, s
+        assert all(ref() is not None for ref in captured)
+        T.backward(loss)
+        assert all(ref() is None for ref in captured)
+        del loss
+        assert all(ref() is None for ref in captured)
+
+    def test_a_tensor_whose_node_has_run_is_a_leaf_of_a_new_graph(self):
+        x = T.Tensor(rand((2, 3), 75), requires_grad=True)
+        h = T.tanh(x)
+        T.backward(T.sum_all(h))
+        first = x.grad.copy()
+        probe = rand((2, 3), 76)
+        T.backward(T.sum_all(T.mul(T.scale(h, 2.0), T.Tensor(probe))))
+        assert np.array_equal(x.grad, first)
+        assert np.array_equal(h.grad, probe * 2.0)
+
+    def test_diamond_rules_run_latest_created_first(self):
+        ran = []
+
+        def op(name, *inputs):
+            def rule(dout):
+                ran.append(name)
+                return (dout,) * len(inputs)
+
+            return T._emit(sum(t.data for t in inputs), inputs, rule)
+
+        x = T.Tensor(rand((3,), 77), requires_grad=True)
+        top = op("top", x)
+        left = op("left", top)
+        right = op("right", top)
+        # the join lists `left` first, but `right` was made later, so its rule runs first
+        T.backward(T.sum_all(op("join", left, right)))
+        assert ran == ["join", "right", "left", "top"]
+        assert np.array_equal(x.grad, np.full(3, 2.0))
 
 
 class TestDropout:
