@@ -59,7 +59,7 @@ class FameConfig:
 
 
 class FameLayer:
-    """Projections for both attention branches plus the fusion gate."""
+    """Projections for both attention branches plus the fusion gate, each a `Parameter` leaf."""
 
     def __init__(self, config: FameConfig, rng: np.random.Generator, name: str = "fame"):
         self.config = config
@@ -116,10 +116,10 @@ def multi_head_attention(wq: Parameter, wk: Parameter, wv: Parameter, wo: Parame
     d = wq.data.shape[0]
     dh = d // n_heads
     heads = lambda t, count, n, axes: transpose(reshape(t, (count, n, n_heads, dh)), axes)
-    q = matmul(x_q, wq.tensor)
+    q = matmul(x_q, wq)
     kv_leads = [g[::2] for g in groups]
     split = lambda w, axes: [heads(b, count, n, axes) for (count, n), b
-                             in zip(kv_leads, group_blocks(matmul(x_kv, w.tensor), kv_leads))]
+                             in zip(kv_leads, group_blocks(matmul(x_kv, w), kv_leads))]
     keys, values = split(wk, (0, 2, 3, 1)), split(wv, (0, 2, 1, 3))
     outs = []
     for (count, lq, lkv), qg, kg, vg in zip(groups, group_blocks(q, [g[:2] for g in groups]),
@@ -128,7 +128,7 @@ def multi_head_attention(wq: Parameter, wk: Parameter, wv: Parameter, wo: Parame
         mask = np.broadcast_to(_causal(lq), scores.shape) if causal and lq > 1 else None
         z = matmul(softmax(scores, axis=-1, mask=mask), vg)
         outs.append(reshape(transpose(z, (0, 2, 1, 3)), (count * lq, d)))
-    return matmul(outs[0] if len(outs) == 1 else concat_rows(outs), wo.tensor)
+    return matmul(outs[0] if len(outs) == 1 else concat_rows(outs), wo)
 
 
 def msa_forward(layer: FameLayer, x: Tensor, groups=None, causal: bool = False) -> Tensor:
@@ -168,16 +168,16 @@ def opa_forward(layer: FameLayer, x: Tensor, groups=None, value_parts=None,
     d = x.shape[1]
     groups = _groups(groups, x)
     kv_leads = [g[::2] for g in groups]
-    q = matmul(x, layer.wq_outer.tensor)
+    q = matmul(x, layer.wq_outer)
     projected = value_parts is not None and layer.config.opa_combine != "hadamard"
     proj = value_parts.proj if isinstance(value_parts, ProjectedValues) else None
-    keys = group_blocks(matmul(x, layer.wk_outer.tensor), kv_leads)
+    keys = group_blocks(matmul(x, layer.wk_outer), kv_leads)
     if projected and proj is not None:
         values = value_parts.ids
     elif projected:
-        values = [(matmul(table, layer.wv_outer.tensor), ids) for table, ids in value_parts]
+        values = [(matmul(table, layer.wv_outer), ids) for table, ids in value_parts]
     else:
-        values = group_blocks(matmul(x, layer.wv_outer.tensor), kv_leads)
+        values = group_blocks(matmul(x, layer.wv_outer), kv_leads)
     scores = []
     for (count, lq, lkv), qg, kg in zip(groups, group_blocks(q, [g[:2] for g in groups]), keys):
         pair = scale(pairwise_hadamard(qg, kg), 1.0 / np.sqrt(d))
@@ -186,16 +186,16 @@ def opa_forward(layer: FameLayer, x: Tensor, groups=None, value_parts=None,
             s = mul(s, Tensor(np.broadcast_to(_causal(lq)[:, :, None], s.shape)))
         scores.append(s)
     if projected:
-        return opa_project(scores, values, layer.wo_outer.tensor, proj)
+        return opa_project(scores, values, layer.wo_outer, proj)
     if layer.config.opa_combine == "hadamard":
-        return matmul(opa_sum_hadamard(scores, values), layer.wo_outer.tensor)
-    return opa_sum_project(scores, values, layer.wo_outer.tensor)
+        return matmul(opa_sum_hadamard(scores, values), layer.wo_outer)
+    return opa_sum_project(scores, values, layer.wo_outer)
 
 
 def fame_fuse(layer: FameLayer, z_self: Tensor, z_outer: Tensor) -> Tensor:
     if z_self.shape != z_outer.shape:
         raise ShapeError(f"fame_fuse shape mismatch: {z_self.shape} vs {z_outer.shape}")
-    alphas = softmax(layer.fusion_logits.tensor, axis=-1)
+    alphas = softmax(layer.fusion_logits, axis=-1)
     a1 = get_element(alphas, 0)
     a2 = get_element(alphas, 1)
     return add(scalar_mul(a1, z_self), scalar_mul(a2, z_outer))

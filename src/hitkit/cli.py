@@ -97,11 +97,6 @@ def _index_of(index: dict, name: str, kind: str, source: str, record: int) -> in
     return index[name]
 
 
-def _wrap(body, max_len: int) -> list[str]:
-    """[CLS] body [EOS], with the body cut so that the whole fits in max_len tokens."""
-    return ["[CLS]"] + list(body)[:max(max_len - 2, 0)] + ["[EOS]"]
-
-
 def _example(tokens, vocab, cfg, **kw) -> D.EncodedExample:
     return D.encode_example(tokens, vocab, max_len=cfg.max_len, max_word_len=cfg.max_word_len, **kw)
 
@@ -181,7 +176,7 @@ def _encode_generation(pairs, vocab, cfg):
     examples = []
     for i, (src_tokens, tgt_tokens) in enumerate(pairs):
         ex = _example(src_tokens, vocab, cfg, guid=i)
-        ex.target = [vocab.word_id(t) for t in _wrap(tgt_tokens[1:-1], cfg.max_len)]
+        ex.target = [vocab.word_id(t) for t in D.wrap_tokens(tgt_tokens[1:-1], cfg.max_len)]
         examples.append(ex)
     return examples
 
@@ -192,9 +187,8 @@ def _generation_pairs(records, cfg, dialog: bool):
         for rec in records:
             pairs.extend(D.dialog_to_generation(rec, cfg.max_len, cfg.lowercase))
     else:
-        for rec in records:
-            pairs.append((_wrap(D.preprocess_text(rec["source"], cfg.lowercase), cfg.max_len),
-                          _wrap(D.preprocess_text(rec["target"], cfg.lowercase), cfg.max_len)))
+        wrap = lambda text: D.wrap_tokens(D.preprocess_text(text, cfg.lowercase), cfg.max_len)
+        pairs.extend((wrap(rec["source"]), wrap(rec["target"])) for rec in records)
     # empty-history sources ([CLS] [EOS]) are legitimate; empty targets are not
     return [(s, t) for s, t in pairs if len(t) > 2]
 
@@ -306,7 +300,7 @@ def _train_and_report(args, cfg, name: str, model, split, arts, report, summary:
     save_checkpoint(out / "checkpoint", result.best_params,
                     {"task": name, "train_config": cfg.to_dict()}, arts.to_extras())
     # report from the float32 values the checkpoint holds, as `evaluate` will, bit for bit
-    model.load_arrays(load_checkpoint(out / "checkpoint").params)
+    model.load_arrays(result.best_params)
     _write_json(out / "history.json", result.history_dict())
     metrics, rows = report(result)
     _write_metrics(out / "metrics.json", metrics, cfg)
@@ -461,8 +455,8 @@ def cmd_generate(args) -> int:
     out = _out_dir(args)
     lines = Path(args.input).read_text(encoding="utf-8").splitlines()
     out_path = out / "generated.txt"
-    examples = [_example(_wrap(D.preprocess_text(line, cfg.lowercase), cfg.max_len), arts.vocab, cfg)
-                for line in lines]
+    examples = [_example(D.wrap_tokens(D.preprocess_text(line, cfg.lowercase), cfg.max_len),
+                         arts.vocab, cfg) for line in lines]
     with open(out_path, "w", encoding="utf-8") as fh:
         for tokens, _ in generate(model, examples, arts.vocab):
             fh.write(" ".join(tokens) + "\n")

@@ -129,6 +129,11 @@ def build_vocab(corpus, min_freq: int = 1) -> Vocab:
     return Vocab(word_to_id, char_to_id, dict(word_counts))
 
 
+def wrap_tokens(body, max_len: int) -> list[str]:
+    """[CLS] body [EOS], with the body cut so that the whole fits in max_len tokens."""
+    return ["[CLS]"] + list(body)[:max(max_len - 2, 0)] + ["[EOS]"]
+
+
 def flatten_dialog(turns, j: int, max_len: int = 40, lowercase: bool = True):
     """History of all turns before the j-th bot turn, wrapped in [CLS]/[EOS].
 

@@ -61,8 +61,8 @@ class FeedForward:
         self.b2 = Parameter(f"{name}.b2", np.zeros(d_model))
 
     def forward(self, x: Tensor) -> Tensor:
-        h = relu(add_bias(matmul(x, self.w1.tensor), self.b1.tensor))
-        return add_bias(matmul(h, self.w2.tensor), self.b2.tensor)
+        h = relu(add_bias(matmul(x, self.w1), self.b1))
+        return add_bias(matmul(h, self.w2), self.b2)
 
     def parameters(self):
         return [self.w1, self.b1, self.w2, self.b2]
@@ -147,7 +147,7 @@ def add_norm(layer, i: int, x: Tensor, h: Tensor, drop) -> Tensor:
     if drop is not None:
         h = mul(h, Tensor(drop[i]))
     gamma, beta = layer.norms[i]
-    return layer_norm(add(x, h), gamma.tensor, beta.tensor, layer.eps)
+    return layer_norm(add(x, h), gamma, beta, layer.eps)
 
 
 class EncoderLayer:
@@ -202,8 +202,8 @@ class HierPool:
     def forward(self, h: Tensor, layout) -> Tensor:
         """Pool packed sequences (see `Packing`) to one row each, (sequences, d) in packed order."""
         d = h.shape[1]
-        u = tanh(add_bias(matmul(h, self.proj_w.tensor), self.proj_b.tensor))
-        context = reshape(self.context.tensor, (1, d))
+        u = tanh(add_bias(matmul(h, self.proj_w), self.proj_b))
+        context = reshape(self.context, (1, d))
         pooled = []
         for (count, length), ug, hg in zip(layout, group_blocks(u, layout), group_blocks(h, layout)):
             # one (length, d) @ (d, 1) product per sequence, as when it is pooled alone: BLAS
@@ -225,7 +225,7 @@ class RowCache:
     the rows of the distinct keys it lacks, in first-seen order. Rows are stored in
     fill order in one zeroed (capacity, ...) table made at the first fill, so the
     memory touched grows with the rows filled. When it is full, the least recently
-    used key goes first. The cache empties itself when the tensor version of any of
+    used key goes first. The cache empties itself when the `version` of any of
     `params` moved since its last call.
     """
 
@@ -242,7 +242,7 @@ class RowCache:
     def slots(self, keys, compute) -> np.ndarray | None:
         """The table row of each of `keys`, filling those missing; None if the call has
         more distinct keys than the table holds (then nothing is read or filled)."""
-        versions = [p.tensor.version for p in self.params]
+        versions = [p.version for p in self.params]
         if versions != self.versions:
             self.index.clear()
             self.versions = versions
@@ -278,7 +278,7 @@ class OpaTableCache:
     OPA_CACHE_ROWS blocks. A call's missing rows are filled in one product, padded to at
     least 2 rows: from 2 rows on, BLAS gives a row the same bits whatever its batch
     mates (`test_opa_cache.py` pins this), so a warm cache serves a cold one's bytes.
-    The cache empties when a tensor version of emb, wv_outer or wo_outer moves.
+    The cache empties when the `version` of emb, wv_outer or wo_outer moves.
     """
 
     def __init__(self, emb: Parameter, pos: np.ndarray, fame: FameLayer):
@@ -340,7 +340,7 @@ class CharHit:
                 raise ShapeError(f"word of {len(ids)} characters exceeds cap {self.max_word_len}")
         pack = Packing([len(ids) for ids in words])
         chars = np.asarray(pack.rows(words), dtype=np.int64)
-        x = add(embedding_lookup(self.emb.tensor, chars), Tensor(self.pos[pack.positions]))
+        x = add(embedding_lookup(self.emb, chars), Tensor(self.pos[pack.positions]))
         # a first-layer row is char_emb[c] + pos[p] (dropout comes after attention), and the
         # OPA projection is linear in the value: it projects each character and position once
         parts = None
@@ -348,7 +348,7 @@ class CharHit:
             parts = self.opa_cache.value_parts(chars, pack.positions)
         if parts is None:
             distinct, char_ids = np.unique(chars, return_inverse=True)
-            parts = [(embedding_lookup(self.emb.tensor, distinct), char_ids),
+            parts = [(embedding_lookup(self.emb, distinct), char_ids),
                      (Tensor(self.pos[:max(pack.lengths)]), pack.positions)]
         x = run_layers(self.layers, x, pack, training, rng, value_parts=parts)
         return pack.unpack_sequences(self.pool.forward(x, pack.layout))
@@ -433,7 +433,7 @@ class HitEncoder:
         pack = Packing([len(ex.word_ids) for ex in examples])
         char_rows = [[index[tuple(seq)] for seq in ex.char_ids] for ex in examples]
         h_char = embedding_lookup(char_vecs, pack.rows(char_rows))
-        h_word = embedding_lookup(self.word_hit.emb.tensor, pack.rows([ex.word_ids for ex in examples]))
+        h_word = embedding_lookup(self.word_hit.emb, pack.rows([ex.word_ids for ex in examples]))
         x = add(add(h_char, h_word), Tensor(self.word_hit.pos[pack.positions]))
         return run_layers(self.word_hit.layers, x, pack, training, rng), pack
 

@@ -10,6 +10,7 @@ concatenated blocks.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -109,8 +110,6 @@ def tfidf_transform(vocab: TfidfVocab, tokens) -> np.ndarray:
 
 
 def tfidf_to_text(vocab: TfidfVocab) -> str:
-    import json
-
     lines = [
         "# hitkit tfidf vocab v1; idf = ln((1+n_docs)/(1+df)) + 1; L2-normalized tf*idf",
         f"# n_docs={vocab.n_docs} min_df={vocab.min_df} max_df={vocab.max_df}",
@@ -124,25 +123,34 @@ def tfidf_to_text(vocab: TfidfVocab) -> str:
 
 
 def tfidf_from_text(text: str, stopwords=STOPWORDS) -> TfidfVocab:
-    import json
-
-    n_docs, min_df, max_df = 0, 2, 6
-    word_index, char_index, word_df, char_df = {}, {}, {}, {}
-    for line in text.splitlines():
-        if line.startswith("# n_docs="):
-            parts = dict(p.split("=") for p in line[2:].split())
-            n_docs, min_df, max_df = int(parts["n_docs"]), int(parts["min_df"]), int(parts["max_df"])
+    """The vocabulary `tfidf_to_text` wrote; anything it could not have written raises
+    ValueError, which names the line."""
+    header = None
+    index, df = {"word": {}, "char": {}}, {"word": {}, "char": {}}
+    for n, line in enumerate(text.splitlines(), 1):
+        is_header = line.startswith("# n_docs=")
+        if not is_header and (not line or line.startswith("#")):
             continue
-        if not line or line.startswith("#"):
-            continue
-        block, n, gram_json, df, idx = line.split("\t")
-        gram = json.loads(gram_json)
-        if block == "word":
-            key = tuple(gram.split(" "))
-            word_index[key] = int(idx)
-            word_df[key] = int(df)
-        else:
-            char_index[gram] = int(idx)
-            char_df[gram] = int(df)
-    return TfidfVocab(word_index, char_index, word_df, char_df, n_docs,
+        try:
+            if is_header:
+                parts = dict(p.split("=") for p in line[2:].split())
+                header = [int(parts[k]) for k in ("n_docs", "min_df", "max_df")]
+                continue
+            block, size, gram, count, idx = line.split("\t")
+            gram = json.loads(gram)
+            key = tuple(gram.split(" ")) if block == "word" else gram
+            if int(size) != len(key) or key in index[block] or int(count) < 0:
+                raise ValueError
+            index[block][key], df[block][key] = int(idx), int(count)
+        except (ValueError, KeyError, TypeError, AttributeError):  # a gram that is no string
+            what = ("integer n_docs, min_df and max_df" if is_header
+                    else "word or char, n, a new JSON string n-gram, df and index, tab-separated")
+            raise ValueError(f"tfidf_vocab.txt line {n}: expected {what}, got {line[:60]!r}") from None
+    if header is None:
+        raise ValueError("tfidf_vocab.txt has no '# n_docs=' line")
+    for block, ids in index.items():
+        if sorted(ids.values()) != list(range(len(ids))):
+            raise ValueError(f"tfidf_vocab.txt {block} indices are not 0 to {len(ids) - 1}, each once")
+    n_docs, min_df, max_df = header
+    return TfidfVocab(index["word"], index["char"], df["word"], df["char"], n_docs,
                       min_df=min_df, max_df=max_df, stopwords=frozenset(stopwords))

@@ -59,7 +59,7 @@ class _TaskModel:
         return {p.name: p for p in self.parameters()}
 
     def trainable_parameters(self) -> list[Parameter]:
-        return [p for p in self.parameters() if p.trainable]
+        return [p for p in self.parameters() if p.requires_grad]
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:
         return {p.name: p.data.copy() for p in self.parameters()}
@@ -90,7 +90,7 @@ class ClassificationModel(_TaskModel):
         if self.use_tfidf:
             feats = np.stack([np.asarray(ex.features, dtype=np.float64) for ex in examples])
             s = concat_cols([s, Tensor(feats)])
-        return add_bias(matmul(s, self.head_w.tensor), self.head_b.tensor)
+        return add_bias(matmul(s, self.head_w), self.head_b)
 
     def predict_probs(self, examples) -> np.ndarray:
         """(examples, n_classes) probabilities, from one encoder call."""
@@ -121,7 +121,7 @@ class TokenModel(_TaskModel):
     def token_logits(self, examples, training=False, rng=None) -> Tensor:
         """Logits of every example's positions, stacked in example order."""
         h = self.encoder.word_states(examples, training, rng)
-        return add_bias(matmul(h, self.head_w.tensor), self.head_b.tensor)
+        return add_bias(matmul(h, self.head_w), self.head_b)
 
     def predict_probs(self, examples) -> list[np.ndarray]:
         """Each example's (tokens, n_out) distributions, from one encoder call."""
@@ -323,7 +323,7 @@ class Seq2SeqModel(_TaskModel):
                 raise ShapeError(f"target of {len(ids)} ids is empty or past cap {cap}")
         keys = [(len(ids), n) for ids, n in zip(targets, mem_lengths)]
         pack, mem = Packing([n for n, _ in keys], keys), Packing([s for _, s in keys], keys)
-        x = add(embedding_lookup(self.tgt_emb.tensor, pack.rows(targets)),
+        x = add(embedding_lookup(self.tgt_emb, pack.rows(targets)),
                 Tensor(self.pos[pack.positions]))
         self_groups, mem_groups = pack.groups(), mem.groups(queries=pack)
         memory = mem.pack_rows(memory)
@@ -331,7 +331,7 @@ class Seq2SeqModel(_TaskModel):
         drops = dropout_multipliers(rng, p, pack, len(self.layers), x.shape[1], 3)
         for layer, drop in zip(self.layers, drops):
             x = layer.forward(x, self_groups, memory, mem_groups, drop)
-        return add_bias(matmul(pack.unpack_rows(x), self.out_w.tensor), self.out_b.tensor)
+        return add_bias(matmul(pack.unpack_rows(x), self.out_w), self.out_b)
 
     def _step(self, targets, state: DecoderState) -> Tensor:
         """The (1, vocabulary) logits of one token at position state.t. Each layer's `step`

@@ -11,54 +11,41 @@ class MissingGradError(RuntimeError):
     pass
 
 
-class Parameter:
-    """A trainable tensor with a name path and per-parameter Adam state (made on the first step).
+class Parameter(Tensor):
+    """A requires_grad leaf tensor with a name path and per-parameter Adam state (made on the
+    first step); `freeze`/`unfreeze` flip `requires_grad`. Its data are C-contiguous, so
+    `adam_step` can update them through flat views."""
 
-    Its data are C-contiguous, so `adam_step` can update them through flat views.
-    """
+    __slots__ = ("name", "adam_m", "adam_v", "step_count")
 
-    __slots__ = ("name", "tensor", "adam_m", "adam_v", "step_count", "trainable")
-
-    def __init__(self, name: str, data, trainable: bool = True):
+    def __init__(self, name: str, data):
+        super().__init__(np.ascontiguousarray(data, dtype=np.float64), requires_grad=True)
         self.name = name
-        self.tensor = Tensor(np.ascontiguousarray(data, dtype=np.float64), requires_grad=trainable)
-        self.adam_m = None
-        self.adam_v = None
+        self.adam_m = self.adam_v = None
         self.step_count = 0
-        self.trainable = trainable
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-    @property
-    def grad(self):
-        return self.tensor.grad
 
     def assign(self, values) -> None:
         """Cast `values` into this parameter's own float64 buffer, in place like `adam_step`.
 
         A restore so holds the float32 checkpoint and the model, no third copy; `values`
-        is copied, never aliased. Bumps the tensor's version, like `adam_step`: code that
-        writes `data` in place must do the same, or caches computed from it go stale.
+        is copied, never aliased. Bumps `version`, like `adam_step`: code that writes
+        `data` in place must do the same, or caches computed from it go stale.
         """
         values = np.asarray(values)
-        if values.shape != self.tensor.data.shape:
-            raise ValueError(f"parameter '{self.name}' shape {self.tensor.data.shape} cannot take {values.shape}")
-        np.copyto(self.tensor.data, values)
-        self.tensor.version += 1
+        if values.shape != self.shape:
+            raise ValueError(f"parameter '{self.name}' shape {self.shape} cannot take {values.shape}")
+        np.copyto(self.data, values)
+        self.version += 1
 
     def freeze(self) -> None:
-        self.trainable = False
-        self.tensor.requires_grad = False
-        self.tensor.grad = None
+        self.requires_grad = False
+        self.grad = None
 
     def unfreeze(self) -> None:
-        self.trainable = True
-        self.tensor.requires_grad = True
+        self.requires_grad = True
 
     def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.tensor.shape}, trainable={self.trainable})"
+        return f"Parameter({self.name!r}, shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 CHUNK = 32768  # elements per Adam block: its six 256 KB operands stay in cache
@@ -67,7 +54,7 @@ CHUNK = 32768  # elements per Adam block: its six 256 KB operands stay in cache
 def adam_step(params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
     """One bias-corrected Adam update over the given parameters; grads are then zeroed.
 
-    Each updated parameter's tensor version goes up by one (see `Parameter.assign`).
+    Each updated parameter's `version` goes up by one (see `Parameter.assign`).
 
     Runs block by block over flat views of each parameter, its gradient and its
     moments, so each array is read and written once per step rather than once
@@ -75,16 +62,14 @@ def adam_step(params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: 
     """
     params = list(params)
     for p in params:
-        if p.tensor.grad is None:
+        if p.grad is None:
             raise MissingGradError(f"adam_step: parameter '{p.name}' has no gradient")
     scratch = np.empty((2, CHUNK))
     for p in params:
         t = p.step_count + 1
         if p.adam_m is None:
-            p.adam_m = np.zeros(p.tensor.data.shape)
-            p.adam_v = np.zeros(p.tensor.data.shape)
-        flat = [a.reshape(-1) for a in (np.ascontiguousarray(p.tensor.grad), p.adam_m,
-                                         p.adam_v, p.tensor.data)]
+            p.adam_m, p.adam_v = np.zeros(p.shape), np.zeros(p.shape)
+        flat = [a.reshape(-1) for a in (np.ascontiguousarray(p.grad), p.adam_m, p.adam_v, p.data)]
         for lo in range(0, flat[0].size, CHUNK):
             g, m, v, data = (a[lo:lo + CHUNK] for a in flat)
             step, denom = scratch[0, :g.size], scratch[1, :g.size]
@@ -105,14 +90,14 @@ def adam_step(params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: 
             step /= denom
             data -= step
         p.step_count = t
-        p.tensor.version += 1
-        p.tensor.grad = None
+        p.version += 1
+        p.grad = None
 
 
 def global_grad_norm(params) -> float:
     total = 0.0
     for p in params:
-        g = p.tensor.grad
+        g = p.grad
         if g is not None:
             total += float(np.vdot(g, g))
     return float(np.sqrt(total))
@@ -130,8 +115,8 @@ def clip_gradients(params, max_norm: float) -> float:
     if norm > max_norm > 0:
         factor = max_norm / norm
         for p in params:
-            if p.tensor.grad is not None:
-                p.tensor.grad *= factor
+            if p.grad is not None:
+                p.grad *= factor
     return norm
 
 

@@ -7,7 +7,7 @@ from typing import Any
 
 import numpy as np
 
-from .data import SPECIALS, Vocab, encode_example
+from .data import SPECIALS, Vocab, encode_example, wrap_tokens
 
 IGNORE_INDEX = -1
 ENCODER_PREFIXES = ("char_hit.", "word_hit.")
@@ -63,8 +63,8 @@ def build_mlm_dataset(token_lists, vocab: Vocab, rng: np.random.Generator,
     """Static masking: one masked [CLS] ... [EOS] copy per sentence, skipping unselectable ones."""
     items = []
     for i, tokens in enumerate(token_lists):
-        wrapped = ["[CLS]"] + list(tokens)[:max(max_len - 2, 0)] + ["[EOS]"]
-        ex = encode_example(wrapped, vocab, max_len=max_len, max_word_len=max_word_len, guid=i)
+        ex = encode_example(wrap_tokens(tokens, max_len), vocab, max_len=max_len,
+                            max_word_len=max_word_len, guid=i)
         try:
             ex.word_ids, ex.target, _ = mask_tokens(ex.word_ids, vocab, rng)
         except ValueError:
@@ -102,7 +102,7 @@ def zsl_build_pairs(dataset, label_names, rng: np.random.Generator,
 def transfer_load(model, ckpt, mode: str):
     """Copy encoder parameters from a loaded checkpoint; the task head stays fresh.
 
-    mode "frozen" marks encoder parameters non-trainable; "finetune" trains all.
+    mode "frozen" freezes encoder parameters (`requires_grad` off); "finetune" trains all.
     """
     if mode not in ("frozen", "finetune"):
         raise ValueError(f"transfer mode must be 'frozen' or 'finetune', got {mode!r}")

@@ -117,7 +117,7 @@ def oracle_encoder_layer(layer, x, training=False, rng=None, value_parts=None):
     """One EncoderLayer over one sequence, dropout drawn after each sublayer."""
     h = T.dropout(fame_forward(layer.fame, x, value_parts=value_parts), layer.dropout_rate,
                   training, rng)
-    (g1, b1), (g2, b2) = [(g.tensor, b.tensor) for g, b in layer.norms]
+    (g1, b1), (g2, b2) = layer.norms
     y1 = T.layer_norm(T.add(x, h), g1, b1, layer.eps)
     f = T.dropout(layer.ffn.forward(y1), layer.dropout_rate, training, rng)
     return T.layer_norm(T.add(y1, f), g2, b2, layer.eps)
@@ -126,7 +126,7 @@ def oracle_encoder_layer(layer, x, training=False, rng=None, value_parts=None):
 def oracle_decoder_layer(layer, x, memory, training=False, rng=None):
     """One DecoderLayer over one causal sequence, dropout drawn after each sublayer."""
     mem_groups = [(1, x.shape[0], memory.shape[0])]
-    (g1, b1), (g2, b2), (g3, b3) = [(g.tensor, b.tensor) for g, b in layer.norms]
+    (g1, b1), (g2, b2), (g3, b3) = layer.norms
     h = T.dropout(fame_forward(layer.fame, x, causal=True), layer.dropout_rate, training, rng)
     y1 = T.layer_norm(T.add(x, h), g1, b1, layer.eps)
     c = T.dropout(layer.cross.forward(y1, memory, mem_groups), layer.dropout_rate, training, rng)
@@ -137,15 +137,15 @@ def oracle_decoder_layer(layer, x, memory, training=False, rng=None):
 
 def oracle_hier_pool(pool, h):
     n, d = h.shape
-    u = T.tanh(T.add_bias(T.matmul(h, pool.proj_w.tensor), pool.proj_b.tensor))
-    scores = T.reshape(T.matmul(u, T.reshape(pool.context.tensor, (d, 1))), (n,))
+    u = T.tanh(T.add_bias(T.matmul(h, pool.proj_w), pool.proj_b))
+    scores = T.reshape(T.matmul(u, T.reshape(pool.context, (d, 1))), (n,))
     a = T.softmax(scores, axis=0)
     return T.reshape(T.matmul(T.reshape(a, (1, n)), h), (d,))
 
 
 def oracle_encode_word(char_hit, ids, training=False, rng=None):
     ids = list(ids)
-    emb, pos = T.embedding_lookup(char_hit.emb.tensor, ids), T.Tensor(char_hit.pos[:len(ids)])
+    emb, pos = T.embedding_lookup(char_hit.emb, ids), T.Tensor(char_hit.pos[:len(ids)])
     x = T.add(emb, pos)
     # the first layer projects its values as sums of an embedding row and a position row,
     # as CharHit.forward does, here with one row of each per character of the word
@@ -170,7 +170,7 @@ def oracle_word_states(encoder, examples, training=False, rng=None):
     for ex in examples:
         n = len(ex.word_ids)
         h_char = T.embedding_lookup(matrix, [index[tuple(seq)] for seq in ex.char_ids])
-        h_word = T.embedding_lookup(encoder.word_hit.emb.tensor, list(ex.word_ids))
+        h_word = T.embedding_lookup(encoder.word_hit.emb, list(ex.word_ids))
         x = T.add(T.add(h_char, h_word), T.Tensor(encoder.word_hit.pos[:n]))
         for layer in encoder.word_hit.layers:
             x = oracle_encoder_layer(layer, x, training, rng)
@@ -181,7 +181,7 @@ def oracle_word_states(encoder, examples, training=False, rng=None):
 def _head(h, w, b):
     # one product over the stacked rows: OpenBLAS rounds a one-row product (gemv)
     # differently from the same row inside a larger one (gemm)
-    return T.add_bias(T.matmul(h, w.tensor), b.tensor)
+    return T.add_bias(T.matmul(h, w), b)
 
 
 def oracle_loss(model, batch, training=False, rng=None):
@@ -211,7 +211,7 @@ def oracle_loss(model, batch, training=False, rng=None):
         blocks, targets = [], []
         for ex, memory in zip(examples, states):
             tgt = list(ex.target)
-            x = T.add(T.embedding_lookup(model.tgt_emb.tensor, tgt[:-1]),
+            x = T.add(T.embedding_lookup(model.tgt_emb, tgt[:-1]),
                       T.Tensor(model.pos[:len(tgt) - 1]))
             for layer in model.layers:
                 x = oracle_decoder_layer(layer, x, memory, training, rng)

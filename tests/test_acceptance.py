@@ -151,13 +151,13 @@ def test_a1_gradient_integrity():
     fame = FameLayer(FameConfig(d_model=4, n_heads=2, max_len=8), np.random.default_rng(11))
     fx = T.Tensor(rand((3, 4), 12), requires_grad=True)
     check_gradients(lambda: T.sum_all(T.mul(fame_forward(fame, fx), probe)),
-                    [fx] + [p.tensor for p in fame.parameters()])
+                    [fx] + fame.parameters())
 
     enc = EncoderLayer(FameConfig(d_model=4, n_heads=2, max_len=8), 8, 0.0,
                        np.random.default_rng(13), "enc")
     ex = T.Tensor(rand((3, 4), 14), requires_grad=True)
     check_gradients(lambda: T.sum_all(T.mul(enc.forward(ex), probe)),
-                    [ex] + [p.tensor for p in enc.parameters()])
+                    [ex] + enc.parameters())
 
     elapsed = time.monotonic() - start
     assert elapsed < 120.0, f"gradient suite took {elapsed:.1f}s"

@@ -248,7 +248,7 @@ class TestFameForward:
         layer = make_layer(d=4, heads=2, score=score, combine=combine, seed=39)
         x = T.Tensor(rand((3, 4), 40), requires_grad=True)
         w = T.Tensor(rand((3, 4), 41))
-        leaves = [x] + [p.tensor for p in layer.parameters()]
+        leaves = [x] + layer.parameters()
 
         def loss():
             return T.sum_all(T.mul(fame_forward(layer, x), w))
@@ -289,7 +289,7 @@ class TestPackedGroups:
         layer = make_layer(d=4, heads=2, combine=combine, seed=64)
         x = T.Tensor(rand((11, 4), 65), requires_grad=True)
         w = T.Tensor(rand((11, 4), 67))
-        leaves = [x] + [p.tensor for p in layer.parameters()]
+        leaves = [x] + layer.parameters()
 
         def loss():
             return T.sum_all(T.mul(fame_forward(layer, x, self.GROUPS, causal=causal), w))
@@ -335,7 +335,7 @@ class TestCrossGroups:
         x = T.Tensor(rand((5, 4), 85), requires_grad=True)
         kv = T.Tensor(rand((11, 4), 86), requires_grad=True)
         w = T.Tensor(rand((5, 4), 87))
-        leaves = [x, kv] + [p.tensor for p in layer.parameters()[:4]]  # the self branch's
+        leaves = [x, kv] + layer.parameters()[:4]  # the self branch's
         check_gradients(lambda: T.sum_all(T.mul(self.attend(layer, x, kv, self.GROUPS), w)),
                         leaves)
 

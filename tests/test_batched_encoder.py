@@ -83,7 +83,7 @@ def model_and_batch(kind, config, seed=0, sentences=SENTENCES):
 
 def grads_of(model, loss):
     for p in model.parameters():
-        p.tensor.grad = None
+        p.grad = None
     T.backward(loss)
     return {p.name: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
             for p in model.parameters()}

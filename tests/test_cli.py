@@ -104,6 +104,24 @@ class TestTrain:
         assert ((out / "predictions.jsonl").read_bytes()
                 == (eval_out / "predictions.jsonl").read_bytes())
 
+    def test_train_reports_from_the_saved_values_without_reading_them_back(self, tmp_path,
+                                                                           monkeypatch):
+        import hitkit.cli as cli
+        models, reads = [], []
+        real_train = cli.train
+        monkeypatch.setattr(cli, "train", lambda model, *a: models.append(model) or real_train(model, *a))
+        monkeypatch.setattr(cli, "load_checkpoint", lambda *a: reads.append(a) or load_checkpoint(*a))
+        out = tmp_path / "run"
+        assert main(["train", "--task", "classification", "--train-file",
+                     write_classification(tmp_path), "--config", write_cfg(tmp_path),
+                     "--out-dir", str(out)]) == 0
+        assert reads == []
+        saved = load_checkpoint(out / "checkpoint").params
+        params = models[0].named_parameters()
+        assert sorted(saved) == sorted(params)
+        for name, p in params.items():
+            assert np.array_equal(p.data, saved[name].astype(np.float64)), name
+
     def test_missing_config_names_path(self, tmp_path, capsys):
         data = write_classification(tmp_path)
         code = main(["train", "--task", "classification", "--train-file", data,
@@ -320,6 +338,30 @@ class TestMalformedInputs:
         lines = ck.extras["vocab.tsv"].count("\n") + 1
         self.assert_one_error_line(*self.run_embed(tmp_path, capsys, bad), str(bad),
                                    f"vocab.tsv line {lines}: expected")
+
+    # (line number, its replacement, the error's needle) in a fitted tfidf_vocab.txt whose
+    # line 2 is the header and lines 4-9 are the word grams "day", "good", ... with indices 0-5
+    @pytest.mark.parametrize("at,line,needle", [
+        (4, 'word\t1\t"day"\t2\t99', "word indices are not 0 to 5, each once"),
+        (2, "# n_docs=2 max_df=6", "line 2: expected integer n_docs, min_df and max_df"),
+        (4, "word\t1\t5\t2\t0", "line 4: expected word or char"),
+        (5, 'word\t1\t"good"\t2\t-1', "word indices are not 0 to 5, each once"),
+        (5, 'word\t1\t"good"\t2\t0', "word indices are not 0 to 5, each once"),
+        (5, 'word\t1\t"day"\t2\t1', "line 5: expected word or char"),
+    ], ids=["index-past-end", "header-without-min_df", "gram-not-a-string", "negative-index",
+            "repeated-index", "repeated-gram"])
+    def test_tfidf_vocabulary_that_is_malformed(self, tmp_path, capsys, at, line, needle):
+        from hitkit.features import tfidf_fit, tfidf_to_text
+        bad = tmp_path / "ckpt"
+        small_checkpoint(bad)
+        ck = load_checkpoint(bad)
+        lines = tfidf_to_text(tfidf_fit([["hello", "good", "day"], ["good", "day"]],
+                                        min_df=1)).splitlines()
+        lines[at - 1] = line
+        save_checkpoint(bad, ck.params, ck.config,
+                        {**ck.extras, "tfidf_vocab.txt": "\n".join(lines) + "\n"})
+        self.assert_one_error_line(*self.run_embed(tmp_path, capsys, bad), str(bad),
+                                   "tfidf_vocab.txt", needle)
 
     # one byte of the archive, given its central directory's offset, and the bits set in it:
     # each made the zip reads raise other than BadZipFile, and escape `main` or lose the path

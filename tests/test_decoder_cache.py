@@ -104,7 +104,7 @@ def assign(p):
 
 def adam(p):
     g = np.random.default_rng(7).standard_normal(p.data.shape)
-    p.tensor.grad = g - g.mean()
+    p.grad = g - g.mean()
     O.adam_step([p], 0.1)
 
 

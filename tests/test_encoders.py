@@ -56,7 +56,7 @@ class TestEncoderLayer:
         layer = EncoderLayer(cfg, 8, 0.0, np.random.default_rng(4), "enc")
         x = T.Tensor(rand((3, 4), 5), requires_grad=True)
         w = T.Tensor(rand((3, 4), 6))
-        leaves = [x] + [p.tensor for p in layer.parameters()]
+        leaves = [x] + layer.parameters()
         check_gradients(lambda: T.sum_all(T.mul(layer.forward(x), w)), leaves)
 
 
@@ -89,7 +89,7 @@ class TestHierPool:
     def test_gradient(self):
         pool = HierPool(3, np.random.default_rng(15), "pool")
         h = T.Tensor(rand((4, 3), 16), requires_grad=True)
-        leaves = [h] + [p.tensor for p in pool.parameters()]
+        leaves = [h] + pool.parameters()
         check_gradients(lambda: T.sum_all(T.tanh(pool.forward(h, [(1, 4)]))), leaves)
 
 
@@ -121,7 +121,7 @@ class TestCharHit:
         enc = make_encoder(seed=18)
         ch = enc.char_hit
         out = ch.encode_word([9])
-        x = T.add(T.embedding_lookup(ch.emb.tensor, [9]), T.Tensor(ch.pos[:1]))
+        x = T.add(T.embedding_lookup(ch.emb, [9]), T.Tensor(ch.pos[:1]))
         for layer in ch.layers:
             x = layer.forward(x)
         assert np.max(np.abs(out.data - x.data[0])) < 1e-12
@@ -133,7 +133,7 @@ class TestCharHit:
 
     def test_shared_char_parameters_accumulate_gradients(self):
         enc = make_encoder(seed=20)
-        ctx = enc.char_hit.pool.context.tensor
+        ctx = enc.char_hit.pool.context
 
         def grad_for(words):
             ctx.grad = None
@@ -210,7 +210,7 @@ class TestSentenceEmbed:
         words = [5, 6]
         chars = [[5, 6], [7]]
         w = T.Tensor(rand((1, 4), 32))
-        leaves = [p.tensor for p in enc.parameters()]
+        leaves = enc.parameters()
 
         def loss():
             return T.sum_all(T.mul(enc.sentence_vectors([sentence(words, chars)]), w))

@@ -36,7 +36,7 @@ class TestLeafGradients:
     def test_leaves_get_distinct_arrays_that_clip_scales_once(self, combine):
         a = Parameter("a", rand((4, 3), 1))
         b = Parameter("b", rand((4, 3), 2))
-        out = combine(a.tensor, b.tensor, rand((9, 3), 3))
+        out = combine(a, b, rand((9, 3), 3))
         T.backward(T.sum_all(T.mul(out, T.Tensor(rand((4, 3), 4)))))
         params = [p for p in (a, b) if p.grad is not None]
         grads = [p.grad.copy() for p in params]
@@ -111,7 +111,7 @@ class TestBlockedAdam:
         m, v = np.zeros(theta.shape), np.zeros(theta.shape)
         for t in range(1, 6):
             g = grads_for_step(t)
-            p.tensor.grad = g
+            p.grad = g
             adam_step([p], lr=self.LR, beta1=self.B1, beta2=self.B2, eps=self.EPS)
             theta, m, v = reference_adam(theta, m, v, t, g, self.LR, self.B1, self.B2, self.EPS)
             assert np.array_equal(p.data, theta)

@@ -275,7 +275,7 @@ class TestSeq2Seq:
         x = T.Tensor(np.random.default_rng(31).standard_normal((3, 4)), requires_grad=True)
         memory = T.Tensor(np.random.default_rng(32).standard_normal((2, 4)), requires_grad=True)
         probe = T.Tensor(np.random.default_rng(33).standard_normal((3, 4)))
-        leaves = [x, memory] + [p.tensor for p in layer.parameters()]
+        leaves = [x, memory] + layer.parameters()
 
         def loss():
             return T.sum_all(T.mul(layer.forward(x, [(1, 3, 3)], memory, [(1, 3, 2)]), probe))
