@@ -11,7 +11,6 @@ fuses the branches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -138,18 +137,6 @@ def msa_forward(layer: FameLayer, x: Tensor, groups=None, causal: bool = False) 
                                 layer.config.n_heads, x, x, _groups(groups, x), causal)
 
 
-class ProjectedValues(NamedTuple):
-    """Value rows already projected through `wv_outer` and `wo_outer`, as blocks.
-
-    `ids` lists one id array per part, as `value_parts` does, each indexing the blocks
-    `proj`, and goes to `opa_project` with them: an inference cache passes this as
-    `value_parts`.
-    """
-
-    ids: list
-    proj: np.ndarray
-
-
 def opa_forward(layer: FameLayer, x: Tensor, groups=None, value_parts=None,
                 causal: bool = False) -> Tensor:
     """Outer branch of the rows `x`; `groups` and `causal` as in msa_forward.
@@ -160,23 +147,16 @@ def opa_forward(layer: FameLayer, x: Tensor, groups=None, value_parts=None,
     packed rows in blocks of score features, so no (rows, d, d) aggregate is
     held; in hadamard mode every group's aggregate goes into one (rows, d)
     array, projected once.
-    `value_parts` is a list of (table, ids) whose `table[ids]` rows sum to `x`.
-    With them, in true_outer_projected mode, each table is multiplied by
-    `wv_outer` and `opa_project` projects each table row once instead of making
-    the aggregate. As `ProjectedValues`, they come with both products made.
+    `value_parts`, in true_outer_projected mode, is (ids, blocks) as `opa_project` takes
+    them (`OpaTableCache.value_parts`): the value rows of `x` as sums of table rows, given
+    as those rows' blocks through `wv_outer` and `wo_outer`, so no aggregate is made.
     """
     d = x.shape[1]
     groups = _groups(groups, x)
     kv_leads = [g[::2] for g in groups]
     q = matmul(x, layer.wq_outer)
-    projected = value_parts is not None and layer.config.opa_combine != "hadamard"
-    proj = value_parts.proj if isinstance(value_parts, ProjectedValues) else None
     keys = group_blocks(matmul(x, layer.wk_outer), kv_leads)
-    if projected and proj is not None:
-        values = value_parts.ids
-    elif projected:
-        values = [(matmul(table, layer.wv_outer), ids) for table, ids in value_parts]
-    else:
+    if value_parts is None:
         values = group_blocks(matmul(x, layer.wv_outer), kv_leads)
     scores = []
     for (count, lq, lkv), qg, kg in zip(groups, group_blocks(q, [g[:2] for g in groups]), keys):
@@ -185,8 +165,8 @@ def opa_forward(layer: FameLayer, x: Tensor, groups=None, value_parts=None,
         if causal and lq > 1:
             s = mul(s, Tensor(np.broadcast_to(_causal(lq)[:, :, None], s.shape)))
         scores.append(s)
-    if projected:
-        return opa_project(scores, values, layer.wo_outer, proj)
+    if value_parts is not None:
+        return opa_project(scores, *value_parts)
     if layer.config.opa_combine == "hadamard":
         return matmul(opa_sum_hadamard(scores, values), layer.wo_outer)
     return opa_sum_project(scores, values, layer.wo_outer)

@@ -13,7 +13,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .attention import FameConfig, FameLayer, ProjectedValues, fame_forward
+from .attention import FameConfig, FameLayer, fame_forward
 from .optim import Parameter, normal_init, xavier_uniform
 from .tensor import (
     ShapeError,
@@ -270,13 +270,13 @@ OPA_CACHE_ROWS = 512  # an OpaTableCache's bound: 64 MB of (d, d) blocks at d_mo
 
 
 class OpaTableCache:
-    """A first layer's OPA projections at inference, one block per table row.
+    """A first layer's OPA value blocks (`opa_project`), one per row of its table.
 
     That layer's value rows are emb[i] @ wv_outer + pos[p] @ wv_outer. Row r of the
     stacked table (every id of `emb`, then every position) gets the (d, d) block of its
-    value through wo_outer (`tensor.project_rows`) in a `RowCache` of at most
-    OPA_CACHE_ROWS blocks. A call's missing rows are filled in one product, padded to at
-    least 2 rows: from 2 rows on, BLAS gives a row the same bits whatever its batch
+    value through wo_outer (`tensor.project_rows`), at inference in a `RowCache` of at
+    most OPA_CACHE_ROWS blocks. A call's missing rows are filled in one product, padded
+    to at least 2 rows: from 2 rows on, BLAS gives a row the same bits whatever its batch
     mates (`test_opa_cache.py` pins this), so a warm cache serves a cold one's bytes.
     The cache empties when the `version` of emb, wv_outer or wo_outer moves.
     """
@@ -290,16 +290,23 @@ class OpaTableCache:
         n_ids = len(self.emb.data)
         v = np.array([self.emb.data[r] if r < n_ids else self.pos[r - n_ids]
                       for r in (rows if len(rows) > 1 else rows * 2)])
-        return project_rows(v @ self.fame.wv_outer.data, self.fame.wo_outer.data)[:len(rows)]
+        table = Tensor(v @ self.fame.wv_outer.data)
+        return project_rows(table, self.fame.wo_outer).data[:len(rows)]
 
-    def value_parts(self, ids, positions) -> ProjectedValues | None:
-        """The first layer's value parts for the rows emb[ids] + pos[positions], or None
-        if the call has more distinct ids and positions than the cache holds."""
-        slots = self.rows.slots(np.concatenate([ids, len(self.emb.data) + positions]).tolist(),
-                                self._project)
-        if slots is None:
-            return None
-        return ProjectedValues([slots[:len(ids)], slots[len(ids):]], self.rows.table)
+    def value_parts(self, ids, positions, cached: bool):
+        """The first layer's (ids, blocks) for the rows emb[ids] + pos[positions]. With
+        `cached`, the blocks are the cache's if the call's distinct rows fit; else one per
+        distinct id, then per position up to the last, with a graph while one is recorded."""
+        if cached:
+            slots = self.rows.slots(np.concatenate([ids, len(self.emb.data) + positions]).tolist(),
+                                    self._project)
+            if slots is not None:
+                return [slots[:len(ids)], slots[len(ids):]], Tensor(self.rows.table)
+        distinct, char_ids = np.unique(ids, return_inverse=True)
+        wv = self.fame.wv_outer
+        table = concat_rows([matmul(embedding_lookup(self.emb, distinct), wv),
+                             matmul(Tensor(self.pos[:positions.max() + 1]), wv)])
+        return [char_ids, len(distinct) + positions], project_rows(table, self.fame.wo_outer)
 
     def value_block(self, i: int, p: int, out: np.ndarray) -> None:
         """Write the block of the value row emb[i] + pos[p] into out."""
@@ -310,8 +317,9 @@ class OpaTableCache:
 class CharHit:
     """Character encoder shared by every word slot.
 
-    Outside training and while no graph is recorded, its first layer's OPA takes
-    the projections of its characters and positions from an `OpaTableCache`.
+    In true_outer_projected mode its first layer's OPA takes the value blocks of its
+    characters and positions from an `OpaTableCache`, cached outside training while
+    no graph is recorded.
     """
 
     def __init__(self, char_vocab_size: int, config: FameConfig, n_layers: int, d_ff: int,
@@ -343,13 +351,8 @@ class CharHit:
         x = add(embedding_lookup(self.emb, chars), Tensor(self.pos[pack.positions]))
         # a first-layer row is char_emb[c] + pos[p] (dropout comes after attention), and the
         # OPA projection is linear in the value: it projects each character and position once
-        parts = None
-        if self.opa_cache is not None and not (training or is_recording()):
-            parts = self.opa_cache.value_parts(chars, pack.positions)
-        if parts is None:
-            distinct, char_ids = np.unique(chars, return_inverse=True)
-            parts = [(embedding_lookup(self.emb, distinct), char_ids),
-                     (Tensor(self.pos[:max(pack.lengths)]), pack.positions)]
+        parts = None if self.opa_cache is None else self.opa_cache.value_parts(
+            chars, pack.positions, cached=not (training or is_recording()))
         x = run_layers(self.layers, x, pack, training, rng, value_parts=parts)
         return pack.unpack_sequences(self.pool.forward(x, pack.layout))
 

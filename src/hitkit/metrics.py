@@ -173,8 +173,8 @@ def _unit_deviations(v: np.ndarray) -> np.ndarray:
     return d - d.mean()
 
 
-def kmeans(points, k: int, seed: int = 0, iters: int = 100, return_history: bool = False):
-    """k-means++ then Lloyd iterations until the assignment fixes or iters cap."""
+def kmeans(points, k: int, seed: int = 0, return_history: bool = False):
+    """k-means++ then Lloyd iterations until the assignment fixes, at most 100."""
     if k < 1:
         raise ValueError(f"kmeans: k must be at least 1, got {k}")
     pts = np.asarray(points, dtype=np.float64)
@@ -192,7 +192,7 @@ def kmeans(points, k: int, seed: int = 0, iters: int = 100, return_history: bool
         d2 = np.minimum(d2, ((pts - centroids[c]) ** 2).sum(axis=1))
     assignments = np.full(n, -1, dtype=np.int64)
     history = []
-    for _ in range(iters):
+    for _ in range(100):
         dists = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_assign = dists.argmin(axis=1)
         history.append(float(dists[np.arange(n), new_assign].sum()))

@@ -72,12 +72,12 @@ class _TaskModel:
 
 class ClassificationModel(_TaskModel):
     def __init__(self, encoder: HitEncoder, n_classes: int, rng: np.random.Generator,
-                 use_tfidf: bool = False, tfidf_dim: int = 0):
+                 tfidf_dim: int = 0):
+        """`tfidf_dim` tf-idf features of each example join its sentence vector; 0 for none."""
         self.encoder = encoder
         self.n_classes = n_classes
-        self.use_tfidf = use_tfidf
-        in_dim = encoder.config.d_model + (tfidf_dim if use_tfidf else 0)
-        self.in_dim = in_dim
+        self.tfidf_dim = tfidf_dim
+        in_dim = encoder.config.d_model + tfidf_dim
         self.head_w = Parameter("head.w", xavier_uniform(rng, (in_dim, n_classes)))
         self.head_b = Parameter("head.b", np.zeros(n_classes))
 
@@ -87,7 +87,7 @@ class ClassificationModel(_TaskModel):
     def logits(self, examples, training=False, rng=None) -> Tensor:
         """(examples, n_classes) logits; the encoder runs once over the whole batch."""
         s = self.encoder.sentence_vectors(examples, training, rng)
-        if self.use_tfidf:
+        if self.tfidf_dim:
             feats = np.stack([np.asarray(ex.features, dtype=np.float64) for ex in examples])
             s = concat_cols([s, Tensor(feats)])
         return add_bias(matmul(s, self.head_w), self.head_b)

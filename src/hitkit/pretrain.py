@@ -22,8 +22,7 @@ class MaskPlan:
     seed: int | None = None
 
 
-def mask_tokens(token_ids, vocab: Vocab, rng: np.random.Generator,
-                select_p: float = 0.15, seed: int | None = None):
+def mask_tokens(token_ids, vocab: Vocab, rng: np.random.Generator, seed: int | None = None):
     """Select eligible tokens with p=0.15 and rewrite them 80/10/10 mask/random/keep.
 
     Returns (input ids, target ids, MaskPlan); targets carry the original id at
@@ -40,7 +39,7 @@ def mask_tokens(token_ids, vocab: Vocab, rng: np.random.Generator,
     targets = [IGNORE_INDEX] * len(ids)
     positions, actions = [], []
     for i in eligible:
-        if rng.random() >= select_p:
+        if rng.random() >= 0.15:
             continue
         r = rng.random()
         if r < 0.8:

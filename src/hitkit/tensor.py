@@ -706,64 +706,56 @@ def opa_sum_hadamard(s, v) -> Tensor:
     return _opa_sum("opa_sum_hadamard", s, v, False, _hadamard_forward, _hadamard_backward)
 
 
-def project_rows(table: np.ndarray, w: np.ndarray) -> np.ndarray:
+def project_rows(table: Tensor, w: Tensor) -> Tensor:
     """P(v)[a] = sum_b v[b] w[a * e + b] for each row v of `table` (rows, e) and w (d * e, c).
 
-    Returns the (rows, d, c) blocks, each row's block contiguous: the table projection
-    of `opa_project`, and what an inference cache of its blocks is filled with.
+    Returns the (rows, d, c) blocks, each row's block contiguous: what `opa_project`
+    sums, and what an inference cache of blocks is filled with. The gradient goes to
+    the table and to w.
     """
-    w3 = w.reshape(-1, table.shape[1], w.shape[1])
-    proj = np.empty((len(table),) + w3.shape[::2])
-    np.matmul(table[None], w3, out=proj.transpose(1, 0, 2))
-    return proj
+    if table.ndim != 2 or w.ndim != 2 or w.shape[0] % table.shape[1]:
+        raise ShapeError(f"project_rows weight {w.shape} does not take rows of {table.shape}")
+    td, wd = table.data, w.data
+    w3 = wd.reshape(-1, td.shape[1], wd.shape[1])
+    proj = np.empty((len(td),) + w3.shape[::2])
+    np.matmul(td[None], w3, out=proj.transpose(1, 0, 2))
+
+    def bwd(drows):
+        dtable = sum(drows[:, a] @ w3[a].T for a in range(len(w3)))
+        return dtable, np.matmul(td.T[None], drows.transpose(1, 0, 2)).reshape(wd.shape)
+
+    return _emit(proj, (table, w), bwd)
 
 
-def opa_project(s, parts, w: Tensor, proj=None) -> Tensor:
+def opa_project(s, ids, proj: Tensor) -> Tensor:
     """reshape(opa_sum_outer(s, v), (rows, d * e)) @ w, where v sums table rows.
 
     s is a list of (count, n, m, d) score blocks, one per group, as opa_sum_outer takes
-    them. `parts` lists (table, ids): value row j, in the order opa_sum_outer flattens
-    them, is the sum over parts of table[ids[j]].
-    The projection P(v)[a] = sum_b v[b] w[a * e + b] is linear in v, so every table row
-    is projected once (`project_rows`), each distinct combination u of ids gets P_u as
-    the sum of its rows' projections, and out_i is the sum over j of
-    s_ij @ P_u(j). So the d * e * c work scales with the table rows, and neither v nor
-    the (rows, d, e) aggregate is made. The gradient goes to s, to every table and to w.
-
-    `proj`, if given, holds the blocks that `project_rows` made of the table rows through
-    `w`, and `parts` lists the ids alone, each indexing `proj`, as an inference cache
-    keeps its rows in the order it filled them. Only its rows that the ids reach are
-    read, so it may be a cache whose other rows are unfilled. It is for inference: no
-    graph is made, and one that would be raises.
+    them. `proj` holds the (rows, d, c) blocks that `project_rows` makes of the table
+    rows through w, and `ids` lists id arrays into them: value row j, in the order
+    opa_sum_outer flattens them, is the sum over the arrays of table[ids[j]].
+    The projection P(v)[a] = sum_b v[b] w[a * e + b] is linear in v, so each distinct
+    combination u of ids gets P_u as the sum of its rows' blocks, and out_i is the sum
+    over j of s_ij @ P_u(j). So the d * e * c work scales with the table rows, and
+    neither v nor the (rows, d, e) aggregate is made. Only the blocks that the ids
+    reach are read, so `proj` may be a cache whose other rows are unfilled. The
+    gradient goes to s and to proj.
     """
     ss = list(s)
     d = ss[0].shape[-1] if ss else 0
     if not ss or any(t.ndim != 4 or t.shape[-1] != d for t in ss):
         raise ShapeError(f"opa_project shape mismatch: scores {[t.shape for t in ss]}")
-    if proj is None:
-        tables, ids = [table for table, _ in parts], [i for _, i in parts]
-        widths = {table.shape[1:] for table in tables}
-        if len(widths) != 1 or len(next(iter(widths))) != 1:
-            raise ShapeError(f"opa_project tables differ in width: {[t.shape for t in tables]}")
-        (e,) = widths.pop()
-        if w.ndim != 2 or w.shape[0] != d * e:
-            raise ShapeError(f"opa_project weight {w.shape} does not take {d}x{e} aggregates")
-        sizes = [table.shape[0] for table in tables]
-    else:
-        if is_recording() and any(t.requires_grad for t in ss + [w]):
-            raise ValueError("opa_project: a given projection makes no graph; run it under no_grad")
-        tables, ids, sizes = [], list(parts), [len(proj)] * len(parts)
+    if proj.ndim != 3 or proj.shape[1] != d:
+        raise ShapeError(f"opa_project blocks {proj.shape} do not take {d} score features")
     n_keys = sum(t.shape[0] * t.shape[2] for t in ss)
     ids = [np.asarray(i, dtype=np.int64) for i in ids]
     if any(i.shape != (n_keys,) for i in ids):
-        raise ShapeError(f"opa_project needs {n_keys} value ids per table, "
+        raise ShapeError(f"opa_project needs {n_keys} value ids per array, "
                          f"got shapes {[i.shape for i in ids]}")
-    _, first, uid = np.unique(np.ravel_multi_index(ids, sizes), return_index=True,
-                              return_inverse=True)
-    # each distinct value's rows in the tables stacked into one, or in `proj`'s one table
-    starts = np.cumsum([0] + sizes[:-1])
-    combos = np.stack([i[first] + (start if proj is None else 0)
-                       for start, i in zip(starts, ids)], axis=1)
+    pd = proj.data
+    _, first, uid = np.unique(np.ravel_multi_index(ids, [len(pd)] * len(ids)),
+                              return_index=True, return_inverse=True)
+    combos = np.stack([i[first] for i in ids], axis=1)  # each distinct value's blocks
     # every (query, key) pair, in score order: its query row and its key's distinct value
     pair_q, pair_u = [], []
     q0 = v0 = 0
@@ -780,16 +772,13 @@ def opa_project(s, parts, w: Tensor, proj=None) -> Tensor:
     qp = np.concatenate(pair_q)[order]
     bounds = np.concatenate([[0], np.cumsum(np.bincount(pair_u, minlength=len(first)))])
     segs = [(u, lo, hi) for u, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo]
-    if proj is None:
-        table = np.concatenate([t.data for t in tables])
-        proj = project_rows(table, w.data)
-    buf = np.empty(proj.shape[1:])
+    buf = np.empty(pd.shape[1:])
 
     def value_proj(u):
-        """P_u, the sum of its table rows' projections, in one buffer that stays in cache."""
-        np.copyto(buf, proj[combos[u, 0]])
+        """P_u, the sum of its rows' blocks, in one buffer that stays in cache."""
+        np.copyto(buf, pd[combos[u, 0]])
         for row in combos[u, 1:]:
-            np.add(buf, proj[row], out=buf)
+            np.add(buf, pd[row], out=buf)
         return buf
 
     terms = np.empty((len(order), buf.shape[1]))
@@ -807,21 +796,16 @@ def opa_project(s, parts, w: Tensor, proj=None) -> Tensor:
     def bwd(dout):
         dterms = dout[qp]
         ds = np.empty_like(sp)
-        drows = np.zeros_like(proj)
+        drows = np.zeros_like(pd)
         dproj = np.empty_like(buf)
         for u, lo, hi in segs:
             np.matmul(dterms[lo:hi], value_proj(u).T, out=ds[lo:hi])
             np.matmul(sp[lo:hi].T, dterms[lo:hi], out=dproj)
             for row in combos[u]:
                 drows[row] += dproj
-        dss = tuple(by_group(ds))
-        del dterms, ds  # the value-ordered pair arrays go before dtable and dw are made
-        w3 = w.data.reshape(d, e, -1)
-        dtable = sum(drows[:, a] @ w3[a].T for a in range(d))
-        dw = np.matmul(table.T[None], drows.transpose(1, 0, 2)).reshape(w.shape)
-        return dss + tuple(np.split(dtable, starts[1:])) + (dw,)
+        return tuple(by_group(ds)) + (drows,)
 
-    return _emit(out, tuple(ss) + tuple(tables) + (w,), bwd)
+    return _emit(out, tuple(ss) + (proj,), bwd)
 
 
 def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:

@@ -154,7 +154,7 @@ def build_encoder(cfg: TrainConfig, word_size: int, char_size: int,
 
 def build_classifier(cfg, word_size, char_size, n_classes, rng, tfidf_dim=0):
     enc = build_encoder(cfg, word_size, char_size, rng)
-    return ClassificationModel(enc, n_classes, rng, use_tfidf=cfg.use_tfidf, tfidf_dim=tfidf_dim)
+    return ClassificationModel(enc, n_classes, rng, tfidf_dim=tfidf_dim)
 
 
 def build_tagger(cfg, word_size, char_size, n_tags, rng):

@@ -147,12 +147,17 @@ def oracle_encode_word(char_hit, ids, training=False, rng=None):
     ids = list(ids)
     emb, pos = T.embedding_lookup(char_hit.emb, ids), T.Tensor(char_hit.pos[:len(ids)])
     x = T.add(emb, pos)
-    # the first layer projects its values as sums of an embedding row and a position row,
-    # as CharHit.forward does, here with one row of each per character of the word
-    rows = np.arange(len(ids))
+    # in true_outer_projected mode the first layer projects its values as sums of an
+    # embedding row and a position row, as CharHit.forward does, here with one row of each
+    # per character of the word
+    parts = None
+    if char_hit.layers and char_hit.layers[0].fame.config.opa_combine == "true_outer_projected":
+        fame, rows = char_hit.layers[0].fame, np.arange(len(ids))
+        table = T.concat_rows([T.matmul(emb, fame.wv_outer), T.matmul(pos, fame.wv_outer)])
+        parts = ([rows, len(ids) + rows], T.project_rows(table, fame.wo_outer))
     for i, layer in enumerate(char_hit.layers):
         x = oracle_encoder_layer(layer, x, training=training, rng=rng,
-                                 value_parts=[(emb, rows), (pos, rows)] if i == 0 else None)
+                                 value_parts=parts if i == 0 else None)
     return oracle_hier_pool(char_hit.pool, x)
 
 
@@ -198,7 +203,7 @@ def oracle_loss(model, batch, training=False, rng=None):
         rows = []
         for ex, h in zip(examples, states):
             s = T.mean_rows(h)
-            if model.use_tfidf:
+            if model.tfidf_dim:
                 s = T.concat_vec([s, T.Tensor(np.asarray(ex.features, dtype=np.float64))])
             rows.append(s)
         return T.cross_entropy(_head(T.stack_rows(rows), model.head_w, model.head_b),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hitkit import attention as A
 from hitkit import data as D
+from hitkit import encoders as E
 from hitkit import tensor as T
 from hitkit.train import (
     TrainConfig,
@@ -201,17 +202,7 @@ SHARED = [["aab", "aba", "baa", "abab"], ["baa", "abab", "ab"], ["bab", "aab", "
 
 def aggregate_only(monkeypatch):
     """Make every OPA layer make the (rows, d, d) aggregate, as before value-first projection."""
-    def project(s, parts, w, proj=None):
-        (table, ids), *rest = parts
-        v = T.embedding_lookup(table, ids)
-        for table, ids in rest:
-            v = T.add(v, T.embedding_lookup(table, ids))
-        values = T.group_blocks(v, [(t.shape[0], t.shape[2]) for t in s])
-        rows = sum(t.shape[0] * t.shape[1] for t in s)
-        d = s[0].shape[-1]
-        return T.matmul(T.reshape(T.opa_sum_outer(s, values), (rows, d * d)), w)
-
-    monkeypatch.setattr(A, "opa_project", project)
+    monkeypatch.setattr(E.OpaTableCache, "value_parts", lambda self, *args, **kw: None)
 
 
 def shared_model_and_batch(kind, tie, **kw):
@@ -266,12 +257,12 @@ def test_only_the_word_layers_make_the_opa_aggregate(monkeypatch):
 
 
 def test_the_first_char_layer_projects_each_character_and_position_once(monkeypatch):
-    tables = []
+    blocks = []
     real = A.opa_project
 
-    def spy(s, parts, w, proj=None):
-        tables.append([table.shape[0] for table, _ in parts])
-        return real(s, parts, w, proj)
+    def spy(s, ids, proj):
+        blocks.append(proj.shape[0])
+        return real(s, ids, proj)
 
     monkeypatch.setattr(A, "opa_project", spy)
     model, batch = model_and_batch("classification", cfg(l_c=2, l_w=2), sentences=SHARED)
@@ -280,9 +271,25 @@ def test_the_first_char_layer_projects_each_character_and_position_once(monkeypa
     chars = {c for word in words for c in word}
     longest = max(map(len, words))
     pairs = {(c, p) for word in words for p, c in enumerate(word)}
-    # one call, from the first of the two char layers: a row per character and per position
-    assert tables == [[len(chars), longest]]
+    # one call, from the first of the two char layers: a block per character and per position
+    assert blocks == [len(chars) + longest]
     assert len(chars) + longest < len(pairs)
+
+
+def test_hadamard_char_layers_look_up_the_character_embeddings_once(monkeypatch):
+    """In hadamard mode no layer takes value parts, so the char encoder builds none."""
+    tables = []
+    real = E.embedding_lookup
+
+    def spy(table, ids):
+        tables.append(table)
+        return real(table, ids)
+
+    monkeypatch.setattr(E, "embedding_lookup", spy)
+    model, batch = model_and_batch("classification", cfg(opa_combine="hadamard"),
+                                   sentences=SHARED)
+    model.loss_batch(batch)
+    assert sum(table is model.encoder.char_hit.emb for table in tables) == 1
 
 
 # Batch invariance over drawn batches: one-word and max_len-word sentences, words of 1 to

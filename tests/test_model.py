@@ -58,6 +58,16 @@ class TestClassification:
         assert "char_hit.pool.context" in names
         assert "head.w" in names
 
+    @pytest.mark.parametrize("tfidf_dim", [0, 3])
+    def test_the_head_reads_tfidf_dim_features(self, vocab, tfidf_dim):
+        # use_tfidf is a training setting: the head's width follows tfidf_dim alone
+        model = build_classifier(tiny_cfg(use_tfidf=True), vocab.word_size, vocab.char_size, 2,
+                                 seed_streams(5)["init"], tfidf_dim=tfidf_dim)
+        assert model.head_w.shape == (8 + tfidf_dim, 2)
+        ex = encode(["red", "cat"], vocab)
+        ex.features = np.linspace(0.1, 0.3, tfidf_dim) if tfidf_dim else None
+        assert model.logits([ex]).shape == (1, 2)
+
 
 class TestTagging:
     def test_rows_sum_to_one_and_row_count(self, vocab):

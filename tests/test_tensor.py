@@ -665,7 +665,8 @@ class TestBatchedOps:
 
 
 class TestOpaProject:
-    """opa_project against the aggregate it replaces: reshape(opa_sum_outer(...)) @ w."""
+    """opa_project over project_rows against the aggregate it replaces:
+    reshape(opa_sum_outer(...)) @ w."""
 
     LAYOUT = ((2, 3), (1, 1), (3, 2))  # (count, length) per group: 13 value rows
     # two tables whose ids repeat inside a sequence, across sequences and across groups
@@ -683,6 +684,19 @@ class TestOpaProject:
         w = T.Tensor(rng.standard_normal((d * e, c)), requires_grad=True)
         return scores, tables, w
 
+    @staticmethod
+    def stacked_ids(tables, ids):
+        """Each table's ids, offset to its rows in the tables stacked in order."""
+        starts = np.cumsum([0] + [t.shape[0] for t in tables[:-1]])
+        return [start + i for start, i in zip(starts, ids)]
+
+    @classmethod
+    def project(cls, scores, parts, w):
+        """opa_project of the summed table rows, as the first encoder layer makes it."""
+        tables, ids = zip(*parts)
+        proj = T.project_rows(T.concat_rows(tables), w)
+        return T.opa_project(scores, cls.stacked_ids(tables, ids), proj)
+
     @classmethod
     def aggregate(cls, scores, parts, w):
         """The aggregate path, on value rows built as the summed table rows."""
@@ -693,10 +707,15 @@ class TestOpaProject:
         agg = T.opa_sum_outer(scores, T.group_blocks(v, cls.LAYOUT))
         return T.matmul(T.reshape(agg, (v.shape[0], d * e)), w)
 
+    def test_project_rows_gradient(self):
+        _, (_, table), w = self.operands()
+        check_gradients(lambda: T.sum_all(T.tanh(T.reshape(T.project_rows(table, w), (3, 4)))),
+                        [table, w])
+
     def test_gradient_with_repeated_ids(self):
         scores, tables, w = self.operands()
         parts = list(zip(tables, self.IDS))
-        check_gradients(lambda: T.sum_all(T.tanh(T.opa_project(scores, parts, w))),
+        check_gradients(lambda: T.sum_all(T.tanh(self.project(scores, parts, w))),
                         scores + tables + [w])
 
     @pytest.mark.parametrize("sizes, ids", [(SIZES, IDS), ((13,), (np.arange(13),))],
@@ -706,7 +725,7 @@ class TestOpaProject:
         parts = list(zip(tables, ids))
         leaves = scores + tables + [w]
         grads = []
-        for build in (lambda: T.opa_project(scores, parts, w),
+        for build in (lambda: self.project(scores, parts, w),
                       lambda: self.aggregate(scores, parts, w)):
             for leaf in leaves:
                 leaf.grad = None
@@ -719,39 +738,43 @@ class TestOpaProject:
         for g, h in zip(got_grads, want_grads):
             assert np.max(np.abs(g - h)) < 1e-12
 
-    def test_a_given_projection_is_read_only_where_ids_reach(self):
+    def test_blocks_are_read_only_where_ids_reach(self):
         scores, tables, w = self.operands(seed=82, sizes=(7, 3))
         parts = list(zip(tables, self.IDS))
-        # with a projection, the parts are ids alone, each indexing the projection of one
-        # table: here both tables stacked
-        proj = T.project_rows(np.concatenate([t.data for t in tables]), w.data)
-        proj[[3, 5, 6]] = np.nan  # rows of the first table that no id reaches
-        ids = [self.IDS[0], 7 + self.IDS[1]]
+        # plain blocks, as an inference cache holds them: both tables' rows stacked, with
+        # rows of the first table that no id reaches left unfilled
         with T.no_grad():
-            want = T.opa_project(scores, parts, w).data
-            got = T.opa_project(scores, ids, w, proj).data
-        assert np.array_equal(got, want)
-        with pytest.raises(ValueError, match="no_grad"):
-            T.opa_project(scores, ids, w, proj)
-        with T.no_grad(), pytest.raises(T.ShapeError, match="value ids"):
-            T.opa_project(scores, [self.IDS[0][1:]], w, proj)
+            want = self.project(scores, parts, w).data
+            blocks = T.project_rows(T.concat_rows(tables), w).data
+        blocks[[3, 5, 6]] = np.nan
+        ids = self.stacked_ids(tables, self.IDS)
+        got = T.opa_project(scores, ids, T.Tensor(blocks))
+        assert np.array_equal(got.data, want)
+        # the graph reaches the scores alone
+        T.backward(T.sum_all(got))
+        assert all(s.grad is not None for s in scores)
+        with pytest.raises(T.ShapeError, match="value ids"):
+            T.opa_project(scores, [self.IDS[0][1:]], T.Tensor(blocks))
 
     @pytest.mark.parametrize("ids", [np.arange(12), np.arange(14), np.zeros((13, 1))])
     def test_rejects_ids_of_the_wrong_length(self, ids):
         scores, tables, w = self.operands(sizes=(5, 14))
         with pytest.raises(T.ShapeError, match="value ids"):
-            T.opa_project(scores, [(tables[0], self.IDS[0]), (tables[1], ids)], w)
+            self.project(scores, [(tables[0], self.IDS[0]), (tables[1], ids)], w)
 
     def test_rejects_a_weight_of_the_wrong_height(self):
         scores, tables, _ = self.operands()
-        with pytest.raises(T.ShapeError, match="weight"):
-            T.opa_project(scores, list(zip(tables, self.IDS)), T.Tensor(np.ones((5, 2))))
+        with pytest.raises(T.ShapeError, match="project_rows weight"):
+            self.project(scores, list(zip(tables, self.IDS)), T.Tensor(np.ones((5, 2))))
+        # 9 rows take tables of width 3, but give 3 blocks per row where the scores have 2
+        with pytest.raises(T.ShapeError, match="score features"):
+            self.project(scores, list(zip(tables, self.IDS)), T.Tensor(np.ones((9, 2))))
 
     def test_rejects_tables_of_different_widths(self):
         scores, tables, w = self.operands()
         narrow = T.Tensor(np.ones((3, 2)))
-        with pytest.raises(T.ShapeError, match="width"):
-            T.opa_project(scores, [(tables[0], self.IDS[0]), (narrow, self.IDS[1])], w)
+        with pytest.raises(T.ShapeError, match="equal column counts"):
+            self.project(scores, [(tables[0], self.IDS[0]), (narrow, self.IDS[1])], w)
 
 
 class TestOpaSumProject:
