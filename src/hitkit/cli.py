@@ -294,7 +294,7 @@ def _restore(checkpoint_path):
 
 def _train_and_report(args, cfg, name: str, model, split, arts, report, summary: str) -> int:
     """Train on `split` and save the best parameters. `report(result)` gives the metrics and
-    the prediction rows (or None); `summary` is formatted with `task` and `r`, the TrainResult."""
+    the prediction rows (or None); `summary` is formatted with `task` and `r`, the TrainState."""
     out = _out_dir(args)
     result = train(model, *split, cfg)
     save_checkpoint(out / "checkpoint", result.best_params,
@@ -393,9 +393,12 @@ def cmd_pretrain_zsl(args) -> int:
     labels = sorted({str(records[i]["label"]) for i in keep})
     if len(labels) < 2:
         raise CliError("zero-shot pretraining needs at least 2 labels")
-    if "" in labels:
-        raise CliError(f"{args.train_file}: label '' has no characters to encode")
-    label_tokens = {name: D.preprocess_text(name, cfg.lowercase) or [name.lower()] for name in labels}
+    # a label that preprocessing empties is its own words, which vocab.tsv can hold
+    label_tokens = {name: D.preprocess_text(name, cfg.lowercase) or name.lower().split()
+                    for name in labels}
+    blank = [name for name, tokens in label_tokens.items() if not tokens]
+    if blank:
+        raise CliError(f"{args.train_file}: label {blank[0]!r} has no characters to encode")
     first_of = {}
     for name, tokens in label_tokens.items():
         other = first_of.setdefault(tuple(tokens), name)

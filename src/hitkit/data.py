@@ -220,6 +220,7 @@ _LABEL_TYPES = (str, int, float, bool)  # a label or intent; it is used as its s
 def _check_record(obj, kind: str):
     if not isinstance(obj, dict):
         raise ValueError("record is not a JSON object")
+    json.dumps(obj, ensure_ascii=False).encode("utf-8")  # a lone surrogate (\ud800) fits no file
     if kind == "classification":
         if not isinstance(obj.get("text"), str) or "label" not in obj:
             raise ValueError("classification record needs 'text' and 'label'")
@@ -236,8 +237,10 @@ def _check_record(obj, kind: str):
             bad = [x for x in items if not isinstance(x, str)]
             if bad:
                 raise ValueError(f"labeling {name} must be strings, got {json.dumps(bad[0])}")
-        if "" in toks:
-            raise ValueError(f"labeling token {toks.index('') + 1} is an empty string")
+        for n, tok in enumerate(toks, 1):  # whitespace would break vocab.tsv's lines
+            if tok.split() != [tok]:
+                raise ValueError(f"labeling token {n} " + (f"holds whitespace: {json.dumps(tok)}"
+                                                           if tok else "is an empty string"))
     elif kind == "generation":
         if not isinstance(obj.get("source"), str) or not isinstance(obj.get("target"), str):
             raise ValueError("generation record needs 'source' and 'target'")
@@ -268,7 +271,7 @@ def load_dataset(path, kind: str) -> list[dict]:
                 continue
             try:
                 records.append(_check_record(json.loads(line), kind))
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
     return records
 

@@ -276,8 +276,9 @@ class OpaTableCache:
     stacked table (every id of `emb`, then every position) gets the (d, d) block of its
     value through wo_outer (`tensor.project_rows`), at inference in a `RowCache` of at
     most OPA_CACHE_ROWS blocks. A call's missing rows are filled in one product, padded
-    to at least 2 rows: from 2 rows on, BLAS gives a row the same bits whatever its batch
-    mates (`test_opa_cache.py` pins this), so a warm cache serves a cold one's bytes.
+    to an even row count by repeating the last row: OpenBLAS's SkylakeX, Haswell and Zen
+    kernels give a row of an even-row product the same bits whatever its batch mates
+    (`test_opa_cache.py` pins this), so a warm cache serves a cold one's bytes.
     The cache empties when the `version` of emb, wv_outer or wo_outer moves.
     """
 
@@ -289,7 +290,7 @@ class OpaTableCache:
     def _project(self, rows) -> np.ndarray:
         n_ids = len(self.emb.data)
         v = np.array([self.emb.data[r] if r < n_ids else self.pos[r - n_ids]
-                      for r in (rows if len(rows) > 1 else rows * 2)])
+                      for r in rows + rows[-1:] * (len(rows) % 2)])
         table = Tensor(v @ self.fame.wv_outer.data)
         return project_rows(table, self.fame.wo_outer).data[:len(rows)]
 

@@ -125,7 +125,7 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
-        values = {}
+        values, first_line = {}, {}
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -133,8 +133,11 @@ class TrainConfig:
                     continue
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
+                key, _, value = (part.strip() for part in line.partition("="))
+                if key in first_line:
+                    raise ValueError(f"{path}:{lineno}: key {key!r} given twice "
+                                     f"(first on line {first_line[key]})")
+                first_line[key], values[key] = lineno, value
         return cls.from_dict(values)
 
 
@@ -192,21 +195,38 @@ class EpochStats:
 
 
 @dataclass
-class TrainResult:
-    history: list[EpochStats]
-    best_epoch: int
-    best_val_loss: float
-    best_params: dict[str, np.ndarray]  # float32: the values a checkpoint of them stores
+class TrainState:
+    """A run's schedule: `train` starts it from the config, updates it each epoch, returns it."""
+
+    lr: float
+    shuffle_rng: np.random.Generator
+    dropout_rng: np.random.Generator
+    best_val_loss: float = math.inf
+    best_epoch: int = 0
+    best_params: dict[str, np.ndarray] = field(default_factory=dict)  # float32, as checkpointed
+    plateau_wait: int = 0
+    since_best: int = 0
+    history: list[EpochStats] = field(default_factory=list)
     stopped_early: bool = False
     hook_stopped: bool = False
 
+    def end_epoch(self, model, stats: EpochStats, config: TrainConfig) -> None:
+        """Record `stats`; keep the parameters of a new best, else count toward LR decay."""
+        self.history.append(stats)
+        if stats.val_loss < self.best_val_loss:
+            self.best_val_loss, self.best_epoch = stats.val_loss, stats.epoch
+            self.best_params = {p.name: p.data.astype(np.float32) for p in model.parameters()}
+            self.plateau_wait = self.since_best = 0
+        else:
+            self.plateau_wait += 1
+            self.since_best += 1
+            if self.plateau_wait >= config.plateau_patience:
+                self.lr *= config.plateau_factor
+                self.plateau_wait = 0
+
     def history_dict(self) -> dict:
-        return {
-            "epochs": [s.to_dict() for s in self.history],
-            "best_epoch": self.best_epoch,
-            "best_val_loss": self.best_val_loss,
-            "stopped_early": self.stopped_early,
-        }
+        return {"epochs": [s.to_dict() for s in self.history], "best_epoch": self.best_epoch,
+                "best_val_loss": self.best_val_loss, "stopped_early": self.stopped_early}
 
 
 def _batches(order, batch_size):
@@ -221,13 +241,8 @@ def eval_loss(model, items, batch_size: int = 32) -> float:
     return float(np.average(losses, weights=[len(chunk) for chunk in chunks]))
 
 
-def _snapshot(model) -> dict[str, np.ndarray]:
-    """The parameters as float32, the values `save_checkpoint` writes, at half the bytes."""
-    return {p.name: p.data.astype(np.float32) for p in model.parameters()}
-
-
 def train(model, train_items, val_items, config: TrainConfig,
-          val_loss_fn=None, epoch_hook=None) -> TrainResult:
+          val_loss_fn=None, epoch_hook=None) -> TrainState:
     """Mini-batch Adam with plateau LR decay and early stopping on validation loss.
 
     `val_loss_fn(model, epoch)` replaces the validation pass when given (used by
@@ -240,30 +255,21 @@ def train(model, train_items, val_items, config: TrainConfig,
     if not val_items and val_loss_fn is None:
         raise ValueError("train: empty validation set")
     streams = seed_streams(config.seed)
-    shuffle_rng, drop_rng = streams["shuffle"], streams["dropout"]
+    state = TrainState(config.lr, streams["shuffle"], streams["dropout"])
     params = model.trainable_parameters()
-    lr = config.lr
-    best_val = math.inf
-    best_epoch = 0
-    best_params = _snapshot(model)
-    plateau_wait = 0
-    since_best = 0
-    history: list[EpochStats] = []
-    stopped_early = False
-    hook_stopped = False
     for epoch in range(1, config.epochs + 1):
-        order = shuffle_rng.permutation(len(train_items))
-        batch_losses = []
-        batch_sizes = []
+        order = state.shuffle_rng.permutation(len(train_items))
+        batch_losses, batch_sizes = [], []
         for chunk in _batches(order, config.batch_size):
-            loss = model.loss_batch([train_items[i] for i in chunk], training=True, rng=drop_rng)
+            loss = model.loss_batch([train_items[i] for i in chunk], training=True,
+                                    rng=state.dropout_rng)
             value = loss.item()
             if not math.isfinite(value):
                 raise TrainingDiverged(epoch, value)
             backward(loss)
             if config.clip_norm > 0:
                 clip_gradients(params, config.clip_norm)
-            adam_step(params, lr, config.beta1, config.beta2, config.adam_eps)
+            adam_step(params, state.lr, config.beta1, config.beta2, config.adam_eps)
             batch_losses.append(value)
             batch_sizes.append(len(chunk))
         train_loss = float(np.average(batch_losses, weights=batch_sizes))
@@ -273,28 +279,15 @@ def train(model, train_items, val_items, config: TrainConfig,
             val_loss = eval_loss(model, val_items, config.batch_size)
         if not math.isfinite(val_loss):
             raise TrainingDiverged(epoch, val_loss)
-        stats = EpochStats(epoch, train_loss, val_loss, lr)
-        history.append(stats)
-        if val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
-            best_params = _snapshot(model)
-            plateau_wait = 0
-            since_best = 0
-        else:
-            plateau_wait += 1
-            since_best += 1
-            if plateau_wait >= config.plateau_patience:
-                lr *= config.plateau_factor
-                plateau_wait = 0
+        stats = EpochStats(epoch, train_loss, val_loss, state.lr)
+        state.end_epoch(model, stats, config)
         if epoch_hook is not None and epoch_hook(model, epoch, stats):
-            hook_stopped = True
+            state.hook_stopped = True
             break
-        if since_best >= config.early_stop_patience:
-            stopped_early = True
+        if state.since_best >= config.early_stop_patience:
+            state.stopped_early = True
             break
-    return TrainResult(history, best_epoch, best_val, best_params,
-                       stopped_early=stopped_early, hook_stopped=hook_stopped)
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -432,8 +432,16 @@ class TestMalformedInputs:
         ("classification", {"text": "a b", "label": {"x": 1}}, 'got {"x": 1}'),
         ("dialog", {"turns": [{"speaker": "user", "text": "a b"}], "slots": ["a"]}, "slots"),
         ("labeling", {"tokens": ["a", ""], "tags": ["O", "O"]}, "token 2 is an empty string"),
+        # a tab or line break would break vocab.tsv, and a lone surrogate any UTF-8 output,
+        # after a whole training run
+        ("labeling", {"tokens": ["a", "b\tc"], "tags": ["O", "O"]},
+         'token 2 holds whitespace: "b\\tc"'),
+        ("labeling", {"tokens": ["a\u2028"], "tags": ["O"]}, 'token 1 holds whitespace'),
+        ("classification", {"text": "a \ud800", "label": "x"}, "surrogates not allowed"),
+        ("classification", '{"text": "a b", "label": ' + "[" * 100000 + "]" * 100000 + "}",
+         "maximum recursion depth"),
     ], ids=["int-token", "null-tag", "list-tag", "list-label", "object-label", "list-slots",
-            "empty-token"])
+            "empty-token", "tab-in-token", "line-break-token", "lone-surrogate", "deep-nesting"])
     def test_record_element_of_the_wrong_type(self, tmp_path, capsys, task, record, needle):
         if task == "classification":
             good = [{"text": "a b", "label": "x"}]
@@ -443,10 +451,11 @@ class TestMalformedInputs:
             good = [{"turns": [{"speaker": "user", "text": "a b"}], "slots": {"x": "a"}}]
         train_file, val_file = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
         train_file.write_text(json.dumps(good[0]) + "\n")
-        val_file.write_text(json.dumps(good[0]) + "\n" + json.dumps(record) + "\n")
+        line = record if isinstance(record, str) else json.dumps(record)  # a str is the raw line
+        val_file.write_text(json.dumps(good[0]) + "\n" + line + "\n")
         flags = ["--task", "labeling", "--dialog"] if task == "dialog" else ["--task", task]
         code = main(["train", *flags, "--train-file", str(train_file), "--val-file", str(val_file),
-                     "--out-dir", str(tmp_path / "o")])
+                     "--config", write_cfg(tmp_path, epochs=1), "--out-dir", str(tmp_path / "o")])
         self.assert_one_error_line(code, capsys.readouterr().err, f"{val_file}:2: ", needle)
 
     @pytest.mark.parametrize("command", ["pretrain-mlm", "pretrain-zsl"])
@@ -481,13 +490,14 @@ class TestMalformedInputs:
                      "--input", str(texts), "--k", "0", "--out-dir", str(tmp_path / "a")])
         self.assert_one_error_line(code, capsys.readouterr().err, "k must be at least 1")
 
-    def test_pretrain_zsl_with_an_empty_label(self, tmp_path, capsys):
+    @pytest.mark.parametrize("label", ["", " \t"], ids=["empty", "whitespace"])
+    def test_pretrain_zsl_with_an_empty_label(self, tmp_path, capsys, label):
         data = tmp_path / "zsl.jsonl"
-        data.write_text("".join(json.dumps({"text": text, "label": label}) + "\n"
-                                for text, label in [("good day", ""), ("bad day", "x")] * 2))
+        data.write_text("".join(json.dumps({"text": text, "label": name}) + "\n"
+                                for text, name in [("good day", label), ("bad day", "x")] * 2))
         code = main(["pretrain-zsl", "--train-file", str(data), "--config",
                      write_cfg(tmp_path, epochs=1), "--out-dir", str(tmp_path / "z")])
-        self.assert_one_error_line(code, capsys.readouterr().err, str(data), "label ''")
+        self.assert_one_error_line(code, capsys.readouterr().err, str(data), f"label {label!r}")
 
     def test_pretrain_zsl_with_labels_that_preprocess_alike(self, tmp_path, capsys):
         data = tmp_path / "zsl.jsonl"
@@ -542,6 +552,16 @@ class TestMalformedInputs:
         self.assert_one_error_line(code, capsys.readouterr().err, needle)
         assert not (tmp_path / "o").exists()
 
+    def test_config_key_given_twice(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("d_model=8\nn_heads=2\nlr=0.01\nepochs=1\nlr=0.02\n")
+        code = main(["train", "--task", "classification", "--train-file",
+                     write_classification(tmp_path), "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "o")])
+        self.assert_one_error_line(code, capsys.readouterr().err,
+                                   f"{cfg}:5: key 'lr' given twice (first on line 3)")
+        assert not (tmp_path / "o").exists()
+
     def test_non_integer_seed_variable(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("HITKIT_SEED", "abc")
         code = main(["train", "--task", "classification", "--train-file",
@@ -581,6 +601,83 @@ def test_a_damaged_checkpoint_loads_or_names_itself(tmp_path_factory, small_arch
         code = main(["embed", "--checkpoint", str(bad), "--input", str(texts),
                      "--out-dir", str(d / "emb")])
     assert code in (0, 1) and len(err.getvalue().splitlines()) <= 1, err.getvalue()
+
+
+# data records: JSON of any shape, and records shaped as each kind's
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text("ab !@[]\n", max_size=5),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text("ab", max_size=2), inner, max_size=3)),
+    max_leaves=5)
+LABELS = st.sampled_from(["x", "y", "", 1, True, 1.5, float("nan")])
+
+
+def shaped_records(words):
+    """A strategy per record kind, whose strings are made of `words`."""
+    texts = st.lists(words, max_size=4).map(" ".join)
+    turn = lambda speaker: st.fixed_dictionaries({"speaker": speaker, "text": texts})
+    return {
+        "classification": st.fixed_dictionaries({"text": texts, "label": LABELS}),
+        "labeling": st.lists(st.tuples(words, st.sampled_from(["O", "B-x"])), min_size=1,
+                             max_size=4).map(lambda pairs: {"tokens": [w for w, _ in pairs],
+                                                            "tags": [t for _, t in pairs]}),
+        "generation": st.fixed_dictionaries({"source": texts, "target": texts}),
+        "dialog": st.fixed_dictionaries(
+            {"turns": st.tuples(turn(st.just("user")),
+                                st.lists(turn(st.sampled_from(["user", "bot"])), max_size=2)
+                                ).map(lambda t: [t[0], *t[1]]),
+             "intent": LABELS},
+            optional={"slots": st.dictionaries(st.sampled_from(["x", ""]), texts, max_size=2)}),
+    }
+
+
+SHAPED = shaped_records(st.sampled_from(["a", "b", "ab", "A", "\u00e9", "!!", "@x", "[CLS]",
+                                         "[PAD]"]))
+# strings that a labeling token, a vocab.tsv line or a UTF-8 file cannot hold
+AWKWARD = shaped_records(st.sampled_from([" ", "a\tb", "a\u2028b", "a\ud800"]))
+
+
+def run_main(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+@given(task=st.sampled_from(["classification", "labeling", "generation"]), dialog=st.booleans(),
+       val_file=st.booleans(), odd=st.sampled_from(["none", "any", "one-field", "awkward"]),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_any_data_records_train_or_fail_in_one_line(tmp_path_factory, task, dialog, val_file, odd,
+                                                    data):
+    """Shaped records with, at most, one odd record among them: of any JSON shape, with one
+    field of any JSON shape, or with awkward strings. `train` exits 0, or 1 with one stderr
+    line, and no exception escapes `main`; a checkpoint it writes evaluates on the same file."""
+    kind = "dialog" if dialog else task
+    records = data.draw(st.lists(SHAPED[kind], min_size=5, max_size=10), label="records")
+    if odd == "any":
+        record = data.draw(JSON_VALUES, label="odd record")
+    elif odd == "one-field":
+        record = data.draw(SHAPED[kind], label="odd record")
+        key = data.draw(st.sampled_from(sorted(record) + ["extra"]), label="its field")
+        record = {**record, key: data.draw(JSON_VALUES, label="its value")}
+    elif odd == "awkward":
+        record = data.draw(AWKWARD[kind], label="odd record")
+    if odd != "none":
+        records.insert(data.draw(st.integers(0, len(records)), label="at"), record)
+    d = tmp_path_factory.mktemp("records")
+    path = d / "records.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    flags = ["--config", write_cfg(d, epochs=1)] + (["--dialog"] if dialog else [])
+    code, err = run_main(["train", "--task", task, "--train-file", str(path), *flags,
+                          "--out-dir", str(d / "run")]
+                         + (["--val-file", str(path)] if val_file else []))
+    assert code in (0, 1) and len(err) <= 1, err
+    assert code == 0 or err[0].startswith("hitkit: error: "), err
+    if code == 0:
+        code, err = run_main(["evaluate", "--checkpoint", str(d / "run" / "checkpoint"),
+                              "--test-file", str(path), *flags, "--out-dir", str(d / "eval")])
+        assert code == 0 and len(err) <= 1, err
 
 
 class TestEvaluate:
@@ -738,6 +835,21 @@ class TestPretrainCommands:
                      "--config", write_cfg(tmp_path, epochs=2), "--out-dir", str(out)]) == 0
         metrics = json.loads((out / "metrics.json").read_text())
         assert "zero_shot_train_accuracy" in metrics
+
+    def test_pretrain_zsl_label_of_punctuation_and_a_tab_embeds(self, tmp_path):
+        """Preprocessing empties the label, whose own words then go in the vocabulary: split,
+        because a tab in a word would break its vocab.tsv line."""
+        data = tmp_path / "zsl.jsonl"
+        data.write_text("".join(json.dumps({"text": text, "label": label}) + "\n"
+                                for text, label in [("good day", "!!\t?"), ("bad day", "x")] * 2))
+        assert main(["pretrain-zsl", "--train-file", str(data), "--config",
+                     write_cfg(tmp_path, epochs=1), "--out-dir", str(tmp_path / "z")]) == 0
+        vocab = D.Vocab.from_text(load_checkpoint(tmp_path / "z" / "checkpoint").extras["vocab.tsv"])
+        assert {"!!", "?"} <= set(vocab.word_to_id)
+        texts = tmp_path / "texts.txt"
+        texts.write_text("good day\n")
+        assert main(["embed", "--checkpoint", str(tmp_path / "z" / "checkpoint"),
+                     "--input", str(texts), "--out-dir", str(tmp_path / "e")]) == 0
 
     def test_transfer_init_from_mlm(self, tmp_path):
         # pretraining corpus covers the same text, so the vocabularies align

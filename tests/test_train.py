@@ -120,6 +120,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="nonsense"):
             TrainConfig.from_file(path)
 
+    def test_key_given_twice_rejected(self, tmp_path):
+        """The second value would otherwise win silently; the error names both lines."""
+        path = tmp_path / "c.cfg"
+        path.write_text("lr=0.01\n# comment\nepochs=3\n lr = 0.02\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: key 'lr' given twice "
+                                                       "(first on line 1)")):
+            TrainConfig.from_file(path)
+
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError, match="plateau_factor"):
             TrainConfig(plateau_factor=1.5)
@@ -207,6 +215,17 @@ class TestSchedule:
                        epoch_hook=lambda m, e, s: e == 3)
         assert len(result.history) == 3
         assert result.hook_stopped
+
+    def test_hook_stops_before_early_stopping_on_the_same_epoch(self):
+        """Early stopping would end the run after epoch 6 too; the hook is asked first."""
+        cfg = tiny_cfg(epochs=20, plateau_patience=2, early_stop_patience=5)
+        model, items = tiny_task(cfg)
+        result = train(model, items, None, cfg, val_loss_fn=lambda m, e: 1.0,
+                       epoch_hook=lambda m, e, s: e == 6)
+        assert len(result.history) == 6
+        assert result.hook_stopped
+        assert not result.stopped_early
+        assert result.history_dict()["stopped_early"] is False
 
 
 class TestDeterminism:
